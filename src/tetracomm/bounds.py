@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import comb
 
 import numpy as np
 
@@ -128,6 +129,8 @@ def random_point_set(rng: np.random.Generator, n_points: int = 20, max_coord: in
 
 def random_strict_point_set(rng: np.random.Generator, n_points: int = 20, max_coord: int = 50) -> set[tuple[int, int, int]]:
     """Random set of strictly ordered points i > j > k in [1, max_coord]^3."""
+    if n_points > comb(max_coord, 3):
+        raise ValueError(f"asked for {n_points} points, only {comb(max_coord, 3)} strictly ordered ones lie in 1..{max_coord}")
     out: set[tuple[int, int, int]] = set()
     while len(out) < n_points:
         picks = rng.choice(max_coord, size=3, replace=False) + 1

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,8 @@ def cmd_cpgrad(args) -> int:
 
 
 def cmd_hbl_fuzz(args) -> int:
+    if args.points > comb(args.max_coord, 3):
+        raise ValueError(f"--points {args.points} exceeds the {comb(args.max_coord, 3)} strictly ordered points in 1..{args.max_coord}")
     rng = np.random.default_rng(args.seed)
     basic_fail = symm_fail = 0
     for _ in range(args.count):

@@ -244,12 +244,16 @@ class VectorLayout:
 
 
 def pad_dimension(n: int, part: TetraPartition) -> int:
-    """Smallest n' >= n with m | n' and |Q_i| | (n'/m)."""
+    """Smallest n' >= n with m | n' and |Q_i| | (n'/m); n must be positive."""
+    if n < 1:
+        raise ValueError(f"n={n} must be positive")
     unit = part.m * part.group_size
     return -(-n // unit) * unit
 
 
 def vector_layout(n: int, part: TetraPartition) -> VectorLayout:
+    if n < 1:
+        raise ValueError(f"n={n} must be positive")
     g = part.group_size
     if n % part.m != 0 or (n // part.m) % g != 0:
         raise ValueError(

@@ -1,25 +1,26 @@
 """Stepped simulation of the parallel tensor-times-same-vector algorithm.
 
 P virtual processors execute three phases: gather the row blocks of x named
-by their index sets, compute the ternary multiplications of their owned
-tensor blocks element by element, then exchange and reduce partial y row
-blocks.  Tensor data never moves; only vector chunks appear in messages.
-A word is one stored element, so all volumes are exact integers, and every
-ternary multiplication increments a counter at the processor that owns the
-block, allowing exact comparison against the closed-form cost model.
+by their index sets, contract their owned tensor blocks (laid out in a
+processor-local dense block store) with those row blocks, then exchange and
+reduce partial y row blocks.  Tensor data never moves; only vector chunks
+appear in messages.  A word is one stored element, so all volumes are exact
+integers.  Each processor's ternary multiplications and stored elements are
+counted from the blocks its store actually gathered, allowing exact
+comparison against the closed-form cost model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, isnan
+from math import comb
 
 import numpy as np
 
 from .bounds import lower_bound
 from .partition import TetraPartition, VectorLayout, storage_count, tb3, validate_partition
 from .schedule import alltoall_cost, build_demands, build_schedule, validate
-from .tensor_core import PackedSymTensor, _tet_offsets, _tri_offsets, sttsv_symmetric, ternary_count
+from .tensor_core import BlockStore, PackedSymTensor, sttsv_symmetric, ternary_count
 
 __all__ = [
     "ProcCounters",
@@ -112,115 +113,6 @@ class SimReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# per-block element kernels; x*/y* are plain float lists of block length
-# ---------------------------------------------------------------------------
-
-
-def _kernel_off(data, tet, tri, b, oi, oj, ok_, xi, xj, xk, yi, yj, yk):
-    mults = elems = 0
-    for ii in range(b):
-        ti = tet[oi + ii + 1]
-        xiv = xi[ii]
-        for jj in range(b):
-            xjv = xj[jj]
-            row = ti + tri[oj + jj + 1] + ok_
-            for kk in range(b):
-                a = data[row + kk]
-                xkv = xk[kk]
-                yi[ii] += 2 * a * xjv * xkv
-                yj[jj] += 2 * a * xiv * xkv
-                yk[kk] += 2 * a * xiv * xjv
-                mults += 3
-                elems += 1
-    return mults, elems
-
-
-def _kernel_aab(data, tet, tri, b, oa, oc, xa, xc, ya, yc):
-    # block (a, a, c) with a > c: i, j in block a with i >= j, k in block c
-    mults = elems = 0
-    for ii in range(b):
-        ti = tet[oa + ii + 1]
-        xiv = xa[ii]
-        for jj in range(ii + 1):
-            xjv = xa[jj]
-            row = ti + tri[oa + jj + 1] + oc
-            if ii > jj:
-                for kk in range(b):
-                    a = data[row + kk]
-                    xkv = xc[kk]
-                    ya[ii] += 2 * a * xjv * xkv
-                    ya[jj] += 2 * a * xiv * xkv
-                    yc[kk] += 2 * a * xiv * xjv
-                    mults += 3
-                    elems += 1
-            else:
-                for kk in range(b):
-                    a = data[row + kk]
-                    xkv = xc[kk]
-                    ya[ii] += 2 * a * xiv * xkv
-                    yc[kk] += a * xiv * xiv
-                    mults += 2
-                    elems += 1
-    return mults, elems
-
-
-def _kernel_abb(data, tet, tri, b, oa, oc, xa, xc, ya, yc):
-    # block (a, c, c) with a > c: i in block a, j, k in block c with j >= k
-    mults = elems = 0
-    for ii in range(b):
-        ti = tet[oa + ii + 1]
-        xiv = xa[ii]
-        for jj in range(b):
-            xjv = xc[jj]
-            row = ti + tri[oc + jj + 1] + oc
-            for kk in range(jj + 1):
-                a = data[row + kk]
-                xkv = xc[kk]
-                if jj > kk:
-                    ya[ii] += 2 * a * xjv * xkv
-                    yc[jj] += 2 * a * xiv * xkv
-                    yc[kk] += 2 * a * xiv * xjv
-                    mults += 3
-                else:
-                    ya[ii] += a * xjv * xkv
-                    yc[jj] += 2 * a * xiv * xkv
-                    mults += 2
-                elems += 1
-    return mults, elems
-
-
-def _kernel_central(data, tet, tri, b, oa, xa, ya):
-    mults = elems = 0
-    for ii in range(b):
-        ti = tet[oa + ii + 1]
-        xiv = xa[ii]
-        for jj in range(ii + 1):
-            xjv = xa[jj]
-            row = ti + tri[oa + jj + 1] + oa
-            for kk in range(jj + 1):
-                a = data[row + kk]
-                xkv = xa[kk]
-                if ii != jj and jj != kk:
-                    ya[ii] += 2 * a * xjv * xkv
-                    ya[jj] += 2 * a * xiv * xkv
-                    ya[kk] += 2 * a * xiv * xjv
-                    mults += 3
-                elif ii == jj and jj != kk:
-                    ya[ii] += 2 * a * xjv * xkv
-                    ya[kk] += a * xiv * xjv
-                    mults += 2
-                elif ii != jj and jj == kk:
-                    ya[ii] += a * xjv * xkv
-                    ya[jj] += 2 * a * xiv * xkv
-                    mults += 2
-                else:
-                    ya[ii] += a * xjv * xkv
-                    mults += 1
-                elems += 1
-    return mults, elems
-
-
 def simulate(
     tensor: PackedSymTensor,
     x,
@@ -248,17 +140,21 @@ def simulate(
 
     b, chunk, m, P = layout.b, layout.chunk, part.m, part.P
     counters = [ProcCounters(p) for p in range(1, P + 1)]
-    r_sets = [set(r) for r in part.R]
+    spans = {i: ((i - 1) * b, i * b) for i in range(1, m + 1)}
 
-    # each processor starts with only its own chunks of its row blocks
-    xloc: list[dict[int, list[float]]] = [dict() for _ in range(P)]
+    def own(i: int, p: int) -> slice:
+        """Processor p's chunk of row block i, as a slice of the row block."""
+        lo, hi = layout.chunk_range(i, p)
+        return slice(lo - (i - 1) * b, hi - (i - 1) * b)
+
+    # each processor starts with only its own chunks of its row blocks; `have`
+    # marks what it holds, so no value of x can pass for "not yet received"
+    xloc = [{i: np.zeros(b) for i in R} for R in part.R]
+    have = [{i: np.zeros(b, dtype=bool) for i in R} for R in part.R]
     for p in range(1, P + 1):
         for i in part.R[p - 1]:
-            buf = [float("nan")] * b
-            lo, hi = layout.chunk_range(i, p)
-            base = (i - 1) * b
-            buf[lo - base : hi - base] = x_global[lo:hi].tolist()
-            xloc[p - 1][i] = buf
+            xloc[p - 1][i][own(i, p)] = x_global[slice(*layout.chunk_range(i, p))]
+            have[p - 1][i][own(i, p)] = True
 
     demands = build_demands(part)
     if mode == "p2p":
@@ -267,114 +163,53 @@ def simulate(
         if not sched_report.ok:
             raise ScheduleInvalidError(sched_report)
         steps_per_vector = len(sched.steps)
+        messages = [(d.src, d.dst, d.blocks, len(d.blocks) * chunk) for step in sched.steps for d in step]
     else:
-        sched = None
         steps_per_vector = P - 1
+        r_sets = [set(r) for r in part.R]
+        messages = [
+            (src, dst, sorted(r_sets[src - 1] & r_sets[dst - 1]), 2 * chunk)
+            for src in range(1, P + 1)
+            for dst in range(1, P + 1)
+            if src != dst
+        ]
 
-    def transfer_x(src: int, dst: int, blocks) -> None:
+    # x phase: the sender forwards its own chunk of every shared row block
+    for src, dst, blocks, words in messages:
         for i in blocks:
-            lo, hi = layout.chunk_range(i, src)
-            base = (i - 1) * b
-            xloc[dst - 1][i][lo - base : hi - base] = xloc[src - 1][i][lo - base : hi - base]
+            s = own(i, src)
+            xloc[dst - 1][i][s] = xloc[src - 1][i][s]
+            have[dst - 1][i][s] = have[src - 1][i][s]
+        counters[src - 1].sent_x += words
+        counters[dst - 1].received_x += words
+    gather_complete = all(mask.all() for held in have for mask in held.values())
 
-    if mode == "p2p":
-        for step in sched.steps:
-            for d in step:
-                transfer_x(d.src, d.dst, d.blocks)
-                words = len(d.blocks) * chunk
-                counters[d.src - 1].sent_x += words
-                counters[d.dst - 1].received_x += words
-    else:
-        for src in range(1, P + 1):
-            for dst in range(1, P + 1):
-                if src == dst:
-                    continue
-                transfer_x(src, dst, sorted(r_sets[src - 1] & r_sets[dst - 1]))
-                counters[src - 1].sent_x += 2 * chunk
-                counters[dst - 1].received_x += 2 * chunk
-
-    gather_complete = all(
-        not any(isnan(v) for v in buf) for p in range(P) for buf in xloc[p].values()
-    )
-
-    # local compute: walk every owned block with the element-level cases
-    data = tensor.data.tolist()
-    tet = _tet_offsets(n)
-    tri = _tri_offsets(n)
-    ypart: list[dict[int, list[float]]] = [dict() for _ in range(P)]
+    # local compute: each processor lays out only the blocks it owns
+    ypart = []
     for p in range(1, P + 1):
-        xl = xloc[p - 1]
-        yl = {i: [0.0] * b for i in part.R[p - 1]}
-        mults = elems = 0
-        for bi, bj, bk in sorted(tb3(part.R[p - 1])):
-            dm, de = _kernel_off(
-                data, tet, tri, b,
-                (bi - 1) * b, (bj - 1) * b, (bk - 1) * b,
-                xl[bi], xl[bj], xl[bk], yl[bi], yl[bj], yl[bk],
-            )
-            mults += dm
-            elems += de
-        for blk in part.N[p - 1]:
-            if blk.i == blk.j:  # (a, a, c)
-                dm, de = _kernel_aab(
-                    data, tet, tri, b,
-                    (blk.i - 1) * b, (blk.k - 1) * b,
-                    xl[blk.i], xl[blk.k], yl[blk.i], yl[blk.k],
-                )
-            else:  # (a, c, c)
-                dm, de = _kernel_abb(
-                    data, tet, tri, b,
-                    (blk.i - 1) * b, (blk.j - 1) * b,
-                    xl[blk.i], xl[blk.j], yl[blk.i], yl[blk.j],
-                )
-            mults += dm
-            elems += de
-        for blk in part.D[p - 1]:
-            dm, de = _kernel_central(data, tet, tri, b, (blk.i - 1) * b, xl[blk.i], yl[blk.i])
-            mults += dm
-            elems += de
-        counters[p - 1].ternary_mults = mults
-        counters[p - 1].tensor_elems = elems
-        ypart[p - 1] = yl
+        blocks = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
+        store = BlockStore(tensor, spans, blocks)
+        yl = {i: np.zeros(b) for i in part.R[p - 1]}
+        store.run(xloc[p - 1], yl)
+        counters[p - 1].ternary_mults = store.ternary_mults
+        counters[p - 1].tensor_elems = store.tensor_elems
+        ypart.append(yl)
 
-    # exchange partial y row blocks and reduce at the chunk owners
-    contrib: list[dict[int, dict[int, list[float]]]] = [
-        {i: {} for i in part.R[p - 1]} for p in range(1, P + 1)
-    ]
-
-    def transfer_y(src: int, dst: int, blocks) -> None:
+    # y phase: partial sums travel to the receiver's chunk and are reduced there
+    contrib: list[dict[int, dict[int, np.ndarray]]] = [{i: {} for i in R} for R in part.R]
+    for src, dst, blocks, words in messages:
         for i in blocks:
-            lo, hi = layout.chunk_range(i, dst)
-            base = (i - 1) * b
-            contrib[dst - 1][i][src] = ypart[src - 1][i][lo - base : hi - base]
-
-    if mode == "p2p":
-        for step in sched.steps:
-            for d in step:
-                transfer_y(d.src, d.dst, d.blocks)
-                words = len(d.blocks) * chunk
-                counters[d.src - 1].sent_y += words
-                counters[d.dst - 1].received_y += words
-    else:
-        for src in range(1, P + 1):
-            for dst in range(1, P + 1):
-                if src == dst:
-                    continue
-                transfer_y(src, dst, sorted(r_sets[src - 1] & r_sets[dst - 1]))
-                counters[src - 1].sent_y += 2 * chunk
-                counters[dst - 1].received_y += 2 * chunk
+            contrib[dst - 1][i][src] = ypart[src - 1][i][own(i, dst)]
+        counters[src - 1].sent_y += words
+        counters[dst - 1].received_y += words
 
     y_global = np.zeros(n)
     for p in range(1, P + 1):
         for i in part.R[p - 1]:
-            lo, hi = layout.chunk_range(i, p)
-            base = (i - 1) * b
-            acc = list(ypart[p - 1][i][lo - base : hi - base])
+            acc = y_global[slice(*layout.chunk_range(i, p))]
+            acc += ypart[p - 1][i][own(i, p)]
             for src in sorted(contrib[p - 1][i]):  # fixed ascending-sender reduction
-                vals = contrib[p - 1][i][src]
-                for t in range(len(acc)):
-                    acc[t] += vals[t]
-            y_global[lo:hi] = acc
+                acc += contrib[p - 1][i][src]
 
     verdicts = {
         "schedule_valid": True if mode == "alltoall" else sched_report.ok,
@@ -507,13 +342,21 @@ def verify_run(
     """Simulate and compare against the sequential kernel and the cost model.
 
     Counter comparisons are exact integer equality; the output comparison
-    uses the given relative tolerance.
+    uses the given relative tolerance.  Non-finite entries in x or the
+    tensor fail the ``input_finite`` check.
     """
     checks: list[CheckResult] = []
     problems = validate_partition(part)
     checks.append(CheckResult("partition_invariants", not problems, "; ".join(problems) or "ok"))
     if problems:
         return RunVerdict(checks=checks)
+
+    x_arr = np.asarray(x, dtype=np.float64)
+    bad_x = x_arr.size - int(np.count_nonzero(np.isfinite(x_arr)))
+    bad_a = tensor.data.size - int(np.count_nonzero(np.isfinite(tensor.data)))
+    checks.append(
+        CheckResult("input_finite", not bad_x and not bad_a, f"non-finite entries: x {bad_x}, tensor {bad_a}")
+    )
 
     y, report = simulate(tensor, x, part, layout, mode)
     for name, ok in report.verdicts.items():

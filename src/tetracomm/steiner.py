@@ -192,6 +192,9 @@ def verify(system: SteinerSystem) -> VerificationReport:
     """
     n, r = system.n, system.r
     report = VerificationReport(n=n, r=r)
+    if r < 3:  # no triple fits in a block, and the counting checks divide by r - 2
+        report.checks.append(SteinerCheck("block_size", False, "r >= 3", r))
+        return report
 
     shape_bad = next(
         (

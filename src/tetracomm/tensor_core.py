@@ -1,15 +1,23 @@
-"""Packed symmetric 3-tensor storage and sequential reference kernels.
+"""Packed symmetric 3-tensor storage, the block kernel and sequential drivers.
 
 A symmetric n x n x n tensor is stored as its lower tetrahedron (i >= j >= k,
-1-based) in the linear order (i-1)i(i+1)/6 + (j-1)j/2 + (k-1).  Two
-tensor-times-same-vector kernels are provided: a naive one that touches all
-n^3 elements and a symmetry-exploiting one that walks the lower tetrahedron
-once.  Both have counted variants whose second return value is the exact
-number of ternary multiplications (products a*x*x) performed.
+1-based) in the linear order (i-1)i(i+1)/6 + (j-1)j/2 + (k-1).
 
-Loop order is fixed ascending, so sequential results are reproducible
-bit-for-bit; comparisons across kernels use relative tolerances because the
-accumulation orders differ.
+Contraction runs over a block store: a chosen set of blocks (i, j, k),
+i >= j >= k, of row ranges, each copied once out of packed storage into a
+contiguous dense array and contracted with BLAS by ``contract``.  A
+processor of the parallel algorithm stores its own blocks; the sequential
+``sttsv_symmetric`` is the one-processor case over a fixed tiling of the
+rows.  A store counts the packed elements and ternary multiplications
+(products a*x*x of the four-case symmetric update) of the blocks it
+gathered.  ``hopm`` and ``cp_gradient`` build one store per call and reuse
+it for every contraction.
+
+The per-element kernels ``sttsv_naive*`` and ``sttsv_symmetric_counted``
+touch all n^3 and the n(n+1)(n+2)/6 packed elements respectively and count
+every ternary multiplication; they are the references the block kernel is
+tested against.  Kernels sum in different orders, so comparisons between
+them use relative tolerances.
 """
 
 from __future__ import annotations
@@ -22,12 +30,15 @@ import numpy as np
 
 __all__ = [
     "PackedSymTensor",
+    "BlockStore",
     "DegenerateIterateError",
     "HopmResult",
     "packed_index",
     "lower_tetra_count",
     "strict_lower_count",
     "ternary_count",
+    "contract",
+    "tiled_store",
     "sttsv_naive",
     "sttsv_naive_counted",
     "sttsv_symmetric",
@@ -42,6 +53,10 @@ __all__ = [
     "load_vector",
 ]
 
+# Rows per tile of the sequential block store; the last tile is ragged.  With
+# m tiles the dense diagonal tiles hold 1 + 3/m + 2/m^2 times the packed
+# size, while smaller tiles pay more per-block call overhead.
+TILE = 32
 TENSOR_MAGIC = b"PST3"
 VECTOR_MAGIC = b"VEC1"
 
@@ -125,11 +140,15 @@ class PackedSymTensor:
         return dense
 
 
-def _as_list(x, n: int) -> list[float]:
+def _as_vector(x, n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape != (n,):
         raise ValueError(f"vector must have shape ({n},), got {arr.shape}")
-    return arr.tolist()
+    return arr
+
+
+def _as_list(x, n: int) -> list[float]:
+    return _as_vector(x, n).tolist()
 
 
 def sttsv_naive_counted(tensor: PackedSymTensor, x) -> tuple[np.ndarray, int]:
@@ -194,8 +213,114 @@ def sttsv_symmetric_counted(tensor: PackedSymTensor, x) -> tuple[np.ndarray, int
     return np.array(ys), count
 
 
-def sttsv_symmetric(tensor: PackedSymTensor, x) -> np.ndarray:
-    return sttsv_symmetric_counted(tensor, x)[0]
+# ---------------------------------------------------------------------------
+# block kernel over a dense block store
+# ---------------------------------------------------------------------------
+
+
+def contract(kind: str, D: np.ndarray, xs, ys) -> None:
+    """Add one dense block's share of y = A x x into the row blocks ys.
+
+    ``xs``/``ys`` hold the block's distinct row blocks of x and y, outermost
+    first: (I, J, K) for an off-diagonal block I > J > K, (a, c) for the
+    non-central blocks (a, a, c) and (a, c, c) with a > c, and (a,) for a
+    central block.  D[i, j, k] is the tensor entry at the block's local
+    coordinates, so diagonal blocks hold every symmetric copy.
+    """
+    if kind == "off":
+        (xi, xj, xk), (yi, yj, yk) = xs, ys
+        t = D @ xk
+        yi += 2.0 * (t @ xj)
+        yj += 2.0 * (xi @ t)
+        yk += 2.0 * (xj @ (xi @ D.reshape(D.shape[0], -1)).reshape(D.shape[1:]))
+    elif kind == "aac":
+        (xa, xc), (ya, yc) = xs, ys
+        ya += 2.0 * ((D @ xc) @ xa)
+        yc += xa @ (xa @ D.reshape(D.shape[0], -1)).reshape(D.shape[1:])
+    elif kind == "acc":
+        (xa, xc), (ya, yc) = xs, ys
+        t = D @ xc
+        ya += t @ xc
+        yc += 2.0 * (xa @ t)
+    elif kind == "central":
+        ((xa,), (ya,)) = xs, ys
+        ya += (D @ xa) @ xa
+    else:
+        raise ValueError(f"unknown block kind {kind!r}")
+
+
+class BlockStore:
+    """Chosen blocks of a packed tensor, each laid out once as a dense array.
+
+    ``spans`` maps a row-block id to its 0-based half-open row range; ids
+    must order like their ranges.  ``blocks`` are id triples (i, j, k) with
+    i >= j >= k.  The store copies its blocks, so later changes to the
+    tensor do not reach it.  ``tensor_elems`` counts the distinct packed
+    entries gathered and ``ternary_mults`` the products a*x*x the four-case
+    update performs on them: 3 per entry, less one for each of i = j and
+    j = k.
+    """
+
+    __slots__ = ("n", "spans", "blocks", "tensor_elems", "ternary_mults")
+
+    def __init__(self, tensor: PackedSymTensor, spans, blocks):
+        self.n = tensor.n
+        self.spans = dict(spans)
+        r = np.arange(tensor.n, dtype=np.int64)
+        tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
+        self.blocks: list[tuple[str, np.ndarray, tuple]] = []
+        self.tensor_elems = self.ternary_mults = 0
+        for blk in blocks:
+            i, j, k = blk
+            gi, gj, gk = rows = np.ix_(*(np.arange(*self.spans[t]) for t in blk))
+            # sort each position's rows descending, comparing only axes that share a row block
+            if i == j:
+                gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
+            if j == k:
+                gj, gk = np.maximum(gj, gk), np.minimum(gj, gk)
+                if i == j:
+                    gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
+            D = tensor.data[tet[gi] + tri[gj] + gk]
+            if i > j > k:
+                kind, ids, elems, ties = "off", (i, j, k), D.size, 0
+            else:
+                ri, rj, rk = rows
+                canonical = (ri >= rj) & (rj >= rk)  # the positions packed storage holds
+                elems = int(np.count_nonzero(canonical))
+                ties = int(np.count_nonzero(canonical & (ri == rj))) + int(np.count_nonzero(canonical & (rj == rk)))
+                kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
+            self.blocks.append((kind, D, ids))
+            self.tensor_elems += elems
+            self.ternary_mults += 3 * elems - ties
+
+    def run(self, xs, ys) -> None:
+        """Add every stored block's share of A x x into ys; both map ids to row blocks."""
+        for kind, D, ids in self.blocks:
+            contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
+
+
+def tiled_store(tensor: PackedSymTensor) -> BlockStore:
+    """Every block of the whole tensor over row tiles of TILE rows."""
+    n = tensor.n
+    m = -(-n // TILE)
+    spans = {t: (t * TILE, min(n, (t + 1) * TILE)) for t in range(m)}
+    return BlockStore(tensor, spans, ((i, j, k) for i in range(m) for j in range(i + 1) for k in range(j + 1)))
+
+
+def sttsv_symmetric(tensor: PackedSymTensor | BlockStore, x) -> np.ndarray:
+    """y = A x x by the block kernel.
+
+    Pass a store from ``tiled_store`` to reuse its layout across calls; a
+    packed tensor is laid out afresh on every call.
+    """
+    store = tensor if isinstance(tensor, BlockStore) else tiled_store(tensor)
+    xv = _as_vector(x, store.n)
+    y = np.zeros(store.n)
+    store.run(
+        {t: xv[lo:hi] for t, (lo, hi) in store.spans.items()},
+        {t: y[lo:hi] for t, (lo, hi) in store.spans.items()},
+    )
+    return y
 
 
 @dataclass(frozen=True)
@@ -233,11 +358,12 @@ def hopm(
         x = rng.standard_normal(n)
         x = x / np.linalg.norm(x)
 
+    store = tiled_store(tensor)
     iterations = 0
     converged = False
     for _ in range(max_iters):
         iterations += 1
-        y = sttsv_symmetric(tensor, x)
+        y = sttsv_symmetric(store, x)
         norm = np.linalg.norm(y)
         if norm == 0.0 or not np.isfinite(norm):
             raise DegenerateIterateError(f"iterate norm {norm} at iteration {iterations}")
@@ -247,7 +373,7 @@ def hopm(
         if delta < tol:
             converged = True
             break
-    lam = float(x @ sttsv_symmetric(tensor, x))
+    lam = float(x @ sttsv_symmetric(store, x))
     return HopmResult(lam=lam, x=x, iterations=iterations, converged=converged)
 
 
@@ -258,9 +384,10 @@ def cp_gradient(tensor: PackedSymTensor, factors) -> np.ndarray:
         raise ValueError(f"factors must have shape ({tensor.n}, r), got {x_mat.shape}")
     gram = x_mat.T @ x_mat
     g = gram * gram
+    store = tiled_store(tensor)
     y = np.empty_like(x_mat)
     for col in range(x_mat.shape[1]):
-        y[:, col] = sttsv_symmetric(tensor, x_mat[:, col])
+        y[:, col] = sttsv_symmetric(store, x_mat[:, col])
     return x_mat @ g - y
 
 

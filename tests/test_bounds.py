@@ -178,3 +178,10 @@ def test_ratio_decreases_in_q():
 def test_ratio_rejects_non_prime_power():
     with pytest.raises(ValueError):
         optimality_ratio(1000, 6)
+
+
+def test_strict_point_set_rejects_more_points_than_exist():
+    rng = np.random.default_rng(0)
+    assert random_strict_point_set(rng, 1, 3) == {(3, 2, 1)}
+    with pytest.raises(ValueError):
+        random_strict_point_set(rng, 2, 3)

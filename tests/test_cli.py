@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tetracomm import bounds
 from tetracomm.cli import fixtures_dir, main
 
 
@@ -189,3 +190,26 @@ def test_output_file_flag(tmp_path, capsys):
     code = main(["bounds", "--n", "30", "--p", "10", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["P"] == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--q", "2", "--n", "-5"],
+        ["partition", "--q", "2", "--n", "0"],
+        ["schedule", "--q", "2", "--n", "0"],
+        ["simulate", "--q", "2", "--n", "-5", "--seed", "1"],
+    ],
+)
+def test_nonpositive_n_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_hbl_fuzz_rejects_more_points_than_exist(monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("points were drawn before the request was rejected")
+
+    monkeypatch.setattr(bounds, "random_point_set", no_draws)
+    monkeypatch.setattr(bounds, "random_strict_point_set", no_draws)
+    assert main(["hbl-fuzz", "--count", "1", "--seed", "1", "--points", "2", "--max-coord", "3"]) == 2

@@ -203,6 +203,14 @@ def test_layout_divisibility_error_names_padding(part_q3):
     assert "120" in str(err.value)
 
 
+@pytest.mark.parametrize("n", [0, -10])
+def test_nonpositive_dimension_rejected(part_q2, n):
+    with pytest.raises(ValueError):
+        pad_dimension(n, part_q2)
+    with pytest.raises(ValueError):
+        vector_layout(n, part_q2)
+
+
 @pytest.mark.parametrize(
     "n,fixture_name,expected",
     [(100, "part_q3", 120), (120, "part_q3", 120), (29, "part_q2", 30), (1, "part_q2", 30)],

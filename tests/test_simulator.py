@@ -7,7 +7,13 @@ from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
 from tetracomm.partition import build_partition, vector_layout
 from tetracomm.simulator import compute_report, simulate, verify_run
-from tetracomm.tensor_core import random_symmetric, random_vector, sttsv_symmetric, ternary_count
+from tetracomm.tensor_core import (
+    random_symmetric,
+    random_vector,
+    sttsv_symmetric,
+    sttsv_symmetric_counted,
+    ternary_count,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +47,18 @@ def test_q2_p2p_matches_sequential(setup_q2):
     ref = sttsv_symmetric(tensor, x)
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
     assert all(report.verdicts.values())
+
+
+@pytest.mark.parametrize("design,mode", [("q2", "p2p"), ("q2", "alltoall"), ("appendix", "p2p")])
+def test_simulate_matches_per_element_oracles(setup_q2, setup_appendix, design, mode):
+    part, layout = setup_q2 if design == "q2" else setup_appendix
+    tensor = random_symmetric(layout.n, 21)
+    x = random_vector(layout.n, 22)
+    y, _ = simulate(tensor, x, part, layout, mode)
+    y_elem, _ = sttsv_symmetric_counted(tensor, x)
+    y_dense = np.einsum("ijk,j,k->i", tensor.to_dense(), x, x)
+    for expected in (y_elem, y_dense):
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_q2_exact_volumes_and_steps(setup_q2):
@@ -132,6 +150,42 @@ def test_simulate_input_validation(setup_q2):
         simulate(random_symmetric(25, 1), random_vector(30, 2), part, layout, "p2p")
     with pytest.raises(ValueError):
         simulate(tensor, random_vector(25, 2), part, layout, "p2p")
+
+
+def test_counters_are_measured_from_gathered_blocks(setup_q2):
+    part, layout = setup_q2
+    short = copy.deepcopy(part)
+    short.N[0].pop()
+    _, report = simulate(random_symmetric(30, 1), random_vector(30, 2), short, layout, "p2p")
+    predicted = compute_report(part, layout).per_proc
+    b = layout.b
+    assert report.per_proc[0].ternary_mults == predicted[0].ternary_mults - (3 * b * b * (b - 1) // 2 + 2 * b * b)
+    assert report.per_proc[0].tensor_elems == predicted[0].tensor_elems - b * b * (b + 1) // 2
+    for c, pc in zip(report.per_proc[1:], predicted[1:]):
+        assert (c.ternary_mults, c.tensor_elems) == (pc.ternary_mults, pc.tensor_elems)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_x_is_reported_by_name(setup_q2, bad):
+    part, layout = setup_q2
+    x = random_vector(30, 12)
+    x[4] = bad
+    with np.errstate(invalid="ignore"):
+        verdict = verify_run(random_symmetric(30, 11), x, part, layout)
+    check = verdict.check("input_finite")
+    assert not check.passed and check.detail == "non-finite entries: x 1, tensor 0"
+    assert verdict.check("gather_complete").passed
+    assert verdict.check("ternary_counts_exact").passed
+
+
+def test_non_finite_tensor_is_reported_by_name(setup_q2):
+    part, layout = setup_q2
+    tensor = random_symmetric(30, 11)
+    tensor.data[[0, 5]] = np.inf
+    with np.errstate(invalid="ignore"):
+        verdict = verify_run(tensor, random_vector(30, 12), part, layout)
+    assert verdict.check("input_finite").detail == "non-finite entries: x 0, tensor 2"
+    assert not verdict.all_passed
 
 
 # ---------------------------------------------------------------------------

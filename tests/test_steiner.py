@@ -147,3 +147,9 @@ def test_load_rejects_unsorted_block(tmp_path):
 )
 def test_divisibility(n, r, expected):
     assert steiner.divisibility_ok(n, r) is expected
+
+
+def test_verify_reports_blocks_too_small_for_a_triple():
+    report = steiner.verify(steiner.SteinerSystem(5, 2, [(1, 2)]))
+    assert not report.passed
+    assert not report.check("block_size").passed

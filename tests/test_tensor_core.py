@@ -1,7 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from tetracomm.tensor_core import (
+    TILE,
+    BlockStore,
     DegenerateIterateError,
     PackedSymTensor,
     cp_gradient,
@@ -20,6 +24,7 @@ from tetracomm.tensor_core import (
     sttsv_symmetric,
     sttsv_symmetric_counted,
     ternary_count,
+    tiled_store,
 )
 
 
@@ -137,6 +142,58 @@ def test_kernel_matches_dense_einsum_oracle():
     dense = t.to_dense()
     expected = np.einsum("ijk,j,k->i", dense, x, x)
     assert np.allclose(sttsv_symmetric(t, x), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, TILE - 1, TILE, 2 * TILE + 5])
+def test_block_kernel_matches_oracles_on_ragged_tilings(n):
+    t = random_symmetric(n, n)
+    x = random_vector(n, n + 1)
+    y = sttsv_symmetric(t, x)
+    y_elem, count = sttsv_symmetric_counted(t, x)
+    y_dense = np.einsum("ijk,j,k->i", t.to_dense(), x, x)
+    for expected in (y_elem, y_dense):
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+    store = tiled_store(t)
+    assert store.ternary_mults == count == ternary_count(n)
+    assert store.tensor_elems == lower_tetra_count(n)
+
+
+@pytest.mark.parametrize(
+    "blk,kind",
+    [((2, 1, 0), "off"), ((2, 2, 0), "aac"), ((2, 0, 0), "acc"), ((1, 1, 1), "central"), ((2, 2, 2), "central")],
+)
+def test_block_store_single_block_of_each_kind(blk, kind):
+    spans = {0: (0, 3), 1: (3, 5), 2: (5, 9)}  # unequal row blocks
+    t = random_symmetric(9, 4)
+    x = random_vector(9, 5)
+    store = BlockStore(t, spans, [blk])
+    assert [k for k, _, _ in store.blocks] == [kind]
+    # oracle: the dense tensor restricted to the positions the block stands for
+    mask = np.zeros((9, 9, 9), dtype=bool)
+    for perm in set(permutations(blk)):
+        mask[np.ix_(*(np.arange(*spans[b]) for b in perm))] = True
+    expected = np.einsum("ijk,j,k->i", np.where(mask, t.to_dense(), 0.0), x, x)
+    y = sttsv_symmetric(store, x)
+    assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+    entries = [
+        (i, j, k)
+        for i in range(*spans[blk[0]])
+        for j in range(*spans[blk[1]])
+        for k in range(*spans[blk[2]])
+        if i >= j >= k
+    ]
+    assert store.tensor_elems == len(entries)
+    assert store.ternary_mults == sum(3 - (i == j) - (j == k) for i, j, k in entries)
+
+
+def test_sequential_kernel_sees_tensor_updates():
+    t = random_symmetric(5, 2)
+    x = random_vector(5, 3)
+    before = sttsv_symmetric(t, x)
+    t.set(4, 2, 1, 10.0)
+    after = sttsv_symmetric(t, x)
+    assert not np.allclose(before, after)
+    assert np.allclose(after, sttsv_symmetric_counted(t, x)[0], rtol=1e-12)
 
 
 def test_dimension_mismatch():
