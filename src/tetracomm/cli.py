@@ -39,21 +39,14 @@ def fixtures_dir() -> Path:
     return Path(str(resources.files("tetracomm") / "fixtures"))
 
 
-def _emit(obj, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+def _emit(obj, out: str | None, fmt: str = "json") -> None:
+    """Write obj as key-sorted JSON, or a list of row dicts as CSV, to out or stdout."""
+    if fmt == "csv":
+        header = list(obj[0])
+        lines = [",".join(header)] + [",".join(str(row[h]) for h in header) for row in obj]
+        text = "\n".join(lines) + "\n"
     else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(rows: list[dict], args) -> None:
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    lines.extend(",".join(str(row[h]) for h in header) for row in rows)
-    text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -91,22 +84,22 @@ def cmd_steiner(args) -> int:
                 "verified": report.passed,
                 "file": args.out,
             },
-            argparse.Namespace(out=None),
+            None,
         )
         return 0 if report.passed else 1
     if args.action == "verify":
         try:
             system = steiner_mod.load(args.path)
         except steiner_mod.SteinerInvariantError as exc:
-            _emit(exc.report.to_json_obj(), argparse.Namespace(out=None))
+            _emit(exc.report.to_json_obj(), None)
             return 1
         report = steiner_mod.verify(system)
-        _emit(report.to_json_obj(), argparse.Namespace(out=None))
+        _emit(report.to_json_obj(), None)
         return 0 if report.passed else 1
     # fixtures
     directory = fixtures_dir()
     files = sorted(p.name for p in directory.glob("*.txt")) if directory.is_dir() else []
-    _emit({"dir": str(directory), "files": files}, argparse.Namespace(out=None))
+    _emit({"dir": str(directory), "files": files}, None)
     return 0
 
 
@@ -119,7 +112,7 @@ def cmd_partition(args) -> int:
         obj["meta"].update(
             {"n_requested": args.n, "n": n_padded, "padded": n_padded != args.n, "b": layout.b, "chunk": layout.chunk}
         )
-    _emit(obj, args)
+    _emit(obj, args.out)
     return 0
 
 
@@ -137,7 +130,7 @@ def cmd_schedule(args) -> int:
     report = validate(sched, demands, chunk)
     sched.meta["design"] = part.label
     sched.meta["valid"] = report.ok
-    _emit(sched.to_json_obj(), args)
+    _emit(sched.to_json_obj(), args.out)
     return 0 if report.ok else 1
 
 
@@ -150,7 +143,7 @@ def cmd_simulate(args) -> int:
     verdict = verify_run(tensor, x, part, layout, mode=args.mode, tol=args.tol)
     report = verdict.report
     if args.format == "csv" and report is not None:
-        _emit_csv(report.to_json_obj()["per_processor"], args)
+        _emit(report.to_json_obj()["per_processor"], args.out, "csv")
     else:
         obj = {
             "design": part.label,
@@ -161,7 +154,7 @@ def cmd_simulate(args) -> int:
             "report": report.to_json_obj() if report else None,
             "predicted": compute_report(part, layout).to_json_obj(),
         }
-        _emit(obj, args)
+        _emit(obj, args.out)
     return 0 if verdict.all_passed else 1
 
 
@@ -176,7 +169,7 @@ def cmd_bounds(args) -> int:
     if args.q is not None:
         obj["q"] = args.q
         obj["optimality_ratio"] = bounds_mod.optimality_ratio(args.n, args.q)
-    _emit(obj, args)
+    _emit(obj, args.out)
     return 0
 
 
@@ -192,7 +185,7 @@ def cmd_hopm(args) -> int:
             "converged": result.converged,
             "x": result.x.tolist(),
         },
-        args,
+        args.out,
     )
     return 0
 
@@ -210,7 +203,7 @@ def cmd_cpgrad(args) -> int:
             "gradient": grad.tolist(),
             "gradient_norm": float(np.linalg.norm(grad)),
         },
-        args,
+        args.out,
     )
     return 0
 
@@ -236,7 +229,7 @@ def cmd_hbl_fuzz(args) -> int:
             "basic_violations": basic_fail,
             "symmetric_violations": symm_fail,
         },
-        args,
+        args.out,
     )
     return 0 if basic_fail == 0 and symm_fail == 0 else 1
 
@@ -268,14 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_design_args(pt)
     pt.add_argument("--n", type=int, default=None)
     pt.add_argument("--out", type=str, default=None)
-    pt.add_argument("--format", choices=["json"], default="json")
     pt.set_defaults(func=cmd_partition)
 
     sc = subs.add_parser("schedule", help="build and validate the point-to-point schedule")
     _add_design_args(sc)
     sc.add_argument("--n", type=int, default=None)
     sc.add_argument("--out", type=str, default=None)
-    sc.add_argument("--format", choices=["json"], default="json")
     sc.set_defaults(func=cmd_schedule)
 
     sim = subs.add_parser("simulate", help="run the parallel algorithm and verify it")
@@ -326,16 +317,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except steiner_mod.SteinerInvariantError as exc:
+    # exit 1 first: SteinerInvariantError is also a ValueError
+    except (
+        steiner_mod.SteinerInvariantError,
+        DesignUnsuitableError,
+        MatchingInfeasibleError,
+        DegenerateIterateError,
+    ) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except (DesignUnsuitableError, MatchingInfeasibleError, DegenerateIterateError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 1
-    except steiner_mod.SteinerParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SteinerParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

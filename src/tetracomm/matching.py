@@ -44,13 +44,6 @@ class BipartiteGraph:
                 raise ValueError(f"duplicate edge at x={x}")
             row.sort()
 
-    @classmethod
-    def from_edges(cls, nx: int, ny: int, edges) -> "BipartiteGraph":
-        adj: list[list[int]] = [[] for _ in range(nx)]
-        for x, y in edges:
-            adj[x - 1].append(y)
-        return cls(nx, ny, adj)
-
     def y_degrees(self) -> list[int]:
         deg = [0] * (self.ny + 1)
         for row in self.adj:
@@ -157,7 +150,14 @@ def d_disjoint_matchings(graph: BipartiteGraph, d: int) -> list[Matching]:
 
 
 def regular_decompose(graph: BipartiteGraph, d: int) -> list[Matching]:
-    """Partition the edges of a d-regular bipartite graph into d perfect matchings."""
+    """Partition the edges of a d-regular bipartite graph into d perfect matchings.
+
+    By König's theorem such a graph always has a perfect matching, and
+    removing one leaves a (d-1)-regular graph.  The matchings are peeled off
+    one working copy of the graph, so the caller's graph is left unchanged.
+    Removing edges keeps every row sorted, so each Hopcroft-Karp run sees the
+    same graph it would see on a freshly built copy.
+    """
     if graph.nx != graph.ny:
         raise ValueError(f"sides differ: nx={graph.nx}, ny={graph.ny}")
     if any(len(row) != d for row in graph.adj):
@@ -165,13 +165,13 @@ def regular_decompose(graph: BipartiteGraph, d: int) -> list[Matching]:
     if any(deg != d for deg in graph.y_degrees()):
         raise ValueError(f"graph is not {d}-regular on Y")
 
-    remaining = [list(row) for row in graph.adj]
+    work = BipartiteGraph(graph.nx, graph.ny, [list(row) for row in graph.adj])
     result = []
     for _ in range(d):
-        m = max_matching(BipartiteGraph(graph.nx, graph.ny, [list(r) for r in remaining]))
+        m = max_matching(work)
         if m.size != graph.nx:
             raise RuntimeError("perfect matching extraction failed on a regular bipartite graph")
         for x, y in m.pairs:
-            remaining[x - 1].remove(y)
+            work.adj[x - 1].remove(y)
         result.append(m)
     return result

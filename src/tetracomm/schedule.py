@@ -2,9 +2,9 @@
 
 Every ordered pair of processors with overlapping row-block sets induces one
 transfer demand per vector phase.  Demands are layered by the number of
-shared blocks; each regular layer decomposes into perfect matchings, one
-communication step per matching, so that within a step every processor sends
-at most one message and receives at most one message.
+shared blocks; each layer is regular and decomposes into perfect matchings,
+one communication step per matching, so that within a step every processor
+sends at most one message and receives at most one message.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .matching import BipartiteGraph, max_matching, regular_decompose
+# max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
+from .matching import BipartiteGraph, max_matching, regular_decompose  # noqa: F401
 from .partition import TetraPartition, vector_layout
 
 __all__ = [
@@ -71,10 +72,16 @@ def build_demands(part: TetraPartition) -> list[TransferDemand]:
 def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
     """Schedule the demands layer by layer (larger shared counts first).
 
-    A layer whose participants all have the same degree decomposes exactly
-    into that many steps.  A non-regular layer falls back to repeated
-    maximum matchings, which stays valid but may use extra steps; the meta
-    field records which path each layer took.
+    Layer k holds the demands of processor pairs that share k row blocks.
+    For the partition of any Steiner (m, r, 3) design every layer is
+    regular.  Two blocks of the design share at most two points; each pair
+    of points lies in λ₂ = (m-2)/(r-2) blocks and each point in
+    λ₁ = (m-1)(m-2)/((r-1)(r-2)) blocks.  So every processor has
+    C(r,2)(λ₂-1) two-share partners and r(λ₁-1-(r-1)(λ₂-1)) one-share
+    partners, and demands are symmetric, so a processor sends and receives
+    equally often in each layer.  By König's theorem each layer splits into
+    as many perfect matchings as its degree, one step each.  A demand list
+    with an irregular layer raises regular_decompose's ValueError.
     """
     layers: dict[int, list[TransferDemand]] = {}
     for d in demands:
@@ -82,53 +89,27 @@ def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
 
     steps: list[list[TransferDemand]] = []
     layer_meta = []
-    exact = True
     for size in sorted(layers, reverse=True):
         layer = layers[size]
         procs = sorted({d.src for d in layer} | {d.dst for d in layer})
         pos = {p: idx + 1 for idx, p in enumerate(procs)}
         by_pair = {(d.src, d.dst): d for d in layer}
-        out_deg = Counter(d.src for d in layer)
-        in_deg = Counter(d.dst for d in layer)
-        degree = out_deg[procs[0]]
-        regular = all(out_deg[p] == degree and in_deg[p] == degree for p in procs)
-
         adj: list[list[int]] = [[] for _ in procs]
         for d in layer:
             adj[pos[d.src] - 1].append(pos[d.dst])
         graph = BipartiteGraph(len(procs), len(procs), adj)
 
-        layer_steps: list[list[TransferDemand]] = []
-        if regular:
-            for mat in regular_decompose(graph, degree):
-                layer_steps.append(sorted(
-                    (by_pair[(procs[x - 1], procs[y - 1])] for x, y in mat.pairs),
-                    key=lambda d: d.src,
-                ))
-        else:
-            exact = False
-            remaining = [list(row) for row in graph.adj]
-            while any(remaining):
-                mat = max_matching(BipartiteGraph(len(procs), len(procs), [list(r) for r in remaining]))
-                layer_steps.append(sorted(
-                    (by_pair[(procs[x - 1], procs[y - 1])] for x, y in mat.pairs),
-                    key=lambda d: d.src,
-                ))
-                for x, y in mat.pairs:
-                    remaining[x - 1].remove(y)
-        steps.extend(layer_steps)
-        layer_meta.append({
-            "shared_blocks": size,
-            "demands": len(layer),
-            "steps": len(layer_steps),
-            "regular": regular,
-        })
+        mats = regular_decompose(graph, len(adj[0]))
+        steps.extend(
+            sorted((by_pair[(procs[x - 1], procs[y - 1])] for x, y in mat.pairs), key=lambda d: d.src)
+            for mat in mats
+        )
+        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(mats)})
 
     meta = {
         "steps": len(steps),
-        "exact": exact,
         "layers": layer_meta,
-        "blocks_per_step": [len(step[0].blocks) if step else 0 for step in steps],
+        "blocks_per_step": [len(step[0].blocks) for step in steps],
     }
     return CommSchedule(steps=steps, meta=meta)
 
@@ -138,13 +119,6 @@ class ScheduleReport:
     ok: bool
     problems: list[str]
     send_volume: dict[int, int]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "problems": self.problems,
-            "send_volume": {str(p): v for p, v in sorted(self.send_volume.items())},
-        }
 
 
 def validate(sched: CommSchedule, demands: list[TransferDemand], chunk: int = 1) -> ScheduleReport:

@@ -36,6 +36,11 @@ def test_steiner_construct_rejects_non_prime_power(capsys):
     assert main(["steiner", "construct", "--q", "6"]) == 2
 
 
+def test_steiner_construct_rejects_q_above_cap(capsys):
+    assert main(["steiner", "construct", "--q", "256"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_steiner_verify_fixture(capsys):
     code, obj = run_json(capsys, "steiner", "verify", str(fixtures_dir() / "steiner_8_4_3.txt"))
     assert code == 0
@@ -90,6 +95,13 @@ def test_partition_reports_padding(capsys):
 def test_partition_requires_exactly_one_design(capsys):
     assert main(["partition", "--n", "30"]) == 2
     assert main(["partition", "--q", "2", "--design", "x.txt", "--n", "30"]) == 2
+
+
+@pytest.mark.parametrize("command", ["partition", "schedule"])
+def test_format_flag_removed_from_json_only_commands(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "2", "--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_schedule_q2(capsys):

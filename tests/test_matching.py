@@ -172,6 +172,13 @@ def test_two_regular_cycle_splits_into_two_perfect_matchings():
     assert edge_sets in ([expected[0], expected[1]], [expected[1], expected[0]])
 
 
+def test_regular_decompose_leaves_graph_unchanged():
+    g = BipartiteGraph(4, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    before = [list(row) for row in g.adj]
+    regular_decompose(g, 2)
+    assert g.adj == before
+
+
 def test_regular_decompose_rejects_irregular():
     with pytest.raises(ValueError):
         regular_decompose(BipartiteGraph(2, 2, [[1, 2], [1]]), 2)

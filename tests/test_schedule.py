@@ -85,7 +85,6 @@ def test_spherical_step_counts(q, expected):
     demands = build_demands(part)
     sched = build_schedule(demands)
     assert len(sched.steps) == expected
-    assert sched.meta["exact"] is True
     assert validate(sched, demands).ok
 
 
@@ -93,7 +92,6 @@ def test_appendix_fixture_schedules_in_12_steps(part8):
     demands = build_demands(part8)
     sched = build_schedule(demands)
     assert len(sched.steps) == 12
-    assert sched.meta["exact"] is True
     report = validate(sched, demands)
     assert report.ok
     # every partner pair shares exactly two row blocks in this design
@@ -114,7 +112,7 @@ def test_schedule_deterministic(part_q2):
     assert a.steps == b.steps
 
 
-def test_fallback_on_irregular_demands():
+def test_irregular_demands_raise():
     # hand-built demands with unequal degrees: 1->2, 1->3, 2->1, 3->1
     demands = [
         TransferDemand(1, 2, (1,)),
@@ -122,10 +120,30 @@ def test_fallback_on_irregular_demands():
         TransferDemand(2, 1, (1,)),
         TransferDemand(3, 1, (1,)),
     ]
-    sched = build_schedule(demands)
-    assert sched.meta["exact"] is False
-    assert validate(sched, demands).ok
-    assert len(sched.steps) >= 2  # max degree is 2
+    with pytest.raises(ValueError, match="regular"):
+        build_schedule(demands)
+
+
+def test_q2_step_list_pinned(part_q2):
+    # receivers of senders 1..10 per step; pins the decomposition order
+    expected = [
+        [2, 1, 5, 6, 3, 4, 8, 7, 10, 9],
+        [3, 4, 1, 2, 6, 5, 9, 10, 7, 8],
+        [4, 3, 2, 1, 8, 9, 10, 5, 6, 7],
+        [5, 9, 8, 7, 1, 10, 4, 3, 2, 6],
+        [7, 6, 9, 5, 10, 3, 2, 1, 8, 4],
+        [8, 7, 6, 10, 4, 2, 1, 9, 3, 5],
+        [6, 5, 10, 8, 9, 7, 3, 2, 4, 1],
+        [9, 10, 4, 3, 7, 8, 5, 6, 1, 2],
+        [10, 8, 7, 9, 2, 1, 6, 4, 5, 3],
+    ]
+    sched = build_schedule(build_demands(part_q2))
+    assert all([d.src for d in step] == list(range(1, 11)) for step in sched.steps)
+    assert [[d.dst for d in step] for step in sched.steps] == expected
+    assert sched.meta["layers"] == [
+        {"shared_blocks": 2, "demands": 60, "steps": 6},
+        {"shared_blocks": 1, "demands": 30, "steps": 3},
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
-from tetracomm.partition import build_partition, vector_layout
+from tetracomm.partition import build_partition, pad_dimension, vector_layout
+from tetracomm.schedule import build_demands
 from tetracomm.simulator import compute_report, simulate, verify_run
 from tetracomm.tensor_core import (
     random_symmetric,
@@ -188,6 +190,17 @@ def test_non_finite_tensor_is_reported_by_name(setup_q2):
     assert not verdict.all_passed
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["p2p", "alltoall"])
+def test_non_finite_input_raises_no_numpy_warning(setup_q2, mode):
+    part, layout = setup_q2
+    x = random_vector(30, 12)
+    x[4] = np.inf
+    verdict = verify_run(random_symmetric(30, 11), x, part, layout, mode)
+    assert not verdict.check("input_finite").passed
+    assert not verdict.check("output_matches_sequential").passed
+
+
 # ---------------------------------------------------------------------------
 # predicted costs
 # ---------------------------------------------------------------------------
@@ -225,6 +238,21 @@ def test_predicted_volumes_match_closed_form(setup_q3):
     expected = n * (q + 1) // (q * q + 1) - n // P
     assert all(c.send_words_per_vector == expected == 44 for c in pred.per_proc)
     assert pred.alltoall_per_vector == 58
+
+
+@pytest.mark.parametrize("design", ["q2", "q3", "q4", "steiner_8_4_3", "steiner_10_4_3"])
+def test_closed_form_send_volume_equals_demands(design):
+    if design.startswith("q"):
+        system = steiner.construct_spherical(int(design[1:]))
+    else:
+        system = steiner.load(fixtures_dir() / f"{design}.txt")
+    part = build_partition(system)
+    layout = vector_layout(3 * pad_dimension(1, part), part)  # chunk = 3
+    from_demands = Counter()
+    for d in build_demands(part):
+        from_demands[d.src] += len(d.blocks) * layout.chunk
+    pred = compute_report(part, layout)
+    assert {c.p: c.send_words_per_vector for c in pred.per_proc} == dict(from_demands)
 
 
 def test_measured_equals_predicted_everywhere(setup_q3):

@@ -57,6 +57,16 @@ def test_non_prime_power_rejected():
         steiner.construct_spherical(6)
 
 
+@pytest.mark.parametrize("q", [17, 256])
+def test_q_above_cap_rejected_before_any_table(q, monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("field tables were built before the request was rejected")
+
+    monkeypatch.setattr(steiner, "field_new", no_field)
+    with pytest.raises(ValueError, match="cap"):
+        steiner.construct_spherical(q)
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
