@@ -129,9 +129,9 @@ def cmd_schedule(args) -> int:
         sched.meta["words_per_step"] = [blocks * chunk for blocks in sched.meta["blocks_per_step"]]
     report = validate(sched, demands, chunk)
     sched.meta["design"] = part.label
-    sched.meta["valid"] = report.ok
+    sched.meta["valid"] = report.passed
     _emit(sched.to_json_obj(), args.out)
-    return 0 if report.ok else 1
+    return 0 if report.passed else 1
 
 
 def cmd_simulate(args) -> int:
@@ -155,7 +155,7 @@ def cmd_simulate(args) -> int:
             "predicted": compute_report(part, layout).to_json_obj(),
         }
         _emit(obj, args.out)
-    return 0 if verdict.all_passed else 1
+    return 0 if verdict.passed else 1
 
 
 def cmd_bounds(args) -> int:

@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .checks import Check, Report
+
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
 from .matching import BipartiteGraph, max_matching, regular_decompose  # noqa: F401
 from .partition import TetraPartition, vector_layout
@@ -115,39 +117,39 @@ def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
 
 
 @dataclass
-class ScheduleReport:
-    ok: bool
-    problems: list[str]
+class ScheduleReport(Report):
     send_volume: dict[int, int]
 
 
 def validate(sched: CommSchedule, demands: list[TransferDemand], chunk: int = 1) -> ScheduleReport:
-    """Check one-send/one-receive per step and exact demand coverage.
+    """Check one-send/one-receive per step, exact demand coverage and send volumes.
 
+    The checks are one_message_per_step, demands_covered and send_volume.
     send_volume maps each processor to the words it sends across the
     schedule (chunk words per shared block per demand).
     """
-    problems: list[str] = []
+    clashes: list[str] = []
     seen: Counter[TransferDemand] = Counter()
     for step_no, step in enumerate(sched.steps, start=1):
         srcs = Counter(d.src for d in step)
         dsts = Counter(d.dst for d in step)
         for p, c in srcs.items():
             if c > 1:
-                problems.append(f"step {step_no}: processor {p} sends {c} messages")
+                clashes.append(f"step {step_no}: processor {p} sends {c} messages")
         for p, c in dsts.items():
             if c > 1:
-                problems.append(f"step {step_no}: processor {p} receives {c} messages")
+                clashes.append(f"step {step_no}: processor {p} receives {c} messages")
         seen.update(step)
 
+    coverage: list[str] = []
     want = Counter(demands)
     for d, c in want.items():
         got = seen.get(d, 0)
         if got != c:
-            problems.append(f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled {got} times, expected {c}")
+            coverage.append(f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled {got} times, expected {c}")
     for d in seen:
         if d not in want:
-            problems.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
+            coverage.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
 
     volume: dict[int, int] = {}
     for d in demands:
@@ -156,11 +158,14 @@ def validate(sched: CommSchedule, demands: list[TransferDemand], chunk: int = 1)
     for step in sched.steps:
         for d in step:
             scheduled_volume[d.src] = scheduled_volume.get(d.src, 0) + len(d.blocks) * chunk
-    if scheduled_volume != volume:
-        off = {p for p in set(volume) | set(scheduled_volume) if volume.get(p) != scheduled_volume.get(p)}
-        problems.append(f"scheduled send volume differs from demands for processors {sorted(off)[:5]}")
+    off = sorted(p for p in set(volume) | set(scheduled_volume) if volume.get(p) != scheduled_volume.get(p))
 
-    return ScheduleReport(ok=not problems, problems=problems, send_volume=volume)
+    checks = [
+        Check("one_message_per_step", not clashes, "; ".join(clashes)),
+        Check("demands_covered", not coverage, "; ".join(coverage)),
+        Check("send_volume", not off, f"processors whose scheduled send volume differs from demands: {off[:5]}"),
+    ]
+    return ScheduleReport(checks, send_volume=volume)
 
 
 class AllToAllCost(NamedTuple):

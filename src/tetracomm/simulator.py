@@ -18,6 +18,7 @@ from math import comb
 import numpy as np
 
 from .bounds import lower_bound
+from .checks import Check, Report
 from .partition import TetraPartition, VectorLayout, storage_count, tb3, validate_partition
 from .schedule import alltoall_cost, build_demands, build_schedule, validate
 from .tensor_core import BlockStore, PackedSymTensor, sttsv_symmetric, ternary_count
@@ -27,21 +28,13 @@ __all__ = [
     "SimReport",
     "PredictedCost",
     "PredictedCosts",
-    "CheckResult",
     "RunVerdict",
-    "ScheduleInvalidError",
     "simulate",
     "compute_report",
     "verify_run",
 ]
 
 MODES = ("p2p", "alltoall")
-
-
-class ScheduleInvalidError(RuntimeError):
-    def __init__(self, report):
-        super().__init__("; ".join(report.problems))
-        self.report = report
 
 
 @dataclass
@@ -69,7 +62,7 @@ class SimReport:
     n: int
     per_proc: list[ProcCounters]
     steps_per_vector: int
-    verdicts: dict[str, bool]
+    checks: list[Check]
     y: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -108,7 +101,7 @@ class SimReport:
                 "total_sent": self.total_sent,
                 "total_received": self.total_received,
                 "total_ternary": self.total_ternary,
-                "verdicts": self.verdicts,
+                "verdicts": {c.name: c.passed for c in self.checks},
             },
         }
 
@@ -125,7 +118,9 @@ def simulate(
     Returns the assembled output vector and a report with per-processor
     counters.  In p2p mode the vector exchanges follow the matching-based
     schedule; in alltoall mode every processor sends a fixed two-chunk slot
-    to every other processor per the collective cost model.
+    to every other processor per the collective cost model.  A p2p schedule
+    that fails ``schedule.validate`` still runs and fails the
+    ``schedule_valid`` check, whose detail lists the problems.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -160,11 +155,11 @@ def simulate(
     if mode == "p2p":
         sched = build_schedule(demands)
         sched_report = validate(sched, demands, chunk)
-        if not sched_report.ok:
-            raise ScheduleInvalidError(sched_report)
+        schedule_valid = Check("schedule_valid", sched_report.passed, "; ".join(sched_report.problems))
         steps_per_vector = len(sched.steps)
         messages = [(d.src, d.dst, d.blocks, len(d.blocks) * chunk) for step in sched.steps for d in step]
     else:
+        schedule_valid = Check("schedule_valid", True)
         steps_per_vector = P - 1
         shared = {(d.src, d.dst): d.blocks for d in demands}
         messages = [
@@ -211,18 +206,20 @@ def simulate(
             for src in sorted(contrib[p - 1][i]):  # fixed ascending-sender reduction
                 acc += contrib[p - 1][i][src]
 
-    verdicts = {
-        "schedule_valid": True if mode == "alltoall" else sched_report.ok,
-        "gather_complete": gather_complete,
-        "conservation": sum(c.sent_x + c.sent_y for c in counters)
-        == sum(c.received_x + c.received_y for c in counters),
-    }
+    checks = [
+        schedule_valid,
+        Check("gather_complete", gather_complete),
+        Check(
+            "conservation",
+            sum(c.sent_x + c.sent_y for c in counters) == sum(c.received_x + c.received_y for c in counters),
+        ),
+    ]
     report = SimReport(
         mode=mode,
         n=n,
         per_proc=counters,
         steps_per_vector=steps_per_vector,
-        verdicts=verdicts,
+        checks=checks,
         y=y_global,
     )
     return y_global, report
@@ -303,32 +300,8 @@ def compute_report(part: TetraPartition, layout: VectorLayout) -> PredictedCosts
 
 
 @dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class RunVerdict:
-    checks: list[CheckResult]
+class RunVerdict(Report):
     report: SimReport | None = None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
-        }
 
 
 def verify_run(
@@ -345,17 +318,17 @@ def verify_run(
     uses the given relative tolerance.  Non-finite entries in x or the
     tensor fail the ``input_finite`` check.
     """
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
     problems = validate_partition(part)
-    checks.append(CheckResult("partition_invariants", not problems, "; ".join(problems) or "ok"))
+    checks.append(Check("partition_invariants", not problems, "; ".join(problems) or "ok"))
     if problems:
-        return RunVerdict(checks=checks)
+        return RunVerdict(checks)
 
     x_arr = np.asarray(x, dtype=np.float64)
     bad_x = x_arr.size - int(np.count_nonzero(np.isfinite(x_arr)))
     bad_a = tensor.data.size - int(np.count_nonzero(np.isfinite(tensor.data)))
     checks.append(
-        CheckResult("input_finite", not bad_x and not bad_a, f"non-finite entries: x {bad_x}, tensor {bad_a}")
+        Check("input_finite", not bad_x and not bad_a, f"non-finite entries: x {bad_x}, tensor {bad_a}")
     )
 
     # non-finite input is reported by input_finite, not by numpy warnings
@@ -364,22 +337,21 @@ def verify_run(
         reference = sttsv_symmetric(tensor, x)
         scale = float(np.linalg.norm(reference)) or 1.0
         rel = float(np.linalg.norm(y - reference)) / scale
-    for name, ok in report.verdicts.items():
-        checks.append(CheckResult(name, ok))
-    checks.append(CheckResult("output_matches_sequential", rel <= tol, f"relative error {rel:.3e}"))
+    checks += report.checks
+    checks.append(Check("output_matches_sequential", rel <= tol, f"relative error {rel:.3e}"))
 
     predicted = compute_report(part, layout)
     bad_ternary = [
         c.p for c, pc in zip(report.per_proc, predicted.per_proc) if c.ternary_mults != pc.ternary_mults
     ]
     checks.append(
-        CheckResult("ternary_counts_exact", not bad_ternary, f"mismatched processors: {bad_ternary[:5]}")
+        Check("ternary_counts_exact", not bad_ternary, f"mismatched processors: {bad_ternary[:5]}")
     )
     bad_elems = [
         c.p for c, pc in zip(report.per_proc, predicted.per_proc) if c.tensor_elems != pc.tensor_elems
     ]
     checks.append(
-        CheckResult("tensor_elements_exact", not bad_elems, f"mismatched processors: {bad_elems[:5]}")
+        Check("tensor_elements_exact", not bad_elems, f"mismatched processors: {bad_elems[:5]}")
     )
 
     if mode == "p2p":
@@ -390,15 +362,15 @@ def verify_run(
         c.p for c in report.per_proc if c.sent_x != expected[c.p] or c.sent_y != expected[c.p]
     ]
     checks.append(
-        CheckResult("send_volume_exact", not bad_vol, f"mismatched processors: {bad_vol[:5]}")
+        Check("send_volume_exact", not bad_vol, f"mismatched processors: {bad_vol[:5]}")
     )
 
     total = report.total_ternary
     checks.append(
-        CheckResult(
+        Check(
             "total_ternary_matches_sequential",
             total == ternary_count(layout.n),
             f"measured {total}, formula {ternary_count(layout.n)}",
         )
     )
-    return RunVerdict(checks=checks, report=report)
+    return RunVerdict(checks, report=report)

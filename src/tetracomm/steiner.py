@@ -9,18 +9,18 @@ accepted whenever they verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
+from .checks import Check, Report
 from .finite_field import field_new, prime_power
 
 __all__ = [
     "SteinerSystem",
-    "SteinerCheck",
-    "VerificationReport",
     "SteinerParseError",
     "SteinerInvariantError",
     "ConstructionError",
@@ -47,7 +47,7 @@ class SteinerParseError(ValueError):
 class SteinerInvariantError(ValueError):
     """A parsed system failed verification; carries the full report."""
 
-    def __init__(self, report: "VerificationReport"):
+    def __init__(self, report: Report):
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         super().__init__(f"system failed verification: {failed}")
         self.report = report
@@ -70,54 +70,6 @@ class SteinerSystem:
         if not isinstance(other, SteinerSystem):
             return NotImplemented
         return (self.n, self.r, self.s, self.blocks) == (other.n, other.r, other.s, other.blocks)
-
-
-@dataclass
-class SteinerCheck:
-    name: str
-    passed: bool
-    expected: object
-    actual: object
-    witness: object = None
-
-
-@dataclass
-class VerificationReport:
-    n: int
-    r: int
-    checks: list[SteinerCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> SteinerCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_json_obj(self) -> dict:
-        def jsonable(w):
-            if w is None or isinstance(w, int):
-                return w
-            return list(w)
-
-        return {
-            "n": self.n,
-            "r": self.r,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "expected": str(c.expected),
-                    "actual": str(c.actual),
-                    "witness": jsonable(c.witness),
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def divisibility_ok(n: int, r: int) -> bool:
@@ -186,17 +138,20 @@ def construct_spherical(q: int) -> SteinerSystem:
     return SteinerSystem(n=big_order + 1, r=q + 1, blocks=sorted(blocks))
 
 
-def verify(system: SteinerSystem) -> VerificationReport:
+def verify(system: SteinerSystem) -> Report:
     """Check the defining and counting properties of an (n, r, 3) system.
 
-    Failures are reported, not raised; each failed check carries a witness
-    triple, pair, or point where available.
+    Failures are reported, not raised.  Every k-subset of 1..n (k = 3, 2, 1)
+    must lie in exactly λ_k = C(n-k, 3-k)/C(r-k, 3-k) blocks; a failed
+    coverage check names the first triple, pair or point that does not.
+    When the blocks hold more than λ_k·C(n, k) k-subsets, some k-subset is
+    covered too often and none is counted, so a check counts no more than a
+    valid design of the same n and r would, plus one walk over the
+    k-subsets of 1..n.
     """
     n, r = system.n, system.r
-    report = VerificationReport(n=n, r=r)
     if r < 3:  # no triple fits in a block, and the counting checks divide by r - 2
-        report.checks.append(SteinerCheck("block_size", False, "r >= 3", r))
-        return report
+        return Report([Check("block_size", False, f"expected r >= 3, got {r}")])
 
     shape_bad = next(
         (
@@ -206,43 +161,38 @@ def verify(system: SteinerSystem) -> VerificationReport:
         ),
         None,
     )
-    report.checks.append(
-        SteinerCheck("block_shape", shape_bad is None, f"sorted {r}-subsets of 1..{n}", "ok" if shape_bad is None else shape_bad, shape_bad)
-    )
+    shape = f"expected sorted {r}-subsets of 1..{n}"
+    checks = [Check("block_shape", shape_bad is None, shape if shape_bad is None else f"{shape}, got {shape_bad}")]
 
-    triple_counts: dict[tuple[int, int, int], int] = {}
-    pair_counts: dict[tuple[int, int], int] = {}
-    point_counts: dict[int, int] = {}
-    for blk in system.blocks:
-        for t in combinations(sorted(set(blk)), 3):
-            triple_counts[t] = triple_counts.get(t, 0) + 1
-        for pr in combinations(sorted(set(blk)), 2):
-            pair_counts[pr] = pair_counts.get(pr, 0) + 1
-        for x in set(blk):
-            point_counts[x] = point_counts.get(x, 0) + 1
+    points = [sorted({x for x in blk if 1 <= x <= n}) for blk in system.blocks]
 
-    witness = next((t for t in combinations(range(1, n + 1), 3) if triple_counts.get(t, 0) != 1), None)
-    report.checks.append(
-        SteinerCheck("triple_coverage", witness is None, 1, triple_counts.get(witness, 0) if witness else 1, witness)
-    )
+    def coverage(name: str, noun: str, k: int) -> Check:
+        expected = Fraction(comb(n - k, 3 - k), comb(r - k, 3 - k))
+        if expected.denominator == 1:  # compare ints in the walk below, not Fractions
+            expected = expected.numerator
+        held = sum(comb(len(pts), k) for pts in points)
+        if held > expected * comb(n, k):
+            return Check(
+                name,
+                False,
+                f"expected {expected}, but the blocks hold {held} {noun}s, more than {expected} for each of the"
+                f" {comb(n, k)} {noun}s of 1..{n}: some {noun} is covered more often",
+            )
+        counts = Counter(s for pts in points for s in combinations(pts, k))
+        witness = next((s for s in combinations(range(1, n + 1), k) if counts.get(s, 0) != expected), None)
+        if witness is None:
+            return Check(name, True, f"expected {expected}")
+        return Check(name, False, f"expected {expected}, got {counts.get(witness, 0)} at {witness}")
 
-    pair_expected = Fraction(n - 2, r - 2)
-    witness = next((pr for pr in combinations(range(1, n + 1), 2) if pair_counts.get(pr, 0) != pair_expected), None)
-    report.checks.append(
-        SteinerCheck("pair_count", witness is None, pair_expected, pair_counts.get(witness, 0) if witness else pair_expected, witness)
-    )
+    checks += [
+        coverage("triple_coverage", "triple", 3),
+        coverage("pair_count", "pair", 2),
+        coverage("point_count", "point", 1),
+    ]
 
-    point_expected = Fraction((n - 1) * (n - 2), (r - 1) * (r - 2))
-    witness = next((x for x in range(1, n + 1) if point_counts.get(x, 0) != point_expected), None)
-    report.checks.append(
-        SteinerCheck("point_count", witness is None, point_expected, point_counts.get(witness, 0) if witness else point_expected, witness)
-    )
-
-    blocks_expected = Fraction(comb(n, 3), comb(r, 3))
-    report.checks.append(
-        SteinerCheck("block_count", len(system.blocks) == blocks_expected, blocks_expected, len(system.blocks))
-    )
-    return report
+    want, got = Fraction(comb(n, 3), comb(r, 3)), len(system.blocks)
+    checks.append(Check("block_count", got == want, f"expected {want}, got {got}"))
+    return Report(checks)
 
 
 def load(path) -> SteinerSystem:
@@ -261,6 +211,8 @@ def load(path) -> SteinerSystem:
         raise SteinerParseError(f"only s=3 systems are supported, got s={s}", 1)
     if not n > r >= 3:
         raise SteinerParseError(f"need n > r >= 3, got n={n}, r={r}", 1)
+    if n > Q_CAP**2 + 1:  # the largest spherical design; bounds the cost of verify
+        raise SteinerParseError(f"n={n} exceeds the cap {Q_CAP**2 + 1} on design files", 1)
 
     blocks: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -92,8 +92,8 @@ def test_criterion_1_spherical_construction():
     assert len(system.blocks) == 30
     assert all(len(blk) == 4 for blk in system.blocks)
     assert rep.passed
-    assert rep.check("pair_count").expected == 4
-    assert rep.check("point_count").expected == 12
+    assert rep.check("pair_count").detail == "expected 4"
+    assert rep.check("point_count").detail == "expected 12"
     part = build_partition(system)
     assert all(len(qi) == 12 for qi in part.Q)
     assert elapsed < 1.0
@@ -104,13 +104,13 @@ def test_criterion_2_appendix_fixture(appendix):
     start = time.perf_counter()
     rep = steiner.verify(appendix)
     assert rep.passed
-    assert rep.check("pair_count").expected == 3
-    assert rep.check("point_count").expected == 7
+    assert rep.check("pair_count").detail == "expected 3"
+    assert rep.check("point_count").detail == "expected 7"
     part = build_partition(appendix)
     demands = build_demands(part)
     sched = build_schedule(demands)
     assert len(sched.steps) == 12
-    assert validate(sched, demands).ok
+    assert validate(sched, demands).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report_pass(2, f"(8,4,3) verifies (pairs 3, points 7), 12 valid schedule steps, {elapsed:.3f}s")

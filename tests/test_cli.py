@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from tetracomm import bounds
+from tetracomm import bounds, simulator
 from tetracomm.cli import fixtures_dir, main
+from tetracomm.schedule import CommSchedule, build_schedule
 
 
 def run(capsys, *argv):
@@ -126,7 +127,7 @@ def test_schedule_from_design_file(capsys):
 def test_simulate_q2_p2p(capsys):
     code, obj = run_json(capsys, "simulate", "--q", "2", "--n", "30", "--seed", "11", "--mode", "p2p")
     assert code == 0
-    assert obj["verdict"]["all_passed"]
+    assert obj["verdict"]["passed"]
     assert obj["report"]["global"]["max_volume"] == 30
 
 
@@ -148,7 +149,7 @@ def test_simulate_pads_dimension(capsys):
     code, obj = run_json(capsys, "simulate", "--q", "2", "--n", "29", "--seed", "7")
     assert code == 0
     assert obj["n_requested"] == 29 and obj["n"] == 30
-    assert obj["verdict"]["all_passed"]
+    assert obj["verdict"]["passed"]
 
 
 def test_simulate_deterministic_bytes(capsys):
@@ -225,3 +226,21 @@ def test_hbl_fuzz_rejects_more_points_than_exist(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "random_point_set", no_draws)
     monkeypatch.setattr(bounds, "random_strict_point_set", no_draws)
     assert main(["hbl-fuzz", "--count", "1", "--seed", "1", "--points", "2", "--max-coord", "3"]) == 2
+
+
+def test_steiner_verify_rejects_n_above_cap(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("steiner 478 240 3\n" + " ".join(str(x) for x in range(1, 241)) + "\n")
+    assert main(["steiner", "verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: n=478 exceeds the cap 257" in captured.err
+
+
+def test_simulate_reports_a_dropped_schedule_step(monkeypatch, capsys):
+    monkeypatch.setattr(simulator, "build_schedule", lambda d: CommSchedule(build_schedule(d).steps[1:]))
+    code, obj = run_json(capsys, "simulate", "--q", "2", "--n", "30", "--seed", "11")
+    assert code == 1
+    failed = {c["name"] for c in obj["verdict"]["checks"] if not c["passed"]}
+    assert {"schedule_valid", "gather_complete"} <= failed
+    assert obj["report"]["global"]["verdicts"]["schedule_valid"] is False

@@ -85,7 +85,7 @@ def test_spherical_step_counts(q, expected):
     demands = build_demands(part)
     sched = build_schedule(demands)
     assert len(sched.steps) == expected
-    assert validate(sched, demands).ok
+    assert validate(sched, demands).passed
 
 
 def test_appendix_fixture_schedules_in_12_steps(part8):
@@ -93,7 +93,7 @@ def test_appendix_fixture_schedules_in_12_steps(part8):
     sched = build_schedule(demands)
     assert len(sched.steps) == 12
     report = validate(sched, demands)
-    assert report.ok
+    assert report.passed
     # every partner pair shares exactly two row blocks in this design
     assert all(len(d.blocks) == 2 for d in demands)
 
@@ -158,14 +158,14 @@ def test_validate_catches_duplicate_receiver(part_q2):
     clash = next(d for d in demands if d.dst == d0.dst and d != d0)
     bad = CommSchedule(steps=[list(sched.steps[0]) + [clash]] + sched.steps[1:], meta={})
     report = validate(bad, demands)
-    assert not report.ok
+    assert not report.passed
     assert any("receives" in p for p in report.problems)
 
 
 def test_validate_catches_missing_coverage(part_q2):
     demands = build_demands(part_q2)
     report = validate(CommSchedule(steps=[], meta={}), demands)
-    assert not report.ok
+    assert not report.passed
     assert any("scheduled 0 times" in p for p in report.problems)
 
 

@@ -4,10 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tetracomm import steiner
+from tetracomm import simulator, steiner
+from tetracomm.checks import Check, Report
 from tetracomm.cli import fixtures_dir
 from tetracomm.partition import build_partition, pad_dimension, vector_layout
-from tetracomm.schedule import build_demands
+from tetracomm.schedule import CommSchedule, build_demands, build_schedule
 from tetracomm.simulator import compute_report, simulate, verify_run
 from tetracomm.tensor_core import (
     random_symmetric,
@@ -48,7 +49,7 @@ def test_q2_p2p_matches_sequential(setup_q2):
     y, report = simulate(tensor, x, part, layout, "p2p")
     ref = sttsv_symmetric(tensor, x)
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert all(report.verdicts.values())
+    assert all(c.passed for c in report.checks)
 
 
 @pytest.mark.parametrize("design,mode", [("q2", "p2p"), ("q2", "alltoall"), ("appendix", "p2p")])
@@ -106,7 +107,7 @@ def test_appendix_design_simulates_correctly(setup_appendix):
     tensor = random_symmetric(56, 8)
     x = random_vector(56, 9)
     verdict = verify_run(tensor, x, part, layout, "p2p")
-    assert verdict.all_passed, [c.name for c in verdict.checks if not c.passed]
+    assert verdict.passed, [c.name for c in verdict.checks if not c.passed]
     assert verdict.report.steps_per_vector == 12
 
 
@@ -117,7 +118,7 @@ def test_chunk_two_layout(setup_q2):
     tensor = random_symmetric(60, 13)
     x = random_vector(60, 14)
     verdict = verify_run(tensor, x, part, layout, "p2p")
-    assert verdict.all_passed
+    assert verdict.passed
     for c in verdict.report.per_proc:
         assert c.sent_x == 30  # 15 shared chunks of 2 words
 
@@ -140,7 +141,7 @@ def test_conservation(setup_q2):
     part, layout = setup_q2
     _, report = simulate(random_symmetric(30, 1), random_vector(30, 2), part, layout, "p2p")
     assert report.total_sent == report.total_received
-    assert report.verdicts["conservation"]
+    assert Check("conservation", True) in report.checks
 
 
 def test_simulate_input_validation(setup_q2):
@@ -187,7 +188,7 @@ def test_non_finite_tensor_is_reported_by_name(setup_q2):
     with np.errstate(invalid="ignore"):
         verdict = verify_run(tensor, random_vector(30, 12), part, layout)
     assert verdict.check("input_finite").detail == "non-finite entries: x 0, tensor 2"
-    assert not verdict.all_passed
+    assert not verdict.passed
 
 
 @pytest.mark.filterwarnings("error")
@@ -276,7 +277,7 @@ def test_measured_equals_predicted_everywhere(setup_q3):
 def test_verify_run_passes(setup_q2, mode):
     part, layout = setup_q2
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), part, layout, mode)
-    assert verdict.all_passed, [c.name for c in verdict.checks if not c.passed]
+    assert verdict.passed, [c.name for c in verdict.checks if not c.passed]
 
 
 def test_verify_run_detects_moved_block(setup_q2):
@@ -285,7 +286,7 @@ def test_verify_run_detects_moved_block(setup_q2):
     moved = bad.N[0].pop()
     bad.N[1].append(moved)
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), bad, layout)
-    assert not verdict.all_passed
+    assert not verdict.passed
     assert not verdict.check("partition_invariants").passed
 
 
@@ -294,7 +295,7 @@ def test_verify_run_detects_duplicated_block(setup_q2):
     bad = copy.deepcopy(part)
     bad.N[0].append(bad.N[1][0])
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), bad, layout)
-    assert not verdict.all_passed
+    assert not verdict.passed
 
 
 def test_report_json_schema(setup_q2):
@@ -314,3 +315,23 @@ def test_reduction_deterministic(setup_q2):
     y1, _ = simulate(tensor, x, part, layout, "p2p")
     y2, _ = simulate(tensor, x, part, layout, "p2p")
     assert np.array_equal(y1, y2)
+
+
+def test_dropped_schedule_step_fails_schedule_valid(setup_q2, monkeypatch):
+    part, layout = setup_q2
+    dropped = []
+
+    def drop_first_step(demands):
+        sched = build_schedule(demands)
+        dropped.extend(sched.steps[0])
+        return CommSchedule(sched.steps[1:], sched.meta)
+
+    monkeypatch.setattr(simulator, "build_schedule", drop_first_step)
+    verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), part, layout)
+    check = verdict.check("schedule_valid")
+    assert not check.passed
+    for d in dropped:
+        assert f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled 0 times, expected 1" in check.detail
+    assert not verdict.check("gather_complete").passed
+    assert not verdict.passed
+    assert isinstance(verdict, Report)

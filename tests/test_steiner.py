@@ -76,8 +76,8 @@ def test_fixture_10_4_3_verifies_with_expected_counts():
     system = steiner.load(FIX_10)
     report = steiner.verify(system)
     assert report.passed
-    assert report.check("pair_count").expected == 4
-    assert report.check("point_count").expected == 12
+    assert report.check("pair_count").detail == "expected 4"
+    assert report.check("point_count").detail == "expected 12"
     assert len(system.blocks) == 30
 
 
@@ -87,8 +87,8 @@ def test_fixture_8_4_3_verifies_with_expected_counts():
     assert len(system.blocks) == 14
     report = steiner.verify(system)
     assert report.passed
-    assert report.check("pair_count").expected == 3
-    assert report.check("point_count").expected == 7
+    assert report.check("pair_count").detail == "expected 3"
+    assert report.check("point_count").detail == "expected 7"
 
 
 def test_removed_block_fails_triple_coverage_with_witness():
@@ -98,8 +98,7 @@ def test_removed_block_fails_triple_coverage_with_witness():
     assert not report.passed
     cov = report.check("triple_coverage")
     assert not cov.passed
-    assert cov.witness is not None
-    assert set(cov.witness) <= set(removed)
+    assert cov.detail == f"expected 1, got 0 at {tuple(removed[:3])}"
 
 
 # ---------------------------------------------------------------------------
@@ -163,3 +162,34 @@ def test_verify_reports_blocks_too_small_for_a_triple():
     report = steiner.verify(steiner.SteinerSystem(5, 2, [(1, 2)]))
     assert not report.passed
     assert not report.check("block_size").passed
+
+
+@pytest.mark.parametrize("header", ["steiner 258 16 3", "steiner 478 240 3", "steiner 1000000000 4 3"])
+def test_load_rejects_n_above_cap_before_verifying(tmp_path, monkeypatch, header):
+    def no_verify(system):
+        raise AssertionError("verify ran on a header above the cap")
+
+    monkeypatch.setattr(steiner, "verify", no_verify)
+    path = tmp_path / "big.txt"
+    path.write_text(header + "\n" + " ".join(str(x) for x in range(1, 17)) + "\n")
+    with pytest.raises(steiner.SteinerParseError, match="cap 257") as err:
+        steiner.load(path)
+    assert err.value.line == 1
+
+
+def test_verify_does_not_count_overfull_blocks(monkeypatch):
+    system = steiner.load(FIX_8)
+    system.blocks.append(system.blocks[0])  # 15 blocks of 4 triples each, 8 points have 56 triples
+
+    def no_subsets(*args):
+        raise AssertionError("verify enumerated subsets of an overfull system")
+
+    monkeypatch.setattr(steiner, "combinations", no_subsets)
+    report = steiner.verify(system)
+    assert report.check("triple_coverage").detail == (
+        "expected 1, but the blocks hold 60 triples, more than 1 for each of the 56 triples of 1..8:"
+        " some triple is covered more often"
+    )
+    assert not report.check("pair_count").passed and not report.check("point_count").passed
+    assert report.check("block_count").detail == "expected 14, got 15"
+    assert report.check("block_shape").passed
