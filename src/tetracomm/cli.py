@@ -88,12 +88,7 @@ def cmd_steiner(args) -> int:
         )
         return 0 if report.passed else 1
     if args.action == "verify":
-        try:
-            system = steiner_mod.load(args.path)
-        except steiner_mod.SteinerInvariantError as exc:
-            _emit(exc.report.to_json_obj(), None)
-            return 1
-        report = steiner_mod.verify(system)
+        report = steiner_mod.verify(steiner_mod.parse(args.path))
         _emit(report.to_json_obj(), None)
         return 0 if report.passed else 1
     # fixtures

@@ -88,64 +88,15 @@ def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> li
     return _poly_mod(out, mod, p)
 
 
-def _poly_powmod(base: list[int], e: int, mod: tuple[int, ...], p: int) -> list[int]:
-    result = [1]
-    acc = _poly_mod(list(base), mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _trim(out)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while b != [0]:
-        # reduce a mod b (b made monic on the fly)
-        inv_lead = pow(b[-1], p - 2, p)
-        b_monic = [(c * inv_lead) % p for c in b]
-        a = _poly_mod(a, tuple(b_monic), p)
-        a, b = b, a
-    lead = a[-1]
-    if lead != 1 and a != [0]:
-        inv_lead = pow(lead, p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
+    """A monic degree-k polynomial over GF(p) is irreducible iff no monic
+    polynomial of degree 1..k/2 divides it."""
     k = len(poly) - 1
-    if k == 1:
-        return True
-    x = [0, 1]
-    # x^(p^k) == x  (mod poly)
-    if _poly_powmod(x, p**k, poly, p) != x:
-        return False
-    # for each prime divisor r of k: gcd(x^(p^(k/r)) - x, poly) == 1
-    rem, r = k, 2
-    divisors = set()
-    while r * r <= rem:
-        if rem % r == 0:
-            divisors.add(r)
-            while rem % r == 0:
-                rem //= r
-        r += 1
-    if rem > 1:
-        divisors.add(rem)
-    for r in divisors:
-        h = _poly_powmod(x, p ** (k // r), poly, p)
-        g = _poly_gcd(_poly_sub(h, x, p), list(poly), p)
-        if len(g) > 1:
-            return False
-    return True
+    return all(
+        _poly_mod(list(poly), divisor + (1,), p) != [0]
+        for d in range(1, k // 2 + 1)
+        for divisor in product(range(p), repeat=d)
+    )
 
 
 # ---------------------------------------------------------------------------

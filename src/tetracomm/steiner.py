@@ -2,9 +2,10 @@
 
 A system is a list of sorted r-subsets of {1..n} covering every 3-subset
 exactly once.  The construction builds the (q^2+1, q+1, 3) family as the
-orbit of the order-q subfield line (plus the point at infinity) under all
-fractional-linear maps over GF(q^2).  Externally supplied systems are
-accepted whenever they verify.
+orbit of the order-q subfield line (plus the point at infinity) under
+PGL(2, q^2), the fractional-linear maps over GF(q^2), closing the line
+under three maps that generate that group.  Externally supplied systems
+are parsed by ``parse`` and accepted by ``load`` whenever they verify.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -27,12 +28,14 @@ __all__ = [
     "construct_spherical",
     "verify",
     "load",
+    "parse",
     "save",
     "divisibility_ok",
 ]
 
-# The orbit walk visits about q^6 maps (≈11 s at q=11 on a 2-vCPU Xeon, so
-# minutes at q=16); larger q is refused before any field table is built.
+# Designs stop at q=16 so that design files, which share the cap, have
+# n <= 257 and a bounded verify cost; larger q is refused before any field
+# table is built.
 Q_CAP = 16
 
 
@@ -85,9 +88,13 @@ def construct_spherical(q: int) -> SteinerSystem:
     """Build the (q^2+1, q+1, 3) system for a prime power q.
 
     Points 1..q^2 are the elements of GF(q^2) in canonical order and point
-    q^2+1 is infinity.  Blocks are the distinct images of the subfield line
-    under all normalized invertible fractional-linear maps x -> (ax+b)/(cx+d);
-    infinity maps to a/c and a zero denominator maps to infinity.
+    q^2+1 is infinity.  Blocks are the images of the subfield line (plus
+    infinity) under PGL(2, q^2), found as the closure of that line under
+    x -> x+1, x -> wx for a primitive element w, and x -> 1/x (swapping 0
+    and infinity).  These three maps generate PGL(2, q^2): conjugating x+1
+    by powers of w gives every translation, translations and scalings give
+    every affine map, and every map (ax+b)/(cx+d) with c != 0 is
+    alpha + beta/(x+delta).
     """
     pk = prime_power(q)
     if pk is None:
@@ -95,47 +102,38 @@ def construct_spherical(q: int) -> SteinerSystem:
     if q > Q_CAP:
         raise ValueError(f"q={q} exceeds the cap {Q_CAP} on the spherical construction")
     p, k = pk
-    big_order = q * q
+    nn = q * q
 
     f = field_new(p, 2 * k)
     elems = list(f.elements())
     index = {e: i for i, e in enumerate(elems)}
-    nn = big_order
-    inf = nn  # sentinel id for the point at infinity
-
-    add = [[index[f.add(a, b)] for b in elems] for a in elems]
-    mul = [[index[f.mul(a, b)] for b in elems] for a in elems]
-    neg = [index[f.neg(a)] for a in elems]
-    inverse = [0] + [index[f.inv(elems[i])] for i in range(1, nn)]
+    inf = nn  # point id of infinity; element ids are 0..nn-1
     one = index[f.one()]
 
-    base_line = [index[e] for e in f.subfield_elements(q)] + [inf]
+    plus_one = [index[f.add(e, f.one())] for e in elems] + [inf]
+    inverse = [inf] + [index[f.inv(e)] for e in elems[1:]] + [0]
+    for w in elems[1:]:  # w is primitive when x -> wx cycles through all nonzero elements
+        times_w = [index[f.mul(w, e)] for e in elems] + [inf]
+        x, order = times_w[one], 1
+        while x != one:
+            x, order = times_w[x], order + 1
+        if order == nn - 1:
+            break
 
-    def moebius(a: int, b: int, c: int, d: int, x: int) -> int:
-        if x == inf:
-            return inf if c == 0 else mul[a][inverse[c]]
-        den = add[mul[c][x]][d]
-        if den == 0:
-            return inf
-        return mul[add[mul[a][x]][b]][inverse[den]]
-
-    blocks: set[tuple[int, ...]] = set()
-
-    def visit(a: int, b: int, c: int, d: int) -> None:
-        image = sorted(moebius(a, b, c, d, s) for s in base_line)
-        blocks.add(tuple(pt + 1 for pt in image))
-
-    # one representative per projective class: first nonzero entry normalized to 1
-    for b, c, d in product(range(nn), repeat=3):
-        if add[mul[one][d]][neg[mul[b][c]]] != 0:  # det = d - bc
-            visit(one, b, c, d)
-    for c, d in product(range(1, nn), range(nn)):  # a = 0, b = 1: det = -c != 0
-        visit(0, one, c, d)
+    base = tuple(sorted([index[e] for e in f.subfield_elements(q)] + [inf]))
+    orbit, frontier = {base}, [base]
+    while frontier:
+        block = frontier.pop()
+        for g in (plus_one, times_w, inverse):
+            image = tuple(sorted(g[x] for x in block))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
 
     expected = q * (q * q + 1)
-    if len(blocks) != expected:
-        raise ConstructionError(f"orbit produced {len(blocks)} blocks, expected {expected}")
-    return SteinerSystem(n=big_order + 1, r=q + 1, blocks=sorted(blocks))
+    if len(orbit) != expected:
+        raise ConstructionError(f"orbit produced {len(orbit)} blocks, expected {expected}")
+    return SteinerSystem(n=nn + 1, r=q + 1, blocks=sorted(tuple(x + 1 for x in block) for block in orbit))
 
 
 def verify(system: SteinerSystem) -> Report:
@@ -147,7 +145,10 @@ def verify(system: SteinerSystem) -> Report:
     When the blocks hold more than λ_k·C(n, k) k-subsets, some k-subset is
     covered too often and none is counted, so a check counts no more than a
     valid design of the same n and r would, plus one walk over the
-    k-subsets of 1..n.
+    k-subsets of 1..min(n, M + k), M the largest point in any block.  That
+    walk still finds the lexicographically first witness: λ_k > 0, every
+    k-subset holding a point above M is covered 0 times, and the first of
+    them lies in 1..M + k.
     """
     n, r = system.n, system.r
     if r < 3:  # no triple fits in a block, and the counting checks divide by r - 2
@@ -165,6 +166,7 @@ def verify(system: SteinerSystem) -> Report:
     checks = [Check("block_shape", shape_bad is None, shape if shape_bad is None else f"{shape}, got {shape_bad}")]
 
     points = [sorted({x for x in blk if 1 <= x <= n}) for blk in system.blocks]
+    top = max((pts[-1] for pts in points if pts), default=0)
 
     def coverage(name: str, noun: str, k: int) -> Check:
         expected = Fraction(comb(n - k, 3 - k), comb(r - k, 3 - k))
@@ -179,7 +181,8 @@ def verify(system: SteinerSystem) -> Report:
                 f" {comb(n, k)} {noun}s of 1..{n}: some {noun} is covered more often",
             )
         counts = Counter(s for pts in points for s in combinations(pts, k))
-        witness = next((s for s in combinations(range(1, n + 1), k) if counts.get(s, 0) != expected), None)
+        walk = combinations(range(1, min(n, top + k) + 1), k)
+        witness = next((s for s in walk if counts.get(s, 0) != expected), None)
         if witness is None:
             return Check(name, True, f"expected {expected}")
         return Check(name, False, f"expected {expected}, got {counts.get(witness, 0)} at {witness}")
@@ -197,6 +200,15 @@ def verify(system: SteinerSystem) -> Report:
 
 def load(path) -> SteinerSystem:
     """Parse a system file and reject it unless verification passes."""
+    system = parse(path)
+    report = verify(system)
+    if not report.passed:
+        raise SteinerInvariantError(report)
+    return system
+
+
+def parse(path) -> SteinerSystem:
+    """Parse a system file without verifying it; malformed text raises SteinerParseError."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise SteinerParseError("empty file", 1)
@@ -229,12 +241,7 @@ def load(path) -> SteinerSystem:
         if list(pts) != sorted(set(pts)):
             raise SteinerParseError("block points must be strictly ascending", lineno)
         blocks.append(pts)
-
-    system = SteinerSystem(n=n, r=r, blocks=blocks)
-    report = verify(system)
-    if not report.passed:
-        raise SteinerInvariantError(report)
-    return system
+    return SteinerSystem(n=n, r=r, blocks=blocks)
 
 
 def save(system: SteinerSystem, path) -> None:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tetracomm import bounds, simulator
+from tetracomm import bounds, simulator, steiner
 from tetracomm.cli import fixtures_dir, main
 from tetracomm.schedule import CommSchedule, build_schedule
 
@@ -55,6 +55,23 @@ def test_steiner_verify_failure_exits_nonzero(tmp_path, capsys):
     code, obj = run_json(capsys, "steiner", "verify", str(bad))
     assert code == 1
     assert not obj["passed"]
+
+
+@pytest.mark.parametrize("dropped,code", [(0, 0), (1, 1)])
+def test_steiner_verify_verifies_once(tmp_path, capsys, monkeypatch, dropped, code):
+    calls = []
+
+    def counted(system, verify=steiner.verify):
+        calls.append(system)
+        return verify(system)
+
+    monkeypatch.setattr(steiner, "verify", counted)
+    lines = (fixtures_dir() / "steiner_10_4_3.txt").read_text().splitlines()
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join(lines[: len(lines) - dropped]) + "\n")
+    got, obj = run_json(capsys, "steiner", "verify", str(path))
+    assert (got, obj["passed"]) == (code, code == 0)
+    assert len(calls) == 1
 
 
 def test_steiner_fixtures_lists_shipped_files(capsys):

@@ -1,10 +1,14 @@
-"""The traced benchmark wraps library attributes by name; they must exist."""
+"""The benchmark harness wraps library attributes by name and runs library code;
+both must keep working when the library changes."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_call_site_exists(monkeypatch):
@@ -18,3 +22,14 @@ def test_every_traced_call_site_exists(monkeypatch):
         if attr not in owner.__dict__
     ]
     assert not missing
+
+
+def test_benchmark_selftest_passes():
+    # the self-test finds the sources itself; an inherited PYTHONPATH could let its
+    # "refuses to run without the sources" case import them from elsewhere
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetracomm import simulator, steiner
 from tetracomm.checks import Check, Report
@@ -278,6 +280,24 @@ def test_verify_run_passes(setup_q2, mode):
     part, layout = setup_q2
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), part, layout, mode)
     assert verdict.passed, [c.name for c in verdict.checks if not c.passed]
+
+
+EXACT_CHECKS = {"ternary_counts_exact", "tensor_elements_exact", "send_volume_exact", "total_ternary_matches_sequential"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    design=st.sampled_from(["q2", "appendix"]),
+    n=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["p2p", "alltoall"]),
+)
+def test_verify_run_exact_for_random_seeds_and_chunk_sizes(setup_q2, setup_appendix, design, n, seed, mode):
+    part = (setup_q2 if design == "q2" else setup_appendix)[0]
+    layout = vector_layout(pad_dimension(n, part), part)
+    verdict = verify_run(random_symmetric(layout.n, seed), random_vector(layout.n, seed + 1), part, layout, mode)
+    assert verdict.passed, verdict.problems
+    assert EXACT_CHECKS <= {c.name for c in verdict.checks}
 
 
 def test_verify_run_detects_moved_block(setup_q2):

@@ -1,10 +1,15 @@
+import hashlib
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
+from tetracomm.finite_field import prime_power
 
 FIX_10 = fixtures_dir() / "steiner_10_4_3.txt"
 FIX_8 = fixtures_dir() / "steiner_8_4_3.txt"
@@ -46,6 +51,29 @@ def test_constructed_systems_verify(q):
     assert len(system.blocks) == q * (q * q + 1)
     report = steiner.verify(system)
     assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+# sha256 of steiner.save output for every q up to the cap, as built by the former
+# walk over all ~q^6 normalised fractional-linear maps
+DESIGN_SHA256 = {
+    2: "4db435bad0aa5c1c5253e3dfe0b76d8e1653e82667838b5301d69e1aef073612",
+    3: "28c95180b9b82c9d22d4459ac00ca07aa82dd760f93b3099d27614673c227aa7",
+    4: "bca81a842e6dd3d862594787dc181678183e07f5165eda45cd212dcde9459b3e",
+    5: "0fc1616d9ea02a833c12aa05c35add3cc5446525a719797d4bc786220bf93cac",
+    7: "35d087537f7ca591017d322bbf3cee18d48fbfbe7761576d3c889d58a4a0403d",
+    8: "2b54d63ca5c968c873452bde594840d7c40418fc2f658204c49c92c25be45f0a",
+    9: "7d835ed81362aa79a9fbfb26cd11699ae04ea890d12ad6a9978774c52f5bdb02",
+    11: "7d24710bb923cc971c2f7718366d3f1441cee7a1fdd78cbb3c6b34959d42072f",
+    13: "7b24f56b4c00c22d805ce01e288224925d1ace91fc4660947ba2cf0ad9db4d87",
+    16: "9cc71aa5abdb6ca65dc699d11b5276002fd0cd0a741fc59bc9a5e26aa06c1264",
+}
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, steiner.Q_CAP + 1) if prime_power(q)])
+def test_design_file_pinned_for_every_q_up_to_cap(tmp_path, q):
+    path = tmp_path / "design.txt"
+    steiner.save(steiner.construct_spherical(q), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESIGN_SHA256[q]
 
 
 def test_construction_deterministic():
@@ -156,6 +184,24 @@ def test_load_rejects_unsorted_block(tmp_path):
 )
 def test_divisibility(n, r, expected):
     assert steiner.divisibility_ok(n, r) is expected
+
+
+def test_verify_huge_n_walks_no_further_than_the_blocks_reach():
+    report = steiner.verify(steiner.SteinerSystem(10**12, 7, []))
+    assert not report.passed
+    assert report.check("triple_coverage").detail == "expected 1, got 0 at (1, 2, 3)"
+
+
+def test_bounded_witness_walk_names_the_first_witness():
+    system = steiner.load(FIX_10)
+    system.n = 40  # the blocks reach point 10; points 11..40 lie in no block
+    report = steiner.verify(system)
+    for name, k in (("triple_coverage", 3), ("pair_count", 2), ("point_count", 1)):
+        expected = Fraction(comb(40 - k, 3 - k), comb(4 - k, 3 - k))
+        counts = Counter(s for blk in system.blocks for s in combinations(blk, k))
+        witness = next(s for s in combinations(range(1, 41), k) if counts[s] != expected)
+        assert report.check(name).detail == f"expected {expected}, got {counts[witness]} at {witness}"
+    assert report.check("triple_coverage").detail == "expected 1, got 0 at (1, 2, 11)"
 
 
 def test_verify_reports_blocks_too_small_for_a_triple():
