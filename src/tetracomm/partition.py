@@ -230,7 +230,8 @@ class VectorLayout:
 
     Row block i occupies global indices [(i-1)*b, i*b) (0-based half-open)
     and is split into |Q_i| contiguous chunks assigned to the processors of
-    Q_i in ascending order.
+    Q_i in ascending order.  ``ranges[(i, p)]`` is the global range of
+    processor p's chunk of row block i.
     """
 
     n: int
@@ -238,9 +239,6 @@ class VectorLayout:
     b: int
     chunk: int
     ranges: dict[tuple[int, int], tuple[int, int]]
-
-    def chunk_range(self, i: int, p: int) -> tuple[int, int]:
-        return self.ranges[(i, p)]
 
 
 def pad_dimension(n: int, part: TetraPartition) -> int:

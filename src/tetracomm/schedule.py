@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransferDemand:
+class TransferDemand(NamedTuple):
     """One directed transfer: src sends its chunks of the shared row blocks to dst."""
 
     src: int
@@ -82,9 +81,12 @@ def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
     C(r,2)(λ₂-1) two-share partners and r(λ₁-1-(r-1)(λ₂-1)) one-share
     partners, and demands are symmetric, so a processor sends and receives
     equally often in each layer.  By König's theorem each layer splits into
-    as many perfect matchings as its degree, one step each.  A demand list
-    with an irregular layer raises regular_decompose's ValueError.
+    as many perfect matchings as its degree, one step each.  Graph vertices
+    are processor ids, so a step lists its demands by ascending sender.  A
+    demand list with an irregular layer, or with a layer that leaves out a
+    processor, raises regular_decompose's ValueError.
     """
+    P = max((max(d.src, d.dst) for d in demands), default=0)
     layers: dict[int, list[TransferDemand]] = {}
     for d in demands:
         layers.setdefault(len(d.blocks), []).append(d)
@@ -93,19 +95,13 @@ def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
     layer_meta = []
     for size in sorted(layers, reverse=True):
         layer = layers[size]
-        procs = sorted({d.src for d in layer} | {d.dst for d in layer})
-        pos = {p: idx + 1 for idx, p in enumerate(procs)}
         by_pair = {(d.src, d.dst): d for d in layer}
-        adj: list[list[int]] = [[] for _ in procs]
+        adj: list[list[int]] = [[] for _ in range(P)]
         for d in layer:
-            adj[pos[d.src] - 1].append(pos[d.dst])
-        graph = BipartiteGraph(len(procs), len(procs), adj)
+            adj[d.src - 1].append(d.dst)
 
-        mats = regular_decompose(graph, len(adj[0]))
-        steps.extend(
-            sorted((by_pair[(procs[x - 1], procs[y - 1])] for x, y in mat.pairs), key=lambda d: d.src)
-            for mat in mats
-        )
+        mats = regular_decompose(BipartiteGraph(P, P, adj), len(adj[0]))
+        steps.extend([by_pair[pair] for pair in mat.pairs] for mat in mats)
         layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(mats)})
 
     meta = {
@@ -131,14 +127,10 @@ def validate(sched: CommSchedule, demands: list[TransferDemand], chunk: int = 1)
     clashes: list[str] = []
     seen: Counter[TransferDemand] = Counter()
     for step_no, step in enumerate(sched.steps, start=1):
-        srcs = Counter(d.src for d in step)
-        dsts = Counter(d.dst for d in step)
-        for p, c in srcs.items():
-            if c > 1:
-                clashes.append(f"step {step_no}: processor {p} sends {c} messages")
-        for p, c in dsts.items():
-            if c > 1:
-                clashes.append(f"step {step_no}: processor {p} receives {c} messages")
+        for verb, ends in (("sends", [d.src for d in step]), ("receives", [d.dst for d in step])):
+            for p, c in Counter(ends).items():
+                if c > 1:
+                    clashes.append(f"step {step_no}: processor {p} {verb} {c} messages")
         seen.update(step)
 
     coverage: list[str] = []
@@ -151,13 +143,10 @@ def validate(sched: CommSchedule, demands: list[TransferDemand], chunk: int = 1)
         if d not in want:
             coverage.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
 
-    volume: dict[int, int] = {}
-    for d in demands:
-        volume[d.src] = volume.get(d.src, 0) + len(d.blocks) * chunk
-    scheduled_volume: dict[int, int] = {}
-    for step in sched.steps:
-        for d in step:
-            scheduled_volume[d.src] = scheduled_volume.get(d.src, 0) + len(d.blocks) * chunk
+    volume, scheduled_volume = Counter(), Counter()
+    for counts, vol in ((want, volume), (seen, scheduled_volume)):
+        for d, c in counts.items():
+            vol[d.src] += c * len(d.blocks) * chunk
     off = sorted(p for p in set(volume) | set(scheduled_volume) if volume.get(p) != scheduled_volume.get(p))
 
     checks = [

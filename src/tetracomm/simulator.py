@@ -133,23 +133,18 @@ def simulate(
     if x_global.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x_global.shape}")
 
-    b, chunk, m, P = layout.b, layout.chunk, part.m, part.P
+    b, chunk, P = layout.b, layout.chunk, part.P
     counters = [ProcCounters(p) for p in range(1, P + 1)]
-    spans = {i: ((i - 1) * b, i * b) for i in range(1, m + 1)}
+    spans = {i: ((i - 1) * b, i * b) for i in range(1, part.m + 1)}
+    chunks = {key: slice(lo, hi) for key, (lo, hi) in layout.ranges.items()}
 
-    def own(i: int, p: int) -> slice:
-        """Processor p's chunk of row block i, as a slice of the row block."""
-        lo, hi = layout.chunk_range(i, p)
-        return slice(lo - (i - 1) * b, hi - (i - 1) * b)
-
-    # each processor starts with only its own chunks of its row blocks; `have`
-    # marks what it holds, so no value of x can pass for "not yet received"
-    xloc = [{i: np.zeros(b) for i in R} for R in part.R]
-    have = [{i: np.zeros(b, dtype=bool) for i in R} for R in part.R]
-    for p in range(1, P + 1):
-        for i in part.R[p - 1]:
-            xloc[p - 1][i][own(i, p)] = x_global[slice(*layout.chunk_range(i, p))]
-            have[p - 1][i][own(i, p)] = True
+    # row p-1 is processor p's copy of x: it starts with only its own chunks,
+    # and `have` marks what it holds, so no value of x can pass for "not yet received"
+    xs = np.zeros((P, n))
+    have = np.zeros((P, n), dtype=bool)
+    for (_, p), s in chunks.items():
+        xs[p - 1, s] = x_global[s]
+        have[p - 1, s] = True
 
     demands = build_demands(part)
     if mode == "p2p":
@@ -172,39 +167,37 @@ def simulate(
     # x phase: the sender forwards its own chunk of every shared row block
     for src, dst, blocks, words in messages:
         for i in blocks:
-            s = own(i, src)
-            xloc[dst - 1][i][s] = xloc[src - 1][i][s]
-            have[dst - 1][i][s] = have[src - 1][i][s]
+            s = chunks[i, src]
+            xs[dst - 1, s] = xs[src - 1, s]
+            have[dst - 1, s] = have[src - 1, s]
         counters[src - 1].sent_x += words
         counters[dst - 1].received_x += words
-    gather_complete = all(mask.all() for held in have for mask in held.values())
+    gather_complete = all(have[p - 1, slice(*spans[i])].all() for p in range(1, P + 1) for i in part.R[p - 1])
 
     # local compute: each processor lays out only the blocks it owns
-    ypart = []
+    ys = np.zeros((P, n))
     for p in range(1, P + 1):
         blocks = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
         store = BlockStore(tensor, spans, blocks)
-        yl = {i: np.zeros(b) for i in part.R[p - 1]}
-        store.run(xloc[p - 1], yl)
+        store.run(xs[p - 1], ys[p - 1])
         counters[p - 1].ternary_mults = store.ternary_mults
         counters[p - 1].tensor_elems = store.tensor_elems
-        ypart.append(yl)
 
-    # y phase: partial sums travel to the receiver's chunk and are reduced there
-    contrib: list[dict[int, dict[int, np.ndarray]]] = [{i: {} for i in R} for R in part.R]
+    # y phase: partial sums travel to the receiver's chunk; a repeated message
+    # delivers the same partial again, so each sender is reduced once
+    received = set()
     for src, dst, blocks, words in messages:
-        for i in blocks:
-            contrib[dst - 1][i][src] = ypart[src - 1][i][own(i, dst)]
+        received.update((i, dst, src) for i in blocks)
         counters[src - 1].sent_y += words
         counters[dst - 1].received_y += words
 
+    # the owner's own partial first, then each sender in ascending order
     y_global = np.zeros(n)
-    for p in range(1, P + 1):
-        for i in part.R[p - 1]:
-            acc = y_global[slice(*layout.chunk_range(i, p))]
-            acc += ypart[p - 1][i][own(i, p)]
-            for src in sorted(contrib[p - 1][i]):  # fixed ascending-sender reduction
-                acc += contrib[p - 1][i][src]
+    for (_, p), s in chunks.items():
+        y_global[s] += ys[p - 1, s]
+    for i, dst, src in sorted(received):
+        s = chunks[i, dst]
+        y_global[s] += ys[src - 1, s]
 
     checks = [
         schedule_valid,
@@ -277,8 +270,6 @@ def compute_report(part: TetraPartition, layout: VectorLayout) -> PredictedCosts
     t_off = 3 * b**3
     t_nc = 3 * b * b * (b - 1) // 2 + 2 * b * b
     t_ce = b * (b - 1) * (b - 2) // 2 + 2 * b * (b - 1) + b
-    send = {p: chunk * sum(len(part.Q[i - 1]) - 1 for i in part.R[p - 1]) for p in range(1, part.P + 1)}
-
     per_proc = []
     for p in range(1, part.P + 1):
         ternary = comb(len(part.R[p - 1]), 3) * t_off + len(part.N[p - 1]) * t_nc + len(part.D[p - 1]) * t_ce
@@ -286,7 +277,7 @@ def compute_report(part: TetraPartition, layout: VectorLayout) -> PredictedCosts
             PredictedCost(
                 p=p,
                 ternary_mults=ternary,
-                send_words_per_vector=send[p],
+                send_words_per_vector=chunk * sum(len(part.Q[i - 1]) - 1 for i in part.R[p - 1]),
                 tensor_elems=storage_count(part, n, p),
             )
         )
@@ -341,29 +332,20 @@ def verify_run(
     checks.append(Check("output_matches_sequential", rel <= tol, f"relative error {rel:.3e}"))
 
     predicted = compute_report(part, layout)
-    bad_ternary = [
-        c.p for c, pc in zip(report.per_proc, predicted.per_proc) if c.ternary_mults != pc.ternary_mults
+    bad_ternary, bad_elems, bad_vol = [], [], []
+    for c, pc in zip(report.per_proc, predicted.per_proc):
+        sent = pc.send_words_per_vector if mode == "p2p" else predicted.alltoall_per_vector
+        if c.ternary_mults != pc.ternary_mults:
+            bad_ternary.append(c.p)
+        if c.tensor_elems != pc.tensor_elems:
+            bad_elems.append(c.p)
+        if c.sent_x != sent or c.sent_y != sent:
+            bad_vol.append(c.p)
+    checks += [
+        Check("ternary_counts_exact", not bad_ternary, f"mismatched processors: {bad_ternary[:5]}"),
+        Check("tensor_elements_exact", not bad_elems, f"mismatched processors: {bad_elems[:5]}"),
+        Check("send_volume_exact", not bad_vol, f"mismatched processors: {bad_vol[:5]}"),
     ]
-    checks.append(
-        Check("ternary_counts_exact", not bad_ternary, f"mismatched processors: {bad_ternary[:5]}")
-    )
-    bad_elems = [
-        c.p for c, pc in zip(report.per_proc, predicted.per_proc) if c.tensor_elems != pc.tensor_elems
-    ]
-    checks.append(
-        Check("tensor_elements_exact", not bad_elems, f"mismatched processors: {bad_elems[:5]}")
-    )
-
-    if mode == "p2p":
-        expected = {pc.p: pc.send_words_per_vector for pc in predicted.per_proc}
-    else:
-        expected = {pc.p: predicted.alltoall_per_vector for pc in predicted.per_proc}
-    bad_vol = [
-        c.p for c in report.per_proc if c.sent_x != expected[c.p] or c.sent_y != expected[c.p]
-    ]
-    checks.append(
-        Check("send_volume_exact", not bad_vol, f"mismatched processors: {bad_vol[:5]}")
-    )
 
     total = report.total_ternary
     checks.append(

@@ -153,6 +153,8 @@ def verify(system: SteinerSystem) -> Report:
     n, r = system.n, system.r
     if r < 3:  # no triple fits in a block, and the counting checks divide by r - 2
         return Report([Check("block_size", False, f"expected r >= 3, got {r}")])
+    if n < 3:  # no triple of points exists, and C(n - k, 3 - k) is undefined
+        return Report([Check("point_set_size", False, f"expected n >= 3, got {n}")])
 
     shape_bad = next(
         (

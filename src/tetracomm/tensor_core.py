@@ -293,8 +293,10 @@ class BlockStore:
             self.tensor_elems += elems
             self.ternary_mults += 3 * elems - ties
 
-    def run(self, xs, ys) -> None:
-        """Add every stored block's share of A x x into ys; both map ids to row blocks."""
+    def run(self, x, y) -> None:
+        """Add every stored block's share of A x x into y; x and y have length n."""
+        xs = {i: x[lo:hi] for i, (lo, hi) in self.spans.items()}
+        ys = {i: y[lo:hi] for i, (lo, hi) in self.spans.items()}
         for kind, D, ids in self.blocks:
             contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
 
@@ -314,12 +316,8 @@ def sttsv_symmetric(tensor: PackedSymTensor | BlockStore, x) -> np.ndarray:
     packed tensor is laid out afresh on every call.
     """
     store = tensor if isinstance(tensor, BlockStore) else tiled_store(tensor)
-    xv = _as_vector(x, store.n)
     y = np.zeros(store.n)
-    store.run(
-        {t: xv[lo:hi] for t, (lo, hi) in store.spans.items()},
-        {t: y[lo:hi] for t, (lo, hi) in store.spans.items()},
-    )
+    store.run(_as_vector(x, store.n), y)
     return y
 
 
@@ -342,7 +340,10 @@ def hopm(
 
     Starts from x0 when given, otherwise from a seeded random unit vector.
     Convergence uses min(|x - x_prev|, |x + x_prev|) < tol so that sign flips
-    between iterates do not mask a fixed point.
+    between iterates do not mask a fixed point.  This is the unshifted power
+    method: on many symmetric tensors it never converges and stops after
+    max_iters with converged False (CLI ``hopm --n 40 --seed 3``), and when
+    it converges slowly the stop iteration depends on summation order.
     """
     n = tensor.n
     if x0 is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -174,6 +175,67 @@ def test_simulate_deterministic_bytes(capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of integer-valued output; a change to the design, partition, demands
+# or schedule order moves them.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("schedule", "--q", "3", "--n", "120"), "04cddbe0fdeaca7675d648cd1c74242a07b82035856e91990abbc0ecba4f969d"),
+        (("schedule", "--design", "steiner_10_4_3.txt"), "f85f2f0fe40e5fe6b90d7b71e2e6caa6e916cb50687c697ddbedf3ac665ca9ff"),
+        (("schedule", "--design", "steiner_8_4_3.txt"), "d1403e43dd3969aeeced4f46fb8e95c9255ca9737d03f7c90091b0ff8e5da372"),
+        (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
+    ],
+)
+def test_integer_output_pinned(argv, digest, capsys):
+    if argv[1] == "--design":
+        argv = (argv[0], argv[1], str(fixtures_dir() / argv[2]))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == digest
+
+
+# The report object holds only exact counters; the verdict's details hold
+# floats whose last digits depend on the BLAS build, so only names and
+# outcomes are pinned.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("--q", "2", "--n", "30", "--seed", "11", "--mode", "p2p"),
+            "604ed59e3154b3d08035ba266675ae81795a11e5d40a559fb716c90656e8c7be",
+        ),
+        (
+            ("--q", "2", "--n", "30", "--seed", "11", "--mode", "alltoall"),
+            "1aafd5a4dbab2275e5222abaa0e637cd92bc637d6be8bd7b036c345271dc73fa",
+        ),
+        (("--q", "3", "--n", "120", "--seed", "5"), "42b858d61b92310dbda263ad171582f33358eeccd7635ccbdcd5dae0567b4362"),
+    ],
+)
+def test_simulate_report_pinned(argv, digest, capsys):
+    code, obj = run_json(capsys, "simulate", *argv)
+    assert code == 0
+    assert sha256(json.dumps(obj["report"], sort_keys=True)) == digest
+    assert [(c["name"], c["passed"]) for c in obj["verdict"]["checks"]] == [
+        (name, True)
+        for name in (
+            "partition_invariants",
+            "input_finite",
+            "schedule_valid",
+            "gather_complete",
+            "conservation",
+            "output_matches_sequential",
+            "ternary_counts_exact",
+            "tensor_elements_exact",
+            "send_volume_exact",
+            "total_ternary_matches_sequential",
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_layout_q3_values(part_q3):
 def test_layout_chunks_tile_each_row_block(part_q3):
     lay = vector_layout(120, part_q3)
     for i in range(1, 11):
-        spans = sorted(lay.chunk_range(i, p) for p in part_q3.Q[i - 1])
+        spans = sorted(lay.ranges[(i, p)] for p in part_q3.Q[i - 1])
         assert spans[0][0] == (i - 1) * lay.b
         assert spans[-1][1] == i * lay.b
         for (lo1, hi1), (lo2, _) in zip(spans, spans[1:]):

@@ -124,6 +124,13 @@ def test_irregular_demands_raise():
         build_schedule(demands)
 
 
+def test_layer_that_leaves_out_a_processor_raises():
+    # processors 2 and 3 exchange one block; processor 1 takes no part
+    demands = [TransferDemand(2, 3, (1,)), TransferDemand(3, 2, (1,))]
+    with pytest.raises(ValueError, match="regular"):
+        build_schedule(demands)
+
+
 def test_q2_step_list_pinned(part_q2):
     # receivers of senders 1..10 per step; pins the decomposition order
     expected = [

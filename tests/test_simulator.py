@@ -355,3 +355,18 @@ def test_dropped_schedule_step_fails_schedule_valid(setup_q2, monkeypatch):
     assert not verdict.check("gather_complete").passed
     assert not verdict.passed
     assert isinstance(verdict, Report)
+
+
+def test_repeated_schedule_step_is_reduced_once(setup_q2, monkeypatch):
+    part, layout = setup_q2
+
+    def repeat_first_step(demands):
+        sched = build_schedule(demands)
+        return CommSchedule(sched.steps[:1] + sched.steps, sched.meta)
+
+    monkeypatch.setattr(simulator, "build_schedule", repeat_first_step)
+    verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), part, layout)
+    passed = {c.name: c.passed for c in verdict.checks}
+    # the repeated messages count twice, but the reduce adds each sender's partial once
+    assert not passed["schedule_valid"] and not passed["send_volume_exact"]
+    assert passed["gather_complete"] and passed["output_matches_sequential"]

@@ -210,6 +210,13 @@ def test_verify_reports_blocks_too_small_for_a_triple():
     assert not report.check("block_size").passed
 
 
+@pytest.mark.parametrize("n", [2, 0, -1])
+def test_verify_reports_too_few_points_for_a_triple(n):
+    report = steiner.verify(steiner.SteinerSystem(n, 3, []))
+    assert not report.passed
+    assert report.problems == [f"point_set_size: expected n >= 3, got {n}"]
+
+
 @pytest.mark.parametrize("header", ["steiner 258 16 3", "steiner 478 240 3", "steiner 1000000000 4 3"])
 def test_load_rejects_n_above_cap_before_verifying(tmp_path, monkeypatch, header):
     def no_verify(system):

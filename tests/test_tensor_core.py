@@ -241,6 +241,13 @@ def test_hopm_iterates_stay_normalized():
         assert result.iterations == iters
 
 
+def test_hopm_stops_unconverged_after_max_iters():
+    # the unshifted power method does not converge on this tensor (CLI hopm --n 40 --seed 3)
+    result = hopm(random_symmetric(40, 3), seed=4, max_iters=5)
+    assert result.iterations == 5
+    assert result.converged is False
+
+
 def test_hopm_rejects_bad_start():
     t = random_symmetric(3, 0)
     with pytest.raises(ValueError):
