@@ -147,7 +147,7 @@ def cmd_simulate(args) -> int:
             "seed": args.seed,
             "verdict": verdict.to_json_obj(),
             "report": report.to_json_obj() if report else None,
-            "predicted": compute_report(part, layout).to_json_obj(),
+            "predicted": (verdict.predicted or compute_report(part, layout)).to_json_obj(),
         }
         _emit(obj, args.out)
     return 0 if verdict.passed else 1

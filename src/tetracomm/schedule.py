@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .checks import Check, Report
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
@@ -80,28 +82,36 @@ def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
     λ₁ = (m-1)(m-2)/((r-1)(r-2)) blocks.  So every processor has
     C(r,2)(λ₂-1) two-share partners and r(λ₁-1-(r-1)(λ₂-1)) one-share
     partners, and demands are symmetric, so a processor sends and receives
-    equally often in each layer.  By König's theorem each layer splits into
-    as many perfect matchings as its degree, one step each.  Graph vertices
+    equally often in each layer.  A d-regular bipartite graph is d-edge
+    colourable, so regular_decompose splits each layer into d perfect
+    matchings, one step each: Euler splits halve even degrees, and one
+    Hopcroft-Karp matching per subgraph lowers odd ones.  Graph vertices
     are processor ids, so a step lists its demands by ascending sender.  A
     demand list with an irregular layer, or with a layer that leaves out a
     processor, raises regular_decompose's ValueError.
     """
-    P = max((max(d.src, d.dst) for d in demands), default=0)
-    layers: dict[int, list[TransferDemand]] = {}
-    for d in demands:
-        layers.setdefault(len(d.blocks), []).append(d)
+    src = np.array([d.src for d in demands], dtype=np.int64)
+    dst = np.array([d.dst for d in demands], dtype=np.int64)
+    shared = np.array([len(d.blocks) for d in demands], dtype=np.int64)
+    P = int(max(src.max(initial=0), dst.max(initial=0)))
+    # index[src, dst]: the demand of that pair in the current layer
+    index = np.zeros((P + 1, P + 1), dtype=np.int64)
+    senders = np.arange(1, P + 1)
 
     steps: list[list[TransferDemand]] = []
     layer_meta = []
-    for size in sorted(layers, reverse=True):
-        layer = layers[size]
-        by_pair = {(d.src, d.dst): d for d in layer}
+    for size in sorted(set(shared.tolist()), reverse=True):
+        layer = np.flatnonzero(shared == size)
+        index[src[layer], dst[layer]] = layer
         adj: list[list[int]] = [[] for _ in range(P)]
-        for d in layer:
-            adj[d.src - 1].append(d.dst)
+        for s, t in zip(src[layer].tolist(), dst[layer].tolist()):
+            adj[s - 1].append(t)
 
         mats = regular_decompose(BipartiteGraph(P, P, adj), len(adj[0]))
-        steps.extend([by_pair[pair] for pair in mat.pairs] for mat in mats)
+        for mat in mats:
+            # a perfect matching sorted by x pairs sender s with pairs[s - 1]
+            receivers = [y for _, y in mat.pairs]
+            steps.append([demands[i] for i in index[senders, receivers].tolist()])
         layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(mats)})
 
     meta = {

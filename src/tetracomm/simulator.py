@@ -293,6 +293,7 @@ def compute_report(part: TetraPartition, layout: VectorLayout) -> PredictedCosts
 @dataclass
 class RunVerdict(Report):
     report: SimReport | None = None
+    predicted: PredictedCosts | None = None
 
 
 def verify_run(
@@ -307,7 +308,9 @@ def verify_run(
 
     Counter comparisons are exact integer equality; the output comparison
     uses the given relative tolerance.  Non-finite entries in x or the
-    tensor fail the ``input_finite`` check.
+    tensor fail the ``input_finite`` check.  The verdict carries the
+    simulation report and the ``compute_report`` prediction it was checked
+    against; both are None when the partition is invalid.
     """
     checks: list[Check] = []
     problems = validate_partition(part)
@@ -355,4 +358,4 @@ def verify_run(
             f"measured {total}, formula {ternary_count(layout.n)}",
         )
     )
-    return RunVerdict(checks, report=report)
+    return RunVerdict(checks, report=report, predicted=predicted)

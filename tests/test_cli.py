@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tetracomm import bounds, simulator, steiner
+from tetracomm import bounds, cli, simulator, steiner
 from tetracomm.cli import fixtures_dir, main
 from tetracomm.schedule import CommSchedule, build_schedule
 
@@ -155,6 +155,22 @@ def test_simulate_alltoall(capsys):
     assert obj["report"]["per_processor"][0]["words_sent"] == 36
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_computes_the_prediction_once(fmt, monkeypatch, capsys):
+    calls = []
+    real = simulator.compute_report
+
+    def counted(part, layout):
+        calls.append(part.P)
+        return real(part, layout)
+
+    monkeypatch.setattr(simulator, "compute_report", counted)
+    monkeypatch.setattr(cli, "compute_report", counted)
+    code, _ = run(capsys, "simulate", "--q", "2", "--n", "30", "--seed", "11", "--format", fmt)
+    assert code == 0
+    assert calls == [10]
+
+
 def test_simulate_csv_volume_table(capsys):
     code, out = run(capsys, "simulate", "--q", "2", "--n", "30", "--seed", "1", "--format", "csv")
     assert code == 0
@@ -186,9 +202,9 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        (("schedule", "--q", "3", "--n", "120"), "04cddbe0fdeaca7675d648cd1c74242a07b82035856e91990abbc0ecba4f969d"),
-        (("schedule", "--design", "steiner_10_4_3.txt"), "f85f2f0fe40e5fe6b90d7b71e2e6caa6e916cb50687c697ddbedf3ac665ca9ff"),
-        (("schedule", "--design", "steiner_8_4_3.txt"), "d1403e43dd3969aeeced4f46fb8e95c9255ca9737d03f7c90091b0ff8e5da372"),
+        (("schedule", "--q", "3", "--n", "120"), "f035e29dcbada74fe28c62fd760307b8162f4434613d0cace5471b775f1961e1"),
+        (("schedule", "--design", "steiner_10_4_3.txt"), "bd47d2d07bb85ec55d04fa40a2d791949a9e22666875d9e1bad9ac2c4536ae2a"),
+        (("schedule", "--design", "steiner_8_4_3.txt"), "5c4051a79c62eda30cb1f877b18df372f6dd858ab0fb0bc66bfe18c945901a48"),
         (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
     ],
 )

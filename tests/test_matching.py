@@ -1,8 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tetracomm import steiner
+from tetracomm import matching, steiner
 from tetracomm.cli import fixtures_dir
 from tetracomm.matching import (
     BipartiteGraph,
@@ -11,6 +13,8 @@ from tetracomm.matching import (
     max_matching,
     regular_decompose,
 )
+from tetracomm.partition import build_partition
+from tetracomm.schedule import build_demands, build_schedule
 
 
 def k22():
@@ -190,3 +194,62 @@ def test_d_disjoint_deterministic():
     g1 = BipartiteGraph(2, 4, [[1, 2, 3, 4], [1, 2, 3, 4]])
     g2 = BipartiteGraph(2, 4, [[1, 2, 3, 4], [1, 2, 3, 4]])
     assert [m.pairs for m in d_disjoint_matchings(g1, 2)] == [m.pairs for m in d_disjoint_matchings(g2, 2)]
+
+
+@st.composite
+def regular_graphs(draw):
+    """(d, adj): x is joined to perm[x + s mod n] for d distinct shifts s."""
+    n = draw(st.integers(1, 40))
+    powers = [2**k for k in range(n.bit_length())]
+    d = draw(st.one_of(st.just(1), st.just(n), st.sampled_from(powers), st.integers(1, n)))
+    shifts = draw(st.permutations(range(n)))[:d]
+    perm = draw(st.permutations(range(1, n + 1)))
+    return d, [sorted(perm[(x + s) % n] for s in shifts) for x in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_graphs())
+def test_regular_decompose_colours_every_edge_once(case):
+    d, adj = case
+    n = len(adj)
+    g = BipartiteGraph(n, n, [list(row) for row in adj])
+    mats = regular_decompose(g, d)
+    assert len(mats) == d
+    for m in mats:
+        assert [x for x, _ in m.pairs] == list(range(1, n + 1))  # perfect, sorted by x
+        assert sorted(y for _, y in m.pairs) == list(range(1, n + 1))
+    colored = [e for m in mats for e in m.pairs]
+    assert len(colored) == n * d
+    assert set(colored) == {(x, y) for x, row in enumerate(adj, start=1) for y in row}
+    assert g.adj == adj
+    again = regular_decompose(BipartiteGraph(n, n, [list(row) for row in adj]), d)
+    assert [m.pairs for m in again] == [m.pairs for m in mats]
+
+
+def counting_max_matching(monkeypatch) -> list:
+    calls = []
+    real = matching.max_matching
+
+    def counted(graph):
+        calls.append(graph.nx)
+        return real(graph)
+
+    monkeypatch.setattr(matching, "max_matching", counted)
+    return calls
+
+
+def test_even_power_degree_needs_no_maximum_matching(monkeypatch):
+    calls = counting_max_matching(monkeypatch)
+    n = 12
+    g = BipartiteGraph(n, n, [[(x + s) % n + 1 for s in range(8)] for x in range(n)])
+    assert len(regular_decompose(g, 8)) == 8
+    assert calls == []
+
+
+def test_q7_schedule_runs_hopcroft_karp_only_at_odd_degrees(monkeypatch):
+    demands = build_demands(build_partition(steiner.construct_spherical(7)))
+    calls = counting_max_matching(monkeypatch)
+    assert len(build_schedule(demands).steps) == 244
+    # layer degrees 196 and 48: 4 + 64 matchings at degrees 49 and 3, 16 at degree 3;
+    # peeling one matching per step made 244 calls
+    assert len(calls) <= 84

@@ -78,7 +78,7 @@ def step_count_formula(q):
     return (q**3 + 3 * q * q) // 2 - 1
 
 
-@pytest.mark.parametrize("q,expected", [(2, 9), (3, 26), (4, 55)])
+@pytest.mark.parametrize("q,expected", [(2, 9), (3, 26), (4, 55), (5, 99), (7, 244)])
 def test_spherical_step_counts(q, expected):
     assert step_count_formula(q) == expected
     part = build_partition(steiner.construct_spherical(q))
@@ -134,15 +134,15 @@ def test_layer_that_leaves_out_a_processor_raises():
 def test_q2_step_list_pinned(part_q2):
     # receivers of senders 1..10 per step; pins the decomposition order
     expected = [
-        [2, 1, 5, 6, 3, 4, 8, 7, 10, 9],
-        [3, 4, 1, 2, 6, 5, 9, 10, 7, 8],
-        [4, 3, 2, 1, 8, 9, 10, 5, 6, 7],
-        [5, 9, 8, 7, 1, 10, 4, 3, 2, 6],
-        [7, 6, 9, 5, 10, 3, 2, 1, 8, 4],
-        [8, 7, 6, 10, 4, 2, 1, 9, 3, 5],
+        [3, 1, 2, 6, 4, 10, 9, 7, 8, 5],
+        [2, 3, 1, 5, 6, 4, 8, 9, 10, 7],
+        [8, 7, 9, 2, 1, 5, 4, 10, 3, 6],
+        [5, 4, 6, 10, 8, 3, 2, 1, 7, 9],
+        [7, 9, 8, 1, 3, 2, 10, 5, 6, 4],
+        [4, 6, 5, 7, 10, 9, 1, 3, 2, 8],
         [6, 5, 10, 8, 9, 7, 3, 2, 4, 1],
-        [9, 10, 4, 3, 7, 8, 5, 6, 1, 2],
         [10, 8, 7, 9, 2, 1, 6, 4, 5, 3],
+        [9, 10, 4, 3, 7, 8, 5, 6, 1, 2],
     ]
     sched = build_schedule(build_demands(part_q2))
     assert all([d.src for d in step] == list(range(1, 11)) for step in sched.steps)
