@@ -21,7 +21,7 @@ from .partition import (
     tb3,
     vector_layout,
 )
-from .schedule import CommSchedule, TransferDemand, alltoall_cost, build_demands, build_schedule
+from .schedule import CommSchedule, Demands, TransferDemand, alltoall_cost, build_demands, build_schedule
 from .simulator import SimReport, compute_report, simulate, verify_run
 from .steiner import SteinerSystem, construct_spherical, divisibility_ok
 from .tensor_core import (
@@ -67,6 +67,7 @@ __all__ = [
     "random_symmetric",
     "random_vector",
     "TransferDemand",
+    "Demands",
     "CommSchedule",
     "build_demands",
     "build_schedule",

@@ -39,6 +39,8 @@ class BipartiteGraph:
     """Bipartite graph with sides X (size nx) and Y (size ny).
 
     adj[x-1] lists the Y-neighbors of x, sorted ascending, no duplicates.
+    The graph keeps sorted copies of the rows it is given, so the caller's
+    lists are left unchanged.
     """
 
     nx: int
@@ -48,12 +50,12 @@ class BipartiteGraph:
     def __post_init__(self):
         if len(self.adj) != self.nx:
             raise ValueError(f"adjacency has {len(self.adj)} rows, expected nx={self.nx}")
+        self.adj = [sorted(row) for row in self.adj]
         for x, row in enumerate(self.adj, start=1):
-            if row and not 1 <= min(row) <= max(row) <= self.ny:
+            if row and not 1 <= row[0] <= row[-1] <= self.ny:
                 raise ValueError(f"neighbor of x={x} out of range 1..{self.ny}")
             if len(set(row)) != len(row):
                 raise ValueError(f"duplicate edge at x={x}")
-            row.sort()
 
 
 @dataclass
@@ -133,10 +135,7 @@ def d_disjoint_matchings(graph: BipartiteGraph, d: int) -> list[Matching]:
     """
     if d < 1:
         raise ValueError(f"d={d} must be positive")
-    big_adj = []
-    for row in graph.adj:
-        big_adj.extend(list(row) for _ in range(d))
-    big = BipartiteGraph(graph.nx * d, graph.ny, big_adj)
+    big = BipartiteGraph(graph.nx * d, graph.ny, [row for row in graph.adj for _ in range(d)])
     matched = max_matching(big)
     if matched.size != graph.nx * d:
         raise MatchingInfeasibleError(

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
+
+import numpy as np
 
 from .finite_field import prime_power
 from .matching import BipartiteGraph, MatchingInfeasibleError, d_disjoint_matchings, max_matching
@@ -149,7 +151,7 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
         for a, b in combinations(R[p - 1], 2):  # a < b within the sorted set
             row.append(nc_index[BlockIndex(b, b, a)])
             row.append(nc_index[BlockIndex(b, a, a)])
-        adj.append(sorted(row))
+        adj.append(row)
     try:
         mats = d_disjoint_matchings(BipartiteGraph(P, total_nc, adj), d)
     except MatchingInfeasibleError as exc:
@@ -185,23 +187,37 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
 
 
 def validate_partition(part: TetraPartition) -> list[str]:
-    """Return human-readable violations of the partition invariants (empty = valid)."""
+    """Return human-readable violations of the partition invariants (empty = valid).
+
+    Assigned blocks are counted by integer id ((i-1)m + (j-1))m + (k-1); a
+    block with a coordinate outside 1..m has no id and is counted on its own.
+    """
+    m = part.m
+    off = chain.from_iterable(c for row in part.R for c in set(combinations(sorted(row), 3)))
+    diagonal = chain.from_iterable(blk for blocks in (*part.N, *part.D) for blk in blocks)
+    blocks = np.concatenate(
+        [np.fromiter(off, dtype=np.int64).reshape(-1, 3)[:, ::-1], np.fromiter(diagonal, dtype=np.int64).reshape(-1, 3)]
+    )
+    inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
+    i, j, k = (blocks[inside] - 1).T
+    ids, counts = np.unique((i * m + j) * m + k, return_counts=True)
+    i, j, k = ids // (m * m), ids // m % m, ids % m
+    lower = (i >= j) & (j >= k)
+    outside = Counter(BlockIndex(*blk) for blk in blocks[~inside].tolist())
+
+    def first3(selected: np.ndarray, more) -> list[BlockIndex]:
+        """The three least blocks among the ids selected (ascending) and more."""
+        found = [BlockIndex(a // (m * m) + 1, a // m % m + 1, a % m + 1) for a in selected[:3].tolist()]
+        return sorted([*found, *more])[:3]
+
     problems: list[str] = []
-    counts: Counter[BlockIndex] = Counter()
-    for p in range(1, part.P + 1):
-        counts.update(tb3(part.R[p - 1]))
-        counts.update(part.N[p - 1])
-        counts.update(part.D[p - 1])
-    expected = set(all_lower_blocks(part.m))
-    extra = [blk for blk in counts if blk not in expected]
-    dupes = [blk for blk, c in counts.items() if c > 1]
-    missing = [blk for blk in expected if blk not in counts]
-    if extra:
-        problems.append(f"blocks outside the lower tetrahedron: {sorted(extra)[:3]}")
-    if dupes:
-        problems.append(f"blocks assigned more than once: {sorted(dupes)[:3]}")
-    if missing:
-        problems.append(f"unassigned blocks: {sorted(missing)[:3]}")
+    if not lower.all() or outside:
+        problems.append(f"blocks outside the lower tetrahedron: {first3(ids[~lower], outside)}")
+    if np.any(counts > 1) or any(c > 1 for c in outside.values()):
+        problems.append(f"blocks assigned more than once: {first3(ids[counts > 1], [b for b, c in outside.items() if c > 1])}")
+    if np.count_nonzero(lower) < comb(m + 2, 3):
+        expected = np.concatenate([(a * m + j) * m + k for a in range(m) for j, k in [np.tril_indices(a + 1)]])
+        problems.append(f"unassigned blocks: {first3(expected[~np.isin(expected, ids)], [])}")
 
     for p in range(1, part.P + 1):
         owned = set(part.R[p - 1])

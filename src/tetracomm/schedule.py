@@ -5,11 +5,14 @@ transfer demand per vector phase.  Demands are layered by the number of
 shared blocks; each layer is regular and decomposes into perfect matchings,
 one communication step per matching, so that within a step every processor
 sends at most one message and receives at most one message.
+
+Demands are held as integer arrays (``Demands``), one row per demand, so
+building, scheduling and validating them creates no Python object per
+demand.  Iterating a table yields ``TransferDemand`` rows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,6 +26,7 @@ from .partition import TetraPartition, vector_layout
 
 __all__ = [
     "TransferDemand",
+    "Demands",
     "CommSchedule",
     "ScheduleReport",
     "AllToAllCost",
@@ -41,11 +45,86 @@ class TransferDemand(NamedTuple):
     blocks: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Demands:
+    """A table of transfer demands, one row per demand, sorted by (src, dst).
+
+    src and dst have shape (E,).  blocks has shape (E, w): row e lists the
+    row blocks src and dst share in ascending order, padded with 0 after
+    its shared count.  Block ids are 1-based, so 0 never names a block.
+    Iterating yields TransferDemand rows with plain-int tuples; equality
+    compares rows, whatever the padding width.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    blocks: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> Demands:
+        """The sorted table of (src, dst, blocks) rows, for demand lists built by hand.
+
+        Raises ValueError for a processor id below 1, for src == dst and for
+        blocks that are not strictly increasing ids >= 1, so the 0 padding
+        never stands for a block.
+        """
+        rows = [(int(s), int(t), tuple(int(i) for i in blocks)) for s, t, blocks in rows]
+        for s, t, blocks in rows:
+            if s < 1 or t < 1 or s == t:
+                raise ValueError(f"demand {s}->{t}: processors must be distinct ids >= 1")
+            if blocks and (blocks[0] < 1 or any(a >= b for a, b in zip(blocks, blocks[1:]))):
+                raise ValueError(f"demand {s}->{t}: blocks {blocks} must be strictly increasing ids >= 1")
+        table = np.zeros((len(rows), max((len(r[2]) for r in rows), default=0)), dtype=np.int64)
+        for e, (_, _, blocks) in enumerate(rows):
+            table[e, : len(blocks)] = blocks
+        src = np.array([r[0] for r in rows], dtype=np.int64)
+        dst = np.array([r[1] for r in rows], dtype=np.int64)
+        order = np.lexsort((dst, src))
+        return cls(src[order], dst[order], table[order])
+
+    @property
+    def shared(self) -> np.ndarray:
+        """The number of shared row blocks of every row."""
+        return np.count_nonzero(self.blocks, axis=1)
+
+    def take(self, rows) -> Demands:
+        return Demands(self.src[rows], self.dst[rows], self.blocks[rows])
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self):
+        for s, t, blocks, k in zip(self.src.tolist(), self.dst.tolist(), self.blocks.tolist(), self.shared.tolist()):
+            yield TransferDemand(s, t, tuple(blocks[:k]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Demands):
+            return NotImplemented
+        w = int(max(self.shared.max(initial=0), other.shared.max(initial=0)))
+        return (
+            np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.blocks[:, :w], other.blocks[:, :w])
+        )
+
+
+def _stack(tables: list[Demands]) -> Demands:
+    """One table of all rows of tables, in order, padded to a common width."""
+    width = max((t.blocks.shape[1] for t in tables), default=0)
+    blocks = np.zeros((sum(len(t) for t in tables), width), dtype=np.int64)
+    row = 0
+    for t in tables:
+        blocks[row : row + len(t), : t.blocks.shape[1]] = t.blocks
+        row += len(t)
+    none = [np.zeros(0, dtype=np.int64)]
+    return Demands(np.concatenate([t.src for t in tables] + none), np.concatenate([t.dst for t in tables] + none), blocks)
+
+
 @dataclass
 class CommSchedule:
-    """Ordered steps, each a set of demands with per-step unique senders/receivers."""
+    """Ordered steps, each a P-row demand table with unique senders and receivers."""
 
-    steps: list[list[TransferDemand]]
+    steps: list[Demands]
     meta: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
@@ -58,21 +137,34 @@ class CommSchedule:
         }
 
 
-def build_demands(part: TetraPartition) -> list[TransferDemand]:
-    """All ordered-pair demands; symmetric with identical block lists."""
-    sets = [set(r) for r in part.R]
-    demands = []
-    for src in range(1, part.P + 1):
-        for dst in range(1, part.P + 1):
-            if src == dst:
-                continue
-            shared = sorted(sets[src - 1] & sets[dst - 1])
-            if shared:
-                demands.append(TransferDemand(src, dst, tuple(shared)))
-    return demands
+def build_demands(part: TetraPartition) -> Demands:
+    """All ordered-pair demands; symmetric with identical block lists.
+
+    Two processors share row block i exactly when both are in Q_i, so the
+    ordered pairs of distinct processors in every Q_i, sorted by
+    (src, dst, i) as one integer key and grouped by (src, dst), are the
+    demands with their shared blocks in ascending order.
+    """
+    P, m = part.P, part.m
+    keys = []
+    for i, procs in enumerate(part.Q, start=1):
+        members = np.unique(np.asarray(procs, dtype=np.int64))
+        src, dst = np.repeat(members, len(members)), np.tile(members, len(members))
+        pair = src != dst
+        keys.append((src[pair] * (P + 1) + dst[pair]) * (m + 1) + i)
+    key = np.sort(np.concatenate(keys or [np.zeros(0, dtype=np.int64)]))
+    pair, block = np.divmod(key, m + 1)
+    new = np.diff(pair, prepend=-1) != 0
+    first = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    shared = np.diff(first, append=len(key))
+    blocks = np.zeros((len(first), int(shared.max(initial=0))), dtype=np.int64)
+    blocks[group, np.arange(len(key)) - first[group]] = block
+    src, dst = np.divmod(pair[first], P + 1)
+    return Demands(src, dst, blocks)
 
 
-def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
+def build_schedule(demands: Demands) -> CommSchedule:
     """Schedule the demands layer by layer (larger shared counts first).
 
     Layer k holds the demands of processor pairs that share k row blocks.
@@ -86,39 +178,38 @@ def build_schedule(demands: list[TransferDemand]) -> CommSchedule:
     colourable, so regular_decompose splits each layer into d perfect
     matchings, one step each: Euler splits halve even degrees, and one
     Hopcroft-Karp matching per subgraph lowers odd ones.  Graph vertices
-    are processor ids, so a step lists its demands by ascending sender.  A
-    demand list with an irregular layer, or with a layer that leaves out a
-    processor, raises regular_decompose's ValueError.
+    are processor ids, so a step lists its demands by ascending sender.
+
+    A stable sort by shared count keeps every layer sorted by (src, dst),
+    so sender s's d demands are row s of layer.reshape(P, d), and a step's
+    demands are found by binary search on the (src, dst) key.  A layer
+    that is not regular on every processor raises ValueError.
     """
-    src = np.array([d.src for d in demands], dtype=np.int64)
-    dst = np.array([d.dst for d in demands], dtype=np.int64)
-    shared = np.array([len(d.blocks) for d in demands], dtype=np.int64)
-    P = int(max(src.max(initial=0), dst.max(initial=0)))
-    # index[src, dst]: the demand of that pair in the current layer
-    index = np.zeros((P + 1, P + 1), dtype=np.int64)
+    P = int(max(demands.src.max(initial=0), demands.dst.max(initial=0)))
+    shared = demands.shared
+    order = np.argsort(-shared, kind="stable")
+    sizes, starts = np.unique(-shared[order], return_index=True)
     senders = np.arange(1, P + 1)
 
-    steps: list[list[TransferDemand]] = []
+    steps: list[Demands] = []
     layer_meta = []
-    for size in sorted(set(shared.tolist()), reverse=True):
-        layer = np.flatnonzero(shared == size)
-        index[src[layer], dst[layer]] = layer
-        adj: list[list[int]] = [[] for _ in range(P)]
-        for s, t in zip(src[layer].tolist(), dst[layer].tolist()):
-            adj[s - 1].append(t)
-
-        mats = regular_decompose(BipartiteGraph(P, P, adj), len(adj[0]))
+    blocks_per_step: list[int] = []
+    for size, layer in zip((-sizes).tolist(), np.split(order, starts[1:])):
+        src, dst = demands.src[layer], demands.dst[layer]
+        d = len(layer) // P
+        degrees = np.r_[0, np.full(P, d)]
+        if not all(np.array_equal(np.bincount(ends, minlength=P + 1), degrees) for ends in (src, dst)):
+            raise ValueError(f"layer of {size} shared blocks is not regular on processors 1..{P}")
+        key = src * (P + 1) + dst
+        mats = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d).tolist()), d)
         for mat in mats:
             # a perfect matching sorted by x pairs sender s with pairs[s - 1]
-            receivers = [y for _, y in mat.pairs]
-            steps.append([demands[i] for i in index[senders, receivers].tolist()])
+            receivers = np.array([y for _, y in mat.pairs], dtype=np.int64)
+            steps.append(demands.take(layer[np.searchsorted(key, senders * (P + 1) + receivers)]))
         layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(mats)})
+        blocks_per_step += [size] * len(mats)
 
-    meta = {
-        "steps": len(steps),
-        "layers": layer_meta,
-        "blocks_per_step": [len(step[0].blocks) for step in steps],
-    }
+    meta = {"steps": len(steps), "layers": layer_meta, "blocks_per_step": blocks_per_step}
     return CommSchedule(steps=steps, meta=meta)
 
 
@@ -127,44 +218,73 @@ class ScheduleReport(Report):
     send_volume: dict[int, int]
 
 
-def validate(sched: CommSchedule, demands: list[TransferDemand], chunk: int = 1) -> ScheduleReport:
+def _row_ids(table: Demands) -> tuple[np.ndarray, np.ndarray]:
+    """ids[e]: a number shared by exactly the rows equal to row e; first[u]: the first row with id u."""
+    rows = np.column_stack([table.src, table.dst, table.blocks])
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleReport:
     """Check one-send/one-receive per step, exact demand coverage and send volumes.
 
     The checks are one_message_per_step, demands_covered and send_volume.
     send_volume maps each processor to the words it sends across the
-    schedule (chunk words per shared block per demand).
+    schedule (chunk words per shared block per demand).  A clash names the
+    step and processor; a coverage problem names the demand, or the
+    scheduled transfer that matches no demand.
     """
-    clashes: list[str] = []
-    seen: Counter[TransferDemand] = Counter()
-    for step_no, step in enumerate(sched.steps, start=1):
-        for verb, ends in (("sends", [d.src for d in step]), ("receives", [d.dst for d in step])):
-            for p, c in Counter(ends).items():
-                if c > 1:
-                    clashes.append(f"step {step_no}: processor {p} {verb} {c} messages")
-        seen.update(step)
+    sent = _stack(sched.steps)
+    step_of = np.repeat(np.arange(len(sched.steps)), [len(step) for step in sched.steps])
+    P = int(max(a.max(initial=0) for a in (demands.src, demands.dst, sent.src, sent.dst)))
 
+    clashes: list[tuple] = []
+    for verb_no, (verb, ends) in enumerate((("sends", sent.src), ("receives", sent.dst))):
+        key = step_of * (P + 1) + ends
+        count = np.bincount(key)
+        if count.max(initial=0) > 1:
+            keys, first = np.unique(key, return_index=True)
+            for k, e in zip(keys.tolist(), first.tolist()):
+                if count[k] > 1:
+                    text = f"step {step_of[e] + 1}: processor {ends[e]} {verb} {count[k]} messages"
+                    clashes.append((step_of[e], verb_no, e, text))
+
+    # demands with one row per (src, dst) are covered when the scheduled rows, sorted, equal them
+    pair = demands.src * (P + 1) + demands.dst
+    by_pair = sent.take(np.argsort(sent.src * (P + 1) + sent.dst, kind="stable"))
     coverage: list[str] = []
-    want = Counter(demands)
-    for d, c in want.items():
-        got = seen.get(d, 0)
-        if got != c:
-            coverage.append(f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled {got} times, expected {c}")
-    for d in seen:
-        if d not in want:
-            coverage.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
+    if not (len(sent) == len(demands) and np.all(np.diff(pair) > 0) and by_pair == demands):
+        # rows of the demands, then of the schedule, numbered by value
+        both = _stack([demands, sent])
+        ids, first = _row_ids(both)
+        want = np.bincount(ids[: len(demands)], minlength=len(first))
+        got = np.bincount(ids[len(demands) :], minlength=len(first))
+        for u in sorted(np.flatnonzero(want != got).tolist(), key=lambda u: first[u]):
+            d = next(iter(both.take([first[u]])))
+            if want[u]:
+                coverage.append(f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled {got[u]} times, expected {want[u]}")
+            else:
+                coverage.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
 
-    volume, scheduled_volume = Counter(), Counter()
-    for counts, vol in ((want, volume), (seen, scheduled_volume)):
-        for d, c in counts.items():
-            vol[d.src] += c * len(d.blocks) * chunk
-    off = sorted(p for p in set(volume) | set(scheduled_volume) if volume.get(p) != scheduled_volume.get(p))
+    def words(table: Demands) -> tuple[np.ndarray, np.ndarray]:
+        volume = np.bincount(table.src, weights=table.shared, minlength=P + 1).astype(np.int64) * chunk
+        return np.bincount(table.src, minlength=P + 1) > 0, volume
+
+    (senders, volume), (scheduled_senders, scheduled_volume) = words(demands), words(sent)
+    off = np.flatnonzero((senders != scheduled_senders) | (volume != scheduled_volume)).tolist()
 
     checks = [
-        Check("one_message_per_step", not clashes, "; ".join(clashes)),
+        Check("one_message_per_step", not clashes, "; ".join(text for *_, text in sorted(clashes))),
         Check("demands_covered", not coverage, "; ".join(coverage)),
         Check("send_volume", not off, f"processors whose scheduled send volume differs from demands: {off[:5]}"),
     ]
-    return ScheduleReport(checks, send_volume=volume)
+    send_volume = {p: int(volume[p]) for p in np.flatnonzero(senders).tolist()}
+    return ScheduleReport(checks, send_volume=send_volume)
 
 
 class AllToAllCost(NamedTuple):

@@ -83,6 +83,14 @@ def test_graph_validation():
         BipartiteGraph(2, 2, [[1]])  # row count mismatch
 
 
+def test_graph_leaves_the_callers_rows_unchanged():
+    adj = [[2, 1], [1, 2]]
+    g = BipartiteGraph(2, 2, adj)
+    assert adj == [[2, 1], [1, 2]]
+    assert g.adj is not adj
+    assert g.adj == [[1, 2], [1, 2]]
+
+
 # ---------------------------------------------------------------------------
 # d disjoint X-covering matchings
 # ---------------------------------------------------------------------------

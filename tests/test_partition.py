@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 from math import comb
 
@@ -164,6 +165,51 @@ def test_validate_detects_corruption(part_q3):
     bad.N[1].append(moved)
     problems = validate_partition(bad)
     assert problems  # locality and/or balance violations reported
+
+
+def swap_first_noncentral(part):
+    part.N[0][0], part.N[1][0] = part.N[1][0], part.N[0][0]
+
+
+CORRUPTIONS = {
+    "duplicated": (
+        lambda part: part.N[1].append(part.N[0][0]),
+        [
+            "blocks assigned more than once: [BlockIndex(i=2, j=1, k=1)]",
+            "non-central loads are unbalanced: [3, 4]",
+            "expected 3 non-central blocks per processor, got [3, 4]",
+        ],
+    ),
+    "missing": (
+        lambda part: part.N[0].pop(),
+        [
+            "unassigned blocks: [BlockIndex(i=3, j=1, k=1)]",
+            "non-central loads are unbalanced: [2, 3]",
+            "expected 3 non-central blocks per processor, got [2, 3]",
+        ],
+    ),
+    "locality": (
+        swap_first_noncentral,
+        ["locality violated at processor 1: block (4, 1, 1) not within [1, 2, 3, 10]"],
+    ),
+    "outside": (
+        lambda part: part.D[0].append(BlockIndex(11, 1, 1)),
+        [
+            "blocks outside the lower tetrahedron: [BlockIndex(i=11, j=1, k=1)]",
+            "locality violated at processor 1: block (11, 1, 1) not within [1, 2, 3, 10]",
+            "processor 1 holds 2 central blocks",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_validate_problems_verbatim(part_q3, corruption):
+    # pinned to the strings the Counter-of-BlockIndex implementation gave
+    corrupt, expected = CORRUPTIONS[corruption]
+    bad = copy.deepcopy(part_q3)
+    corrupt(bad)
+    assert validate_partition(bad) == expected
 
 
 # ---------------------------------------------------------------------------

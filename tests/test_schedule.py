@@ -1,18 +1,22 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from tetracomm import steiner
+from tetracomm import schedule, steiner
 from tetracomm.cli import fixtures_dir
 from tetracomm.partition import build_partition
 from tetracomm.schedule import (
     CommSchedule,
+    Demands,
     TransferDemand,
     alltoall_cost,
     build_demands,
     build_schedule,
     validate,
 )
+
+from oracles import build_demands_by_intersection
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,48 @@ def test_shared_blocks_never_exceed_two(part10, part8):
         assert all(len(d.blocks) <= 2 for d in build_demands(part))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda q=q: steiner.construct_spherical(q) for q in (2, 3, 4, 5, 7)]
+    + [lambda name=name: steiner.load(fixtures_dir() / name) for name in ("steiner_8_4_3.txt", "steiner_10_4_3.txt")],
+    ids=["q2", "q3", "q4", "q5", "q7", "fixture8", "fixture10"],
+)
+def test_demands_equal_pairwise_intersection(make):
+    part = build_partition(make())
+    assert list(build_demands(part)) == build_demands_by_intersection(part)
+
+
+def test_demand_table_layout(part_q2):
+    demands = build_demands(part_q2)
+    key = demands.src * (part_q2.P + 1) + demands.dst
+    assert np.all(np.diff(key) > 0)
+    assert demands.blocks.shape == (90, 2)
+    # 1-based ids, each row ascending and padded with 0 after its shared count
+    for row, k in zip(demands.blocks.tolist(), demands.shared.tolist()):
+        assert row[k:] == [0] * (2 - k) and all(0 < a < b for a, b in zip(row[:k], row[1:k]))
+    first = next(iter(demands))
+    assert type(first) is TransferDemand and all(type(v) is int for v in (first.src, first.dst, *first.blocks))
+
+
+def test_from_rows_sorts_and_round_trips():
+    rows = [TransferDemand(3, 1, (2,)), TransferDemand(1, 3, (2, 5)), TransferDemand(1, 2, (4,))]
+    table = Demands.from_rows(rows)
+    assert list(table) == sorted(rows)
+    assert table.blocks.tolist() == [[4, 0], [2, 5], [2, 0]]
+    assert table == Demands.from_rows(sorted(rows))
+    assert table != Demands.from_rows(rows[:2])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(1, 2, (0,)), (1, 2, (-1, 3)), (1, 2, (3, 2)), (1, 2, (2, 2)), (2, 2, (1,)), (0, 1, (1,))],
+    ids=["block-0", "negative-block", "descending", "repeated", "self", "processor-0"],
+)
+def test_from_rows_rejects_rows_that_could_collide_with_padding(row):
+    with pytest.raises(ValueError):
+        Demands.from_rows([(1, 3, (1,)), row])
+
+
 # ---------------------------------------------------------------------------
 # schedule construction
 # ---------------------------------------------------------------------------
@@ -112,23 +158,51 @@ def test_schedule_deterministic(part_q2):
     assert a.steps == b.steps
 
 
-def test_irregular_demands_raise():
+def test_steps_are_p_row_tables_sorted_by_sender(part10):
+    sched = build_schedule(build_demands(part10))
+    assert all(isinstance(step, Demands) and step.src.tolist() == list(range(1, 31)) for step in sched.steps)
+
+
+@pytest.fixture
+def no_decompose(monkeypatch):
+    """build_schedule must reject an irregular layer itself, before decomposing or reshaping it."""
+
+    def unreachable(graph, d):
+        raise AssertionError("regular_decompose reached")
+
+    monkeypatch.setattr(schedule, "regular_decompose", unreachable)
+
+
+def test_irregular_demands_raise(no_decompose):
     # hand-built demands with unequal degrees: 1->2, 1->3, 2->1, 3->1
-    demands = [
-        TransferDemand(1, 2, (1,)),
-        TransferDemand(1, 3, (1,)),
-        TransferDemand(2, 1, (1,)),
-        TransferDemand(3, 1, (1,)),
-    ]
-    with pytest.raises(ValueError, match="regular"):
+    # (four rows over three processors: reshaping the layer to (3, 1) would fail first)
+    demands = Demands.from_rows(
+        [
+            TransferDemand(1, 2, (1,)),
+            TransferDemand(1, 3, (1,)),
+            TransferDemand(2, 1, (1,)),
+            TransferDemand(3, 1, (1,)),
+        ]
+    )
+    with pytest.raises(ValueError, match="layer of 1 shared blocks is not regular on processors 1..3"):
         build_schedule(demands)
 
 
-def test_layer_that_leaves_out_a_processor_raises():
+def test_layer_that_leaves_out_a_processor_raises(no_decompose):
     # processors 2 and 3 exchange one block; processor 1 takes no part
-    demands = [TransferDemand(2, 3, (1,)), TransferDemand(3, 2, (1,))]
-    with pytest.raises(ValueError, match="regular"):
+    demands = Demands.from_rows([TransferDemand(2, 3, (1,)), TransferDemand(3, 2, (1,))])
+    with pytest.raises(ValueError, match="layer of 1 shared blocks is not regular on processors 1..3"):
         build_schedule(demands)
+
+
+def test_passing_path_builds_no_transfer_demand(monkeypatch):
+    demands = build_demands(build_partition(steiner.construct_spherical(3)))
+
+    def unexpected(*args):
+        raise AssertionError("TransferDemand built")
+
+    monkeypatch.setattr(schedule, "TransferDemand", unexpected)
+    assert validate(build_schedule(demands), demands).passed
 
 
 def test_q2_step_list_pinned(part_q2):
@@ -161,9 +235,9 @@ def test_q2_step_list_pinned(part_q2):
 def test_validate_catches_duplicate_receiver(part_q2):
     demands = build_demands(part_q2)
     sched = build_schedule(demands)
-    d0 = sched.steps[0][0]
+    d0 = next(iter(sched.steps[0]))
     clash = next(d for d in demands if d.dst == d0.dst and d != d0)
-    bad = CommSchedule(steps=[list(sched.steps[0]) + [clash]] + sched.steps[1:], meta={})
+    bad = CommSchedule(steps=[Demands.from_rows([*sched.steps[0], clash])] + sched.steps[1:], meta={})
     report = validate(bad, demands)
     assert not report.passed
     assert any("receives" in p for p in report.problems)
@@ -174,6 +248,66 @@ def test_validate_catches_missing_coverage(part_q2):
     report = validate(CommSchedule(steps=[], meta={}), demands)
     assert not report.passed
     assert any("scheduled 0 times" in p for p in report.problems)
+
+
+# validate's problems for broken q=2 schedules at chunk=2, pinned to the
+# strings the per-demand Counter implementation gave
+LAST_STEP = [
+    ("1->9", "(2,)"),
+    ("2->10", "(4,)"),
+    ("3->4", "(1,)"),
+    ("4->3", "(1,)"),
+    ("5->7", "(3,)"),
+    ("6->8", "(5,)"),
+    ("7->5", "(3,)"),
+    ("8->6", "(5,)"),
+    ("9->1", "(2,)"),
+    ("10->2", "(4,)"),
+]
+VOLUME_OFF = "send_volume: processors whose scheduled send volume differs from demands: "
+
+
+def last_step_problems(times):
+    pairs = "; ".join(f"demand {pair} blocks {blocks} scheduled {times} times, expected 1" for pair, blocks in LAST_STEP)
+    return ["demands_covered: " + pairs, VOLUME_OFF + "[1, 2, 3, 4, 5]"]
+
+
+def broken_schedules(steps, demands):
+    d0 = steps[0][0]
+    clash = next(d for d in demands if d.dst == d0.dst and d != d0)
+    last = steps[-1]
+    return {
+        "dropped": steps[:-1],
+        "duplicated": steps + [last],
+        "clash": [steps[0] + [clash]] + steps[1:],
+        "altered": steps[:-1] + [[TransferDemand(last[0].src, last[0].dst, (5,))] + last[1:]],
+        "extra": steps + [[TransferDemand(1, 11, (1,))]],
+    }
+
+
+EXPECTED_PROBLEMS = {
+    "dropped": last_step_problems(0),
+    "duplicated": last_step_problems(2),
+    "clash": [
+        "one_message_per_step: step 1: processor 2 sends 2 messages; step 1: processor 3 receives 2 messages",
+        "demands_covered: demand 2->3 blocks (1, 2) scheduled 2 times, expected 1",
+        VOLUME_OFF + "[2]",
+    ],
+    "altered": [
+        "demands_covered: demand 1->9 blocks (2,) scheduled 0 times, expected 1; "
+        "scheduled transfer 1->9 has no matching demand"
+    ],
+    "extra": ["demands_covered: scheduled transfer 1->11 has no matching demand", VOLUME_OFF + "[1]"],
+}
+
+
+@pytest.mark.parametrize("broken", sorted(EXPECTED_PROBLEMS))
+def test_validate_problems_verbatim(part_q2, broken):
+    demands = build_demands(part_q2)
+    steps = [list(step) for step in build_schedule(demands).steps]
+    bad = broken_schedules(steps, demands)[broken]
+    report = validate(CommSchedule([Demands.from_rows(step) for step in bad]), demands, 2)
+    assert report.problems == EXPECTED_PROBLEMS[broken]
 
 
 def test_validate_send_volumes(part_q2):
