@@ -30,7 +30,6 @@ from .tensor_core import (
     hopm,
     random_symmetric,
     random_vector,
-    sttsv_naive,
     sttsv_symmetric,
     ternary_count,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "pad_dimension",
     "storage_count",
     "PackedSymTensor",
-    "sttsv_naive",
     "sttsv_symmetric",
     "ternary_count",
     "hopm",

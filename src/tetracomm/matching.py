@@ -39,8 +39,10 @@ class BipartiteGraph:
     """Bipartite graph with sides X (size nx) and Y (size ny).
 
     adj[x-1] lists the Y-neighbors of x, sorted ascending, no duplicates.
-    The graph keeps sorted copies of the rows it is given, so the caller's
-    lists are left unchanged.
+    The rows may be given as lists or as one 2-D integer array (every x of
+    one degree); the graph keeps sorted list copies of them, so the
+    caller's rows are left unchanged.  A neighbour outside 1..ny or a
+    repeated one raises ValueError naming the first such row.
     """
 
     nx: int
@@ -50,12 +52,24 @@ class BipartiteGraph:
     def __post_init__(self):
         if len(self.adj) != self.nx:
             raise ValueError(f"adjacency has {len(self.adj)} rows, expected nx={self.nx}")
-        self.adj = [sorted(row) for row in self.adj]
-        for x, row in enumerate(self.adj, start=1):
-            if row and not 1 <= row[0] <= row[-1] <= self.ny:
-                raise ValueError(f"neighbor of x={x} out of range 1..{self.ny}")
-            if len(set(row)) != len(row):
-                raise ValueError(f"duplicate edge at x={x}")
+        clean = False
+        if isinstance(self.adj, np.ndarray):
+            if self.adj.ndim != 2:
+                raise ValueError(f"adjacency array must be 2-D, got {self.adj.ndim}-D")
+            # all rows in one numpy pass; equal neighbours sort next to each other
+            rows = np.sort(self.adj, axis=1)
+            clean = not (np.any((rows < 1) | (rows > self.ny)) or np.any(rows[:, 1:] == rows[:, :-1]))
+            self.adj = rows.tolist()
+        else:
+            self.adj = [sorted(row) for row in self.adj]
+        # Python lists are checked as they are, which costs less than converting them;
+        # an array that failed its check is walked too, to name the first bad row
+        if not clean:
+            for x, row in enumerate(self.adj, start=1):
+                if row and not 1 <= row[0] <= row[-1] <= self.ny:
+                    raise ValueError(f"neighbor of x={x} out of range 1..{self.ny}")
+                if len(set(row)) != len(row):
+                    raise ValueError(f"duplicate edge at x={x}")
 
 
 @dataclass
@@ -239,7 +253,7 @@ def regular_decompose(graph: BipartiteGraph, d: int) -> list[Matching]:
             live = np.ones(len(y), dtype=bool)
             for edges in by_x.reshape(groups, n, d):
                 rows = y[edges]
-                m = max_matching(BipartiteGraph(n, n, rows.tolist()))
+                m = max_matching(BipartiteGraph(n, n, rows))
                 if m.size != n:
                     raise RuntimeError("perfect matching extraction failed on a regular bipartite graph")
                 # x's matched edge is where its row holds its partner

@@ -90,6 +90,18 @@ class Demands:
     def take(self, rows) -> Demands:
         return Demands(self.src[rows], self.dst[rows], self.blocks[rows])
 
+    @classmethod
+    def stack(cls, tables: list[Demands]) -> Demands:
+        """One table of all rows of tables, in order, padded to a common width."""
+        width = max((t.blocks.shape[1] for t in tables), default=0)
+        blocks = np.zeros((sum(len(t) for t in tables), width), dtype=np.int64)
+        row = 0
+        for t in tables:
+            blocks[row : row + len(t), : t.blocks.shape[1]] = t.blocks
+            row += len(t)
+        none = [np.zeros(0, dtype=np.int64)]
+        return cls(np.concatenate([t.src for t in tables] + none), np.concatenate([t.dst for t in tables] + none), blocks)
+
     def __len__(self) -> int:
         return len(self.src)
 
@@ -106,18 +118,6 @@ class Demands:
             and np.array_equal(self.dst, other.dst)
             and np.array_equal(self.blocks[:, :w], other.blocks[:, :w])
         )
-
-
-def _stack(tables: list[Demands]) -> Demands:
-    """One table of all rows of tables, in order, padded to a common width."""
-    width = max((t.blocks.shape[1] for t in tables), default=0)
-    blocks = np.zeros((sum(len(t) for t in tables), width), dtype=np.int64)
-    row = 0
-    for t in tables:
-        blocks[row : row + len(t), : t.blocks.shape[1]] = t.blocks
-        row += len(t)
-    none = [np.zeros(0, dtype=np.int64)]
-    return Demands(np.concatenate([t.src for t in tables] + none), np.concatenate([t.dst for t in tables] + none), blocks)
 
 
 @dataclass
@@ -201,7 +201,7 @@ def build_schedule(demands: Demands) -> CommSchedule:
         if not all(np.array_equal(np.bincount(ends, minlength=P + 1), degrees) for ends in (src, dst)):
             raise ValueError(f"layer of {size} shared blocks is not regular on processors 1..{P}")
         key = src * (P + 1) + dst
-        mats = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d).tolist()), d)
+        mats = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)), d)
         for mat in mats:
             # a perfect matching sorted by x pairs sender s with pairs[s - 1]
             receivers = np.array([y for _, y in mat.pairs], dtype=np.int64)
@@ -239,7 +239,7 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
     step and processor; a coverage problem names the demand, or the
     scheduled transfer that matches no demand.
     """
-    sent = _stack(sched.steps)
+    sent = Demands.stack(sched.steps)
     step_of = np.repeat(np.arange(len(sched.steps)), [len(step) for step in sched.steps])
     P = int(max(a.max(initial=0) for a in (demands.src, demands.dst, sent.src, sent.dst)))
 
@@ -260,7 +260,7 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
     coverage: list[str] = []
     if not (len(sent) == len(demands) and np.all(np.diff(pair) > 0) and by_pair == demands):
         # rows of the demands, then of the schedule, numbered by value
-        both = _stack([demands, sent])
+        both = Demands.stack([demands, sent])
         ids, first = _row_ids(both)
         want = np.bincount(ids[: len(demands)], minlength=len(first))
         got = np.bincount(ids[len(demands) :], minlength=len(first))

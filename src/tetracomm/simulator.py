@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import lower_bound
 from .checks import Check, Report
 from .partition import TetraPartition, VectorLayout, storage_count, tb3, validate_partition
-from .schedule import alltoall_cost, build_demands, build_schedule, validate
+from .schedule import Demands, alltoall_cost, build_demands, build_schedule, validate
 from .tensor_core import BlockStore, PackedSymTensor, sttsv_symmetric, ternary_count
 
 __all__ = [
@@ -134,17 +134,22 @@ def simulate(
         raise ValueError(f"x must have shape ({n},), got {x_global.shape}")
 
     b, chunk, P = layout.b, layout.chunk, part.P
-    counters = [ProcCounters(p) for p in range(1, P + 1)]
+    if set(layout.ranges) != {(i, p) for i, procs in enumerate(part.Q, start=1) for p in procs}:
+        raise ValueError("layout chunks do not match the partition's holders of each row block")
     spans = {i: ((i - 1) * b, i * b) for i in range(1, part.m + 1)}
-    chunks = {key: slice(lo, hi) for key, (lo, hi) in layout.ranges.items()}
+    # start[i, p]: the first row of processor p's chunk of row block i; a chunk's rows are start + width
+    start = np.zeros((part.m + 1, P + 1), dtype=np.int64)
+    owned = tuple(np.array(list(layout.ranges), dtype=np.int64).reshape(-1, 2).T)
+    start[owned] = [lo for lo, _ in layout.ranges.values()]
+    width = np.arange(chunk)
 
     # row p-1 is processor p's copy of x: it starts with only its own chunks,
     # and `have` marks what it holds, so no value of x can pass for "not yet received"
     xs = np.zeros((P, n))
     have = np.zeros((P, n), dtype=bool)
-    for (_, p), s in chunks.items():
-        xs[p - 1, s] = x_global[s]
-        have[p - 1, s] = True
+    own_rows, own_cols = owned[1][:, None] - 1, start[owned][:, None] + width
+    xs[own_rows, own_cols] = x_global[own_cols]
+    have[own_rows, own_cols] = True
 
     demands = build_demands(part)
     if mode == "p2p":
@@ -152,52 +157,57 @@ def simulate(
         sched_report = validate(sched, demands, chunk)
         schedule_valid = Check("schedule_valid", sched_report.passed, "; ".join(sched_report.problems))
         steps_per_vector = len(sched.steps)
-        messages = [(d.src, d.dst, d.blocks, len(d.blocks) * chunk) for step in sched.steps for d in step]
+        carried = Demands.stack(sched.steps)
+        src, dst, words = carried.src, carried.dst, carried.shared * chunk
     else:
         schedule_valid = Check("schedule_valid", True)
         steps_per_vector = P - 1
-        shared = {(d.src, d.dst): d.blocks for d in demands}
-        messages = [
-            (src, dst, shared.get((src, dst), ()), 2 * chunk)
-            for src in range(1, P + 1)
-            for dst in range(1, P + 1)
-            if src != dst
-        ]
+        # every ordered pair exchanges a fixed two-chunk slot; the shared row blocks ride in it
+        carried = demands
+        src, dst = np.nonzero(~np.eye(P, dtype=bool))
+        src, dst, words = src + 1, dst + 1, np.full(len(src), 2 * chunk)
+    # both phases send the same messages, so they send and receive the same words
+    sent = np.bincount(src, weights=words, minlength=P + 1)[1:].astype(np.int64).tolist()
+    received = np.bincount(dst, weights=words, minlength=P + 1)[1:].astype(np.int64).tolist()
+    # one entry per shared row block of a message: the block, its sender and its receiver
+    msg, slot = np.nonzero(carried.blocks)
+    blk, snd, rcv = carried.blocks[msg, slot], carried.src[msg], carried.dst[msg]
 
-    # x phase: the sender forwards its own chunk of every shared row block
-    for src, dst, blocks, words in messages:
-        for i in blocks:
-            s = chunks[i, src]
-            xs[dst - 1, s] = xs[src - 1, s]
-            have[dst - 1, s] = have[src - 1, s]
-        counters[src - 1].sent_x += words
-        counters[dst - 1].received_x += words
-    gather_complete = all(have[p - 1, slice(*spans[i])].all() for p in range(1, P + 1) for i in part.R[p - 1])
+    # x phase: the sender forwards its own chunk of every shared row block.  A
+    # message never writes over a processor's own chunk, so every sender still
+    # holds its chunks as given and the messages may land in any order
+    rows, cols = rcv[:, None] - 1, start[blk, snd][:, None] + width
+    xs[rows, cols] = x_global[cols]
+    have[rows, cols] = True
+    need = np.zeros((P, part.m), dtype=bool)
+    for p, row_blocks in enumerate(part.R):
+        need[p, np.asarray(row_blocks, dtype=np.int64) - 1] = True
+    gather_complete = bool(have.reshape(P, part.m, b).all(axis=2)[need].all())
 
     # local compute: each processor lays out only the blocks it owns
     ys = np.zeros((P, n))
+    counted = []
     for p in range(1, P + 1):
         blocks = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
         store = BlockStore(tensor, spans, blocks)
         store.run(xs[p - 1], ys[p - 1])
-        counters[p - 1].ternary_mults = store.ternary_mults
-        counters[p - 1].tensor_elems = store.tensor_elems
+        counted.append((store.ternary_mults, store.tensor_elems))
+    counters = [
+        ProcCounters(p, s, s, r, r, ternary, elems)
+        for p, s, r, (ternary, elems) in zip(range(1, P + 1), sent, received, counted)
+    ]
 
     # y phase: partial sums travel to the receiver's chunk; a repeated message
-    # delivers the same partial again, so each sender is reduced once
-    received = set()
-    for src, dst, blocks, words in messages:
-        received.update((i, dst, src) for i in blocks)
-        counters[src - 1].sent_y += words
-        counters[dst - 1].received_y += words
-
-    # the owner's own partial first, then each sender in ascending order
+    # delivers the same partial again, so each sender is reduced once.  The
+    # owner's own partial comes first, then each sender in ascending order:
+    # add.at adds in index order, and the keys sort by (block, receiver, sender)
     y_global = np.zeros(n)
-    for (_, p), s in chunks.items():
-        y_global[s] += ys[p - 1, s]
-    for i, dst, src in sorted(received):
-        s = chunks[i, dst]
-        y_global[s] += ys[src - 1, s]
+    y_global[own_cols] += ys[own_rows, own_cols]
+    key = np.unique((blk * (P + 1) + rcv) * (P + 1) + snd)
+    pair, snd = np.divmod(key, P + 1)
+    blk, rcv = np.divmod(pair, P + 1)
+    cols = start[blk, rcv][:, None] + width
+    np.add.at(y_global, cols, ys[snd[:, None] - 1, cols])
 
     checks = [
         schedule_valid,

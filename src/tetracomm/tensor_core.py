@@ -5,19 +5,17 @@ A symmetric n x n x n tensor is stored as its lower tetrahedron (i >= j >= k,
 
 Contraction runs over a block store: a chosen set of blocks (i, j, k),
 i >= j >= k, of row ranges, each copied once out of packed storage into a
-contiguous dense array and contracted with BLAS by ``contract``.  A
-processor of the parallel algorithm stores its own blocks; the sequential
-``sttsv_symmetric`` is the one-processor case over a fixed tiling of the
-rows.  A store counts the packed elements and ternary multiplications
-(products a*x*x of the four-case symmetric update) of the blocks it
-gathered.  ``hopm`` and ``cp_gradient`` build one store per call and reuse
-it for every contraction.
-
-The per-element kernels ``sttsv_naive*`` and ``sttsv_symmetric_counted``
-touch all n^3 and the n(n+1)(n+2)/6 packed elements respectively and count
-every ternary multiplication; they are the references the block kernel is
-tested against.  Kernels sum in different orders, so comparisons between
-them use relative tolerances.
+contiguous dense array and contracted with BLAS by ``contract``.  For fixed
+rows (gi, gj) the entries (gi, gj, klo..khi) are one contiguous run of the
+packed data, so a block is gathered as b_i*b_j runs through a window view of
+the data; the entries of a diagonal block that lie past its diagonal are
+then mirrored from the gathered ones.  A processor of the parallel algorithm
+stores its own blocks; the sequential ``sttsv_symmetric`` is the
+one-processor case over a fixed tiling of the rows.  A store counts the
+packed elements and ternary multiplications (products a*x*x of the four-case
+symmetric update) of the blocks it gathered.  ``hopm`` and ``cp_gradient``
+build one store per call and reuse it for every contraction.  Kernels sum in
+different orders, so comparisons between them use relative tolerances.
 """
 
 from __future__ import annotations
@@ -39,10 +37,7 @@ __all__ = [
     "ternary_count",
     "contract",
     "tiled_store",
-    "sttsv_naive",
-    "sttsv_naive_counted",
     "sttsv_symmetric",
-    "sttsv_symmetric_counted",
     "hopm",
     "cp_gradient",
     "random_symmetric",
@@ -57,6 +52,8 @@ __all__ = [
 # m tiles the dense diagonal tiles hold 1 + 3/m + 2/m^2 times the packed
 # size, while smaller tiles pay more per-block call overhead.
 TILE = 32
+# Runs a block store gathers at a time: 4 MB of blocks of TILE rows.
+GATHER_RUNS = 1 << 14
 TENSOR_MAGIC = b"PST3"
 VECTOR_MAGIC = b"VEC1"
 
@@ -85,15 +82,6 @@ def packed_index(i: int, j: int, k: int) -> int:
     if not i >= j >= k >= 1:
         raise ValueError(f"indices must satisfy i >= j >= k >= 1, got {(i, j, k)}")
     return (i - 1) * i * (i + 1) // 6 + (j - 1) * j // 2 + (k - 1)
-
-
-def _tet_offsets(n: int) -> list[int]:
-    # offsets[i] = (i-1)i(i+1)/6 for 1-based i; index 0 unused
-    return [0] + [(i - 1) * i * (i + 1) // 6 for i in range(1, n + 1)]
-
-
-def _tri_offsets(n: int) -> list[int]:
-    return [0] + [(j - 1) * j // 2 for j in range(1, n + 1)]
 
 
 class PackedSymTensor:
@@ -128,15 +116,8 @@ class PackedSymTensor:
         self.set(*ijk, value)
 
     def to_dense(self) -> np.ndarray:
-        """Expand to a dense symmetric array (small n only)."""
-        n = self.n
-        dense = np.empty((n, n, n))
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                for k in range(1, j + 1):
-                    v = self.get(i, j, k)
-                    for a, b, c in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-                        dense[a - 1, b - 1, c - 1] = v
+        """Expand to a dense symmetric array: the one central block of a one-span store."""
+        ((_, dense, _),) = BlockStore(self, {0: (0, self.n)}, [(0, 0, 0)]).blocks
         return dense
 
 
@@ -145,72 +126,6 @@ def _as_vector(x, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"vector must have shape ({n},), got {arr.shape}")
     return arr
-
-
-def _as_list(x, n: int) -> list[float]:
-    return _as_vector(x, n).tolist()
-
-
-def sttsv_naive_counted(tensor: PackedSymTensor, x) -> tuple[np.ndarray, int]:
-    """All n^3 ternary multiplications, loops ascending in i, j, k."""
-    n = tensor.n
-    xs = _as_list(x, n)
-    data = tensor.data.tolist()
-    tet = _tet_offsets(n)
-    tri = _tri_offsets(n)
-    ys = [0.0] * n
-    count = 0
-    for i in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, n + 1):
-            xj = xs[j - 1]
-            for k in range(1, n + 1):
-                a, b, c = sorted((i, j, k), reverse=True)
-                acc += data[tet[a] + tri[b] + c - 1] * xj * xs[k - 1]
-                count += 1
-        ys[i - 1] = acc
-    return np.array(ys), count
-
-
-def sttsv_naive(tensor: PackedSymTensor, x) -> np.ndarray:
-    return sttsv_naive_counted(tensor, x)[0]
-
-
-def sttsv_symmetric_counted(tensor: PackedSymTensor, x) -> tuple[np.ndarray, int]:
-    """One pass over the lower tetrahedron with the four-case update."""
-    n = tensor.n
-    xs = _as_list(x, n)
-    data = tensor.data.tolist()
-    tet = _tet_offsets(n)
-    tri = _tri_offsets(n)
-    ys = [0.0] * n
-    count = 0
-    for i in range(1, n + 1):
-        xi = xs[i - 1]
-        base_i = tet[i]
-        for j in range(1, i + 1):
-            xj = xs[j - 1]
-            row = base_i + tri[j] - 1
-            for k in range(1, j + 1):
-                a = data[row + k]
-                xk = xs[k - 1]
-                if i != j and j != k:
-                    ys[i - 1] += 2 * a * xj * xk
-                    ys[j - 1] += 2 * a * xi * xk
-                    ys[k - 1] += 2 * a * xi * xj
-                    count += 3
-                elif i == j and j != k:
-                    ys[i - 1] += 2 * a * xj * xk
-                    ys[k - 1] += a * xi * xj
-                    count += 2
-                elif i != j and j == k:
-                    ys[i - 1] += a * xj * xk
-                    ys[j - 1] += 2 * a * xi * xk
-                    count += 2
-                else:
-                    ys[i - 1] += a * xj * xk
-                    count += 1
-    return np.array(ys), count
 
 
 # ---------------------------------------------------------------------------
@@ -249,45 +164,129 @@ def contract(kind: str, D: np.ndarray, xs, ys) -> None:
         raise ValueError(f"unknown block kind {kind!r}")
 
 
+def _check_spans(spans: dict, n: int) -> None:
+    """Raise ValueError unless every span is a non-empty range in 0..n and spans order like their ids."""
+    last = None
+    for i in sorted(spans):
+        lo, hi = spans[i]
+        if not 0 <= lo < hi <= n:
+            raise ValueError(f"span of row block {i} is ({lo}, {hi}), not a non-empty range in 0..{n}")
+        if last is not None and lo < spans[last][1]:
+            raise ValueError(f"span of row block {i} starts before the span of row block {last} ends")
+        last = i
+
+
+def _canonical_counts(ij: bool, jk: bool, shape, lower: dict) -> tuple[int, int]:
+    """(entries, ties) of a diagonal block of the given shape.
+
+    Its entries are the positions gi >= gj where i = j and gj >= gk where
+    j = k, from the same lower-triangle masks the fill mirrors by; ties
+    counts the entries with gi = gj where i = j plus those with gj = gk
+    where j = k.
+    """
+    canonical = np.ones(shape, dtype=bool)
+    equal = []
+    if jk:
+        canonical &= lower[shape[2]][None]
+        equal.append(np.eye(shape[2], dtype=bool)[None])
+    if ij:
+        canonical &= lower[shape[0]][:, :, None]
+        equal.append(np.eye(shape[0], dtype=bool)[:, :, None])
+    return int(np.count_nonzero(canonical)), sum(int(np.count_nonzero(canonical & eq)) for eq in equal)
+
+
 class BlockStore:
     """Chosen blocks of a packed tensor, each laid out once as a dense array.
 
-    ``spans`` maps a row-block id to its 0-based half-open row range; ids
-    must order like their ranges.  ``blocks`` are id triples (i, j, k) with
-    i >= j >= k.  The store copies its blocks, so later changes to the
-    tensor do not reach it.  ``tensor_elems`` counts the distinct packed
-    entries gathered and ``ternary_mults`` the products a*x*x the four-case
-    update performs on them: 3 per entry, less one for each of i = j and
-    j = k.
+    ``spans`` maps a row-block id to its 0-based half-open row range; spans
+    must be non-empty ranges in 0..n, and ids must order like their ranges.
+    ``blocks`` are id triples (i, j, k) with i >= j >= k.  A bad span or
+    block raises ValueError.  The store copies its blocks, so later changes
+    to the tensor do not reach it.  ``tensor_elems`` counts the distinct
+    packed entries gathered and ``ternary_mults`` the products a*x*x the
+    four-case update performs on them: 3 per entry, less one for each of
+    i = j and j = k.
+
+    Block (i, j, k) is gathered as runs: the entries (gi, gj, klo..khi) lie
+    at packed offsets tet[gi] + tri[gj] + klo onwards, so a block is the
+    b_i*b_j rows of a window view of the data at those run starts, and the
+    blocks of one k-width are copied by one fancy index per batch of about
+    GATHER_RUNS runs.  Where i = j the starts take max and min of (gi, gj).
+    Where j = k a run also reads past the diagonal, gk > gj; those entries,
+    and in a central block the ones with gk > min(gi, gj), are mirrored by
+    ``np.where`` over the block's transposes.  The positions that hold an
+    entry as it is packed, gi >= gj >= gk on the axes that share a row
+    block, form the canonical mask the counters are counted from.  Every
+    block is C-contiguous.
     """
 
     __slots__ = ("n", "spans", "blocks", "tensor_elems", "ternary_mults")
 
     def __init__(self, tensor: PackedSymTensor, spans, blocks):
-        self.n = tensor.n
+        self.n = n = tensor.n
         self.spans = dict(spans)
-        r = np.arange(tensor.n, dtype=np.int64)
-        tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
-        self.blocks: list[tuple[str, np.ndarray, tuple]] = []
-        self.tensor_elems = self.ternary_mults = 0
+        _check_spans(self.spans, n)
+        blocks = list(blocks)
         for blk in blocks:
             i, j, k = blk
-            gi, gj, gk = rows = np.ix_(*(np.arange(*self.spans[t]) for t in blk))
-            # sort each position's rows descending, comparing only axes that share a row block
+            if not i >= j >= k:
+                raise ValueError(f"block {blk} is not ordered i >= j >= k")
+            if not {i, j, k} <= self.spans.keys():
+                raise ValueError(f"block {blk} names a row block with no span")
+
+        r = np.arange(n, dtype=np.int64)
+        tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
+        rows = {i: np.arange(*self.spans[i]) for i in {i for blk in blocks for i in blk}}
+        shapes = [(len(rows[i]), len(rows[j]), len(rows[k])) for i, j, k in blocks]
+
+        def starts(i, j, k) -> np.ndarray:
+            gi, gj = rows[i][:, None], rows[j][None, :]
             if i == j:
                 gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
-            if j == k:
-                gj, gk = np.maximum(gj, gk), np.minimum(gj, gk)
-                if i == j:
-                    gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
-            D = tensor.data[tet[gi] + tri[gj] + gk]
+            return (tet[gi] + tri[gj] + self.spans[k][0]).ravel()
+
+        data = tensor.data
+        step = data.strides[0]
+        by_width: dict[int, list[int]] = {}
+        for b, shape in enumerate(shapes):
+            by_width.setdefault(shape[2], []).append(b)
+        gathered = [None] * len(blocks)
+        for w, members in by_width.items():
+            # row s is the run of w entries from packed offset s, so every row lies
+            # inside the data, and a start past the last row raises IndexError
+            window = np.lib.stride_tricks.as_strided(data, (data.size - w + 1, w), (step, step), writeable=False)
+            # as one w-wide item per row, the gather copies each run in one piece
+            items = window.view(np.dtype((np.void, w * step)))[:, 0] if step == data.itemsize else None
+            # batches of about GATHER_RUNS runs keep the run starts small, and their blocks
+            # reuse memory the allocator holds, as separately allocated blocks would
+            ends = np.cumsum([shapes[b][0] * shapes[b][1] for b in members]) // GATHER_RUNS
+            for batch in np.split(np.array(members), np.flatnonzero(np.diff(ends)) + 1):
+                at = np.concatenate([starts(*blocks[b]) for b in batch])
+                runs = window[at] if items is None else items[at].view(np.float64).reshape(-1, w)
+                row = 0
+                for b in batch:
+                    bi, bj, _ = shapes[b]
+                    gathered[b] = runs[row : row + bi * bj].reshape(shapes[b])
+                    row += bi * bj
+
+        self.blocks: list[tuple[str, np.ndarray, tuple]] = []
+        self.tensor_elems = self.ternary_mults = 0
+        lower = {}  # width -> mask of a >= b
+        counts = {}  # (i == j, j == k, shape) of a diagonal block -> (entries, ties)
+        for (i, j, k), D in zip(blocks, gathered):
             if i > j > k:
                 kind, ids, elems, ties = "off", (i, j, k), D.size, 0
             else:
-                ri, rj, rk = rows
-                canonical = (ri >= rj) & (rj >= rk)  # the positions packed storage holds
-                elems = int(np.count_nonzero(canonical))
-                ties = int(np.count_nonzero(canonical & (ri == rj))) + int(np.count_nonzero(canonical & (rj == rk)))
+                for w in {D.shape[0], D.shape[2]} - lower.keys():
+                    lower[w] = np.tri(w, dtype=bool)
+                if j == k:
+                    D[...] = np.where(lower[D.shape[2]][None], D, D.transpose(0, 2, 1))
+                if i == j == k:
+                    D[...] = np.where(lower[D.shape[0]][:, :, None], D, D.transpose(1, 0, 2))
+                key = (i == j, j == k, D.shape)
+                if key not in counts:
+                    counts[key] = _canonical_counts(*key, lower)
+                elems, ties = counts[key]
                 kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
             self.blocks.append((kind, D, ids))
             self.tensor_elems += elems

@@ -1,6 +1,12 @@
 """Reference implementations that the library's fast paths are checked against."""
 
-from tetracomm.schedule import TransferDemand
+import numpy as np
+
+from tetracomm.checks import Check
+from tetracomm.partition import tb3
+from tetracomm.schedule import TransferDemand, build_demands, build_schedule, validate
+from tetracomm.simulator import ProcCounters
+from tetracomm.tensor_core import BlockStore
 
 
 def build_demands_by_intersection(part) -> list[TransferDemand]:
@@ -15,3 +21,208 @@ def build_demands_by_intersection(part) -> list[TransferDemand]:
             if shared:
                 demands.append(TransferDemand(src, dst, tuple(shared)))
     return demands
+
+
+# ---------------------------------------------------------------------------
+# per-element STTSV kernels
+# ---------------------------------------------------------------------------
+
+
+def _offsets(n: int) -> tuple[list[int], list[int]]:
+    # tet[i] = (i-1)i(i+1)/6 and tri[j] = (j-1)j/2 for 1-based i, j; index 0 unused
+    tet = [0] + [(i - 1) * i * (i + 1) // 6 for i in range(1, n + 1)]
+    tri = [0] + [(j - 1) * j // 2 for j in range(1, n + 1)]
+    return tet, tri
+
+
+def _as_list(x, n: int) -> list[float]:
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"vector must have shape ({n},), got {arr.shape}")
+    return arr.tolist()
+
+
+def sttsv_naive_counted(tensor, x) -> tuple[np.ndarray, int]:
+    """All n^3 ternary multiplications, loops ascending in i, j, k."""
+    n = tensor.n
+    xs = _as_list(x, n)
+    data = tensor.data.tolist()
+    tet, tri = _offsets(n)
+    ys = [0.0] * n
+    count = 0
+    for i in range(1, n + 1):
+        acc = 0.0
+        for j in range(1, n + 1):
+            xj = xs[j - 1]
+            for k in range(1, n + 1):
+                a, b, c = sorted((i, j, k), reverse=True)
+                acc += data[tet[a] + tri[b] + c - 1] * xj * xs[k - 1]
+                count += 1
+        ys[i - 1] = acc
+    return np.array(ys), count
+
+
+def sttsv_naive(tensor, x) -> np.ndarray:
+    return sttsv_naive_counted(tensor, x)[0]
+
+
+def sttsv_symmetric_counted(tensor, x) -> tuple[np.ndarray, int]:
+    """One pass over the lower tetrahedron with the four-case update."""
+    n = tensor.n
+    xs = _as_list(x, n)
+    data = tensor.data.tolist()
+    tet, tri = _offsets(n)
+    ys = [0.0] * n
+    count = 0
+    for i in range(1, n + 1):
+        xi = xs[i - 1]
+        base_i = tet[i]
+        for j in range(1, i + 1):
+            xj = xs[j - 1]
+            row = base_i + tri[j] - 1
+            for k in range(1, j + 1):
+                a = data[row + k]
+                xk = xs[k - 1]
+                if i != j and j != k:
+                    ys[i - 1] += 2 * a * xj * xk
+                    ys[j - 1] += 2 * a * xi * xk
+                    ys[k - 1] += 2 * a * xi * xj
+                    count += 3
+                elif i == j and j != k:
+                    ys[i - 1] += 2 * a * xj * xk
+                    ys[k - 1] += a * xi * xj
+                    count += 2
+                elif i != j and j == k:
+                    ys[i - 1] += a * xj * xk
+                    ys[j - 1] += 2 * a * xi * xk
+                    count += 2
+                else:
+                    ys[i - 1] += a * xj * xk
+                    count += 1
+    return np.array(ys), count
+
+
+# ---------------------------------------------------------------------------
+# block layout by element gather
+# ---------------------------------------------------------------------------
+
+
+class ElementGatherStore:
+    """A block store laid out by one int64 packed index per block entry.
+
+    Each position's rows are sorted descending across the axes that share a
+    row block, so every entry of a diagonal block is read from where it is
+    packed, and the counters come from the global-row canonical mask.
+    """
+
+    run = BlockStore.run
+
+    def __init__(self, tensor, spans, blocks):
+        self.n = tensor.n
+        self.spans = dict(spans)
+        r = np.arange(tensor.n, dtype=np.int64)
+        tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
+        self.blocks = []
+        self.tensor_elems = self.ternary_mults = 0
+        for blk in blocks:
+            i, j, k = blk
+            gi, gj, gk = rows = np.ix_(*(np.arange(*self.spans[t]) for t in blk))
+            if i == j:
+                gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
+            if j == k:
+                gj, gk = np.maximum(gj, gk), np.minimum(gj, gk)
+                if i == j:
+                    gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
+            D = tensor.data[tet[gi] + tri[gj] + gk]
+            if i > j > k:
+                kind, ids, elems, ties = "off", (i, j, k), D.size, 0
+            else:
+                ri, rj, rk = rows
+                canonical = (ri >= rj) & (rj >= rk)
+                elems = int(np.count_nonzero(canonical))
+                ties = int(np.count_nonzero(canonical & (ri == rj))) + int(np.count_nonzero(canonical & (rj == rk)))
+                kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
+            self.blocks.append((kind, D, ids))
+            self.tensor_elems += elems
+            self.ternary_mults += 3 * elems - ties
+
+
+# ---------------------------------------------------------------------------
+# message replay, one message and one shared block at a time
+# ---------------------------------------------------------------------------
+
+
+def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=build_schedule):
+    """simulate's vector exchanges replayed message by message over an element-gather store.
+
+    Returns (y, per-processor counters, steps per vector, checks).
+    """
+    n, b, chunk, P = layout.n, layout.b, layout.chunk, part.P
+    x_global = np.asarray(x, dtype=np.float64)
+    counters = [ProcCounters(p) for p in range(1, P + 1)]
+    spans = {i: ((i - 1) * b, i * b) for i in range(1, part.m + 1)}
+    chunks = {key: slice(lo, hi) for key, (lo, hi) in layout.ranges.items()}
+
+    xs = np.zeros((P, n))
+    have = np.zeros((P, n), dtype=bool)
+    for (_, p), s in chunks.items():
+        xs[p - 1, s] = x_global[s]
+        have[p - 1, s] = True
+
+    demands = build_demands(part)
+    if mode == "p2p":
+        sched = schedule_builder(demands)
+        sched_report = validate(sched, demands, chunk)
+        schedule_valid = Check("schedule_valid", sched_report.passed, "; ".join(sched_report.problems))
+        steps_per_vector = len(sched.steps)
+        messages = [(d.src, d.dst, d.blocks, len(d.blocks) * chunk) for step in sched.steps for d in step]
+    else:
+        schedule_valid = Check("schedule_valid", True)
+        steps_per_vector = P - 1
+        shared = {(d.src, d.dst): d.blocks for d in demands}
+        messages = [
+            (src, dst, shared.get((src, dst), ()), 2 * chunk)
+            for src in range(1, P + 1)
+            for dst in range(1, P + 1)
+            if src != dst
+        ]
+
+    for src, dst, blocks, words in messages:
+        for i in blocks:
+            s = chunks[i, src]
+            xs[dst - 1, s] = xs[src - 1, s]
+            have[dst - 1, s] = have[src - 1, s]
+        counters[src - 1].sent_x += words
+        counters[dst - 1].received_x += words
+    gather_complete = all(have[p - 1, slice(*spans[i])].all() for p in range(1, P + 1) for i in part.R[p - 1])
+
+    ys = np.zeros((P, n))
+    for p in range(1, P + 1):
+        blocks = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
+        store = ElementGatherStore(tensor, spans, blocks)
+        store.run(xs[p - 1], ys[p - 1])
+        counters[p - 1].ternary_mults = store.ternary_mults
+        counters[p - 1].tensor_elems = store.tensor_elems
+
+    received = set()
+    for src, dst, blocks, words in messages:
+        received.update((i, dst, src) for i in blocks)
+        counters[src - 1].sent_y += words
+        counters[dst - 1].received_y += words
+
+    y_global = np.zeros(n)
+    for (_, p), s in chunks.items():
+        y_global[s] += ys[p - 1, s]
+    for i, dst, src in sorted(received):
+        s = chunks[i, dst]
+        y_global[s] += ys[src - 1, s]
+
+    checks = [
+        schedule_valid,
+        Check("gather_complete", gather_complete),
+        Check(
+            "conservation",
+            sum(c.sent_x + c.sent_y for c in counters) == sum(c.received_x + c.received_y for c in counters),
+        ),
+    ]
+    return y_global, counters, steps_per_vector, checks

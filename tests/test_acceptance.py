@@ -30,10 +30,11 @@ from tetracomm.tensor_core import (
     hopm,
     random_symmetric,
     random_vector,
-    sttsv_naive,
     sttsv_symmetric,
     ternary_count,
 )
+
+from oracles import sttsv_naive
 
 SEEDS = [11, 23, 37, 51, 68]
 

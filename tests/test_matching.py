@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,42 @@ def test_graph_leaves_the_callers_rows_unchanged():
     assert adj == [[2, 1], [1, 2]]
     assert g.adj is not adj
     assert g.adj == [[1, 2], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "adj,message",
+    [
+        ([[1, 1]], "duplicate edge at x=1"),
+        ([[3]], "neighbor of x=1 out of range 1..2"),
+        ([[0, 1]], "neighbor of x=1 out of range 1..2"),
+        ([[1], [2, 2], [5]], "duplicate edge at x=2"),
+        ([[1], [5, 2], [2, 2]], "neighbor of x=2 out of range 1..2"),
+        ([[2], [-1, -7, 3, 3], [1, 1]], "neighbor of x=2 out of range 1..2"),
+        ([[2, 1], [], [9, 1, 9]], "neighbor of x=3 out of range 1..2"),
+        ([[1, 2], [2, 2], [5, 1]], "duplicate edge at x=2"),
+        ([[1, 2], [0, 2], [1, 1]], "neighbor of x=2 out of range 1..2"),
+    ],
+)
+def test_graph_validation_names_the_first_bad_row(adj, message):
+    given = [adj] + ([np.array(adj)] if len({len(row) for row in adj}) == 1 else [])
+    for rows in given:
+        with pytest.raises(ValueError, match=f"^{message}$".replace(".", r"\.")):
+            BipartiteGraph(len(adj), 2, rows)
+
+
+def test_graph_from_a_2d_array_keeps_sorted_list_rows():
+    rows = np.array([[3, 1, 2], [2, 3, 1]])
+    g = BipartiteGraph(2, 3, rows)
+    assert g.adj == [[1, 2, 3], [1, 2, 3]]
+    assert all(type(v) is int for row in g.adj for v in row)
+    assert rows.tolist() == [[3, 1, 2], [2, 3, 1]]
+    assert g.adj == BipartiteGraph(2, 3, rows.tolist()).adj
+    with pytest.raises(ValueError, match="duplicate edge at x=2"):
+        BipartiteGraph(2, 3, np.array([[1, 2], [3, 3]]))
+    with pytest.raises(ValueError, match="adjacency has 2 rows"):
+        BipartiteGraph(3, 3, rows)
+    with pytest.raises(ValueError, match="adjacency array must be 2-D, got 1-D"):
+        BipartiteGraph(3, 3, np.array([1, 2, 3]))
 
 
 # ---------------------------------------------------------------------------

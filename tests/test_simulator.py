@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from tetracomm import simulator, steiner
 from tetracomm.checks import Check, Report
 from tetracomm.cli import fixtures_dir
-from tetracomm.partition import build_partition, pad_dimension, vector_layout
+from tetracomm.partition import VectorLayout, build_partition, pad_dimension, vector_layout
 from tetracomm.schedule import CommSchedule, build_demands, build_schedule
 from tetracomm.simulator import compute_report, simulate, verify_run
 from tetracomm.tensor_core import (
     random_symmetric,
     random_vector,
     sttsv_symmetric,
-    sttsv_symmetric_counted,
     ternary_count,
 )
+
+from oracles import simulate_by_messages, sttsv_symmetric_counted
 
 
 @pytest.fixture(scope="module")
@@ -370,3 +371,58 @@ def test_repeated_schedule_step_is_reduced_once(setup_q2, monkeypatch):
     # the repeated messages count twice, but the reduce adds each sender's partial once
     assert not passed["schedule_valid"] and not passed["send_volume_exact"]
     assert passed["gather_complete"] and passed["output_matches_sequential"]
+
+
+# ---------------------------------------------------------------------------
+# array replay against the message-by-message replay
+# ---------------------------------------------------------------------------
+
+
+def assert_same_run(got, want):
+    (y, report), (y_ref, counters, steps, checks) = got, want
+    assert y.tobytes() == y_ref.tobytes()
+    assert report.per_proc == counters
+    assert all(type(v) is int for c in report.per_proc for v in vars(c).values())
+    assert report.steps_per_vector == steps
+    assert report.checks == checks
+
+
+@pytest.mark.parametrize("mode", ["p2p", "alltoall"])
+@pytest.mark.parametrize("design,n", [("q2", 30), ("q2", 60), ("q3", 120), ("appendix", 56)])
+def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, design, n, mode):
+    part = {"q2": setup_q2, "q3": setup_q3, "appendix": setup_appendix}[design][0]
+    layout = vector_layout(n, part)
+    tensor, x = random_symmetric(n, n + 1), random_vector(n, n + 2)
+    assert_same_run(simulate(tensor, x, part, layout, mode), simulate_by_messages(tensor, x, part, layout, mode))
+
+
+def drop_first_step(demands):
+    sched = build_schedule(demands)
+    return CommSchedule(sched.steps[1:], sched.meta)
+
+
+def repeat_last_step(demands):
+    sched = build_schedule(demands)
+    return CommSchedule(sched.steps + sched.steps[-1:], sched.meta)
+
+
+@pytest.mark.parametrize("builder", [drop_first_step, repeat_last_step])
+def test_array_replay_equals_message_replay_on_broken_schedules(setup_q3, monkeypatch, builder):
+    part, layout = setup_q3
+    tensor, x = random_symmetric(120, 5), random_vector(120, 6)
+    monkeypatch.setattr(simulator, "build_schedule", builder)
+    got = simulate(tensor, x, part, layout, "p2p")
+    assert_same_run(got, simulate_by_messages(tensor, x, part, layout, "p2p", schedule_builder=builder))
+    checks = {c.name: c.passed for c in got[1].checks}
+    assert not checks["schedule_valid"]
+    assert checks["gather_complete"] == (builder is repeat_last_step)
+
+
+def test_simulate_rejects_a_layout_of_other_chunk_holders(setup_q2):
+    part, layout = setup_q2
+    ranges = dict(layout.ranges)
+    i, p = next(iter(ranges))
+    ranges[i, p + 100] = ranges.pop((i, p))
+    other = VectorLayout(layout.n, layout.m, layout.b, layout.chunk, ranges)
+    with pytest.raises(ValueError, match="layout chunks do not match"):
+        simulate(random_symmetric(30, 1), random_vector(30, 2), part, other, "p2p")

@@ -2,7 +2,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tetracomm import tensor_core
 from tetracomm.tensor_core import (
     TILE,
     BlockStore,
@@ -19,13 +22,12 @@ from tetracomm.tensor_core import (
     save_tensor,
     save_vector,
     strict_lower_count,
-    sttsv_naive,
-    sttsv_naive_counted,
     sttsv_symmetric,
-    sttsv_symmetric_counted,
     ternary_count,
     tiled_store,
 )
+
+from oracles import ElementGatherStore, sttsv_naive, sttsv_naive_counted, sttsv_symmetric_counted
 
 
 def rank1_tensor(v):
@@ -184,6 +186,103 @@ def test_block_store_single_block_of_each_kind(blk, kind):
     ]
     assert store.tensor_elems == len(entries)
     assert store.ternary_mults == sum(3 - (i == j) - (j == k) for i, j, k in entries)
+
+
+def assert_same_blocks(store, oracle):
+    assert (store.tensor_elems, store.ternary_mults) == (oracle.tensor_elems, oracle.ternary_mults)
+    assert len(store.blocks) == len(oracle.blocks)
+    for (kind, D, ids), (want_kind, want, want_ids) in zip(store.blocks, oracle.blocks):
+        assert (kind, ids) == (want_kind, want_ids)
+        assert D.flags.c_contiguous
+        assert np.array_equal(D, want)
+
+
+RAGGED = {0: (0, 1), 1: (1, 7), 2: (7, 8), 3: (8, 20), 4: (20, 23)}  # widths 1, 6, 1, 12, 3
+EVERY_BLOCK = [(i, j, k) for i in range(5) for j in range(i + 1) for k in range(j + 1)]
+
+
+def test_run_gather_equals_element_gather_on_every_kind_of_block():
+    t = random_symmetric(23, 8)
+    store = BlockStore(t, RAGGED, EVERY_BLOCK)
+    assert {kind for kind, _, _ in store.blocks} == {"off", "aac", "acc", "central"}
+    assert_same_blocks(store, ElementGatherStore(t, RAGGED, EVERY_BLOCK))
+    assert store.tensor_elems == lower_tetra_count(23)
+
+
+@pytest.mark.parametrize("runs", [1, 5, 40])
+def test_gather_batches_split_anywhere(monkeypatch, runs):
+    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
+    t = random_symmetric(23, 11)
+    assert_same_blocks(BlockStore(t, RAGGED, EVERY_BLOCK * 2), ElementGatherStore(t, RAGGED, EVERY_BLOCK * 2))
+
+
+@st.composite
+def stores(draw):
+    n = draw(st.integers(1, 40))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=7))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    ids = sorted(draw(st.sets(st.integers(-5, 30), min_size=len(bounds) - 1, max_size=len(bounds) - 1)))
+    spans = {i: (lo, hi) for i, lo, hi in zip(ids, bounds, bounds[1:])}
+    ordered = [(i, j, k) for i in ids for j in ids for k in ids if i >= j >= k]
+    blocks = draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=15))
+    return n, spans, blocks, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stores())
+def test_every_block_equals_the_element_gather_oracle(case):
+    n, spans, blocks, seed = case
+    t = random_symmetric(n, seed)
+    assert_same_blocks(BlockStore(t, spans, blocks), ElementGatherStore(t, spans, blocks))
+
+
+def strided_copy(data, layout):
+    if layout == "step 2":
+        buf = np.full(2 * data.size, np.nan)
+        buf[::2] = data
+        return buf[::2]
+    if layout == "reversed":
+        return data[::-1].copy()[::-1]
+    return np.frombuffer(data.tobytes(), dtype=np.float64)
+
+
+@pytest.mark.parametrize("layout", ["step 2", "reversed", "read-only buffer"])
+def test_block_store_reads_strided_and_read_only_data(layout):
+    t = random_symmetric(23, 9)
+    data = strided_copy(t.data, layout)
+    view = PackedSymTensor(23, data)
+    assert view.data is data and (layout != "read-only buffer" or not data.flags.writeable)
+    assert_same_blocks(BlockStore(view, RAGGED, EVERY_BLOCK), ElementGatherStore(t, RAGGED, EVERY_BLOCK))
+    x = random_vector(23, 10)
+    assert np.array_equal(sttsv_symmetric(view, x), sttsv_symmetric(t, x))
+
+
+SPANS = {1: (0, 3), 2: (3, 5), 3: (5, 9)}
+
+
+@pytest.mark.parametrize(
+    "spans,blocks,message",
+    [
+        (SPANS, [(1, 2, 3)], r"block \(1, 2, 3\) is not ordered i >= j >= k"),
+        (SPANS, [(3, 2, 2), (2, 2, 1), (3, 2, 0)], r"block \(3, 2, 0\) names a row block with no span"),
+        ({1: (0, 3), 2: (3, 3), 3: (3, 9)}, [(1, 1, 1)], r"span of row block 2 is \(3, 3\), not a non-empty range in 0\.\.9"),
+        ({1: (-1, 3), 2: (3, 5), 3: (5, 9)}, [(1, 1, 1)], r"span of row block 1 is \(-1, 3\)"),
+        ({1: (0, 3), 2: (3, 5), 3: (5, 10)}, [(1, 1, 1)], r"span of row block 3 is \(5, 10\)"),
+        ({1: (3, 5), 2: (0, 3), 3: (5, 9)}, [(1, 1, 1)], "span of row block 2 starts before the span of row block 1 ends"),
+        ({1: (0, 4), 2: (3, 5), 3: (5, 9)}, [(1, 1, 1)], "span of row block 2 starts before the span of row block 1 ends"),
+    ],
+)
+def test_block_store_rejects_bad_blocks_and_spans(spans, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        BlockStore(random_symmetric(9, 4), spans, blocks)
+
+
+def test_to_dense_holds_every_entry_at_every_permutation():
+    t = random_symmetric(6, 3)
+    dense = t.to_dense()
+    assert dense.flags.c_contiguous
+    for a, b, c in np.ndindex(6, 6, 6):
+        assert dense[a, b, c] == t.get(a + 1, b + 1, c + 1)
 
 
 def test_sequential_kernel_sees_tensor_updates():
