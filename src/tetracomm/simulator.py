@@ -1,13 +1,14 @@
 """Stepped simulation of the parallel tensor-times-same-vector algorithm.
 
 P virtual processors execute three phases: gather the row blocks of x named
-by their index sets, contract their owned tensor blocks (laid out in a
-processor-local dense block store) with those row blocks, then exchange and
-reduce partial y row blocks.  Tensor data never moves; only vector chunks
-appear in messages.  A word is one stored element, so all volumes are exact
-integers.  Each processor's ternary multiplications and stored elements are
-counted from the blocks its store actually gathered, allowing exact
-comparison against the closed-form cost model.
+by their index sets, contract their owned tensor blocks with those row
+blocks, then exchange and reduce partial y row blocks.  Tensor data never
+moves; only vector chunks appear in messages.  A word is one stored
+element, so all volumes are exact integers.  One ``gather_blocks`` pass
+streams every processor's blocks, each contracted once and dropped, and
+each processor's ternary multiplications and stored elements are counted
+from the blocks gathered for it, allowing exact comparison against the
+closed-form cost model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .bounds import lower_bound
 from .checks import Check, Report
 from .partition import TetraPartition, VectorLayout, storage_count, tb3, validate_partition
 from .schedule import Demands, alltoall_cost, build_demands, build_schedule, validate
-from .tensor_core import BlockStore, PackedSymTensor, sttsv_symmetric, ternary_count
+from .tensor_core import PackedSymTensor, contract, gather_blocks, sttsv_symmetric, ternary_count
 
 __all__ = [
     "ProcCounters",
@@ -184,17 +185,24 @@ def simulate(
         need[p, np.asarray(row_blocks, dtype=np.int64) - 1] = True
     gather_complete = bool(have.reshape(P, part.m, b).all(axis=2)[need].all())
 
-    # local compute: each processor lays out only the blocks it owns
+    # local compute: one gather streams every processor's blocks, each
+    # contracted into its owner's row of xs/ys and dropped as it arrives
     ys = np.zeros((P, n))
-    counted = []
+    owner, blocks = [], []
     for p in range(1, P + 1):
-        blocks = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
-        store = BlockStore(tensor, spans, blocks)
-        store.run(xs[p - 1], ys[p - 1])
-        counted.append((store.ternary_mults, store.tensor_elems))
+        mine = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
+        owner += [p] * len(mine)
+        blocks += mine
+    # xb[p - 1, i - 1] is processor p's copy of row block i
+    xb, yb = xs.reshape(P, part.m, b), ys.reshape(P, part.m, b)
+    ternary, elems = [0] * (P + 1), [0] * (P + 1)
+    for p, (kind, D, ids, block_elems, block_ternary) in zip(owner, gather_blocks(tensor, spans, blocks)):
+        contract(kind, D, [xb[p - 1, i - 1] for i in ids], [yb[p - 1, i - 1] for i in ids])
+        del D  # so that the next batch is gathered with this one dropped
+        ternary[p] += block_ternary
+        elems[p] += block_elems
     counters = [
-        ProcCounters(p, s, s, r, r, ternary, elems)
-        for p, s, r, (ternary, elems) in zip(range(1, P + 1), sent, received, counted)
+        ProcCounters(p, s, s, r, r, ternary[p], elems[p]) for p, s, r in zip(range(1, P + 1), sent, received)
     ]
 
     # y phase: partial sums travel to the receiver's chunk; a repeated message
@@ -300,6 +308,20 @@ def compute_report(part: TetraPartition, layout: VectorLayout) -> PredictedCosts
     )
 
 
+def _non_finite(a: np.ndarray) -> int:
+    """Number of inf and NaN entries of a.
+
+    Any inf or NaN entry makes the sum inf or NaN, so a finite sum proves
+    there are none without a bool array the size of a; only a sum that is
+    not finite, which a large finite array can also reach by overflow, is
+    followed by an exact count.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return 0
+    return a.size - int(np.count_nonzero(np.isfinite(a)))
+
+
 @dataclass
 class RunVerdict(Report):
     report: SimReport | None = None
@@ -328,9 +350,7 @@ def verify_run(
     if problems:
         return RunVerdict(checks)
 
-    x_arr = np.asarray(x, dtype=np.float64)
-    bad_x = x_arr.size - int(np.count_nonzero(np.isfinite(x_arr)))
-    bad_a = tensor.data.size - int(np.count_nonzero(np.isfinite(tensor.data)))
+    bad_x, bad_a = _non_finite(np.asarray(x, dtype=np.float64)), _non_finite(tensor.data)
     checks.append(
         Check("input_finite", not bad_x and not bad_a, f"non-finite entries: x {bad_x}, tensor {bad_a}")
     )

@@ -3,19 +3,23 @@
 A symmetric n x n x n tensor is stored as its lower tetrahedron (i >= j >= k,
 1-based) in the linear order (i-1)i(i+1)/6 + (j-1)j/2 + (k-1).
 
-Contraction runs over a block store: a chosen set of blocks (i, j, k),
-i >= j >= k, of row ranges, each copied once out of packed storage into a
-contiguous dense array and contracted with BLAS by ``contract``.  For fixed
-rows (gi, gj) the entries (gi, gj, klo..khi) are one contiguous run of the
-packed data, so a block is gathered as b_i*b_j runs through a window view of
-the data; the entries of a diagonal block that lie past its diagonal are
-then mirrored from the gathered ones.  A processor of the parallel algorithm
-stores its own blocks; the sequential ``sttsv_symmetric`` is the
-one-processor case over a fixed tiling of the rows.  A store counts the
-packed elements and ternary multiplications (products a*x*x of the four-case
-symmetric update) of the blocks it gathered.  ``hopm`` and ``cp_gradient``
-build one store per call and reuse it for every contraction.  Kernels sum in
-different orders, so comparisons between them use relative tolerances.
+Contraction runs over blocks (i, j, k), i >= j >= k, of row ranges, each
+copied out of packed storage into a contiguous dense array and contracted
+with BLAS by ``contract``.  For fixed rows (gi, gj) the entries
+(gi, gj, klo..khi) are one contiguous run of the packed data, so a block is
+gathered as b_i*b_j runs through a window view of the data; the entries of a
+diagonal block that lie past its diagonal are then mirrored from the
+gathered ones.  One generator, ``gather_blocks``, does every gather, a batch
+of blocks at a time, and counts the packed elements and ternary
+multiplications (products a*x*x of the four-case symmetric update) of each
+block it yields.  A caller that uses each block once contracts it as it
+arrives and drops it: the sequential ``sttsv_symmetric`` on a packed tensor
+(the one-processor case over a fixed tiling of the rows) and each simulated
+processor of the parallel algorithm, so neither holds a copy of the tensor.
+Only callers that reuse blocks keep them in a ``BlockStore``: ``hopm`` and
+``cp_gradient`` build one store per call and reuse it for every
+contraction.  Kernels sum in different orders, so comparisons between them
+use relative tolerances.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 __all__ = [
     "PackedSymTensor",
     "BlockStore",
+    "gather_blocks",
     "DegenerateIterateError",
     "HopmResult",
     "packed_index",
@@ -195,102 +200,136 @@ def _canonical_counts(ij: bool, jk: bool, shape, lower: dict) -> tuple[int, int]
     return int(np.count_nonzero(canonical)), sum(int(np.count_nonzero(canonical & eq)) for eq in equal)
 
 
-class BlockStore:
-    """Chosen blocks of a packed tensor, each laid out once as a dense array.
+def gather_blocks(tensor: PackedSymTensor, spans, blocks):
+    """Yield (kind, D, ids, elems, ternary) for each block, in the order given.
 
     ``spans`` maps a row-block id to its 0-based half-open row range; spans
     must be non-empty ranges in 0..n, and ids must order like their ranges.
     ``blocks`` are id triples (i, j, k) with i >= j >= k.  A bad span or
-    block raises ValueError.  The store copies its blocks, so later changes
-    to the tensor do not reach it.  ``tensor_elems`` counts the distinct
-    packed entries gathered and ``ternary_mults`` the products a*x*x the
-    four-case update performs on them: 3 per entry, less one for each of
-    i = j and j = k.
+    block raises ValueError.  D is the block as a dense C-contiguous array,
+    copied out of the tensor; ``ids`` are its distinct row blocks as
+    ``contract`` takes them.  ``elems`` counts the distinct packed entries
+    gathered and ``ternary`` the products a*x*x the four-case update
+    performs on them: 3 per entry, less one for each of i = j and j = k.
 
     Block (i, j, k) is gathered as runs: the entries (gi, gj, klo..khi) lie
     at packed offsets tet[gi] + tri[gj] + klo onwards, so a block is the
-    b_i*b_j rows of a window view of the data at those run starts, and the
-    blocks of one k-width are copied by one fancy index per batch of about
-    GATHER_RUNS runs.  Where i = j the starts take max and min of (gi, gj).
-    Where j = k a run also reads past the diagonal, gk > gj; those entries,
-    and in a central block the ones with gk > min(gi, gj), are mirrored by
-    ``np.where`` over the block's transposes.  The positions that hold an
-    entry as it is packed, gi >= gj >= gk on the axes that share a row
-    block, form the canonical mask the counters are counted from.  Every
-    block is C-contiguous.
+    b_i*b_j rows of a window view of the data at those run starts.
+    Consecutive blocks of about GATHER_RUNS runs form a batch, and the
+    blocks of one k-width in a batch are copied by one fancy index.  Where
+    i = j the starts take max and min of (gi, gj).  Where j = k a run also
+    reads past the diagonal, gk > gj; those entries, and in a central block
+    the ones with gk > min(gi, gj), are mirrored by ``np.where`` over the
+    block's transposes.  The positions that hold an entry as it is packed,
+    gi >= gj >= gk on the axes that share a row block, form the canonical
+    mask the counters are counted from.
+
+    Only one batch is held at a time: a caller that drops each block once it
+    is used never holds more than about GATHER_RUNS runs of the tensor.
+    """
+    n = tensor.n
+    spans = dict(spans)
+    _check_spans(spans, n)
+    blocks = list(blocks)
+    for blk in blocks:
+        i, j, k = blk
+        if not i >= j >= k:
+            raise ValueError(f"block {blk} is not ordered i >= j >= k")
+        if not {i, j, k} <= spans.keys():
+            raise ValueError(f"block {blk} names a row block with no span")
+    if not blocks:
+        return
+
+    r = np.arange(n, dtype=np.int64)
+    tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
+    rows = {i: np.arange(*spans[i]) for i in {i for blk in blocks for i in blk}}
+    shapes = [(len(rows[i]), len(rows[j]), len(rows[k])) for i, j, k in blocks]
+    diagonal = {}  # i -> run starts of the blocks (i, i, k) less klo
+
+    def starts(i, j, k) -> np.ndarray:
+        if i != j:
+            return np.add.outer(tet[rows[i]], tri[rows[j]] + spans[k][0]).ravel()
+        if i not in diagonal:
+            gi, gj = rows[i][:, None], rows[i][None, :]
+            diagonal[i] = (tet[np.maximum(gi, gj)] + tri[np.minimum(gi, gj)]).ravel()
+        return diagonal[i] + spans[k][0]
+
+    data = tensor.data
+    step = data.strides[0]
+    windows = {}  # width -> (window, items)
+
+    def gather(batch) -> dict:
+        """The blocks of one batch by position, one fancy index per k-width."""
+        by_width: dict[int, list[int]] = {}
+        for b in batch:
+            by_width.setdefault(shapes[b][2], []).append(b)
+        out = {}
+        for w, members in by_width.items():
+            if w not in windows:
+                # row s is the run of w entries from packed offset s, so every row lies
+                # inside the data, and a start past the last row raises IndexError
+                window = np.lib.stride_tricks.as_strided(data, (data.size - w + 1, w), (step, step), writeable=False)
+                # as one w-wide item per row, the gather copies each run in one piece
+                items = window.view(np.dtype((np.void, w * step)))[:, 0] if step == data.itemsize else None
+                windows[w] = window, items
+            window, items = windows[w]
+            at = np.concatenate([starts(*blocks[b]) for b in members])
+            runs = window[at] if items is None else items[at].view(np.float64).reshape(-1, w)
+            row = 0
+            for b in members:
+                bi, bj, _ = shapes[b]
+                out[b] = runs[row : row + bi * bj].reshape(shapes[b])
+                row += bi * bj
+        return out
+
+    lower = {}  # width -> mask of a >= b
+    counts = {}  # (i == j, j == k, shape) of a diagonal block -> (entries, ties)
+    # batches of about GATHER_RUNS runs keep the run starts small, and each reuses
+    # the memory the allocator holds from the last one
+    ends = np.cumsum([bi * bj for bi, bj, _ in shapes]) // GATHER_RUNS
+    for batch in np.split(np.arange(len(blocks)), np.flatnonzero(np.diff(ends)) + 1):
+        gathered = gather(batch.tolist())
+        for b in batch.tolist():
+            i, j, k = blocks[b]
+            D = gathered.pop(b)
+            if i > j > k:
+                yield "off", D, (i, j, k), D.size, 3 * D.size
+                continue
+            for w in {D.shape[0], D.shape[2]} - lower.keys():
+                lower[w] = np.tri(w, dtype=bool)
+            if j == k:
+                D[...] = np.where(lower[D.shape[2]][None], D, D.transpose(0, 2, 1))
+            if i == j == k:
+                D[...] = np.where(lower[D.shape[0]][:, :, None], D, D.transpose(1, 0, 2))
+            key = (i == j, j == k, D.shape)
+            if key not in counts:
+                counts[key] = _canonical_counts(*key, lower)
+            elems, ties = counts[key]
+            kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
+            yield kind, D, ids, elems, 3 * elems - ties
+        del D  # the next batch is gathered only once this one is dropped
+
+
+class BlockStore:
+    """The blocks ``gather_blocks`` yields, kept for reuse.
+
+    ``blocks`` holds (kind, D, ids) per block in the order given;
+    ``tensor_elems`` and ``ternary_mults`` sum the counts of every block.
+    The store copies its blocks, so later changes to the tensor do not
+    reach it.
     """
 
     __slots__ = ("n", "spans", "blocks", "tensor_elems", "ternary_mults")
 
     def __init__(self, tensor: PackedSymTensor, spans, blocks):
-        self.n = n = tensor.n
+        self.n = tensor.n
         self.spans = dict(spans)
-        _check_spans(self.spans, n)
-        blocks = list(blocks)
-        for blk in blocks:
-            i, j, k = blk
-            if not i >= j >= k:
-                raise ValueError(f"block {blk} is not ordered i >= j >= k")
-            if not {i, j, k} <= self.spans.keys():
-                raise ValueError(f"block {blk} names a row block with no span")
-
-        r = np.arange(n, dtype=np.int64)
-        tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
-        rows = {i: np.arange(*self.spans[i]) for i in {i for blk in blocks for i in blk}}
-        shapes = [(len(rows[i]), len(rows[j]), len(rows[k])) for i, j, k in blocks]
-
-        def starts(i, j, k) -> np.ndarray:
-            gi, gj = rows[i][:, None], rows[j][None, :]
-            if i == j:
-                gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
-            return (tet[gi] + tri[gj] + self.spans[k][0]).ravel()
-
-        data = tensor.data
-        step = data.strides[0]
-        by_width: dict[int, list[int]] = {}
-        for b, shape in enumerate(shapes):
-            by_width.setdefault(shape[2], []).append(b)
-        gathered = [None] * len(blocks)
-        for w, members in by_width.items():
-            # row s is the run of w entries from packed offset s, so every row lies
-            # inside the data, and a start past the last row raises IndexError
-            window = np.lib.stride_tricks.as_strided(data, (data.size - w + 1, w), (step, step), writeable=False)
-            # as one w-wide item per row, the gather copies each run in one piece
-            items = window.view(np.dtype((np.void, w * step)))[:, 0] if step == data.itemsize else None
-            # batches of about GATHER_RUNS runs keep the run starts small, and their blocks
-            # reuse memory the allocator holds, as separately allocated blocks would
-            ends = np.cumsum([shapes[b][0] * shapes[b][1] for b in members]) // GATHER_RUNS
-            for batch in np.split(np.array(members), np.flatnonzero(np.diff(ends)) + 1):
-                at = np.concatenate([starts(*blocks[b]) for b in batch])
-                runs = window[at] if items is None else items[at].view(np.float64).reshape(-1, w)
-                row = 0
-                for b in batch:
-                    bi, bj, _ = shapes[b]
-                    gathered[b] = runs[row : row + bi * bj].reshape(shapes[b])
-                    row += bi * bj
-
         self.blocks: list[tuple[str, np.ndarray, tuple]] = []
         self.tensor_elems = self.ternary_mults = 0
-        lower = {}  # width -> mask of a >= b
-        counts = {}  # (i == j, j == k, shape) of a diagonal block -> (entries, ties)
-        for (i, j, k), D in zip(blocks, gathered):
-            if i > j > k:
-                kind, ids, elems, ties = "off", (i, j, k), D.size, 0
-            else:
-                for w in {D.shape[0], D.shape[2]} - lower.keys():
-                    lower[w] = np.tri(w, dtype=bool)
-                if j == k:
-                    D[...] = np.where(lower[D.shape[2]][None], D, D.transpose(0, 2, 1))
-                if i == j == k:
-                    D[...] = np.where(lower[D.shape[0]][:, :, None], D, D.transpose(1, 0, 2))
-                key = (i == j, j == k, D.shape)
-                if key not in counts:
-                    counts[key] = _canonical_counts(*key, lower)
-                elems, ties = counts[key]
-                kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
+        for kind, D, ids, elems, ternary in gather_blocks(tensor, self.spans, blocks):
             self.blocks.append((kind, D, ids))
             self.tensor_elems += elems
-            self.ternary_mults += 3 * elems - ties
+            self.ternary_mults += ternary
 
     def run(self, x, y) -> None:
         """Add every stored block's share of A x x into y; x and y have length n."""
@@ -300,23 +339,37 @@ class BlockStore:
             contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
 
 
-def tiled_store(tensor: PackedSymTensor) -> BlockStore:
-    """Every block of the whole tensor over row tiles of TILE rows."""
-    n = tensor.n
+def _tiling(n: int) -> tuple[dict, list]:
+    """Spans of row tiles of TILE rows and every block over them, in the kernel's order."""
     m = -(-n // TILE)
     spans = {t: (t * TILE, min(n, (t + 1) * TILE)) for t in range(m)}
-    return BlockStore(tensor, spans, ((i, j, k) for i in range(m) for j in range(i + 1) for k in range(j + 1)))
+    return spans, [(i, j, k) for i in range(m) for j in range(i + 1) for k in range(j + 1)]
+
+
+def tiled_store(tensor: PackedSymTensor) -> BlockStore:
+    """Every block of the whole tensor over row tiles of TILE rows."""
+    return BlockStore(tensor, *_tiling(tensor.n))
 
 
 def sttsv_symmetric(tensor: PackedSymTensor | BlockStore, x) -> np.ndarray:
     """y = A x x by the block kernel.
 
     Pass a store from ``tiled_store`` to reuse its layout across calls; a
-    packed tensor is laid out afresh on every call.
+    packed tensor is gathered tile block by tile block and each block is
+    contracted and dropped as it arrives, in the same order as over a store.
     """
-    store = tensor if isinstance(tensor, BlockStore) else tiled_store(tensor)
-    y = np.zeros(store.n)
-    store.run(_as_vector(x, store.n), y)
+    n = tensor.n
+    x = _as_vector(x, n)
+    y = np.zeros(n)
+    if isinstance(tensor, BlockStore):
+        tensor.run(x, y)
+        return y
+    spans, blocks = _tiling(n)
+    xs = {i: x[lo:hi] for i, (lo, hi) in spans.items()}
+    ys = {i: y[lo:hi] for i, (lo, hi) in spans.items()}
+    for kind, D, ids, _, _ in gather_blocks(tensor, spans, blocks):
+        contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
+        del D  # so that the next batch is gathered with this one dropped
     return y
 
 

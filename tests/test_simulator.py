@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracomm import simulator, steiner
+from tetracomm import simulator, steiner, tensor_core
 from tetracomm.checks import Check, Report
 from tetracomm.cli import fixtures_dir
 from tetracomm.partition import VectorLayout, build_partition, pad_dimension, vector_layout
@@ -192,6 +192,42 @@ def test_non_finite_tensor_is_reported_by_name(setup_q2):
         verdict = verify_run(tensor, random_vector(30, 12), part, layout)
     assert verdict.check("input_finite").detail == "non-finite entries: x 0, tensor 2"
     assert not verdict.passed
+
+
+def input_finite_detail(setup, x, tensor) -> str:
+    part, layout = setup
+    with np.errstate(all="ignore"):
+        return verify_run(tensor, x, part, layout).check("input_finite").detail
+
+
+@pytest.mark.parametrize("target", ["x", "tensor"])
+@pytest.mark.parametrize("at", [0, "middle", -1])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entry_is_counted_anywhere(setup_q2, target, at, bad):
+    x, tensor = random_vector(30, 12), random_symmetric(30, 11)
+    data = x if target == "x" else tensor.data
+    data[data.size // 2 if at == "middle" else at] = bad
+    counts = {"x": 0, "tensor": 0, target: 1}
+    assert input_finite_detail(setup_q2, x, tensor) == f"non-finite entries: x {counts['x']}, tensor {counts['tensor']}"
+
+
+@pytest.mark.parametrize("target", ["x", "tensor"])
+def test_every_non_finite_entry_is_counted(setup_q2, target):
+    x, tensor = random_vector(30, 12), random_symmetric(30, 11)
+    data = x if target == "x" else tensor.data
+    data[[0, 7, data.size // 2, -1]] = [np.inf, -np.inf, np.nan, np.inf]
+    counts = {"x": 0, "tensor": 0, target: 4}
+    assert input_finite_detail(setup_q2, x, tensor) == f"non-finite entries: x {counts['x']}, tensor {counts['tensor']}"
+
+
+@pytest.mark.parametrize("target", ["x", "tensor"])
+def test_finite_input_whose_sum_overflows_is_finite(setup_q2, target):
+    x, tensor = random_vector(30, 12), random_symmetric(30, 11)
+    data = x if target == "x" else tensor.data
+    data[:] = np.where(np.arange(data.size) < data.size // 2, 1e308, -1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(data.sum())
+    assert input_finite_detail(setup_q2, x, tensor) == "non-finite entries: x 0, tensor 0"
 
 
 @pytest.mark.filterwarnings("error")
@@ -393,6 +429,18 @@ def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, 
     part = {"q2": setup_q2, "q3": setup_q3, "appendix": setup_appendix}[design][0]
     layout = vector_layout(n, part)
     tensor, x = random_symmetric(n, n + 1), random_vector(n, n + 2)
+    assert_same_run(simulate(tensor, x, part, layout, mode), simulate_by_messages(tensor, x, part, layout, mode))
+
+
+@pytest.mark.parametrize("mode", ["p2p", "alltoall"])
+@pytest.mark.parametrize("design,n", [("q2", 30), ("q3", 120)])
+@pytest.mark.parametrize("runs", [1, 7, 1 << 14])
+def test_streamed_blocks_equal_message_replay_at_any_batch_size(setup_q2, setup_q3, monkeypatch, runs, design, n, mode):
+    # a batch of one run, of a few runs inside one block, or of many processors' blocks
+    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
+    part = {"q2": setup_q2, "q3": setup_q3}[design][0]
+    layout = vector_layout(n, part)
+    tensor, x = random_symmetric(n, n + 5), random_vector(n, n + 6)
     assert_same_run(simulate(tensor, x, part, layout, mode), simulate_by_messages(tensor, x, part, layout, mode))
 
 

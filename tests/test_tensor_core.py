@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -255,6 +256,51 @@ def test_block_store_reads_strided_and_read_only_data(layout):
     assert_same_blocks(BlockStore(view, RAGGED, EVERY_BLOCK), ElementGatherStore(t, RAGGED, EVERY_BLOCK))
     x = random_vector(23, 10)
     assert np.array_equal(sttsv_symmetric(view, x), sttsv_symmetric(t, x))
+
+
+@pytest.mark.parametrize("runs", [1, 7, 1 << 14])
+@pytest.mark.parametrize("n", [TILE - 3, 2 * TILE + 5, 3 * TILE + 1])
+@pytest.mark.parametrize("layout", ["contiguous", "step 2", "read-only buffer"])
+def test_streamed_kernel_equals_the_reused_store(monkeypatch, runs, n, layout):
+    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
+    t = random_symmetric(n, n + 3)
+    view = t if layout == "contiguous" else PackedSymTensor(n, strided_copy(t.data, layout))
+    x = random_vector(n, n + 4)
+    assert np.array_equal(sttsv_symmetric(view, x), sttsv_symmetric(tiled_store(t), x))
+
+
+def test_wrong_length_vector_raises_before_any_gather(monkeypatch):
+    def no_gather(*args):
+        raise AssertionError("gathered a block for a vector of the wrong length")
+
+    monkeypatch.setattr(tensor_core, "gather_blocks", no_gather)
+    t = random_symmetric(40, 1)
+    for x in (np.ones(39), np.ones(41), np.ones((40, 1))):
+        with pytest.raises(ValueError, match="vector must have shape"):
+            sttsv_symmetric(t, x)
+
+
+def traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_kernel_memory_does_not_grow_with_n():
+    # a copy of the whole tensor would be 12.7, 26.6 and 47.5 MB at these n;
+    # the streamed kernel holds one batch of GATHER_RUNS runs at a time, and
+    # a block kept alive across the next gather holds two
+    peaks = []
+    for n in (200, 260, 320):
+        t, x = random_symmetric(n, 1), random_vector(n, 2)
+        peaks.append(traced_peak(lambda: sttsv_symmetric(t, x)))
+        del t
+    batch = tensor_core.GATHER_RUNS * TILE * 8
+    assert max(peaks) < 1.5 * batch, peaks
+    assert max(peaks) - min(peaks) < batch // 4, peaks
 
 
 SPANS = {1: (0, 3), 2: (3, 5), 3: (5, 9)}
