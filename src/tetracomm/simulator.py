@@ -196,7 +196,11 @@ def simulate(
     # xb[p - 1, i - 1] is processor p's copy of row block i
     xb, yb = xs.reshape(P, part.m, b), ys.reshape(P, part.m, b)
     ternary, elems = [0] * (P + 1), [0] * (P + 1)
-    for p, (kind, D, ids, block_elems, block_ternary) in zip(owner, gather_blocks(tensor, spans, blocks)):
+    # the generator is iterated bare: zip or enumerate would keep the last
+    # block in its reused result tuple while the next batch is gathered
+    owners = iter(owner)
+    for kind, D, ids, block_elems, block_ternary in gather_blocks(tensor, spans, blocks):
+        p = next(owners)
         contract(kind, D, [xb[p - 1, i - 1] for i in ids], [yb[p - 1, i - 1] for i in ids])
         del D  # so that the next batch is gathered with this one dropped
         ternary[p] += block_ternary

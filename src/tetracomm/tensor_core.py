@@ -244,15 +244,12 @@ def gather_blocks(tensor: PackedSymTensor, spans, blocks):
     tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
     rows = {i: np.arange(*spans[i]) for i in {i for blk in blocks for i in blk}}
     shapes = [(len(rows[i]), len(rows[j]), len(rows[k])) for i, j, k in blocks]
-    diagonal = {}  # i -> run starts of the blocks (i, i, k) less klo
 
     def starts(i, j, k) -> np.ndarray:
-        if i != j:
-            return np.add.outer(tet[rows[i]], tri[rows[j]] + spans[k][0]).ravel()
-        if i not in diagonal:
-            gi, gj = rows[i][:, None], rows[i][None, :]
-            diagonal[i] = (tet[np.maximum(gi, gj)] + tri[np.minimum(gi, gj)]).ravel()
-        return diagonal[i] + spans[k][0]
+        gi, gj = rows[i][:, None], rows[j][None, :]
+        if i == j:
+            gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
+        return (tet[gi] + tri[gj] + spans[k][0]).ravel()
 
     data = tensor.data
     step = data.strides[0]

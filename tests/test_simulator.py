@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -424,8 +425,17 @@ def assert_same_run(got, want):
 
 
 @pytest.mark.parametrize("mode", ["p2p", "alltoall"])
-@pytest.mark.parametrize("design,n", [("q2", 30), ("q2", 60), ("q3", 120), ("appendix", 56)])
-def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, design, n, mode):
+@pytest.mark.parametrize(
+    "design,n,runs",
+    [
+        # batches of many processors' blocks
+        *(pytest.param(d, n, tensor_core.GATHER_RUNS, id=f"{d}-{n}") for d, n in [("q2", 30), ("q2", 60), ("q3", 120), ("appendix", 56)]),
+        # batches of one run, or of a few runs inside one block
+        *(pytest.param(d, n, runs, id=f"{d}-{n}-runs{runs}") for d, n in [("q2", 30), ("q3", 120)] for runs in (1, 7)),
+    ],
+)
+def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, monkeypatch, design, n, runs, mode):
+    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
     part = {"q2": setup_q2, "q3": setup_q3, "appendix": setup_appendix}[design][0]
     layout = vector_layout(n, part)
     tensor, x = random_symmetric(n, n + 1), random_vector(n, n + 2)
@@ -433,15 +443,21 @@ def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, 
 
 
 @pytest.mark.parametrize("mode", ["p2p", "alltoall"])
-@pytest.mark.parametrize("design,n", [("q2", 30), ("q3", 120)])
-@pytest.mark.parametrize("runs", [1, 7, 1 << 14])
-def test_streamed_blocks_equal_message_replay_at_any_batch_size(setup_q2, setup_q3, monkeypatch, runs, design, n, mode):
-    # a batch of one run, of a few runs inside one block, or of many processors' blocks
-    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
-    part = {"q2": setup_q2, "q3": setup_q3}[design][0]
-    layout = vector_layout(n, part)
-    tensor, x = random_symmetric(n, n + 5), random_vector(n, n + 6)
-    assert_same_run(simulate(tensor, x, part, layout, mode), simulate_by_messages(tensor, x, part, layout, mode))
+def test_simulate_holds_one_batch_of_blocks(setup_q3, mode):
+    # the tensor is 62.7 MB at n = 360; the streamed gather holds one batch of
+    # GATHER_RUNS runs of b = 36 entries at a time, and a block kept alive
+    # across the next gather holds two
+    part, _ = setup_q3
+    layout = vector_layout(360, part)
+    tensor, x = random_symmetric(360, 1), random_vector(360, 2)
+    tracemalloc.start()
+    try:
+        simulate(tensor, x, part, layout, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = tensor_core.GATHER_RUNS * layout.b * 8
+    assert peak < 1.75 * batch, (peak, batch)
 
 
 def drop_first_step(demands):

@@ -3,8 +3,9 @@
 Each side is a separate checkout of the repository (for example
 ``git archive <commit> | tar -x -C <dir>``).  For every workload and seed
 the script runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` in both checkouts, each in a fresh process: odd seeds run the
-parent first and even seeds the change first.  It then makes one
+--trace 0`` in both checkouts, each in a fresh process, where T is the
+``run_seconds`` of BENCHMARK.json.  Odd seeds run the parent first and even
+seeds the change first.  It then makes one
 ``--trace 1`` run per side on the trace seed, and writes the medians,
 quartiles and pair wins of every end-to-end metric of the change checkout's
 BENCHMARK.json next to every run's record and result lines:
@@ -82,12 +83,11 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", required=True, help="the gain the change claims, or that it claims none")
     parser.add_argument("--seeds", type=seed_range, required=True, help="first-last, for example 121-130")
     parser.add_argument("--trace-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None, help="run length; BENCHMARK.json's by default")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     seeds = args.seeds
     doc = {
         "label": args.label,
