@@ -8,21 +8,21 @@ Euler partitions to edge color bipartite multigraphs*, 1976), so
 Hopcroft-Karp runs only where the degree is odd, once per subgraph, to take
 one perfect matching off.
 
-All vertex ids are 1-based.  Results are deterministic: adjacency lists are
-kept sorted and the search loops break ties by ascending index.
+All vertex ids are 1-based, so 0 never names a vertex.  Graphs and results
+are integer arrays: a matching is a mate array whose entry x-1 is x's
+partner, or 0 when x is unmatched.  Results are deterministic: adjacency
+rows are kept sorted and the search loops break ties by ascending index.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BipartiteGraph",
-    "Matching",
     "MatchingInfeasibleError",
     "max_matching",
     "d_disjoint_matchings",
@@ -36,75 +36,54 @@ class MatchingInfeasibleError(RuntimeError):
 
 @dataclass
 class BipartiteGraph:
-    """Bipartite graph with sides X (size nx) and Y (size ny).
+    """Bipartite graph with sides X (size nx) and Y (size ny), every x of one degree.
 
-    adj[x-1] lists the Y-neighbors of x, sorted ascending, no duplicates.
-    The rows may be given as lists or as one 2-D integer array (every x of
-    one degree); the graph keeps sorted list copies of them, so the
-    caller's rows are left unchanged.  A neighbour outside 1..ny or a
-    repeated one raises ValueError naming the first such row.
+    adj is an (nx, deg) int64 array: row x-1 lists the Y-neighbours of x,
+    sorted ascending, no duplicates.  It is a sorted copy of the rows given,
+    so the caller's rows are left unchanged.  Ragged rows, a neighbour
+    outside 1..ny or a repeated one raise ValueError, the last two naming
+    the first such row.
     """
 
     nx: int
     ny: int
-    adj: list[list[int]]
+    adj: np.ndarray
 
     def __post_init__(self):
         if len(self.adj) != self.nx:
             raise ValueError(f"adjacency has {len(self.adj)} rows, expected nx={self.nx}")
-        clean = False
-        if isinstance(self.adj, np.ndarray):
-            if self.adj.ndim != 2:
-                raise ValueError(f"adjacency array must be 2-D, got {self.adj.ndim}-D")
-            # all rows in one numpy pass; equal neighbours sort next to each other
-            rows = np.sort(self.adj, axis=1)
-            clean = not (np.any((rows < 1) | (rows > self.ny)) or np.any(rows[:, 1:] == rows[:, :-1]))
-            self.adj = rows.tolist()
-        else:
-            self.adj = [sorted(row) for row in self.adj]
-        # Python lists are checked as they are, which costs less than converting them;
-        # an array that failed its check is walked too, to name the first bad row
-        if not clean:
-            for x, row in enumerate(self.adj, start=1):
-                if row and not 1 <= row[0] <= row[-1] <= self.ny:
-                    raise ValueError(f"neighbor of x={x} out of range 1..{self.ny}")
-                if len(set(row)) != len(row):
-                    raise ValueError(f"duplicate edge at x={x}")
+        rows = np.asarray(self.adj, dtype=np.int64)  # ragged rows raise ValueError here
+        if rows.ndim != 2:
+            raise ValueError(f"adjacency array must be 2-D, got {rows.ndim}-D")
+        # equal neighbours sort next to each other
+        self.adj = rows = np.sort(rows, axis=1)
+        out = np.any((rows < 1) | (rows > self.ny), axis=1)
+        bad = np.flatnonzero(out | np.any(rows[:, 1:] == rows[:, :-1], axis=1))
+        if len(bad):
+            x = int(bad[0])
+            if out[x]:
+                raise ValueError(f"neighbor of x={x + 1} out of range 1..{self.ny}")
+            raise ValueError(f"duplicate edge at x={x + 1}")
 
 
-@dataclass
-class Matching:
-    """Set of vertex-disjoint edges, stored as (x, y) pairs sorted by x."""
+def max_matching(graph: BipartiteGraph) -> np.ndarray:
+    """Maximum-cardinality matching via Hopcroft-Karp, as a length-nx mate array.
 
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def x_vertices(self) -> set[int]:
-        return {x for x, _ in self.pairs}
-
-    def y_vertices(self) -> set[int]:
-        return {y for _, y in self.pairs}
-
-
-_UNMATCHED = 0
-
-
-def max_matching(graph: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching via Hopcroft-Karp."""
+    mate[x-1] is x's partner, or 0 if x is unmatched.  Augmenting paths are
+    searched depth first on an explicit stack, so a long path cannot reach
+    the recursion limit.
+    """
     nx = graph.nx
-    adj = graph.adj
+    adj = graph.adj.tolist()
     inf = float("inf")
-    pair_x = [_UNMATCHED] * (nx + 1)
-    pair_y = [_UNMATCHED] * (graph.ny + 1)
+    pair_x = [0] * (nx + 1)
+    pair_y = [0] * (graph.ny + 1)
     dist = [inf] * (nx + 1)
 
     def bfs() -> bool:
         queue: deque[int] = deque()
         for x in range(1, nx + 1):
-            if pair_x[x] == _UNMATCHED:
+            if pair_x[x] == 0:
                 dist[x] = 0
                 queue.append(x)
             else:
@@ -115,55 +94,65 @@ def max_matching(graph: BipartiteGraph) -> Matching:
             if dist[x] < reached:
                 for y in adj[x - 1]:
                     px = pair_y[y]
-                    if px == _UNMATCHED:
+                    if px == 0:
                         reached = dist[x] + 1
                     elif dist[px] == inf:
                         dist[px] = dist[x] + 1
                         queue.append(px)
         return reached != inf
 
-    def dfs(x: int) -> bool:
-        for y in adj[x - 1]:
-            px = pair_y[y]
-            if px == _UNMATCHED or (dist[px] == dist[x] + 1 and dfs(px)):
-                pair_x[x] = y
-                pair_y[y] = x
-                return True
-        dist[x] = inf
-        return False
+    def augment(root: int) -> None:
+        # x and ys are the end of the path and the rest of its row; stack holds
+        # (x, ys, y) for every x before it, y being the edge the path goes on by
+        x, ys = root, iter(adj[root - 1])
+        stack: list[tuple] = []
+        while True:
+            for y in ys:
+                px = pair_y[y]
+                if px == 0:
+                    pair_x[x] = y
+                    pair_y[y] = x
+                    for u, _, v in stack:
+                        pair_x[u] = v
+                        pair_y[v] = u
+                    return
+                if dist[px] == dist[x] + 1:
+                    stack.append((x, ys, y))
+                    x, ys = px, iter(adj[px - 1])
+                    break
+            else:
+                dist[x] = inf
+                if not stack:
+                    return
+                x, ys, _ = stack.pop()
 
     while bfs():
         for x in range(1, nx + 1):
-            if pair_x[x] == _UNMATCHED:
-                dfs(x)
-    return Matching([(x, pair_x[x]) for x in range(1, nx + 1) if pair_x[x] != _UNMATCHED])
+            if pair_x[x] == 0:
+                augment(x)
+    return np.array(pair_x[1:], dtype=np.int64)
 
 
-def d_disjoint_matchings(graph: BipartiteGraph, d: int) -> list[Matching]:
+def d_disjoint_matchings(graph: BipartiteGraph, d: int) -> np.ndarray:
     """d edge-disjoint matchings, each covering every X vertex exactly once.
 
-    Each X vertex is replicated d times and a single maximum matching of the
+    Returns a (d, nx) array: row c is the c-th matching's mate array.  Each
+    X vertex is replicated d times and a single maximum matching of the
     replicated graph is split by copy index.  Raises MatchingInfeasibleError
     when the replicated matching is not X-perfect, which signals that the
     caller's degree structure does not support d matchings.
     """
     if d < 1:
         raise ValueError(f"d={d} must be positive")
-    big = BipartiteGraph(graph.nx * d, graph.ny, [row for row in graph.adj for _ in range(d)])
-    matched = max_matching(big)
-    if matched.size != graph.nx * d:
+    mate = max_matching(BipartiteGraph(graph.nx * d, graph.ny, np.repeat(graph.adj, d, axis=0)))
+    matched = np.count_nonzero(mate)
+    if matched != graph.nx * d:
         raise MatchingInfeasibleError(
-            f"replicated matching covered {matched.size} of {graph.nx * d} copies; "
+            f"replicated matching covered {matched} of {graph.nx * d} copies; "
             f"{d} disjoint X-covering matchings do not exist"
         )
-    result = [Matching() for _ in range(d)]
-    for big_x, y in matched.pairs:
-        x = (big_x - 1) // d + 1
-        copy = (big_x - 1) % d
-        result[copy].pairs.append((x, y))
-    for m in result:
-        m.pairs.sort()
-    return result
+    # copy c of x is vertex (x-1)d + c + 1 of the replicated graph
+    return mate.reshape(graph.nx, d).T
 
 
 def _partners(order: np.ndarray, size: int) -> np.ndarray:
@@ -206,8 +195,11 @@ def _split(order: np.ndarray, half: np.ndarray, groups: int, n: int, d: int) -> 
     return np.concatenate([blocks[~upper].reshape(shape), blocks[upper].reshape(shape)], axis=1).ravel()
 
 
-def regular_decompose(graph: BipartiteGraph, d: int) -> list[Matching]:
+def regular_decompose(graph: BipartiteGraph) -> np.ndarray:
     """Partition the edges of a d-regular bipartite graph into d perfect matchings.
+
+    d is the row length of graph.adj.  Returns a (d, n) receiver array: row
+    c is the c-th matching's mate array, so x is matched to row[x-1].
 
     The edges are coloured level by level.  At every level they fall into
     groups, each a regular bipartite graph of the current degree d on all
@@ -231,15 +223,13 @@ def regular_decompose(graph: BipartiteGraph, d: int) -> list[Matching]:
     Two index arrays list the edges by (group, x) and by (group, y), d edges
     to a block, so pairing takes consecutive entries and regrouping is one
     masked reshape; no pass sorts.  Hopcroft-Karp runs only at odd levels,
-    once per group.  The matchings come out by level and group, each sorted
-    by x.  The caller's graph is left unchanged.
+    once per group.  The matchings come out by level and group.  The
+    caller's graph is left unchanged.
     """
     if graph.nx != graph.ny:
         raise ValueError(f"sides differ: nx={graph.nx}, ny={graph.ny}")
-    if any(len(row) != d for row in graph.adj):
-        raise ValueError(f"graph is not {d}-regular on X")
-    n = graph.nx
-    y = np.fromiter(chain.from_iterable(graph.adj), dtype=np.int64, count=n * d)
+    n, d = graph.adj.shape
+    y = graph.adj.ravel()
     if np.any(np.bincount(y, minlength=n + 1)[1:] != d):
         raise ValueError(f"graph is not {d}-regular on Y")
 
@@ -247,19 +237,18 @@ def regular_decompose(graph: BipartiteGraph, d: int) -> list[Matching]:
     by_x = np.arange(len(y))
     by_y = np.argsort(y, kind="stable")
     groups = 1
-    result: list[Matching] = []
+    result = [np.zeros((0, n), dtype=np.int64)]
     while d > 1:
         if d % 2:
             live = np.ones(len(y), dtype=bool)
             for edges in by_x.reshape(groups, n, d):
                 rows = y[edges]
-                m = max_matching(BipartiteGraph(n, n, rows))
-                if m.size != n:
+                mate = max_matching(BipartiteGraph(n, n, rows))
+                if not mate.all():
                     raise RuntimeError("perfect matching extraction failed on a regular bipartite graph")
                 # x's matched edge is where its row holds its partner
-                partner = np.array([my for _, my in m.pairs])
-                live[edges[np.arange(n), np.argmax(rows == partner[:, None], axis=1)]] = False
-                result.append(m)
+                live[edges[np.arange(n), np.argmax(rows == mate[:, None], axis=1)]] = False
+                result.append(mate[None])
             by_x, by_y = by_x[live[by_x]], by_y[live[by_y]]
             d -= 1
         pair_x = _partners(by_x, len(y))
@@ -269,6 +258,5 @@ def regular_decompose(graph: BipartiteGraph, d: int) -> list[Matching]:
         groups *= 2
         d //= 2
     if d == 1:
-        xs = range(1, n + 1)
-        result += [Matching(list(zip(xs, row))) for row in y[by_x].reshape(groups, n).tolist()]
-    return result
+        result.append(y[by_x].reshape(groups, n))
+    return np.concatenate(result)

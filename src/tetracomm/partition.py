@@ -153,23 +153,20 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
             row.append(nc_index[BlockIndex(b, a, a)])
         adj.append(row)
     try:
-        mats = d_disjoint_matchings(BipartiteGraph(P, total_nc, adj), d)
+        mates = d_disjoint_matchings(BipartiteGraph(P, total_nc, adj), d)
     except MatchingInfeasibleError as exc:
         raise DesignUnsuitableError(f"non-central stage: {exc}") from exc
-    N: list[list[BlockIndex]] = [[] for _ in range(P)]
-    for mat in mats:
-        for p, idx in mat.pairs:
-            N[p - 1].append(nc[idx - 1])
-    for row_blocks in N:
-        row_blocks.sort()
+    # nc is sorted, so ascending ids list each processor's blocks in order
+    N = [[nc[idx - 1] for idx in row] for row in np.sort(mates.T, axis=1).tolist()]
 
-    central = max_matching(BipartiteGraph(m, P, [list(Q[i - 1]) for i in range(1, m + 1)]))
-    if central.size != m:
+    central = max_matching(BipartiteGraph(m, P, Q))
+    assigned = np.count_nonzero(central)
+    if assigned != m:
         raise DesignUnsuitableError(
-            f"central stage: only {central.size} of {m} central blocks could be assigned"
+            f"central stage: only {assigned} of {m} central blocks could be assigned"
         )
     D: list[list[BlockIndex]] = [[] for _ in range(P)]
-    for i, p in central.pairs:
+    for i, p in enumerate(central.tolist(), start=1):
         D[p - 1].append(BlockIndex(i, i, i))
 
     q = r - 1 if prime_power(r - 1) is not None and m == (r - 1) ** 2 + 1 else None

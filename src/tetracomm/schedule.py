@@ -201,13 +201,11 @@ def build_schedule(demands: Demands) -> CommSchedule:
         if not all(np.array_equal(np.bincount(ends, minlength=P + 1), degrees) for ends in (src, dst)):
             raise ValueError(f"layer of {size} shared blocks is not regular on processors 1..{P}")
         key = src * (P + 1) + dst
-        mats = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)), d)
-        for mat in mats:
-            # a perfect matching sorted by x pairs sender s with pairs[s - 1]
-            receivers = np.array([y for _, y in mat.pairs], dtype=np.int64)
-            steps.append(demands.take(layer[np.searchsorted(key, senders * (P + 1) + receivers)]))
-        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(mats)})
-        blocks_per_step += [size] * len(mats)
+        # row c of receivers pairs sender s with receivers[c, s - 1]
+        receivers = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
+        steps += [demands.take(rows) for rows in layer[np.searchsorted(key, senders * (P + 1) + receivers)]]
+        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(receivers)})
+        blocks_per_step += [size] * len(receivers)
 
     meta = {"steps": len(steps), "layers": layer_meta, "blocks_per_step": blocks_per_step}
     return CommSchedule(steps=steps, meta=meta)

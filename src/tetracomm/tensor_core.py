@@ -106,20 +106,6 @@ class PackedSymTensor:
         self.n = n
         self.data = data
 
-    def get(self, i: int, j: int, k: int) -> float:
-        a, b, c = sorted((i, j, k), reverse=True)
-        return float(self.data[packed_index(a, b, c)])
-
-    def set(self, i: int, j: int, k: int, value: float) -> None:
-        a, b, c = sorted((i, j, k), reverse=True)
-        self.data[packed_index(a, b, c)] = value
-
-    def __getitem__(self, ijk) -> float:
-        return self.get(*ijk)
-
-    def __setitem__(self, ijk, value) -> None:
-        self.set(*ijk, value)
-
     def to_dense(self) -> np.ndarray:
         """Expand to a dense symmetric array: the one central block of a one-span store."""
         ((_, dense, _),) = BlockStore(self, {0: (0, self.n)}, [(0, 0, 0)]).blocks

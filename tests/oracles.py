@@ -6,7 +6,7 @@ from tetracomm.checks import Check
 from tetracomm.partition import tb3
 from tetracomm.schedule import TransferDemand, build_demands, build_schedule, validate
 from tetracomm.simulator import ProcCounters
-from tetracomm.tensor_core import BlockStore
+from tetracomm.tensor_core import BlockStore, packed_index
 
 
 def build_demands_by_intersection(part) -> list[TransferDemand]:
@@ -21,6 +21,16 @@ def build_demands_by_intersection(part) -> list[TransferDemand]:
             if shared:
                 demands.append(TransferDemand(src, dst, tuple(shared)))
     return demands
+
+
+def get_entry(tensor, i: int, j: int, k: int) -> float:
+    """Entry (i, j, k) of a PackedSymTensor, 1-based, in any index order."""
+    return float(tensor.data[packed_index(*sorted((i, j, k), reverse=True))])
+
+
+def set_entry(tensor, i: int, j: int, k: int, value: float) -> None:
+    """Set entry (i, j, k) of a PackedSymTensor, and so every permutation of it."""
+    tensor.data[packed_index(*sorted((i, j, k), reverse=True))] = value
 
 
 # ---------------------------------------------------------------------------

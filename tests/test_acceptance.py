@@ -34,7 +34,7 @@ from tetracomm.tensor_core import (
     ternary_count,
 )
 
-from oracles import sttsv_naive
+from oracles import set_entry, sttsv_naive
 
 SEEDS = [11, 23, 37, 51, 68]
 
@@ -224,7 +224,7 @@ def test_criterion_9_drivers():
     for i in range(1, 11):
         for j in range(1, i + 1):
             for k in range(1, j + 1):
-                tensor.set(i, j, k, v[i - 1] * v[j - 1] * v[k - 1])
+                set_entry(tensor, i, j, k, v[i - 1] * v[j - 1] * v[k - 1])
     result = hopm(tensor, seed=7, tol=1e-10, max_iters=100)
     assert result.converged and result.iterations <= 100
     assert abs(result.lam - 1.0) < 1e-8
@@ -255,6 +255,6 @@ def test_criterion_9_drivers():
     for i in range(1, 7):
         for j in range(1, i + 1):
             for k in range(1, j + 1):
-                exact.set(i, j, k, float(np.sum(exact_factors[i - 1] * exact_factors[j - 1] * exact_factors[k - 1])))
+                set_entry(exact, i, j, k, float(np.sum(exact_factors[i - 1] * exact_factors[j - 1] * exact_factors[k - 1])))
     assert np.linalg.norm(cp_gradient(exact, exact_factors)) <= 1e-10
     report_pass(9, "rank-1 power iteration hits lambda=1; gradient matches finite differences and is zero at exact fit")

@@ -19,13 +19,18 @@ from tetracomm.schedule import build_demands, build_schedule
 
 
 def k22():
-    return BipartiteGraph(2, 2, [[1, 2], [1, 2]])
+    return BipartiteGraph(2, 2, np.array([[1, 2], [1, 2]]))
 
 
-def is_matching(pairs):
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    return len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
+def is_matching(mate):
+    """No Y vertex is the partner of two X vertices; 0 marks an unmatched x."""
+    ys = mate[mate > 0]
+    return len(np.unique(ys)) == len(ys)
+
+
+def edges(mates) -> list[tuple[int, int]]:
+    """The (x, y) edges of every row of a (k, nx) mate array, unmatched x left out."""
+    return [(x, y) for row in np.atleast_2d(mates).tolist() for x, y in enumerate(row, start=1) if y]
 
 
 def hall_condition_ok(graph, scale=1):
@@ -34,7 +39,7 @@ def hall_condition_ok(graph, scale=1):
         for subset in combinations(range(1, graph.nx + 1), size):
             nbrs = set()
             for x in subset:
-                nbrs.update(graph.adj[x - 1])
+                nbrs.update(graph.adj[x - 1].tolist())
             if scale * len(subset) > len(nbrs):
                 return False
     return True
@@ -46,50 +51,69 @@ def hall_condition_ok(graph, scale=1):
 
 
 def test_k22_matching_size_two():
-    m = max_matching(k22())
-    assert m.size == 2
-    assert is_matching(m.pairs)
+    mate = max_matching(k22())
+    assert mate.dtype == np.int64 and mate.shape == (2,)
+    assert np.count_nonzero(mate) == 2
+    assert is_matching(mate)
 
 
 def test_star_matching_size_one():
-    m = max_matching(BipartiteGraph(1, 3, [[1, 2, 3]]))
-    assert m.size == 1
+    mate = max_matching(BipartiteGraph(1, 3, np.array([[1, 2, 3]])))
+    assert mate.tolist() == [1]
+    assert max_matching(BipartiteGraph(2, 1, np.array([[1], [1]]))).tolist() == [1, 0]
 
 
 def test_empty_graph():
-    assert max_matching(BipartiteGraph(2, 2, [[], []])).size == 0
+    assert max_matching(BipartiteGraph(2, 2, np.zeros((2, 0), dtype=np.int64))).tolist() == [0, 0]
 
 
 def test_central_assignment_graph_has_full_matching():
     system = steiner.load(fixtures_dir() / "steiner_10_4_3.txt")
     blocks = system.blocks
-    adj = [[p for p in range(1, 31) if i in blocks[p - 1]] for i in range(1, 11)]
+    adj = np.array([[p for p in range(1, 31) if i in blocks[p - 1]] for i in range(1, 11)])
     g = BipartiteGraph(10, 30, adj)
     assert hall_condition_ok(g)  # oracle: a size-10 matching must exist
-    assert max_matching(g).size == 10
+    assert np.count_nonzero(max_matching(g)) == 10
 
 
 def test_matching_deterministic():
-    g1 = BipartiteGraph(3, 3, [[1, 2], [2, 3], [1, 3]])
-    g2 = BipartiteGraph(3, 3, [[1, 2], [2, 3], [1, 3]])
-    assert max_matching(g1).pairs == max_matching(g2).pairs
+    g1 = BipartiteGraph(3, 3, np.array([[1, 2], [2, 3], [1, 3]]))
+    g2 = BipartiteGraph(3, 3, np.array([[1, 2], [2, 3], [1, 3]]))
+    assert np.array_equal(max_matching(g1), max_matching(g2))
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # x_i -> {i, i+1}, x_n -> {1, 2}: the greedy phase leaves x_n free, and its
+    # one augmenting path runs through every other vertex
+    n = 20_000
+    adj = np.array([[i, i + 1] for i in range(1, n)] + [[1, 2]])
+    mate = max_matching(BipartiteGraph(n, n, adj))
+    assert np.array_equal(np.sort(mate), np.arange(1, n + 1))
+    assert np.all(np.any(adj == mate[:, None], axis=1))
 
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, [[1, 1]])  # duplicate edge
+        BipartiteGraph(1, 2, np.array([[1, 1]]))  # duplicate edge
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, [[3]])  # out of range
+        BipartiteGraph(1, 2, np.array([[3]]))  # out of range
     with pytest.raises(ValueError):
-        BipartiteGraph(2, 2, [[1]])  # row count mismatch
+        BipartiteGraph(2, 2, np.array([[1]]))  # row count mismatch
+
+
+def test_ragged_adjacency_raises():
+    with pytest.raises(ValueError):
+        BipartiteGraph(2, 2, [[1, 2], [1]])
+    with pytest.raises(ValueError):
+        BipartiteGraph(3, 2, [[2, 1], [], [1]])
 
 
 def test_graph_leaves_the_callers_rows_unchanged():
-    adj = [[2, 1], [1, 2]]
+    adj = np.array([[2, 1], [1, 2]])
     g = BipartiteGraph(2, 2, adj)
-    assert adj == [[2, 1], [1, 2]]
+    assert adj.tolist() == [[2, 1], [1, 2]]
     assert g.adj is not adj
-    assert g.adj == [[1, 2], [1, 2]]
+    assert g.adj.tolist() == [[1, 2], [1, 2]]
 
 
 @pytest.mark.parametrize(
@@ -98,28 +122,26 @@ def test_graph_leaves_the_callers_rows_unchanged():
         ([[1, 1]], "duplicate edge at x=1"),
         ([[3]], "neighbor of x=1 out of range 1..2"),
         ([[0, 1]], "neighbor of x=1 out of range 1..2"),
-        ([[1], [2, 2], [5]], "duplicate edge at x=2"),
-        ([[1], [5, 2], [2, 2]], "neighbor of x=2 out of range 1..2"),
-        ([[2], [-1, -7, 3, 3], [1, 1]], "neighbor of x=2 out of range 1..2"),
-        ([[2, 1], [], [9, 1, 9]], "neighbor of x=3 out of range 1..2"),
+        ([[2, 1], [2, 2], [5, 5]], "duplicate edge at x=2"),
+        ([[1, 2], [5, 2], [2, 2]], "neighbor of x=2 out of range 1..2"),
+        ([[2, 1], [-1, -1], [1, 1]], "neighbor of x=2 out of range 1..2"),
+        ([[2, 1], [1, 2], [9, 9]], "neighbor of x=3 out of range 1..2"),
         ([[1, 2], [2, 2], [5, 1]], "duplicate edge at x=2"),
         ([[1, 2], [0, 2], [1, 1]], "neighbor of x=2 out of range 1..2"),
     ],
 )
 def test_graph_validation_names_the_first_bad_row(adj, message):
-    given = [adj] + ([np.array(adj)] if len({len(row) for row in adj}) == 1 else [])
-    for rows in given:
-        with pytest.raises(ValueError, match=f"^{message}$".replace(".", r"\.")):
-            BipartiteGraph(len(adj), 2, rows)
+    with pytest.raises(ValueError, match=f"^{message}$".replace(".", r"\.")):
+        BipartiteGraph(len(adj), 2, np.array(adj))
 
 
-def test_graph_from_a_2d_array_keeps_sorted_list_rows():
+def test_graph_from_a_2d_array_keeps_sorted_rows():
     rows = np.array([[3, 1, 2], [2, 3, 1]])
     g = BipartiteGraph(2, 3, rows)
-    assert g.adj == [[1, 2, 3], [1, 2, 3]]
-    assert all(type(v) is int for row in g.adj for v in row)
+    assert g.adj.dtype == np.int64
+    assert g.adj.tolist() == [[1, 2, 3], [1, 2, 3]]
     assert rows.tolist() == [[3, 1, 2], [2, 3, 1]]
-    assert g.adj == BipartiteGraph(2, 3, rows.tolist()).adj
+    assert np.array_equal(g.adj, BipartiteGraph(2, 3, rows.tolist()).adj)
     with pytest.raises(ValueError, match="duplicate edge at x=2"):
         BipartiteGraph(2, 3, np.array([[1, 2], [3, 3]]))
     with pytest.raises(ValueError, match="adjacency has 2 rows"):
@@ -134,17 +156,15 @@ def test_graph_from_a_2d_array_keeps_sorted_list_rows():
 
 
 def test_k24_two_disjoint_covering_matchings():
-    g = BipartiteGraph(2, 4, [[1, 2, 3, 4], [1, 2, 3, 4]])
-    mats = d_disjoint_matchings(g, 2)
-    assert len(mats) == 2
-    seen_y = set()
-    for m in mats:
-        assert m.x_vertices() == {1, 2}
-        assert is_matching(m.pairs)
-        seen_y.update(m.y_vertices())
+    g = BipartiteGraph(2, 4, np.array([[1, 2, 3, 4], [1, 2, 3, 4]]))
+    mates = d_disjoint_matchings(g, 2)
+    assert mates.shape == (2, 2)
+    for mate in mates:
+        assert mate.all()  # covers x = 1 and 2
+        assert is_matching(mate)
     # the construction never reuses a Y vertex, so the blocks it hands out
     # across matchings are all distinct
-    assert len(seen_y) == 4
+    assert len(set(mates.ravel().tolist())) == 4
 
 
 def test_k22_infeasible_when_y_side_too_small():
@@ -172,16 +192,15 @@ def test_noncentral_assignment_graph_three_matchings():
         for a, b in combinations(blocks[p], 2):
             row.extend([idx[(b, b, a)], idx[(b, a, a)]])
         adj.append(sorted(row))
-    g = BipartiteGraph(30, len(nc), adj)
-    mats = d_disjoint_matchings(g, 3)
-    assert len(mats) == 3
-    used = set()
-    for m in mats:
-        assert m.x_vertices() == set(range(1, 31))
-        assert is_matching(m.pairs)
-        for e in m.pairs:
-            assert e not in used
-            used.add(e)
+    g = BipartiteGraph(30, len(nc), np.array(adj))
+    mates = d_disjoint_matchings(g, 3)
+    assert mates.shape == (3, 30)
+    for mate in mates:
+        assert mate.all()  # covers x = 1..30
+        assert is_matching(mate)
+    used = edges(mates)
+    assert len(set(used)) == len(used) == 90
+    assert all(y in adj[x - 1] for x, y in used)
 
 
 # ---------------------------------------------------------------------------
@@ -190,55 +209,59 @@ def test_noncentral_assignment_graph_three_matchings():
 
 
 def test_k33_decomposes_into_three_perfect_matchings():
-    g = BipartiteGraph(3, 3, [[1, 2, 3]] * 3)
-    mats = regular_decompose(g, 3)
-    assert len(mats) == 3
-    all_edges = [e for m in mats for e in m.pairs]
+    g = BipartiteGraph(3, 3, np.array([[1, 2, 3]] * 3))
+    mates = regular_decompose(g)
+    assert mates.shape == (3, 3)
+    all_edges = edges(mates)
     assert len(all_edges) == 9
     assert len(set(all_edges)) == 9
-    for m in mats:
-        assert m.size == 3 and is_matching(m.pairs)
+    for mate in mates:
+        assert mate.all() and is_matching(mate)
 
 
 def test_permutation_graph_is_its_own_decomposition():
-    g = BipartiteGraph(3, 3, [[2], [3], [1]])
-    mats = regular_decompose(g, 1)
-    assert len(mats) == 1
-    assert mats[0].pairs == [(1, 2), (2, 3), (3, 1)]
+    g = BipartiteGraph(3, 3, np.array([[2], [3], [1]]))
+    assert regular_decompose(g).tolist() == [[2, 3, 1]]
 
 
 def test_two_regular_cycle_splits_into_two_perfect_matchings():
     # 8-cycle on 4+4 vertices
-    g = BipartiteGraph(4, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
-    mats = regular_decompose(g, 2)
-    assert len(mats) == 2
-    edge_sets = [set(m.pairs) for m in mats]
+    g = BipartiteGraph(4, 4, np.array([[1, 2], [2, 3], [3, 4], [1, 4]]))
+    mates = regular_decompose(g)
+    assert mates.shape == (2, 4)
+    edge_sets = [set(edges(mate)) for mate in mates]
     assert edge_sets[0].isdisjoint(edge_sets[1])
-    for m in mats:
-        assert m.size == 4 and is_matching(m.pairs)
+    for mate in mates:
+        assert mate.all() and is_matching(mate)
     # brute-force oracle: the cycle has exactly two perfect matchings
     expected = [{(1, 1), (2, 2), (3, 3), (4, 4)}, {(1, 2), (2, 3), (3, 4), (4, 1)}]
     assert edge_sets in ([expected[0], expected[1]], [expected[1], expected[0]])
 
 
 def test_regular_decompose_leaves_graph_unchanged():
-    g = BipartiteGraph(4, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
-    before = [list(row) for row in g.adj]
-    regular_decompose(g, 2)
-    assert g.adj == before
+    g = BipartiteGraph(4, 4, np.array([[1, 2], [2, 3], [3, 4], [1, 4]]))
+    before = g.adj.copy()
+    regular_decompose(g)
+    assert np.array_equal(g.adj, before)
 
 
 def test_regular_decompose_rejects_irregular():
-    with pytest.raises(ValueError):
-        regular_decompose(BipartiteGraph(2, 2, [[1, 2], [1]]), 2)
-    with pytest.raises(ValueError):
-        regular_decompose(BipartiteGraph(2, 3, [[1], [2]]), 1)
+    with pytest.raises(ValueError, match="not 1-regular on Y"):
+        regular_decompose(BipartiteGraph(2, 2, np.array([[1], [1]])))
+    with pytest.raises(ValueError, match="sides differ"):
+        regular_decompose(BipartiteGraph(2, 3, np.array([[1], [2]])))
+
+
+def test_regular_decompose_of_a_degree_zero_graph_is_empty():
+    mates = regular_decompose(BipartiteGraph(5, 5, np.zeros((5, 0), dtype=np.int64)))
+    assert mates.shape == (0, 5)
+    assert mates.dtype == np.int64
 
 
 def test_d_disjoint_deterministic():
-    g1 = BipartiteGraph(2, 4, [[1, 2, 3, 4], [1, 2, 3, 4]])
-    g2 = BipartiteGraph(2, 4, [[1, 2, 3, 4], [1, 2, 3, 4]])
-    assert [m.pairs for m in d_disjoint_matchings(g1, 2)] == [m.pairs for m in d_disjoint_matchings(g2, 2)]
+    g1 = BipartiteGraph(2, 4, np.array([[1, 2, 3, 4], [1, 2, 3, 4]]))
+    g2 = BipartiteGraph(2, 4, np.array([[1, 2, 3, 4], [1, 2, 3, 4]]))
+    assert np.array_equal(d_disjoint_matchings(g1, 2), d_disjoint_matchings(g2, 2))
 
 
 @st.composite
@@ -249,7 +272,7 @@ def regular_graphs(draw):
     d = draw(st.one_of(st.just(1), st.just(n), st.sampled_from(powers), st.integers(1, n)))
     shifts = draw(st.permutations(range(n)))[:d]
     perm = draw(st.permutations(range(1, n + 1)))
-    return d, [sorted(perm[(x + s) % n] for s in shifts) for x in range(n)]
+    return d, np.array([sorted(perm[(x + s) % n] for s in shifts) for x in range(n)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,18 +280,16 @@ def regular_graphs(draw):
 def test_regular_decompose_colours_every_edge_once(case):
     d, adj = case
     n = len(adj)
-    g = BipartiteGraph(n, n, [list(row) for row in adj])
-    mats = regular_decompose(g, d)
-    assert len(mats) == d
-    for m in mats:
-        assert [x for x, _ in m.pairs] == list(range(1, n + 1))  # perfect, sorted by x
-        assert sorted(y for _, y in m.pairs) == list(range(1, n + 1))
-    colored = [e for m in mats for e in m.pairs]
+    g = BipartiteGraph(n, n, adj)
+    mates = regular_decompose(g)
+    assert mates.shape == (d, n)
+    for mate in mates:
+        assert sorted(mate.tolist()) == list(range(1, n + 1))  # perfect
+    colored = edges(mates)
     assert len(colored) == n * d
-    assert set(colored) == {(x, y) for x, row in enumerate(adj, start=1) for y in row}
-    assert g.adj == adj
-    again = regular_decompose(BipartiteGraph(n, n, [list(row) for row in adj]), d)
-    assert [m.pairs for m in again] == [m.pairs for m in mats]
+    assert set(colored) == {(x, y) for x, row in enumerate(adj.tolist(), start=1) for y in row}
+    assert np.array_equal(g.adj, adj)
+    assert np.array_equal(regular_decompose(BipartiteGraph(n, n, adj.copy())), mates)
 
 
 def counting_max_matching(monkeypatch) -> list:
@@ -286,8 +307,8 @@ def counting_max_matching(monkeypatch) -> list:
 def test_even_power_degree_needs_no_maximum_matching(monkeypatch):
     calls = counting_max_matching(monkeypatch)
     n = 12
-    g = BipartiteGraph(n, n, [[(x + s) % n + 1 for s in range(8)] for x in range(n)])
-    assert len(regular_decompose(g, 8)) == 8
+    g = BipartiteGraph(n, n, np.array([[(x + s) % n + 1 for s in range(8)] for x in range(n)]))
+    assert len(regular_decompose(g)) == 8
     assert calls == []
 
 

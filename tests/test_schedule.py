@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -225,6 +226,20 @@ def test_q2_step_list_pinned(part_q2):
         {"shared_blocks": 2, "demands": 60, "steps": 6},
         {"shared_blocks": 1, "demands": 30, "steps": 3},
     ]
+
+
+# sha256 over every step of the src then the dst array, as little-endian int64
+Q7_STEPS_SHA256 = "2a5ea0698d244b13240b125bc9c318277a969027261bf00d50f9ef35b35e6add"
+
+
+def test_q7_schedule_pinned():
+    sched = build_schedule(build_demands(build_partition(steiner.construct_spherical(7))))
+    digest = hashlib.sha256()
+    for step in sched.steps:
+        digest.update(step.src.astype("<i8").tobytes())
+        digest.update(step.dst.astype("<i8").tobytes())
+    assert len(sched.steps) == 244
+    assert digest.hexdigest() == Q7_STEPS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ from tetracomm.tensor_core import (
     tiled_store,
 )
 
-from oracles import ElementGatherStore, sttsv_naive, sttsv_naive_counted, sttsv_symmetric_counted
+from oracles import (
+    ElementGatherStore,
+    get_entry,
+    set_entry,
+    sttsv_naive,
+    sttsv_naive_counted,
+    sttsv_symmetric_counted,
+)
 
 
 def rank1_tensor(v):
@@ -37,7 +44,7 @@ def rank1_tensor(v):
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             for k in range(1, j + 1):
-                t.set(i, j, k, v[i - 1] * v[j - 1] * v[k - 1])
+                set_entry(t, i, j, k, v[i - 1] * v[j - 1] * v[k - 1])
     return t
 
 
@@ -47,7 +54,7 @@ def symmetric_rank_r_tensor(factors):
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             for k in range(1, j + 1):
-                t.set(i, j, k, float(sum(factors[i - 1, l] * factors[j - 1, l] * factors[k - 1, l] for l in range(r))))
+                set_entry(t, i, j, k, float(sum(factors[i - 1, l] * factors[j - 1, l] * factors[k - 1, l] for l in range(r))))
     return t
 
 
@@ -75,9 +82,9 @@ def test_packed_index_rejects_unsorted():
 
 def test_symmetry_of_access():
     t = random_symmetric(4, 42)
-    assert t.get(1, 2, 3) == t.get(3, 1, 2) == t.get(2, 3, 1)
-    t.set(1, 3, 2, 7.5)
-    assert t.get(3, 2, 1) == 7.5
+    assert get_entry(t, 1, 2, 3) == get_entry(t, 3, 1, 2) == get_entry(t, 2, 3, 1)
+    set_entry(t, 1, 3, 2, 7.5)
+    assert get_entry(t, 3, 2, 1) == 7.5
 
 
 def test_to_dense_is_symmetric():
@@ -123,7 +130,7 @@ def test_symmetric_all_ones_n2():
 def test_symmetric_diagonal_only_tensor():
     t = PackedSymTensor(3)
     for i in range(1, 4):
-        t.set(i, i, i, 1.0)
+        set_entry(t, i, i, i, 1.0)
     y = sttsv_symmetric(t, np.array([1.0, 2.0, 3.0]))
     assert np.allclose(y, [1.0, 4.0, 9.0])
 
@@ -328,14 +335,14 @@ def test_to_dense_holds_every_entry_at_every_permutation():
     dense = t.to_dense()
     assert dense.flags.c_contiguous
     for a, b, c in np.ndindex(6, 6, 6):
-        assert dense[a, b, c] == t.get(a + 1, b + 1, c + 1)
+        assert dense[a, b, c] == get_entry(t, a + 1, b + 1, c + 1)
 
 
 def test_sequential_kernel_sees_tensor_updates():
     t = random_symmetric(5, 2)
     x = random_vector(5, 3)
     before = sttsv_symmetric(t, x)
-    t.set(4, 2, 1, 10.0)
+    set_entry(t, 4, 2, 1, 10.0)
     after = sttsv_symmetric(t, x)
     assert not np.allclose(before, after)
     assert np.allclose(after, sttsv_symmetric_counted(t, x)[0], rtol=1e-12)
@@ -366,8 +373,8 @@ def test_hopm_rank1_converges_to_unit_eigenvalue():
 
 def test_hopm_dominant_diagonal():
     t = PackedSymTensor(2)
-    t.set(1, 1, 1, 3.0)
-    t.set(2, 2, 2, 1.0)
+    set_entry(t, 1, 1, 1, 3.0)
+    set_entry(t, 2, 2, 2, 1.0)
     result = hopm(t, x0=np.array([1.0, 1e-3]), tol=1e-12, max_iters=200)
     assert abs(result.lam - 3.0) < 1e-10
     assert abs(abs(result.x[0]) - 1.0) < 1e-10

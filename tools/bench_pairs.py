@@ -5,14 +5,15 @@ Each side is a separate checkout of the repository (for example
 the script runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` in both checkouts, each in a fresh process, where T is the
 ``run_seconds`` of BENCHMARK.json.  Odd seeds run the parent first and even
-seeds the change first.  It then makes one
-``--trace 1`` run per side on the trace seed, and writes the medians,
-quartiles and pair wins of every end-to-end metric of the change checkout's
-BENCHMARK.json next to every run's record and result lines:
+seeds the change first.  It then makes one ``--trace 1`` pair on every trace
+seed, in the same alternating order, and writes the medians, quartiles and
+pair wins of every end-to-end metric of the change checkout's BENCHMARK.json
+and each side's median of every traced per-layer metric next to every run's
+record and result lines:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --parent-rev <sha> --label pr10 --seeds 121-130 --trace-seed 131 \\
-        --change-note "..." --claim "..." --out BENCH_pr10.json
+        --parent-rev <sha> --label pr11 --seeds 121-125 --trace-seeds 131-133 \\
+        --change-note "..." --claim "..." --out BENCH_pr11.json
 
 The file is rewritten after every pair, so a cut run leaves what it measured.
 It only composes ``run.py`` output; it measures nothing itself.
@@ -62,6 +63,17 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def span_medians(traced: list[dict]) -> dict:
+    """Each side's median over the traced pairs of every per-layer metric."""
+    return {
+        name: {
+            f"{side}_median": float(np.median([r[side]["result"]["metrics"][name]["value"] for r in traced]))
+            for side in ("parent", "change")
+        }
+        for name in traced[0]["parent"]["result"]["metrics"]
+    }
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -82,7 +94,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change-note", required=True, help="what the change does")
     parser.add_argument("--claim", required=True, help="the gain the change claims, or that it claims none")
     parser.add_argument("--seeds", type=seed_range, required=True, help="first-last, for example 121-130")
-    parser.add_argument("--trace-seed", type=int, required=True)
+    parser.add_argument("--trace-seeds", type=seed_range, required=True, help="first-last, one traced pair each")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -99,7 +111,10 @@ def main(argv=None) -> int:
                 f"seeds {seeds[0]}-{seeds[-1]} per workload; odd seeds run the parent first, even seeds the change "
                 "first; each run in a fresh process from a separate checkout (git archive of each commit)"
             ),
-            "trace": f"one run per side per workload with --trace 1 --seconds {seconds:g}, seed {args.trace_seed}",
+            "trace": (
+                f"one pair per workload on each of seeds {args.trace_seeds[0]}-{args.trace_seeds[-1]} with --trace 1 "
+                f"--seconds {seconds:g}, in the same alternating order; traced_medians holds each side's median"
+            ),
             "parent": args.parent_rev,
             "pair_win": (
                 "the change's value is strictly better than the parent's in the same pair (lower is better for "
@@ -110,20 +125,27 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     sides = {"parent": args.parent, "change": args.change}
+
+    def run_pair(workload: str, seed: int, trace: int) -> dict:
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        pair = {"seed": seed, "order": order}
+        for side in order:
+            pair[side] = run_side(sides[side], workload, seed, seconds, trace)
+        doc["method"].setdefault("host", host(pair["parent"]["record"]))
+        return pair
+
     for workload in (w["name"] for w in bench["workloads"]):
-        entry = doc["workloads"][workload] = {"seeds": seeds, "summary": {}, "runs": []}
+        entry = doc["workloads"][workload] = {"seeds": seeds, "summary": {}, "runs": [], "traced": []}
         for seed in seeds:
-            order = ["parent", "change"] if seed % 2 else ["change", "parent"]
-            pair = {"seed": seed, "order": order}
-            for side in order:
-                pair[side] = run_side(sides[side], workload, seed, seconds, 0)
-            entry["runs"].append(pair)
+            entry["runs"].append(run_pair(workload, seed, 0))
             entry["summary"] = summarize(entry["runs"], bench["end_to_end"])
-            doc["method"].setdefault("host", host(pair["parent"]["record"]))
             args.out.write_text(json.dumps(doc) + "\n")
             print(f"{workload} seed {seed} done", file=sys.stderr, flush=True)
-        entry["traced"] = {side: run_side(sides[side], workload, args.trace_seed, seconds, 1) for side in sides}
-        args.out.write_text(json.dumps(doc) + "\n")
+        for seed in args.trace_seeds:
+            entry["traced"].append(run_pair(workload, seed, 1))
+            entry["traced_medians"] = span_medians(entry["traced"])
+            args.out.write_text(json.dumps(doc) + "\n")
+            print(f"{workload} traced seed {seed} done", file=sys.stderr, flush=True)
     return 0
 
 
