@@ -1,12 +1,19 @@
 """Bipartite matching primitives for diagonal assignment and scheduling.
 
-``max_matching`` is Hopcroft-Karp; ``d_disjoint_matchings`` runs it once on
-a replicated graph.  ``regular_decompose`` edge-colours a d-regular
-bipartite graph with d perfect matchings: an even degree splits along Euler
-partitions into two regular halves in linear time (H. N. Gabow, *Using
-Euler partitions to edge color bipartite multigraphs*, 1976), so
-Hopcroft-Karp runs only where the degree is odd, once per subgraph, to take
-one perfect matching off.
+``max_matching`` is Hopcroft-Karp; ``d_disjoint_matchings`` runs the same
+search once on a replicated graph whose copies share their row lists.
+``regular_decompose`` edge-colours a d-regular bipartite graph with d
+perfect matchings: an even degree splits along Euler partitions into two
+regular halves in linear time (H. N. Gabow, *Using Euler partitions to edge
+color bipartite multigraphs*, 1976), so Hopcroft-Karp runs only where the
+degree is odd, once per subgraph, to take one perfect matching off.
+
+``euler_orient`` serves symmetric arc sets, where every arc's reverse is an
+arc too, as in the schedule's demand layers.  At even degree d it keeps one
+arc of every reverse pair so that each vertex keeps d/2 arcs out and d/2
+in.  A perfect matching of the kept arcs and its inverse cover the same
+pairs in both directions, so colouring the d/2-regular kept graph colours
+the whole set with half the Euler splits and Hopcroft-Karp runs.
 
 All vertex ids are 1-based, so 0 never names a vertex.  Graphs and results
 are integer arrays: a matching is a mate array whose entry x-1 is x's
@@ -27,6 +34,7 @@ __all__ = [
     "max_matching",
     "d_disjoint_matchings",
     "regular_decompose",
+    "euler_orient",
 ]
 
 
@@ -66,18 +74,17 @@ class BipartiteGraph:
             raise ValueError(f"duplicate edge at x={x + 1}")
 
 
-def max_matching(graph: BipartiteGraph) -> np.ndarray:
-    """Maximum-cardinality matching via Hopcroft-Karp, as a length-nx mate array.
+def _hopcroft_karp(adj: list[list[int]], ny: int) -> np.ndarray:
+    """The mate array of a maximum matching of the rows adj, X vertex x owning row x-1.
 
-    mate[x-1] is x's partner, or 0 if x is unmatched.  Augmenting paths are
-    searched depth first on an explicit stack, so a long path cannot reach
-    the recursion limit.
+    Rows list Y ids in 1..ny and are only read, so one list may stand for
+    several rows.  Augmenting paths are searched depth first on an explicit
+    stack, so a long path cannot reach the recursion limit.
     """
-    nx = graph.nx
-    adj = graph.adj.tolist()
+    nx = len(adj)
     inf = float("inf")
     pair_x = [0] * (nx + 1)
-    pair_y = [0] * (graph.ny + 1)
+    pair_y = [0] * (ny + 1)
     dist = [inf] * (nx + 1)
 
     def bfs() -> bool:
@@ -133,25 +140,35 @@ def max_matching(graph: BipartiteGraph) -> np.ndarray:
     return np.array(pair_x[1:], dtype=np.int64)
 
 
+def max_matching(graph: BipartiteGraph) -> np.ndarray:
+    """Maximum-cardinality matching via Hopcroft-Karp, as a length-nx mate array.
+
+    mate[x-1] is x's partner, or 0 if x is unmatched.
+    """
+    return _hopcroft_karp(graph.adj.tolist(), graph.ny)
+
+
 def d_disjoint_matchings(graph: BipartiteGraph, d: int) -> np.ndarray:
     """d edge-disjoint matchings, each covering every X vertex exactly once.
 
     Returns a (d, nx) array: row c is the c-th matching's mate array.  Each
     X vertex is replicated d times and a single maximum matching of the
-    replicated graph is split by copy index.  Raises MatchingInfeasibleError
-    when the replicated matching is not X-perfect, which signals that the
-    caller's degree structure does not support d matchings.
+    replicated graph is split by copy index.  The copies share x's row
+    list, so the graph is neither copied nor validated again.  Raises
+    MatchingInfeasibleError when the replicated matching is not X-perfect,
+    which signals that the caller's degree structure does not support d
+    matchings.
     """
     if d < 1:
         raise ValueError(f"d={d} must be positive")
-    mate = max_matching(BipartiteGraph(graph.nx * d, graph.ny, np.repeat(graph.adj, d, axis=0)))
+    # copy c of x is vertex (x-1)d + c + 1 of the replicated graph
+    mate = _hopcroft_karp([row for row in graph.adj.tolist() for _ in range(d)], graph.ny)
     matched = np.count_nonzero(mate)
     if matched != graph.nx * d:
         raise MatchingInfeasibleError(
             f"replicated matching covered {matched} of {graph.nx * d} copies; "
             f"{d} disjoint X-covering matchings do not exist"
         )
-    # copy c of x is vertex (x-1)d + c + 1 of the replicated graph
     return mate.reshape(graph.nx, d).T
 
 
@@ -181,6 +198,25 @@ def _cycle_min(sigma: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, label):
             return label
         label, step = nxt, step[step]
+
+
+def euler_orient(rev: np.ndarray) -> np.ndarray:
+    """keep[a]: whether arc a survives an Euler orientation of a symmetric layer.
+
+    The arcs are the entries of an (n, d) adjacency array, d even, taken
+    row by row, so arc a leaves vertex a // d + 1 and arcs a and a ^ 1
+    leave the same vertex; rev[a] is the index of a's reverse arc.  Pairing
+    every vertex's arcs two by two that way splits the undirected edges
+    into closed trails: the trail that enters a vertex by arc a leaves it by
+    rev[a] ^ 1, the arc paired with a's reverse.  Each trail is a cycle of
+    that successor and its reversal is another cycle, never the same one,
+    so keeping whichever of the two holds the lesser least arc keeps
+    exactly one arc of every reverse pair.  A trail leaves a vertex once
+    for every time it enters it, so every vertex keeps d/2 arcs out and
+    d/2 in.
+    """
+    label = _cycle_min(rev ^ 1)
+    return label < label[rev]
 
 
 def _split(order: np.ndarray, half: np.ndarray, groups: int, n: int, d: int) -> np.ndarray:

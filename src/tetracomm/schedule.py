@@ -2,9 +2,10 @@
 
 Every ordered pair of processors with overlapping row-block sets induces one
 transfer demand per vector phase.  Demands are layered by the number of
-shared blocks; each layer is regular and decomposes into perfect matchings,
-one communication step per matching, so that within a step every processor
-sends at most one message and receives at most one message.
+shared blocks; each layer is regular and symmetric and decomposes into
+perfect matchings, one communication step per matching, so that within a
+step every processor sends at most one message and receives at most one
+message.
 
 Demands are held as integer arrays (``Demands``), one row per demand, so
 building, scheduling and validating them creates no Python object per
@@ -21,7 +22,7 @@ import numpy as np
 from .checks import Check, Report
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
-from .matching import BipartiteGraph, max_matching, regular_decompose  # noqa: F401
+from .matching import BipartiteGraph, euler_orient, max_matching, regular_decompose  # noqa: F401
 from .partition import TetraPartition, vector_layout
 
 __all__ = [
@@ -173,17 +174,29 @@ def build_schedule(demands: Demands) -> CommSchedule:
     of points lies in λ₂ = (m-2)/(r-2) blocks and each point in
     λ₁ = (m-1)(m-2)/((r-1)(r-2)) blocks.  So every processor has
     C(r,2)(λ₂-1) two-share partners and r(λ₁-1-(r-1)(λ₂-1)) one-share
-    partners, and demands are symmetric, so a processor sends and receives
-    equally often in each layer.  A d-regular bipartite graph is d-edge
-    colourable, so regular_decompose splits each layer into d perfect
-    matchings, one step each: Euler splits halve even degrees, and one
-    Hopcroft-Karp matching per subgraph lowers odd ones.  Graph vertices
-    are processor ids, so a step lists its demands by ascending sender.
+    partners.  A d-regular bipartite graph is d-edge colourable, so
+    regular_decompose splits a layer into d perfect matchings, one step
+    each: Euler splits halve even degrees, and one Hopcroft-Karp matching
+    per subgraph lowers odd ones.  Graph vertices are processor ids, so a
+    step lists its demands by ascending sender.
+
+    Every layer is symmetric, since p and p' share the same blocks whichever
+    sends: p->p' is a demand exactly when p'->p is.  So one direction of
+    each partner pair stands for both.  At even d, euler_orient keeps one
+    arc of every pair so that each processor keeps d/2 out-partners and
+    d/2 in-partners; regular_decompose colours that d/2-regular half, and
+    each of its matchings gives two steps, itself and its inverse.  That
+    halves every Euler split and Hopcroft-Karp run below the top level.
+    For the spherical designs the two-share degree is q²(q+1)/2 and the
+    one-share degree q²-1: both are even when q ≡ 3 (mod 4), only the
+    two-share degree when q is even, and only the one-share degree when
+    q ≡ 1 (mod 4).  Odd layers are coloured whole.
 
     A stable sort by shared count keeps every layer sorted by (src, dst),
-    so sender s's d demands are row s of layer.reshape(P, d), and a step's
-    demands are found by binary search on the (src, dst) key.  A layer
-    that is not regular on every processor raises ValueError.
+    so sender s's d demands are row s of layer.reshape(P, d), and a
+    layer's steps are found by one binary search on the (src, dst) key and
+    cut from one gather of its demand rows.  A layer that is not regular
+    on every processor, or not symmetric, raises ValueError.
     """
     P = int(max(demands.src.max(initial=0), demands.dst.max(initial=0)))
     shared = demands.shared
@@ -200,10 +213,22 @@ def build_schedule(demands: Demands) -> CommSchedule:
         degrees = np.r_[0, np.full(P, d)]
         if not all(np.array_equal(np.bincount(ends, minlength=P + 1), degrees) for ends in (src, dst)):
             raise ValueError(f"layer of {size} shared blocks is not regular on processors 1..{P}")
-        key = src * (P + 1) + dst
+        key, back = src * (P + 1) + dst, dst * (P + 1) + src
+        # rev[a]: the layer row of the reverse of demand a.  In a symmetric layer
+        # the reverse keys are the sorted keys again, so that row is back[a]'s rank
+        rev = np.empty_like(layer)
+        rev[np.argsort(back)] = np.arange(len(layer))
+        if not np.array_equal(key[rev], back):
+            raise ValueError(f"layer of {size} shared blocks is not symmetric")
+        if d % 2:
+            receivers = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
+        else:
+            half = regular_decompose(BipartiteGraph(P, P, dst[euler_orient(rev)].reshape(P, d // 2)))
+            # a permutation's inverse is its argsort
+            receivers = np.concatenate([half, np.argsort(half, axis=1) + 1])
         # row c of receivers pairs sender s with receivers[c, s - 1]
-        receivers = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
-        steps += [demands.take(rows) for rows in layer[np.searchsorted(key, senders * (P + 1) + receivers)]]
+        rows = layer[np.searchsorted(key, senders * (P + 1) + receivers)]
+        steps += [Demands(*step) for step in zip(demands.src[rows], demands.dst[rows], demands.blocks[rows])]
         layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(receivers)})
         blocks_per_step += [size] * len(receivers)
 

@@ -202,9 +202,9 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        (("schedule", "--q", "3", "--n", "120"), "f035e29dcbada74fe28c62fd760307b8162f4434613d0cace5471b775f1961e1"),
-        (("schedule", "--design", "steiner_10_4_3.txt"), "bd47d2d07bb85ec55d04fa40a2d791949a9e22666875d9e1bad9ac2c4536ae2a"),
-        (("schedule", "--design", "steiner_8_4_3.txt"), "5c4051a79c62eda30cb1f877b18df372f6dd858ab0fb0bc66bfe18c945901a48"),
+        (("schedule", "--q", "3", "--n", "120"), "3b50503787786c55eaf34019eab117692492ffdae5c95ab478a296b61bd017ff"),
+        (("schedule", "--design", "steiner_10_4_3.txt"), "0725f5b2477a45e993840951ac47df2c5d6827f010b41cfc2e62ba04a1173e06"),
+        (("schedule", "--design", "steiner_8_4_3.txt"), "1741ae695f73c775cc416320457eacc83b0425115d0fdd4c72bb92624f281fdb"),
         (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
     ],
 )

@@ -11,6 +11,7 @@ from tetracomm.matching import (
     BipartiteGraph,
     MatchingInfeasibleError,
     d_disjoint_matchings,
+    euler_orient,
     max_matching,
     regular_decompose,
 )
@@ -265,6 +266,28 @@ def test_d_disjoint_deterministic():
 
 
 @st.composite
+def x_regular_graphs(draw):
+    """(graph, d): nx rows of k distinct neighbours in 1..ny, and a copy count d."""
+    ny = draw(st.integers(1, 12))
+    k = draw(st.integers(0, ny))
+    rows = draw(st.lists(st.permutations(range(1, ny + 1)), min_size=1, max_size=8))
+    return BipartiteGraph(len(rows), ny, np.array([row[:k] for row in rows]).reshape(len(rows), k)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x_regular_graphs())
+def test_d_disjoint_equals_one_matching_of_the_replicated_graph(case):
+    # the replicated graph d_disjoint_matchings searches without building it
+    graph, d = case
+    mate = max_matching(BipartiteGraph(graph.nx * d, graph.ny, np.repeat(graph.adj, d, axis=0)))
+    if mate.all():
+        assert np.array_equal(d_disjoint_matchings(graph, d), mate.reshape(graph.nx, d).T)
+    else:
+        with pytest.raises(MatchingInfeasibleError):
+            d_disjoint_matchings(graph, d)
+
+
+@st.composite
 def regular_graphs(draw):
     """(d, adj): x is joined to perm[x + s mod n] for d distinct shifts s."""
     n = draw(st.integers(1, 40))
@@ -316,6 +339,62 @@ def test_q7_schedule_runs_hopcroft_karp_only_at_odd_degrees(monkeypatch):
     demands = build_demands(build_partition(steiner.construct_spherical(7)))
     calls = counting_max_matching(monkeypatch)
     assert len(build_schedule(demands).steps) == 244
-    # layer degrees 196 and 48: 4 + 64 matchings at degrees 49 and 3, 16 at degree 3;
-    # peeling one matching per step made 244 calls
-    assert len(calls) <= 84
+    # layer degrees 196 and 48, both even, so each layer's Euler orientation of degree
+    # 98 and 24 is coloured: 2 + 32 matchings at degrees 49 and 3, 8 at degree 3.
+    # Colouring both directions made 84 calls, peeling one matching per step 244
+    assert len(calls) == 42
+
+
+# ---------------------------------------------------------------------------
+# Euler orientation
+# ---------------------------------------------------------------------------
+
+
+def reverse_arcs(adj) -> np.ndarray:
+    """rev[a]: the index of the reverse of arc a of the (n, d) adjacency, arcs taken row by row."""
+    n, d = adj.shape
+    x = np.repeat(np.arange(1, n + 1), d)
+    key = x * (n + 1) + adj.ravel()
+    order = np.argsort(key)
+    return order[np.searchsorted(key[order], adj.ravel() * (n + 1) + x)]
+
+
+def check_euler_orientation(adj):
+    n, d = adj.shape
+    rev = reverse_arcs(adj)
+    keep = euler_orient(rev)
+    assert keep.shape == (n * d,) and keep.dtype == bool
+    assert keep.reshape(n, d).sum(axis=1).tolist() == [d // 2] * n  # out-degrees
+    assert np.bincount(adj.ravel()[keep], minlength=n + 1)[1:].tolist() == [d // 2] * n  # in-degrees
+    # exactly one arc of every reverse pair is kept, so the kept arcs and their reverses are the layer
+    assert np.all(keep != keep[rev])
+    x = np.repeat(np.arange(1, n + 1), d)
+    kept = set(zip(x[keep].tolist(), adj.ravel()[keep].tolist()))
+    assert kept | {(b, a) for a, b in kept} == set(zip(x.tolist(), adj.ravel().tolist()))
+
+
+@st.composite
+def symmetric_even_graphs(draw):
+    """A circulant on n vertices joined by shifts +-s, k shifts, relabelled by a permutation."""
+    n = draw(st.integers(3, 40))
+    shifts = draw(st.permutations(range(1, (n + 1) // 2)))[: draw(st.integers(1, (n - 1) // 2))]
+    perm = draw(st.permutations(range(1, n + 1)))
+    adj = np.zeros((n, 2 * len(shifts)), dtype=np.int64)
+    for x in range(n):
+        adj[perm[x] - 1] = sorted(perm[(x + t) % n] for s in shifts for t in (s, -s))
+    return adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_even_graphs())
+def test_euler_orient_keeps_one_arc_of_each_pair_and_half_of_each_degree(adj):
+    check_euler_orientation(adj)
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_euler_orient_on_the_schedule_layers(q):
+    demands = build_demands(build_partition(steiner.construct_spherical(q)))
+    P = int(demands.src.max())
+    for size in (1, 2):
+        dst = demands.dst[demands.shared == size]
+        check_euler_orientation(dst.reshape(P, -1))

@@ -166,9 +166,9 @@ def test_steps_are_p_row_tables_sorted_by_sender(part10):
 
 @pytest.fixture
 def no_decompose(monkeypatch):
-    """build_schedule must reject an irregular layer itself, before decomposing or reshaping it."""
+    """build_schedule must reject an irregular or asymmetric layer itself, before decomposing or reshaping it."""
 
-    def unreachable(graph, d):
+    def unreachable(graph):
         raise AssertionError("regular_decompose reached")
 
     monkeypatch.setattr(schedule, "regular_decompose", unreachable)
@@ -196,6 +196,13 @@ def test_layer_that_leaves_out_a_processor_raises(no_decompose):
         build_schedule(demands)
 
 
+def test_asymmetric_regular_layer_raises(no_decompose):
+    # i->i+1 and i->i+2 mod 5: two sends and two receives each, but no demand has its reverse
+    demands = Demands.from_rows([(i + 1, (i + s) % 5 + 1, (1,)) for i in range(5) for s in (1, 2)])
+    with pytest.raises(ValueError, match="layer of 1 shared blocks is not symmetric"):
+        build_schedule(demands)
+
+
 def test_passing_path_builds_no_transfer_demand(monkeypatch):
     demands = build_demands(build_partition(steiner.construct_spherical(3)))
 
@@ -209,12 +216,12 @@ def test_passing_path_builds_no_transfer_demand(monkeypatch):
 def test_q2_step_list_pinned(part_q2):
     # receivers of senders 1..10 per step; pins the decomposition order
     expected = [
+        [2, 3, 1, 5, 10, 4, 8, 9, 7, 6],
+        [7, 6, 8, 2, 1, 9, 10, 5, 3, 4],
+        [4, 9, 5, 7, 6, 3, 2, 1, 10, 8],
         [3, 1, 2, 6, 4, 10, 9, 7, 8, 5],
-        [2, 3, 1, 5, 6, 4, 8, 9, 10, 7],
-        [8, 7, 9, 2, 1, 5, 4, 10, 3, 6],
-        [5, 4, 6, 10, 8, 3, 2, 1, 7, 9],
-        [7, 9, 8, 1, 3, 2, 10, 5, 6, 4],
-        [4, 6, 5, 7, 10, 9, 1, 3, 2, 8],
+        [5, 4, 9, 10, 8, 2, 1, 3, 6, 7],
+        [8, 7, 6, 1, 3, 5, 4, 10, 2, 9],
         [6, 5, 10, 8, 9, 7, 3, 2, 4, 1],
         [10, 8, 7, 9, 2, 1, 6, 4, 5, 3],
         [9, 10, 4, 3, 7, 8, 5, 6, 1, 2],
@@ -228,18 +235,30 @@ def test_q2_step_list_pinned(part_q2):
     ]
 
 
-# sha256 over every step of the src then the dst array, as little-endian int64
-Q7_STEPS_SHA256 = "2a5ea0698d244b13240b125bc9c318277a969027261bf00d50f9ef35b35e6add"
+def steps_sha256(steps) -> str:
+    """sha256 over every step of the src then the dst array, as little-endian int64."""
+    digest = hashlib.sha256()
+    for step in steps:
+        digest.update(step.src.astype("<i8").tobytes())
+        digest.update(step.dst.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+Q7_STEPS_SHA256 = "e6e82a634294e880d8bcf505ff67c5117b4e92afa7755b8a871759eb37e47a0a"
+# the 15 steps of q=4's one-share layer: its degree is odd, so it is coloured whole
+Q4_ODD_LAYER_SHA256 = "c8c6f824a64110145682c6deaa41cfd08d07eab2fec0b2cd0abb267d777de8e5"
 
 
 def test_q7_schedule_pinned():
     sched = build_schedule(build_demands(build_partition(steiner.construct_spherical(7))))
-    digest = hashlib.sha256()
-    for step in sched.steps:
-        digest.update(step.src.astype("<i8").tobytes())
-        digest.update(step.dst.astype("<i8").tobytes())
     assert len(sched.steps) == 244
-    assert digest.hexdigest() == Q7_STEPS_SHA256
+    assert steps_sha256(sched.steps) == Q7_STEPS_SHA256
+
+
+def test_q4_odd_layer_pinned():
+    sched = build_schedule(build_demands(build_partition(steiner.construct_spherical(4))))
+    assert sched.meta["layers"][1] == {"shared_blocks": 1, "demands": 1020, "steps": 15}
+    assert steps_sha256(sched.steps[40:]) == Q4_ODD_LAYER_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +323,9 @@ EXPECTED_PROBLEMS = {
     "dropped": last_step_problems(0),
     "duplicated": last_step_problems(2),
     "clash": [
-        "one_message_per_step: step 1: processor 2 sends 2 messages; step 1: processor 3 receives 2 messages",
-        "demands_covered: demand 2->3 blocks (1, 2) scheduled 2 times, expected 1",
-        VOLUME_OFF + "[2]",
+        "one_message_per_step: step 1: processor 3 sends 2 messages; step 1: processor 2 receives 2 messages",
+        "demands_covered: demand 3->2 blocks (1, 2) scheduled 2 times, expected 1",
+        VOLUME_OFF + "[3]",
     ],
     "altered": [
         "demands_covered: demand 1->9 blocks (2,) scheduled 0 times, expected 1; "
