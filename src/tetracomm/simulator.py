@@ -144,12 +144,10 @@ def simulate(
     start[owned] = [lo for lo, _ in layout.ranges.values()]
     width = np.arange(chunk)
 
-    # row p-1 is processor p's copy of x: it starts with only its own chunks,
-    # and `have` marks what it holds, so no value of x can pass for "not yet received"
-    xs = np.zeros((P, n))
+    # have[p - 1] marks the rows of x processor p holds: it starts with only its
+    # own chunks, so no value of x can pass for "not yet received"
     have = np.zeros((P, n), dtype=bool)
     own_rows, own_cols = owned[1][:, None] - 1, start[owned][:, None] + width
-    xs[own_rows, own_cols] = x_global[own_cols]
     have[own_rows, own_cols] = True
 
     demands = build_demands(part)
@@ -174,19 +172,20 @@ def simulate(
     msg, slot = np.nonzero(carried.blocks)
     blk, snd, rcv = carried.blocks[msg, slot], carried.src[msg], carried.dst[msg]
 
-    # x phase: the sender forwards its own chunk of every shared row block.  A
-    # message never writes over a processor's own chunk, so every sender still
-    # holds its chunks as given and the messages may land in any order
+    # x phase: the sender forwards its own chunk of every shared row block,
+    # which it holds as given, so every row a processor holds carries x's
+    # value and the messages may land in any order
     rows, cols = rcv[:, None] - 1, start[blk, snd][:, None] + width
-    xs[rows, cols] = x_global[cols]
     have[rows, cols] = True
     need = np.zeros((P, part.m), dtype=bool)
     for p, row_blocks in enumerate(part.R):
         need[p, np.asarray(row_blocks, dtype=np.int64) - 1] = True
     gather_complete = bool(have.reshape(P, part.m, b).all(axis=2)[need].all())
 
-    # local compute: one gather streams every processor's blocks, each
+    # local compute: row p-1 of xs is processor p's copy of x, zero where it
+    # holds nothing.  One gather streams every processor's blocks, each
     # contracted into its owner's row of xs/ys and dropped as it arrives
+    xs = np.where(have, x_global, 0.0)
     ys = np.zeros((P, n))
     owner, blocks = [], []
     for p in range(1, P + 1):
@@ -196,13 +195,8 @@ def simulate(
     # xb[p - 1, i - 1] is processor p's copy of row block i
     xb, yb = xs.reshape(P, part.m, b), ys.reshape(P, part.m, b)
     ternary, elems = [0] * (P + 1), [0] * (P + 1)
-    # the generator is iterated bare: zip or enumerate would keep the last
-    # block in its reused result tuple while the next batch is gathered
-    owners = iter(owner)
-    for kind, D, ids, block_elems, block_ternary in gather_blocks(tensor, spans, blocks):
-        p = next(owners)
+    for p, (kind, D, ids, block_elems, block_ternary) in zip(owner, gather_blocks(tensor, spans, blocks)):
         contract(kind, D, [xb[p - 1, i - 1] for i in ids], [yb[p - 1, i - 1] for i in ids])
-        del D  # so that the next batch is gathered with this one dropped
         ternary[p] += block_ternary
         elems[p] += block_elems
     counters = [

@@ -9,17 +9,17 @@ with BLAS by ``contract``.  For fixed rows (gi, gj) the entries
 (gi, gj, klo..khi) are one contiguous run of the packed data, so a block is
 gathered as b_i*b_j runs through a window view of the data; the entries of a
 diagonal block that lie past its diagonal are then mirrored from the
-gathered ones.  One generator, ``gather_blocks``, does every gather, a batch
-of blocks at a time, and counts the packed elements and ternary
-multiplications (products a*x*x of the four-case symmetric update) of each
-block it yields.  A caller that uses each block once contracts it as it
-arrives and drops it: the sequential ``sttsv_symmetric`` on a packed tensor
-(the one-processor case over a fixed tiling of the rows) and each simulated
-processor of the parallel algorithm, so neither holds a copy of the tensor.
-Only callers that reuse blocks keep them in a ``BlockStore``: ``hopm`` and
-``cp_gradient`` build one store per call and reuse it for every
-contraction.  Kernels sum in different orders, so comparisons between them
-use relative tolerances.
+gathered ones.  One generator, ``gather_blocks``, does every gather, one
+block at a time, and counts the packed elements and ternary multiplications
+(products a*x*x of the four-case symmetric update) of each block it yields.
+A caller that uses each block once contracts it as it arrives and drops it:
+the sequential ``sttsv_symmetric`` on a packed tensor (the one-processor
+case over a fixed tiling of the rows) and each simulated processor of the
+parallel algorithm, so neither holds more than a block of the tensor.  Only
+callers that reuse blocks keep them, copied into one buffer, in a
+``BlockStore``: ``hopm`` and ``cp_gradient`` build one store per call and
+reuse it for every contraction.  Kernels sum in different orders, so
+comparisons between them use relative tolerances.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ __all__ = [
 # m tiles the dense diagonal tiles hold 1 + 3/m + 2/m^2 times the packed
 # size, while smaller tiles pay more per-block call overhead.
 TILE = 32
-# Runs a block store gathers at a time: 4 MB of blocks of TILE rows.
-GATHER_RUNS = 1 << 14
 TENSOR_MAGIC = b"PST3"
 VECTOR_MAGIC = b"VEC1"
 
@@ -107,8 +105,8 @@ class PackedSymTensor:
         self.data = data
 
     def to_dense(self) -> np.ndarray:
-        """Expand to a dense symmetric array: the one central block of a one-span store."""
-        ((_, dense, _),) = BlockStore(self, {0: (0, self.n)}, [(0, 0, 0)]).blocks
+        """Expand to a dense symmetric array: the one central block over all rows."""
+        ((_, dense, _, _, _),) = gather_blocks(self, {0: (0, self.n)}, [(0, 0, 0)])
         return dense
 
 
@@ -155,8 +153,12 @@ def contract(kind: str, D: np.ndarray, xs, ys) -> None:
         raise ValueError(f"unknown block kind {kind!r}")
 
 
-def _check_spans(spans: dict, n: int) -> None:
-    """Raise ValueError unless every span is a non-empty range in 0..n and spans order like their ids."""
+def _check_blocks(spans: dict, blocks: list, n: int) -> None:
+    """Raise ValueError on a bad span or block.
+
+    Spans must be non-empty ranges in 0..n that order like their ids, and
+    each block an id triple (i, j, k) with i >= j >= k whose ids have spans.
+    """
     last = None
     for i in sorted(spans):
         lo, hi = spans[i]
@@ -165,6 +167,12 @@ def _check_spans(spans: dict, n: int) -> None:
         if last is not None and lo < spans[last][1]:
             raise ValueError(f"span of row block {i} starts before the span of row block {last} ends")
         last = i
+    for blk in blocks:
+        i, j, k = blk
+        if not i >= j >= k:
+            raise ValueError(f"block {blk} is not ordered i >= j >= k")
+        if not {i, j, k} <= spans.keys():
+            raise ValueError(f"block {blk} names a row block with no span")
 
 
 def _canonical_counts(ij: bool, jk: bool, shape, lower: dict) -> tuple[int, int]:
@@ -200,97 +208,58 @@ def gather_blocks(tensor: PackedSymTensor, spans, blocks):
 
     Block (i, j, k) is gathered as runs: the entries (gi, gj, klo..khi) lie
     at packed offsets tet[gi] + tri[gj] + klo onwards, so a block is the
-    b_i*b_j rows of a window view of the data at those run starts.
-    Consecutive blocks of about GATHER_RUNS runs form a batch, and the
-    blocks of one k-width in a batch are copied by one fancy index.  Where
-    i = j the starts take max and min of (gi, gj).  Where j = k a run also
-    reads past the diagonal, gk > gj; those entries, and in a central block
-    the ones with gk > min(gi, gj), are mirrored by ``np.where`` over the
-    block's transposes.  The positions that hold an entry as it is packed,
-    gi >= gj >= gk on the axes that share a row block, form the canonical
-    mask the counters are counted from.
+    b_i*b_j rows of a window view of the data at those run starts, copied by
+    one fancy index.  Where i = j the starts take max and min of (gi, gj).
+    Where j = k a run also reads past the diagonal, gk > gj; those entries,
+    and in a central block the ones with gk > min(gi, gj), are mirrored by
+    ``np.where`` over the block's transposes.  The positions that hold an
+    entry as it is packed, gi >= gj >= gk on the axes that share a row
+    block, form the canonical mask the counters are counted from.
 
-    Only one batch is held at a time: a caller that drops each block once it
-    is used never holds more than about GATHER_RUNS runs of the tensor.
+    Blocks are gathered one at a time, as they are asked for: a caller that
+    drops each block once it is used never holds more than one block of the
+    tensor.
     """
     n = tensor.n
     spans = dict(spans)
-    _check_spans(spans, n)
     blocks = list(blocks)
-    for blk in blocks:
-        i, j, k = blk
-        if not i >= j >= k:
-            raise ValueError(f"block {blk} is not ordered i >= j >= k")
-        if not {i, j, k} <= spans.keys():
-            raise ValueError(f"block {blk} names a row block with no span")
-    if not blocks:
-        return
+    _check_blocks(spans, blocks, n)
 
     r = np.arange(n, dtype=np.int64)
     tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
-    rows = {i: np.arange(*spans[i]) for i in {i for blk in blocks for i in blk}}
-    shapes = [(len(rows[i]), len(rows[j]), len(rows[k])) for i, j, k in blocks]
-
-    def starts(i, j, k) -> np.ndarray:
-        gi, gj = rows[i][:, None], rows[j][None, :]
-        if i == j:
-            gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
-        return (tet[gi] + tri[gj] + spans[k][0]).ravel()
-
     data = tensor.data
     step = data.strides[0]
-    windows = {}  # width -> (window, items)
-
-    def gather(batch) -> dict:
-        """The blocks of one batch by position, one fancy index per k-width."""
-        by_width: dict[int, list[int]] = {}
-        for b in batch:
-            by_width.setdefault(shapes[b][2], []).append(b)
-        out = {}
-        for w, members in by_width.items():
-            if w not in windows:
-                # row s is the run of w entries from packed offset s, so every row lies
-                # inside the data, and a start past the last row raises IndexError
-                window = np.lib.stride_tricks.as_strided(data, (data.size - w + 1, w), (step, step), writeable=False)
-                # as one w-wide item per row, the gather copies each run in one piece
-                items = window.view(np.dtype((np.void, w * step)))[:, 0] if step == data.itemsize else None
-                windows[w] = window, items
-            window, items = windows[w]
-            at = np.concatenate([starts(*blocks[b]) for b in members])
-            runs = window[at] if items is None else items[at].view(np.float64).reshape(-1, w)
-            row = 0
-            for b in members:
-                bi, bj, _ = shapes[b]
-                out[b] = runs[row : row + bi * bj].reshape(shapes[b])
-                row += bi * bj
-        return out
-
+    windows = {}  # width -> the runs of that width, one per row
     lower = {}  # width -> mask of a >= b
     counts = {}  # (i == j, j == k, shape) of a diagonal block -> (entries, ties)
-    # batches of about GATHER_RUNS runs keep the run starts small, and each reuses
-    # the memory the allocator holds from the last one
-    ends = np.cumsum([bi * bj for bi, bj, _ in shapes]) // GATHER_RUNS
-    for batch in np.split(np.arange(len(blocks)), np.flatnonzero(np.diff(ends)) + 1):
-        gathered = gather(batch.tolist())
-        for b in batch.tolist():
-            i, j, k = blocks[b]
-            D = gathered.pop(b)
-            if i > j > k:
-                yield "off", D, (i, j, k), D.size, 3 * D.size
-                continue
-            for w in {D.shape[0], D.shape[2]} - lower.keys():
-                lower[w] = np.tri(w, dtype=bool)
-            if j == k:
-                D[...] = np.where(lower[D.shape[2]][None], D, D.transpose(0, 2, 1))
-            if i == j == k:
-                D[...] = np.where(lower[D.shape[0]][:, :, None], D, D.transpose(1, 0, 2))
-            key = (i == j, j == k, D.shape)
-            if key not in counts:
-                counts[key] = _canonical_counts(*key, lower)
-            elems, ties = counts[key]
-            kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
-            yield kind, D, ids, elems, 3 * elems - ties
-        del D  # the next batch is gathered only once this one is dropped
+    for i, j, k in blocks:
+        (ilo, ihi), (jlo, jhi), (klo, khi) = spans[i], spans[j], spans[k]
+        gi, gj = r[ilo:ihi, None], r[None, jlo:jhi]
+        if i == j:
+            gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
+        w = khi - klo
+        if w not in windows:
+            # row s is the run of w entries from packed offset s, so every row lies
+            # inside the data, and a start past the last row raises IndexError
+            window = np.lib.stride_tricks.as_strided(data, (data.size - w + 1, w), (step, step), writeable=False)
+            # as one w-wide item per row, the gather copies each run in one piece
+            windows[w] = window.view(np.dtype((np.void, w * step)))[:, 0] if step == data.itemsize else window
+        D = windows[w][tet[gi] + tri[gj] + klo].view(np.float64).reshape(ihi - ilo, jhi - jlo, w)
+        if i > j > k:
+            yield "off", D, (i, j, k), D.size, 3 * D.size
+            continue
+        for b in {D.shape[0], w} - lower.keys():
+            lower[b] = np.tri(b, dtype=bool)
+        if j == k:
+            D[...] = np.where(lower[w][None], D, D.transpose(0, 2, 1))
+        if i == j == k:
+            D[...] = np.where(lower[D.shape[0]][:, :, None], D, D.transpose(1, 0, 2))
+        key = (i == j, j == k, D.shape)
+        if key not in counts:
+            counts[key] = _canonical_counts(*key, lower)
+        elems, ties = counts[key]
+        kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
+        yield kind, D, ids, elems, 3 * elems - ties
 
 
 class BlockStore:
@@ -298,8 +267,8 @@ class BlockStore:
 
     ``blocks`` holds (kind, D, ids) per block in the order given;
     ``tensor_elems`` and ``ternary_mults`` sum the counts of every block.
-    The store copies its blocks, so later changes to the tensor do not
-    reach it.
+    The store copies its blocks into slices of one buffer, allocated up
+    front, so later changes to the tensor do not reach it.
     """
 
     __slots__ = ("n", "spans", "blocks", "tensor_elems", "ternary_mults")
@@ -307,10 +276,17 @@ class BlockStore:
     def __init__(self, tensor: PackedSymTensor, spans, blocks):
         self.n = tensor.n
         self.spans = dict(spans)
+        blocks = list(blocks)
+        _check_blocks(self.spans, blocks, self.n)
+        width = {i: hi - lo for i, (lo, hi) in self.spans.items()}
+        ends = np.cumsum([0] + [width[i] * width[j] * width[k] for i, j, k in blocks]).tolist()
+        buf = np.empty(ends[-1])
         self.blocks: list[tuple[str, np.ndarray, tuple]] = []
         self.tensor_elems = self.ternary_mults = 0
-        for kind, D, ids, elems, ternary in gather_blocks(tensor, self.spans, blocks):
-            self.blocks.append((kind, D, ids))
+        for (kind, D, ids, elems, ternary), lo, hi in zip(gather_blocks(tensor, self.spans, blocks), ends, ends[1:]):
+            block = buf[lo:hi].reshape(D.shape)
+            block[...] = D
+            self.blocks.append((kind, block, ids))
             self.tensor_elems += elems
             self.ternary_mults += ternary
 
@@ -352,7 +328,6 @@ def sttsv_symmetric(tensor: PackedSymTensor | BlockStore, x) -> np.ndarray:
     ys = {i: y[lo:hi] for i, (lo, hi) in spans.items()}
     for kind, D, ids, _, _ in gather_blocks(tensor, spans, blocks):
         contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
-        del D  # so that the next batch is gathered with this one dropped
     return y
 
 

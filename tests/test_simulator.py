@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracomm import simulator, steiner, tensor_core
+from tetracomm import simulator, steiner
 from tetracomm.checks import Check, Report
 from tetracomm.cli import fixtures_dir
 from tetracomm.partition import VectorLayout, build_partition, pad_dimension, vector_layout
@@ -426,16 +426,9 @@ def assert_same_run(got, want):
 
 @pytest.mark.parametrize("mode", ["p2p", "alltoall"])
 @pytest.mark.parametrize(
-    "design,n,runs",
-    [
-        # batches of many processors' blocks
-        *(pytest.param(d, n, tensor_core.GATHER_RUNS, id=f"{d}-{n}") for d, n in [("q2", 30), ("q2", 60), ("q3", 120), ("appendix", 56)]),
-        # batches of one run, or of a few runs inside one block
-        *(pytest.param(d, n, runs, id=f"{d}-{n}-runs{runs}") for d, n in [("q2", 30), ("q3", 120)] for runs in (1, 7)),
-    ],
+    "design,n", [pytest.param(d, n, id=f"{d}-{n}") for d, n in [("q2", 30), ("q2", 60), ("q3", 120), ("appendix", 56)]]
 )
-def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, monkeypatch, design, n, runs, mode):
-    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
+def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, design, n, mode):
     part = {"q2": setup_q2, "q3": setup_q3, "appendix": setup_appendix}[design][0]
     layout = vector_layout(n, part)
     tensor, x = random_symmetric(n, n + 1), random_vector(n, n + 2)
@@ -443,10 +436,10 @@ def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, 
 
 
 @pytest.mark.parametrize("mode", ["p2p", "alltoall"])
-def test_simulate_holds_one_batch_of_blocks(setup_q3, mode):
-    # the tensor is 62.7 MB at n = 360; the streamed gather holds one batch of
-    # GATHER_RUNS runs of b = 36 entries at a time, and a block kept alive
-    # across the next gather holds two
+def test_simulate_holds_one_block_at_a_time(setup_q3, mode):
+    # the tensor is 62.7 MB at n = 360 and one block of b = 36 rows 0.37 MB;
+    # the streamed gather holds one block at a time, so the peak is the
+    # schedule and the (P, n) vector copies plus a few blocks
     part, _ = setup_q3
     layout = vector_layout(360, part)
     tensor, x = random_symmetric(360, 1), random_vector(360, 2)
@@ -456,8 +449,8 @@ def test_simulate_holds_one_batch_of_blocks(setup_q3, mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    batch = tensor_core.GATHER_RUNS * layout.b * 8
-    assert peak < 1.75 * batch, (peak, batch)
+    block = layout.b**3 * 8
+    assert peak < 10 * block, (peak, block)
 
 
 def drop_first_step(demands):

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetracomm import tensor_core
@@ -217,13 +217,6 @@ def test_run_gather_equals_element_gather_on_every_kind_of_block():
     assert store.tensor_elems == lower_tetra_count(23)
 
 
-@pytest.mark.parametrize("runs", [1, 5, 40])
-def test_gather_batches_split_anywhere(monkeypatch, runs):
-    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
-    t = random_symmetric(23, 11)
-    assert_same_blocks(BlockStore(t, RAGGED, EVERY_BLOCK * 2), ElementGatherStore(t, RAGGED, EVERY_BLOCK * 2))
-
-
 @st.composite
 def stores(draw):
     n = draw(st.integers(1, 40))
@@ -238,6 +231,7 @@ def stores(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(stores())
+@example((23, RAGGED, EVERY_BLOCK * 2, 11))
 def test_every_block_equals_the_element_gather_oracle(case):
     n, spans, blocks, seed = case
     t = random_symmetric(n, seed)
@@ -265,15 +259,21 @@ def test_block_store_reads_strided_and_read_only_data(layout):
     assert np.array_equal(sttsv_symmetric(view, x), sttsv_symmetric(t, x))
 
 
-@pytest.mark.parametrize("runs", [1, 7, 1 << 14])
 @pytest.mark.parametrize("n", [TILE - 3, 2 * TILE + 5, 3 * TILE + 1])
 @pytest.mark.parametrize("layout", ["contiguous", "step 2", "read-only buffer"])
-def test_streamed_kernel_equals_the_reused_store(monkeypatch, runs, n, layout):
-    monkeypatch.setattr(tensor_core, "GATHER_RUNS", runs)
+def test_streamed_kernel_equals_the_reused_store(n, layout):
     t = random_symmetric(n, n + 3)
     view = t if layout == "contiguous" else PackedSymTensor(n, strided_copy(t.data, layout))
     x = random_vector(n, n + 4)
     assert np.array_equal(sttsv_symmetric(view, x), sttsv_symmetric(tiled_store(t), x))
+
+
+def test_block_store_keeps_every_block_in_one_buffer():
+    # n = 4 * TILE + 1 has 35 tile blocks, so per-block allocations would show
+    store = tiled_store(random_symmetric(4 * TILE + 1, 6))
+    buf = store.blocks[0][1].base
+    assert buf is not None and buf.size == sum(D.size for _, D, _ in store.blocks)
+    assert all(np.shares_memory(D, buf) for _, D, _ in store.blocks)
 
 
 def test_wrong_length_vector_raises_before_any_gather(monkeypatch):
@@ -298,16 +298,16 @@ def traced_peak(f) -> int:
 
 def test_streamed_kernel_memory_does_not_grow_with_n():
     # a copy of the whole tensor would be 12.7, 26.6 and 47.5 MB at these n;
-    # the streamed kernel holds one batch of GATHER_RUNS runs at a time, and
-    # a block kept alive across the next gather holds two
+    # the streamed kernel gathers one tile block at a time, so its peak stays
+    # within a few blocks whatever n is
     peaks = []
     for n in (200, 260, 320):
         t, x = random_symmetric(n, 1), random_vector(n, 2)
         peaks.append(traced_peak(lambda: sttsv_symmetric(t, x)))
         del t
-    batch = tensor_core.GATHER_RUNS * TILE * 8
-    assert max(peaks) < 1.5 * batch, peaks
-    assert max(peaks) - min(peaks) < batch // 4, peaks
+    block = TILE**3 * 8
+    assert max(peaks) < 4 * block, peaks
+    assert max(peaks) - min(peaks) < block, peaks
 
 
 SPANS = {1: (0, 3), 2: (3, 5), 3: (5, 9)}
