@@ -1,9 +1,9 @@
 """Command-line interface tying construction, partitioning, scheduling,
 simulation, bounds, and the iterative drivers together.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.  All randomized
-commands require an explicit seed and all JSON output is key-sorted, so
-identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 validation failure, 2 usage error or not enough
+memory.  All randomized commands require an explicit seed and all JSON
+output is key-sorted, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:  # SteinerParseError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # SteinerParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

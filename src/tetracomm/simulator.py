@@ -5,10 +5,10 @@ by their index sets, contract their owned tensor blocks with those row
 blocks, then exchange and reduce partial y row blocks.  Tensor data never
 moves; only vector chunks appear in messages.  A word is one stored
 element, so all volumes are exact integers.  One ``gather_blocks`` pass
-streams every processor's blocks, each contracted once and dropped, and
-each processor's ternary multiplications and stored elements are counted
-from the blocks gathered for it, allowing exact comparison against the
-closed-form cost model.
+streams every processor's blocks, each contracted once and dropped, and one
+``block_counts`` call counts the stored elements and ternary
+multiplications of every block, summed by owner for exact comparison
+against the closed-form cost model.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .bounds import lower_bound
 from .checks import Check, Report
 from .partition import TetraPartition, VectorLayout, storage_count, tb3, validate_partition
 from .schedule import Demands, alltoall_cost, build_demands, build_schedule, validate
-from .tensor_core import PackedSymTensor, contract, gather_blocks, sttsv_symmetric, ternary_count
+from .tensor_core import PackedSymTensor, block_counts, contract, gather_blocks, sttsv_symmetric, ternary_count
 
 __all__ = [
     "ProcCounters",
@@ -194,11 +194,10 @@ def simulate(
         blocks += mine
     # xb[p - 1, i - 1] is processor p's copy of row block i
     xb, yb = xs.reshape(P, part.m, b), ys.reshape(P, part.m, b)
-    ternary, elems = [0] * (P + 1), [0] * (P + 1)
-    for p, (kind, D, ids, block_elems, block_ternary) in zip(owner, gather_blocks(tensor, spans, blocks)):
+    for p, (kind, D, ids) in zip(owner, gather_blocks(tensor, spans, blocks)):
         contract(kind, D, [xb[p - 1, i - 1] for i in ids], [yb[p - 1, i - 1] for i in ids])
-        ternary[p] += block_ternary
-        elems[p] += block_elems
+    # elems[p] and ternary[p]: the counts of processor p's blocks, whole numbers far below 2**53
+    elems, ternary = (np.bincount(owner, c, P + 1).astype(np.int64).tolist() for c in block_counts(spans, blocks))
     counters = [
         ProcCounters(p, s, s, r, r, ternary[p], elems[p]) for p, s, r in zip(range(1, P + 1), sent, received)
     ]

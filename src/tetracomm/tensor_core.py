@@ -10,15 +10,15 @@ with BLAS by ``contract``.  For fixed rows (gi, gj) the entries
 gathered as b_i*b_j runs through a window view of the data; the entries of a
 diagonal block that lie past its diagonal are then mirrored from the
 gathered ones.  One generator, ``gather_blocks``, does every gather, one
-block at a time, and counts the packed elements and ternary multiplications
-(products a*x*x of the four-case symmetric update) of each block it yields.
-A caller that uses each block once contracts it as it arrives and drops it:
-the sequential ``sttsv_symmetric`` on a packed tensor (the one-processor
-case over a fixed tiling of the rows) and each simulated processor of the
-parallel algorithm, so neither holds more than a block of the tensor.  Only
-callers that reuse blocks keep them, copied into one buffer, in a
-``BlockStore``: ``hopm`` and ``cp_gradient`` build one store per call and
-reuse it for every contraction.  Kernels sum in different orders, so
+block at a time.  A caller that uses each block once contracts it as it
+arrives and drops it: the sequential ``sttsv_symmetric`` on a packed tensor
+(the one-processor case over a fixed tiling of the rows) and each simulated
+processor of the parallel algorithm, so neither holds more than a block of
+the tensor.  Only callers that reuse blocks keep them, in a ``BlockStore``:
+``hopm`` and ``cp_gradient`` build one store per call and reuse it for
+every contraction.  ``block_counts`` counts each block's packed elements
+and ternary multiplications (products a*x*x of the four-case symmetric
+update) from the row spans alone.  Kernels sum in different orders, so
 comparisons between them use relative tolerances.
 """
 
@@ -34,6 +34,7 @@ __all__ = [
     "PackedSymTensor",
     "BlockStore",
     "gather_blocks",
+    "block_counts",
     "DegenerateIterateError",
     "HopmResult",
     "packed_index",
@@ -106,7 +107,7 @@ class PackedSymTensor:
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense symmetric array: the one central block over all rows."""
-        ((_, dense, _, _, _),) = gather_blocks(self, {0: (0, self.n)}, [(0, 0, 0)])
+        ((_, dense, _),) = gather_blocks(self, {0: (0, self.n)}, [(0, 0, 0)])
         return dense
 
 
@@ -175,36 +176,51 @@ def _check_blocks(spans: dict, blocks: list, n: int) -> None:
             raise ValueError(f"block {blk} names a row block with no span")
 
 
-def _canonical_counts(ij: bool, jk: bool, shape, lower: dict) -> tuple[int, int]:
-    """(entries, ties) of a diagonal block of the given shape.
+def _canonical_counts(ij: bool, jk: bool, shape) -> tuple[int, int]:
+    """(entries, ternary products) of a block of the given shape.
 
     Its entries are the positions gi >= gj where i = j and gj >= gk where
-    j = k, from the same lower-triangle masks the fill mirrors by; ties
-    counts the entries with gi = gj where i = j plus those with gj = gk
-    where j = k.
+    j = k (every position of an off-diagonal block).  Each takes 3 products,
+    less one for each tie: gi = gj where i = j, and gj = gk where j = k.
     """
     canonical = np.ones(shape, dtype=bool)
     equal = []
     if jk:
-        canonical &= lower[shape[2]][None]
+        canonical &= np.tri(shape[2], dtype=bool)[None]
         equal.append(np.eye(shape[2], dtype=bool)[None])
     if ij:
-        canonical &= lower[shape[0]][:, :, None]
+        canonical &= np.tri(shape[0], dtype=bool)[:, :, None]
         equal.append(np.eye(shape[0], dtype=bool)[:, :, None])
-    return int(np.count_nonzero(canonical)), sum(int(np.count_nonzero(canonical & eq)) for eq in equal)
+    entries = int(np.count_nonzero(canonical))
+    return entries, 3 * entries - sum(int(np.count_nonzero(canonical & eq)) for eq in equal)
+
+
+def block_counts(spans, blocks) -> tuple[list[int], list[int]]:
+    """(elems, ternary), one entry per block in the order given, counted from the spans alone.
+
+    ``elems`` counts a block's distinct packed entries and ``ternary`` the
+    products a*x*x the four-case update performs on them: 3 per entry, less
+    one for each of i = j and j = k.  Each kind and shape of block is counted
+    once, from its canonical mask.  Spans and blocks are checked as by
+    ``gather_blocks``, except that with no tensor a span may end anywhere.
+    """
+    spans, blocks = dict(spans), list(blocks)
+    _check_blocks(spans, blocks, max((hi for _, hi in spans.values()), default=0))
+    width = {i: hi - lo for i, (lo, hi) in spans.items()}
+    keys = [(i == j, j == k, (width[i], width[j], width[k])) for i, j, k in blocks]
+    counts = {key: _canonical_counts(*key) for key in set(keys)}
+    return [counts[key][0] for key in keys], [counts[key][1] for key in keys]
 
 
 def gather_blocks(tensor: PackedSymTensor, spans, blocks):
-    """Yield (kind, D, ids, elems, ternary) for each block, in the order given.
+    """Yield (kind, D, ids) for each block, in the order given.
 
     ``spans`` maps a row-block id to its 0-based half-open row range; spans
     must be non-empty ranges in 0..n, and ids must order like their ranges.
     ``blocks`` are id triples (i, j, k) with i >= j >= k.  A bad span or
     block raises ValueError.  D is the block as a dense C-contiguous array,
-    copied out of the tensor; ``ids`` are its distinct row blocks as
-    ``contract`` takes them.  ``elems`` counts the distinct packed entries
-    gathered and ``ternary`` the products a*x*x the four-case update
-    performs on them: 3 per entry, less one for each of i = j and j = k.
+    a fresh copy that shares no memory with the tensor; ``ids`` are its
+    distinct row blocks as ``contract`` takes them.
 
     Block (i, j, k) is gathered as runs: the entries (gi, gj, klo..khi) lie
     at packed offsets tet[gi] + tri[gj] + klo onwards, so a block is the
@@ -212,17 +228,14 @@ def gather_blocks(tensor: PackedSymTensor, spans, blocks):
     one fancy index.  Where i = j the starts take max and min of (gi, gj).
     Where j = k a run also reads past the diagonal, gk > gj; those entries,
     and in a central block the ones with gk > min(gi, gj), are mirrored by
-    ``np.where`` over the block's transposes.  The positions that hold an
-    entry as it is packed, gi >= gj >= gk on the axes that share a row
-    block, form the canonical mask the counters are counted from.
+    ``np.where`` over the block's transposes.
 
     Blocks are gathered one at a time, as they are asked for: a caller that
     drops each block once it is used never holds more than one block of the
     tensor.
     """
     n = tensor.n
-    spans = dict(spans)
-    blocks = list(blocks)
+    spans, blocks = dict(spans), list(blocks)
     _check_blocks(spans, blocks, n)
 
     r = np.arange(n, dtype=np.int64)
@@ -231,7 +244,6 @@ def gather_blocks(tensor: PackedSymTensor, spans, blocks):
     step = data.strides[0]
     windows = {}  # width -> the runs of that width, one per row
     lower = {}  # width -> mask of a >= b
-    counts = {}  # (i == j, j == k, shape) of a diagonal block -> (entries, ties)
     for i, j, k in blocks:
         (ilo, ihi), (jlo, jhi), (klo, khi) = spans[i], spans[j], spans[k]
         gi, gj = r[ilo:ihi, None], r[None, jlo:jhi]
@@ -246,7 +258,7 @@ def gather_blocks(tensor: PackedSymTensor, spans, blocks):
             windows[w] = window.view(np.dtype((np.void, w * step)))[:, 0] if step == data.itemsize else window
         D = windows[w][tet[gi] + tri[gj] + klo].view(np.float64).reshape(ihi - ilo, jhi - jlo, w)
         if i > j > k:
-            yield "off", D, (i, j, k), D.size, 3 * D.size
+            yield "off", D, (i, j, k)
             continue
         for b in {D.shape[0], w} - lower.keys():
             lower[b] = np.tri(b, dtype=bool)
@@ -254,48 +266,35 @@ def gather_blocks(tensor: PackedSymTensor, spans, blocks):
             D[...] = np.where(lower[w][None], D, D.transpose(0, 2, 1))
         if i == j == k:
             D[...] = np.where(lower[D.shape[0]][:, :, None], D, D.transpose(1, 0, 2))
-        key = (i == j, j == k, D.shape)
-        if key not in counts:
-            counts[key] = _canonical_counts(*key, lower)
-        elems, ties = counts[key]
         kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
-        yield kind, D, ids, elems, 3 * elems - ties
+        yield kind, D, ids
+
+
+def _contract_blocks(spans: dict, blocks, x, y) -> None:
+    """Add the share of A x x of every (kind, D, ids) in blocks into y."""
+    xs = {i: x[lo:hi] for i, (lo, hi) in spans.items()}
+    ys = {i: y[lo:hi] for i, (lo, hi) in spans.items()}
+    for kind, D, ids in blocks:
+        contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
 
 
 class BlockStore:
-    """The blocks ``gather_blocks`` yields, kept for reuse.
+    """The (kind, D, ids) ``gather_blocks`` yields, in the order given, kept for reuse.
 
-    ``blocks`` holds (kind, D, ids) per block in the order given;
-    ``tensor_elems`` and ``ternary_mults`` sum the counts of every block.
-    The store copies its blocks into slices of one buffer, allocated up
-    front, so later changes to the tensor do not reach it.
+    Each D is the gather's own copy, so later changes to the tensor do not
+    reach the store.
     """
 
-    __slots__ = ("n", "spans", "blocks", "tensor_elems", "ternary_mults")
+    __slots__ = ("n", "spans", "blocks")
 
     def __init__(self, tensor: PackedSymTensor, spans, blocks):
         self.n = tensor.n
         self.spans = dict(spans)
-        blocks = list(blocks)
-        _check_blocks(self.spans, blocks, self.n)
-        width = {i: hi - lo for i, (lo, hi) in self.spans.items()}
-        ends = np.cumsum([0] + [width[i] * width[j] * width[k] for i, j, k in blocks]).tolist()
-        buf = np.empty(ends[-1])
-        self.blocks: list[tuple[str, np.ndarray, tuple]] = []
-        self.tensor_elems = self.ternary_mults = 0
-        for (kind, D, ids, elems, ternary), lo, hi in zip(gather_blocks(tensor, self.spans, blocks), ends, ends[1:]):
-            block = buf[lo:hi].reshape(D.shape)
-            block[...] = D
-            self.blocks.append((kind, block, ids))
-            self.tensor_elems += elems
-            self.ternary_mults += ternary
+        self.blocks: list[tuple[str, np.ndarray, tuple]] = list(gather_blocks(tensor, self.spans, blocks))
 
     def run(self, x, y) -> None:
         """Add every stored block's share of A x x into y; x and y have length n."""
-        xs = {i: x[lo:hi] for i, (lo, hi) in self.spans.items()}
-        ys = {i: y[lo:hi] for i, (lo, hi) in self.spans.items()}
-        for kind, D, ids in self.blocks:
-            contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
+        _contract_blocks(self.spans, self.blocks, x, y)
 
 
 def _tiling(n: int) -> tuple[dict, list]:
@@ -322,12 +321,9 @@ def sttsv_symmetric(tensor: PackedSymTensor | BlockStore, x) -> np.ndarray:
     y = np.zeros(n)
     if isinstance(tensor, BlockStore):
         tensor.run(x, y)
-        return y
-    spans, blocks = _tiling(n)
-    xs = {i: x[lo:hi] for i, (lo, hi) in spans.items()}
-    ys = {i: y[lo:hi] for i, (lo, hi) in spans.items()}
-    for kind, D, ids, _, _ in gather_blocks(tensor, spans, blocks):
-        contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
+    else:
+        spans, blocks = _tiling(n)
+        _contract_blocks(spans, gather_blocks(tensor, spans, blocks), x, y)
     return y
 
 

@@ -21,11 +21,12 @@ from tetracomm.bounds import (
     random_strict_point_set,
 )
 from tetracomm.cli import fixtures_dir
-from tetracomm.partition import build_partition, tb3, validate_partition, vector_layout
+from tetracomm.partition import build_partition, storage_count, tb3, validate_partition, vector_layout
 from tetracomm.schedule import alltoall_cost, build_demands, build_schedule, validate
 from tetracomm.simulator import compute_report, simulate
 from tetracomm.tensor_core import (
     PackedSymTensor,
+    block_counts,
     cp_gradient,
     hopm,
     random_symmetric,
@@ -185,6 +186,32 @@ def test_criterion_6_exact_computation(q2, q3, runs_q2, runs_q3):
                 assert c.ternary_mults == pc.ternary_mults
             assert rep.total_ternary == ternary_count(layout.n)
     report_pass(6, "measured ternary counts equal per-block predictions; totals equal n^2(n+1)/2")
+
+
+def test_criterion_6_exact_computation_without_a_tensor():
+    # a packed tensor at q = 7 is 29 GB, so these counts come from the spans alone
+    start = time.perf_counter()
+    for q in (7, 8, 9):
+        part = build_partition(steiner.construct_spherical(q))
+        b = q * (q + 1)
+        n = part.m * b
+        spans = {i: ((i - 1) * b, i * b) for i in range(1, part.m + 1)}
+        owner, blocks = [], []
+        for p in range(1, part.P + 1):
+            mine = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
+            owner += [p] * len(mine)
+            blocks += mine
+        elems, ternary = [0] * (part.P + 1), [0] * (part.P + 1)
+        for p, e, t in zip(owner, *block_counts(spans, blocks)):
+            elems[p] += e
+            ternary[p] += t
+        predicted = compute_report(part, vector_layout(n, part))
+        for p, pc in zip(range(1, part.P + 1), predicted.per_proc):
+            assert elems[p] == storage_count(part, n, p)
+            assert ternary[p] == pc.ternary_mults
+        assert sum(ternary) == ternary_count(n)
+    elapsed = time.perf_counter() - start
+    report_pass(6, f"q=7, 8, 9 (n=2800, 4680, 7380): stored elements and ternary counts per processor exact, {elapsed:.2f}s")
 
 
 def test_criterion_7_lower_bound_comparison():

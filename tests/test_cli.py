@@ -339,3 +339,23 @@ def test_simulate_reports_a_dropped_schedule_step(monkeypatch, capsys):
     failed = {c["name"] for c in obj["verdict"]["checks"] if not c["passed"]}
     assert {"schedule_valid", "gather_complete"} <= failed
     assert obj["report"]["global"]["verdicts"]["schedule_valid"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--q", "2", "--n", "30", "--seed", "1"],
+        ["hopm", "--n", "3000", "--seed", "1"],
+        ["cpgrad", "--n", "3000", "--r", "2", "--seed", "1"],
+    ],
+)
+def test_tensor_too_large_for_memory_is_an_error_line(argv, monkeypatch, capsys):
+    def too_large(n, seed):
+        raise MemoryError(f"Unable to allocate the packed tensor for n={n}")
+
+    monkeypatch.setattr(cli, "random_symmetric", too_large)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate the packed tensor for n=")
+    assert captured.err.count("\n") == 1

@@ -12,6 +12,7 @@ from tetracomm.tensor_core import (
     BlockStore,
     DegenerateIterateError,
     PackedSymTensor,
+    block_counts,
     cp_gradient,
     hopm,
     load_tensor,
@@ -163,9 +164,9 @@ def test_block_kernel_matches_oracles_on_ragged_tilings(n):
     y_dense = np.einsum("ijk,j,k->i", t.to_dense(), x, x)
     for expected in (y_elem, y_dense):
         assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-    store = tiled_store(t)
-    assert store.ternary_mults == count == ternary_count(n)
-    assert store.tensor_elems == lower_tetra_count(n)
+    elems, ternary = block_counts(*tensor_core._tiling(n))
+    assert sum(ternary) == count == ternary_count(n)
+    assert sum(elems) == lower_tetra_count(n)
 
 
 @pytest.mark.parametrize(
@@ -192,12 +193,12 @@ def test_block_store_single_block_of_each_kind(blk, kind):
         for k in range(*spans[blk[2]])
         if i >= j >= k
     ]
-    assert store.tensor_elems == len(entries)
-    assert store.ternary_mults == sum(3 - (i == j) - (j == k) for i, j, k in entries)
+    assert block_counts(spans, [blk]) == ([len(entries)], [sum(3 - (i == j) - (j == k) for i, j, k in entries)])
 
 
-def assert_same_blocks(store, oracle):
-    assert (store.tensor_elems, store.ternary_mults) == (oracle.tensor_elems, oracle.ternary_mults)
+def assert_same_blocks(store, oracle, blocks):
+    elems, ternary = block_counts(store.spans, blocks)
+    assert (sum(elems), sum(ternary)) == (oracle.tensor_elems, oracle.ternary_mults)
     assert len(store.blocks) == len(oracle.blocks)
     for (kind, D, ids), (want_kind, want, want_ids) in zip(store.blocks, oracle.blocks):
         assert (kind, ids) == (want_kind, want_ids)
@@ -213,8 +214,8 @@ def test_run_gather_equals_element_gather_on_every_kind_of_block():
     t = random_symmetric(23, 8)
     store = BlockStore(t, RAGGED, EVERY_BLOCK)
     assert {kind for kind, _, _ in store.blocks} == {"off", "aac", "acc", "central"}
-    assert_same_blocks(store, ElementGatherStore(t, RAGGED, EVERY_BLOCK))
-    assert store.tensor_elems == lower_tetra_count(23)
+    assert_same_blocks(store, ElementGatherStore(t, RAGGED, EVERY_BLOCK), EVERY_BLOCK)
+    assert sum(block_counts(RAGGED, EVERY_BLOCK)[0]) == lower_tetra_count(23)
 
 
 @st.composite
@@ -235,7 +236,7 @@ def stores(draw):
 def test_every_block_equals_the_element_gather_oracle(case):
     n, spans, blocks, seed = case
     t = random_symmetric(n, seed)
-    assert_same_blocks(BlockStore(t, spans, blocks), ElementGatherStore(t, spans, blocks))
+    assert_same_blocks(BlockStore(t, spans, blocks), ElementGatherStore(t, spans, blocks), blocks)
 
 
 def strided_copy(data, layout):
@@ -254,7 +255,7 @@ def test_block_store_reads_strided_and_read_only_data(layout):
     data = strided_copy(t.data, layout)
     view = PackedSymTensor(23, data)
     assert view.data is data and (layout != "read-only buffer" or not data.flags.writeable)
-    assert_same_blocks(BlockStore(view, RAGGED, EVERY_BLOCK), ElementGatherStore(t, RAGGED, EVERY_BLOCK))
+    assert_same_blocks(BlockStore(view, RAGGED, EVERY_BLOCK), ElementGatherStore(t, RAGGED, EVERY_BLOCK), EVERY_BLOCK)
     x = random_vector(23, 10)
     assert np.array_equal(sttsv_symmetric(view, x), sttsv_symmetric(t, x))
 
@@ -268,12 +269,32 @@ def test_streamed_kernel_equals_the_reused_store(n, layout):
     assert np.array_equal(sttsv_symmetric(view, x), sttsv_symmetric(tiled_store(t), x))
 
 
-def test_block_store_keeps_every_block_in_one_buffer():
-    # n = 4 * TILE + 1 has 35 tile blocks, so per-block allocations would show
-    store = tiled_store(random_symmetric(4 * TILE + 1, 6))
-    buf = store.blocks[0][1].base
-    assert buf is not None and buf.size == sum(D.size for _, D, _ in store.blocks)
-    assert all(np.shares_memory(D, buf) for _, D, _ in store.blocks)
+@pytest.mark.parametrize("layout", [None, "step 2"])
+def test_block_store_never_sees_later_writes_to_its_tensor(layout):
+    n = 2 * TILE + 5
+    t = random_symmetric(n, 6)
+    if layout is not None:
+        t = PackedSymTensor(n, strided_copy(t.data, layout))
+    store = tiled_store(t)
+    assert not any(np.shares_memory(D, t.data) for _, D, _ in store.blocks)
+    x = random_vector(n, 7)
+    y = sttsv_symmetric(store, x)
+    t.data[:] = 0.0
+    assert np.any(y) and np.array_equal(sttsv_symmetric(store, x), y)
+
+
+def test_block_store_keeps_the_gathered_arrays(monkeypatch):
+    gather, gathered = tensor_core.gather_blocks, []
+
+    def recording_gather(*args):
+        for blk in gather(*args):
+            gathered.append(blk)
+            yield blk
+
+    monkeypatch.setattr(tensor_core, "gather_blocks", recording_gather)
+    store = tiled_store(random_symmetric(2 * TILE + 5, 8))
+    assert len(store.blocks) == len(gathered) == 10
+    assert all(kept is blk for kept, blk in zip(store.blocks, gathered))
 
 
 def test_wrong_length_vector_raises_before_any_gather(monkeypatch):
@@ -328,6 +349,10 @@ SPANS = {1: (0, 3), 2: (3, 5), 3: (5, 9)}
 def test_block_store_rejects_bad_blocks_and_spans(spans, blocks, message):
     with pytest.raises(ValueError, match=message):
         BlockStore(random_symmetric(9, 4), spans, blocks)
+    # with no tensor there is no n to bound the spans by, so a span may end past 9
+    if max(hi for _, hi in spans.values()) <= 9:
+        with pytest.raises(ValueError, match=message):
+            block_counts(spans, blocks)
 
 
 def test_to_dense_holds_every_entry_at_every_permutation():

@@ -9,7 +9,9 @@ seeds the change first.  It then makes one ``--trace 1`` pair on every trace
 seed, in the same alternating order, and writes the medians, quartiles and
 pair wins of every end-to-end metric of the change checkout's BENCHMARK.json
 and each side's median of every traced per-layer metric next to every run's
-record and result lines:
+record and result lines.  A record keeps its ``setup_s`` samples only as
+their count, median, quartiles, min and max, since one record can hold
+thousands of set-ups:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --parent-rev <sha> --label pr11 --seeds 121-125 --trace-seeds 131-133 \\
@@ -30,13 +32,27 @@ from pathlib import Path
 import numpy as np
 
 
+def compact(record: dict) -> dict:
+    """The record with its setup_s samples replaced by their count, median, quartiles, min and max."""
+    setup = np.array(record["setup_s"], dtype=float)
+    summary = {"count": int(setup.size)}
+    if setup.size:
+        summary.update(
+            median=float(np.median(setup)),
+            quartiles=[float(v) for v in np.percentile(setup, [25, 75])],
+            min=float(setup.min()),
+            max=float(setup.max()),
+        )
+    return {**record, "setup_s": summary}
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The record and result lines of one perfbench/run.py process."""
+    """The record and result lines of one perfbench/run.py process, the record compacted."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     record, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
-    return {"record": record["record"], "result": result}
+    return {"record": compact(record["record"]), "result": result}
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
