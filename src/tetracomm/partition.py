@@ -183,18 +183,43 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     )
 
 
+def _off_triples(rows) -> np.ndarray:
+    """Every processor's set(combinations(sorted(R_p), 3)), as rows (a, b, c), a <= b <= c.
+
+    The rows of R are read as one flat array and gathered into one matrix per
+    row length.  Only a row that repeats a value makes a triple twice, and
+    only such rows are de-duplicated.
+    """
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
+    out = [np.zeros((0, 3), dtype=np.int64)]
+    for length in np.unique(lengths[lengths >= 3]).tolist():
+        grid = np.sort(values[starts[lengths == length, None] + np.arange(length)], axis=1)
+        triples = grid[:, np.array(list(combinations(range(length), 3)))]
+        repeats = np.any(grid[:, 1:] == grid[:, :-1], axis=1)
+        out.append(triples[~repeats].reshape(-1, 3))
+        out += [np.unique(row, axis=0) for row in triples[repeats]]
+    return np.concatenate(out)
+
+
 def validate_partition(part: TetraPartition) -> list[str]:
     """Return human-readable violations of the partition invariants (empty = valid).
 
     Assigned blocks are counted by integer id ((i-1)m + (j-1))m + (k-1); a
     block with a coordinate outside 1..m has no id and is counted on its own.
+    The off-diagonal blocks are TB3(R_p), gathered from R as integer arrays.
+    Locality and the Q/R consistency are read from one (P+1, m+1) boolean
+    membership array, member[p, i] = (i in R_p) for i in 1..m, and a problem
+    is formatted only for a processor or block that violates an invariant.
     """
-    m = part.m
-    off = chain.from_iterable(c for row in part.R for c in set(combinations(sorted(row), 3)))
-    diagonal = chain.from_iterable(blk for blocks in (*part.N, *part.D) for blk in blocks)
-    blocks = np.concatenate(
-        [np.fromiter(off, dtype=np.int64).reshape(-1, 3)[:, ::-1], np.fromiter(diagonal, dtype=np.int64).reshape(-1, 3)]
-    )
+    m, P = part.m, part.P
+    owned = [list(part.N[p]) + list(part.D[p]) for p in range(P)]
+    held = list(chain.from_iterable(owned))  # every processor's diagonal blocks, processor by processor
+    holder = np.repeat(np.arange(1, P + 1), [len(blocks) for blocks in owned])
+    unowned = chain(*part.N[P:], *part.D[P:])  # lists past processor P: counted, but owned by no one
+    diagonal = np.fromiter(chain.from_iterable(chain(held, unowned)), dtype=np.int64).reshape(-1, 3)
+    blocks = np.concatenate([_off_triples(part.R)[:, ::-1], diagonal])
     inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
     i, j, k = (blocks[inside] - 1).T
     ids, counts = np.unique((i * m + j) * m + k, return_counts=True)
@@ -216,16 +241,31 @@ def validate_partition(part: TetraPartition) -> list[str]:
         expected = np.concatenate([(a * m + j) * m + k for a in range(m) for j, k in [np.tril_indices(a + 1)]])
         problems.append(f"unassigned blocks: {first3(expected[~np.isin(expected, ids)], [])}")
 
-    for p in range(1, part.P + 1):
-        owned = set(part.R[p - 1])
-        for blk in list(part.N[p - 1]) + list(part.D[p - 1]):
-            if not set(blk) <= owned:
-                problems.append(f"locality violated at processor {p}: block {tuple(blk)} not within {sorted(owned)}")
-        if len(part.D[p - 1]) > 1:
-            problems.append(f"processor {p} holds {len(part.D[p - 1])} central blocks")
+    member = np.zeros((P + 1, m + 1), dtype=bool)
+    lengths = [len(row) for row in part.R[:P]]
+    values = np.fromiter(chain.from_iterable(part.R[:P]), dtype=np.int64, count=sum(lengths))
+    rows = np.repeat(np.arange(1, P + 1), lengths)
+    in_range = (values >= 1) & (values <= m)
+    member[rows[in_range], values[in_range]] = True
 
-    derived_q = [tuple(p for p in range(1, part.P + 1) if i in part.R[p - 1]) for i in range(1, part.m + 1)]
-    if derived_q != list(part.Q):
+    # a block with a coordinate outside 1..m is flagged here and judged by its sets below
+    coords = diagonal[: len(held)]
+    local = np.all(member[holder[:, None], np.clip(coords, 0, m)] & (coords >= 1) & (coords <= m), axis=1)
+    found = []  # (processor, position, problem): locality in block order, then the central count
+    for e in np.flatnonzero(~local).tolist():
+        p, blk = int(holder[e]), held[e]
+        if not set(blk) <= set(part.R[p - 1]):
+            found.append((p, e, f"locality violated at processor {p}: block {tuple(blk)} not within {sorted(set(part.R[p - 1]))}"))
+    central = np.fromiter(map(len, part.D[:P]), dtype=np.int64, count=P)
+    for p in (np.flatnonzero(central > 1) + 1).tolist():
+        found.append((p, len(held), f"processor {p} holds {central[p - 1]} central blocks"))
+    problems += [text for *_, text in sorted(found)]
+
+    # column i of member lists the processors of row block i in ascending order
+    block_of, holders = np.nonzero(member[1:, 1:].T)
+    ends = np.searchsorted(block_of, np.arange(m + 1)).tolist()
+    holders = (holders + 1).tolist()
+    if [tuple(holders[a:b]) for a, b in zip(ends, ends[1:])] != list(part.Q):
         problems.append("row-block processor sets Q are inconsistent with R")
 
     sizes = {len(n_p) for n_p in part.N}

@@ -195,7 +195,9 @@ def build_schedule(demands: Demands) -> CommSchedule:
     A stable sort by shared count keeps every layer sorted by (src, dst),
     so sender s's d demands are row s of layer.reshape(P, d), and a
     layer's steps are found by one binary search on the (src, dst) key and
-    cut from one gather of its demand rows.  A layer that is not regular
+    cut from one gather of its demand rows.  In an even layer only the
+    coloured half is searched: an inverse step's rows are rev of its
+    matching's rows, scattered to their receivers.  A layer that is not regular
     on every processor, or not symmetric, raises ValueError.
     """
     P = int(max(demands.src.max(initial=0), demands.dst.max(initial=0)))
@@ -222,15 +224,20 @@ def build_schedule(demands: Demands) -> CommSchedule:
             raise ValueError(f"layer of {size} shared blocks is not symmetric")
         if d % 2:
             receivers = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
+            # row c of receivers pairs sender s with receivers[c, s - 1]
+            found = np.searchsorted(key, senders * (P + 1) + receivers)
         else:
             half = regular_decompose(BipartiteGraph(P, P, dst[euler_orient(rev)].reshape(P, d // 2)))
-            # a permutation's inverse is its argsort
-            receivers = np.concatenate([half, np.argsort(half, axis=1) + 1])
-        # row c of receivers pairs sender s with receivers[c, s - 1]
-        rows = layer[np.searchsorted(key, senders * (P + 1) + receivers)]
+            found = np.searchsorted(key, senders * (P + 1) + half)
+            # the inverse of matching c sends every demand of c back: its row for
+            # sender half[c, s - 1] is the reverse of c's row for sender s
+            back = np.empty_like(found)
+            np.put_along_axis(back, half - 1, rev[found], axis=1)
+            found = np.concatenate([found, back])
+        rows = layer[found]
         steps += [Demands(*step) for step in zip(demands.src[rows], demands.dst[rows], demands.blocks[rows])]
-        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(receivers)})
-        blocks_per_step += [size] * len(receivers)
+        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(found)})
+        blocks_per_step += [size] * len(found)
 
     meta = {"steps": len(steps), "layers": layer_meta, "blocks_per_step": blocks_per_step}
     return CommSchedule(steps=steps, meta=meta)
@@ -277,11 +284,20 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
                     text = f"step {step_of[e] + 1}: processor {ends[e]} {verb} {count[k]} messages"
                     clashes.append((step_of[e], verb_no, e, text))
 
-    # demands with one row per (src, dst) are covered when the scheduled rows, sorted, equal them
+    # demands with one row per (src, dst) are covered when the scheduled rows, sorted, equal
+    # them, as Demands.__eq__ compares rows; each table's shared counts are taken once
+    sent_shared, demand_shared = sent.shared, demands.shared
+    width = int(max(sent_shared.max(initial=0), demand_shared.max(initial=0)))
     pair = demands.src * (P + 1) + demands.dst
-    by_pair = sent.take(np.argsort(sent.src * (P + 1) + sent.dst, kind="stable"))
+    by_pair = np.argsort(sent.src * (P + 1) + sent.dst, kind="stable")
     coverage: list[str] = []
-    if not (len(sent) == len(demands) and np.all(np.diff(pair) > 0) and by_pair == demands):
+    if not (
+        len(sent) == len(demands)
+        and np.all(np.diff(pair) > 0)
+        and np.array_equal(sent.src[by_pair], demands.src)
+        and np.array_equal(sent.dst[by_pair], demands.dst)
+        and np.array_equal(sent.blocks[by_pair, :width], demands.blocks[:, :width])
+    ):
         # rows of the demands, then of the schedule, numbered by value
         both = Demands.stack([demands, sent])
         ids, first = _row_ids(both)
@@ -294,11 +310,11 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
             else:
                 coverage.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
 
-    def words(table: Demands) -> tuple[np.ndarray, np.ndarray]:
-        volume = np.bincount(table.src, weights=table.shared, minlength=P + 1).astype(np.int64) * chunk
+    def words(table: Demands, shared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        volume = np.bincount(table.src, weights=shared, minlength=P + 1).astype(np.int64) * chunk
         return np.bincount(table.src, minlength=P + 1) > 0, volume
 
-    (senders, volume), (scheduled_senders, scheduled_volume) = words(demands), words(sent)
+    (senders, volume), (scheduled_senders, scheduled_volume) = words(demands, demand_shared), words(sent, sent_shared)
     off = np.flatnonzero((senders != scheduled_senders) | (volume != scheduled_volume)).tolist()
 
     checks = [

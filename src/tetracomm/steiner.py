@@ -10,12 +10,13 @@ are parsed by ``parse`` and accepted by ``load`` whenever they verify.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
+
+import numpy as np
 
 from .checks import Check, Report
 from .finite_field import field_new, prime_power
@@ -136,19 +137,59 @@ def construct_spherical(q: int) -> SteinerSystem:
     return SteinerSystem(n=nn + 1, r=q + 1, blocks=sorted(tuple(x + 1 for x in block) for block in orbit))
 
 
+def _point_sets(blocks: list, n: int, r: int) -> tuple[int | None, dict[int, list[np.ndarray]]]:
+    """The index of the first block that is not a sorted r-subset of 1..n, and every block's points.
+
+    Blocks are read as one integer array per length.  The second result maps
+    a point count c to arrays of shape (blocks, c), each row the distinct
+    points of one block that lie in 1..n, ascending.
+    """
+    lengths = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
+    first_bad, points = None, {}
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        chosen = blocks if len(rows) == len(blocks) else [blocks[e] for e in rows.tolist()]
+        pts = np.fromiter(chain.from_iterable(chosen), dtype=np.int64, count=len(rows) * length)
+        pts = pts.reshape(len(rows), length)
+        good = np.all((pts >= 1) & (pts <= n), axis=1) & np.all(pts[:, 1:] > pts[:, :-1], axis=1)
+        if length != r or not good.all():
+            e = int(rows[np.argmin(good)]) if length == r else int(rows[0])
+            first_bad = e if first_bad is None else min(first_bad, e)
+        pts = np.sort(pts, axis=1)
+        keep = (pts >= 1) & (pts <= n)
+        keep[:, 1:] &= pts[:, 1:] != pts[:, :-1]
+        count = np.count_nonzero(keep, axis=1)
+        for c in np.unique(count[count > 0]).tolist():
+            sel = count == c
+            points.setdefault(c, []).append(pts[sel][keep[sel]].reshape(-1, c))
+    return first_bad, points
+
+
 def verify(system: SteinerSystem) -> Report:
     """Check the defining and counting properties of an (n, r, 3) system.
 
     Failures are reported, not raised.  Every k-subset of 1..n (k = 3, 2, 1)
     must lie in exactly λ_k = C(n-k, 3-k)/C(r-k, 3-k) blocks; a failed
     coverage check names the first triple, pair or point that does not.
+
+    The blocks are read as integer arrays, one per block length, and each
+    block's distinct points in 1..n as one array per point count.  A k-subset
+    a < b < c of a block's points is one integer, (a·B + b)·B + c with
+    B = min(n, M + 3) + 1 and M the largest point in any block, so numeric
+    order of the codes is lexicographic order of the subsets; ``np.unique``
+    counts them.  A check passes when there are exactly C(min(n, M + k), k)
+    distinct codes, each counted λ_k times: every code is a k-subset of
+    1..min(n, M + k), so then each of those subsets is covered λ_k times.
+
     When the blocks hold more than λ_k·C(n, k) k-subsets, some k-subset is
     covered too often and none is counted, so a check counts no more than a
-    valid design of the same n and r would, plus one walk over the
-    k-subsets of 1..min(n, M + k), M the largest point in any block.  That
-    walk still finds the lexicographically first witness: λ_k > 0, every
-    k-subset holding a point above M is covered 0 times, and the first of
-    them lies in 1..M + k.
+    valid design of the same n and r would.  Only a failing check looks for
+    its witness, by one walk over the k-subsets of 1..min(n, M + k) in
+    lexicographic order beside the sorted codes.  That walk finds the first
+    witness: λ_k > 0, so every k-subset holding a point in no block (M + 1,
+    or the least point below it that no block holds) is a witness, and the
+    first such subset and every subset before it lie in 1..max(g, k), g that
+    least point, so the walk stops there at the latest.
     """
     n, r = system.n, system.r
     if r < 3:  # no triple fits in a block, and the counting checks divide by r - 2
@@ -156,25 +197,24 @@ def verify(system: SteinerSystem) -> Report:
     if n < 3:  # no triple of points exists, and C(n - k, 3 - k) is undefined
         return Report([Check("point_set_size", False, f"expected n >= 3, got {n}")])
 
-    shape_bad = next(
-        (
-            blk
-            for blk in system.blocks
-            if len(blk) != r or len(set(blk)) != r or any(not 1 <= x <= n for x in blk) or list(blk) != sorted(blk)
-        ),
-        None,
-    )
+    first_bad, points = _point_sets(system.blocks, n, r)
     shape = f"expected sorted {r}-subsets of 1..{n}"
-    checks = [Check("block_shape", shape_bad is None, shape if shape_bad is None else f"{shape}, got {shape_bad}")]
+    detail = shape if first_bad is None else f"{shape}, got {system.blocks[first_bad]}"
+    checks = [Check("block_shape", first_bad is None, detail)]
 
-    points = [sorted({x for x in blk if 1 <= x <= n}) for blk in system.blocks]
-    top = max((pts[-1] for pts in points if pts), default=0)
+    held_points = np.unique(np.concatenate([a.ravel() for arrays in points.values() for a in arrays] + [[0]]))
+    top = int(held_points[-1])
+    # gap: the least point that no block holds
+    gap = int(np.argmax(np.append(held_points, 0) != np.arange(len(held_points) + 1)))
+    base = min(n, top + 3) + 1
+    # codes of up to three digits below base; past int64 they are Python ints
+    dtype = np.int64 if base**3 < 2**63 else object
 
     def coverage(name: str, noun: str, k: int) -> Check:
         expected = Fraction(comb(n - k, 3 - k), comb(r - k, 3 - k))
-        if expected.denominator == 1:  # compare ints in the walk below, not Fractions
+        if expected.denominator == 1:  # compare ints below, not Fractions
             expected = expected.numerator
-        held = sum(comb(len(pts), k) for pts in points)
+        held = sum(len(a) * comb(c, k) for c, arrays in points.items() for a in arrays)
         if held > expected * comb(n, k):
             return Check(
                 name,
@@ -182,12 +222,31 @@ def verify(system: SteinerSystem) -> Report:
                 f"expected {expected}, but the blocks hold {held} {noun}s, more than {expected} for each of the"
                 f" {comb(n, k)} {noun}s of 1..{n}: some {noun} is covered more often",
             )
-        counts = Counter(s for pts in points for s in combinations(pts, k))
-        walk = combinations(range(1, min(n, top + k) + 1), k)
-        witness = next((s for s in walk if counts.get(s, 0) != expected), None)
-        if witness is None:
+        codes = [np.zeros(0, dtype=dtype)]
+        for c, arrays in points.items():
+            subsets = np.array(list(combinations(range(c), k)), dtype=np.intp).reshape(-1, k)
+            for a in arrays:
+                digits = a.astype(dtype)[:, subsets]
+                code = digits[..., 0]
+                for t in range(1, k):
+                    code = code * base + digits[..., t]
+                codes.append(code.ravel())
+        codes, counts = np.unique(np.concatenate(codes), return_counts=True)
+        reach = min(n, top + k)
+        if isinstance(expected, int) and len(codes) == comb(reach, k) and np.all(counts == expected):
             return Check(name, True, f"expected {expected}")
-        return Check(name, False, f"expected {expected}, got {counts.get(witness, 0)} at {witness}")
+        # every code is a subset in the walk, so the two run side by side in ascending order
+        codes, counts, t = codes.tolist(), counts.tolist(), 0
+        for subset in combinations(range(1, min(reach, max(gap, k)) + 1), k):
+            code = 0
+            for x in subset:
+                code = code * base + x
+            got = 0
+            if t < len(codes) and codes[t] == code:
+                got, t = counts[t], t + 1
+            if got != expected:
+                return Check(name, False, f"expected {expected}, got {got} at {subset}")
+        raise AssertionError("a failing coverage check has a witness")
 
     checks += [
         coverage("triple_coverage", "triple", 3),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -159,21 +160,28 @@ def _check_blocks(spans: dict, blocks: list, n: int) -> None:
 
     Spans must be non-empty ranges in 0..n that order like their ids, and
     each block an id triple (i, j, k) with i >= j >= k whose ids have spans.
+    Spans and blocks are each checked as one array; the error names the
+    first bad span in id order, else the first bad block in the order given.
     """
-    last = None
-    for i in sorted(spans):
-        lo, hi = spans[i]
-        if not 0 <= lo < hi <= n:
-            raise ValueError(f"span of row block {i} is ({lo}, {hi}), not a non-empty range in 0..{n}")
-        if last is not None and lo < spans[last][1]:
-            raise ValueError(f"span of row block {i} starts before the span of row block {last} ends")
-        last = i
-    for blk in blocks:
-        i, j, k = blk
-        if not i >= j >= k:
+    ids = sorted(spans)
+    lo, hi = np.array([spans[i] for i in ids]).reshape(-1, 2).T
+    empty = ~((lo >= 0) & (lo < hi) & (hi <= n))
+    early = np.r_[False, lo[1:] < hi[:-1]]
+    if np.any(empty | early):
+        e = int(np.argmax(empty | early))
+        if empty[e]:
+            raise ValueError(f"span of row block {ids[e]} is ({lo[e]}, {hi[e]}), not a non-empty range in 0..{n}")
+        raise ValueError(f"span of row block {ids[e]} starts before the span of row block {ids[e - 1]} ends")
+    # as floats, an id that is not an integer or lies past int64 still matches no span's id
+    i, j, k = np.fromiter(chain.from_iterable(blocks), dtype=np.float64, count=3 * len(blocks)).reshape(-1, 3).T
+    unordered = ~((i >= j) & (j >= k))
+    unknown = ~np.all(np.isin(np.stack([i, j, k]), ids), axis=0)
+    if np.any(unordered | unknown):
+        e = int(np.argmax(unordered | unknown))
+        blk = blocks[e]
+        if unordered[e]:
             raise ValueError(f"block {blk} is not ordered i >= j >= k")
-        if not {i, j, k} <= spans.keys():
-            raise ValueError(f"block {blk} names a row block with no span")
+        raise ValueError(f"block {blk} names a row block with no span")
 
 
 def _canonical_counts(ij: bool, jk: bool, shape) -> tuple[int, int]:

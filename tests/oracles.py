@@ -1,9 +1,14 @@
 """Reference implementations that the library's fast paths are checked against."""
 
+from collections import Counter
+from fractions import Fraction
+from itertools import chain, combinations
+from math import comb
+
 import numpy as np
 
-from tetracomm.checks import Check
-from tetracomm.partition import tb3
+from tetracomm.checks import Check, Report
+from tetracomm.partition import BlockIndex, tb3
 from tetracomm.schedule import TransferDemand, build_demands, build_schedule, validate
 from tetracomm.simulator import ProcCounters
 from tetracomm.tensor_core import BlockStore, packed_index
@@ -236,3 +241,108 @@ def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=b
         ),
     ]
     return y_global, counters, steps_per_vector, checks
+
+
+# ---------------------------------------------------------------------------
+# set-up verifiers: a Counter of subset tuples and per-processor loops
+# ---------------------------------------------------------------------------
+
+
+def verify_by_counter(system) -> Report:
+    """steiner.verify by a Counter over every k-subset of every block and a walk over all k-subsets."""
+    n, r = system.n, system.r
+    if r < 3:
+        return Report([Check("block_size", False, f"expected r >= 3, got {r}")])
+    if n < 3:
+        return Report([Check("point_set_size", False, f"expected n >= 3, got {n}")])
+
+    shape_bad = next(
+        (
+            blk
+            for blk in system.blocks
+            if len(blk) != r or len(set(blk)) != r or any(not 1 <= x <= n for x in blk) or list(blk) != sorted(blk)
+        ),
+        None,
+    )
+    shape = f"expected sorted {r}-subsets of 1..{n}"
+    checks = [Check("block_shape", shape_bad is None, shape if shape_bad is None else f"{shape}, got {shape_bad}")]
+
+    points = [sorted({x for x in blk if 1 <= x <= n}) for blk in system.blocks]
+    top = max((pts[-1] for pts in points if pts), default=0)
+
+    def coverage(name: str, noun: str, k: int) -> Check:
+        expected = Fraction(comb(n - k, 3 - k), comb(r - k, 3 - k))
+        if expected.denominator == 1:
+            expected = expected.numerator
+        held = sum(comb(len(pts), k) for pts in points)
+        if held > expected * comb(n, k):
+            return Check(
+                name,
+                False,
+                f"expected {expected}, but the blocks hold {held} {noun}s, more than {expected} for each of the"
+                f" {comb(n, k)} {noun}s of 1..{n}: some {noun} is covered more often",
+            )
+        counts = Counter(s for pts in points for s in combinations(pts, k))
+        walk = combinations(range(1, min(n, top + k) + 1), k)
+        witness = next((s for s in walk if counts.get(s, 0) != expected), None)
+        if witness is None:
+            return Check(name, True, f"expected {expected}")
+        return Check(name, False, f"expected {expected}, got {counts.get(witness, 0)} at {witness}")
+
+    checks += [
+        coverage("triple_coverage", "triple", 3),
+        coverage("pair_count", "pair", 2),
+        coverage("point_count", "point", 1),
+    ]
+    want, got = Fraction(comb(n, 3), comb(r, 3)), len(system.blocks)
+    checks.append(Check("block_count", got == want, f"expected {want}, got {got}"))
+    return Report(checks)
+
+
+def validate_partition_by_loops(part) -> list[str]:
+    """partition.validate_partition by tuple sets and a loop over processors and their blocks."""
+    m = part.m
+    off = chain.from_iterable(c for row in part.R for c in set(combinations(sorted(row), 3)))
+    diagonal = chain.from_iterable(blk for blocks in (*part.N, *part.D) for blk in blocks)
+    blocks = np.concatenate(
+        [np.fromiter(off, dtype=np.int64).reshape(-1, 3)[:, ::-1], np.fromiter(diagonal, dtype=np.int64).reshape(-1, 3)]
+    )
+    inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
+    i, j, k = (blocks[inside] - 1).T
+    ids, counts = np.unique((i * m + j) * m + k, return_counts=True)
+    i, j, k = ids // (m * m), ids // m % m, ids % m
+    lower = (i >= j) & (j >= k)
+    outside = Counter(BlockIndex(*blk) for blk in blocks[~inside].tolist())
+
+    def first3(selected, more):
+        found = [BlockIndex(a // (m * m) + 1, a // m % m + 1, a % m + 1) for a in selected[:3].tolist()]
+        return sorted([*found, *more])[:3]
+
+    problems = []
+    if not lower.all() or outside:
+        problems.append(f"blocks outside the lower tetrahedron: {first3(ids[~lower], outside)}")
+    if np.any(counts > 1) or any(c > 1 for c in outside.values()):
+        problems.append(f"blocks assigned more than once: {first3(ids[counts > 1], [b for b, c in outside.items() if c > 1])}")
+    if np.count_nonzero(lower) < comb(m + 2, 3):
+        expected = np.concatenate([(a * m + j) * m + k for a in range(m) for j, k in [np.tril_indices(a + 1)]])
+        problems.append(f"unassigned blocks: {first3(expected[~np.isin(expected, ids)], [])}")
+
+    for p in range(1, part.P + 1):
+        owned = set(part.R[p - 1])
+        for blk in list(part.N[p - 1]) + list(part.D[p - 1]):
+            if not set(blk) <= owned:
+                problems.append(f"locality violated at processor {p}: block {tuple(blk)} not within {sorted(owned)}")
+        if len(part.D[p - 1]) > 1:
+            problems.append(f"processor {p} holds {len(part.D[p - 1])} central blocks")
+
+    derived_q = [tuple(p for p in range(1, part.P + 1) if i in part.R[p - 1]) for i in range(1, part.m + 1)]
+    if derived_q != list(part.Q):
+        problems.append("row-block processor sets Q are inconsistent with R")
+
+    sizes = {len(n_p) for n_p in part.N}
+    if len(sizes) != 1:
+        problems.append(f"non-central loads are unbalanced: {sorted(sizes)}")
+    if part.q is not None:
+        if sizes != {part.q}:
+            problems.append(f"expected {part.q} non-central blocks per processor, got {sorted(sizes)}")
+    return problems

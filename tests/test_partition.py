@@ -3,6 +3,9 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import validate_partition_by_loops
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
@@ -210,6 +213,49 @@ def test_validate_problems_verbatim(part_q3, corruption):
     bad = copy.deepcopy(part_q3)
     corrupt(bad)
     assert validate_partition(bad) == expected
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_spherical_partitions_validate(q):
+    assert validate_partition(build_partition(steiner.construct_spherical(q))) == []
+
+
+PART_Q3 = build_partition(steiner.construct_spherical(3))
+
+
+def corrupt_partition(data, part):
+    """A copy of part with one to three corruptions drawn from data."""
+    part = copy.deepcopy(part)
+    processor = st.integers(0, part.P - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["move", "duplicate", "drop", "outside", "central", "permute_q", "repeat_r"]))
+        p, other = data.draw(processor), data.draw(processor)
+        if kind == "outside":
+            blk = data.draw(st.sampled_from([(11, 1, 1), (0, 0, 0), (1, 2, 3), (12, 12, 12), (5, 11, 2), (2, 1, 0)]))
+            data.draw(st.sampled_from([part.N, part.D]))[p].append(BlockIndex(*blk))
+        elif kind == "central":
+            part.D[p].append(BlockIndex(*[data.draw(st.integers(1, part.m))] * 3))
+        elif kind == "permute_q":
+            i = data.draw(st.integers(0, part.m - 1))
+            part.Q[i] = tuple(data.draw(st.permutations(part.Q[i])))
+        elif kind == "repeat_r":  # a row block listed twice in R_p makes some of its triples twice
+            part.R[p] = tuple(sorted(part.R[p] + (data.draw(st.sampled_from(part.R[p])),)))
+        elif part.N[p]:
+            e = data.draw(st.integers(0, len(part.N[p]) - 1))
+            if kind == "move":
+                part.N[other].append(part.N[p].pop(e))
+            elif kind == "duplicate":
+                part.N[other].insert(data.draw(st.integers(0, len(part.N[other]))), part.N[p][e])
+            else:
+                part.N[p].pop(e)
+    return part
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_validate_matches_the_processor_loops_on_corrupted_partitions(data):
+    part = corrupt_partition(data, PART_Q3)
+    assert validate_partition(part) == validate_partition_by_loops(part)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import verify_by_counter
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
@@ -45,7 +48,7 @@ def test_q3_counts():
     assert brute_triple_cover_ok(system)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [q for q in range(2, steiner.Q_CAP + 1) if prime_power(q)])
 def test_constructed_systems_verify(q):
     system = steiner.construct_spherical(q)
     assert len(system.blocks) == q * (q * q + 1)
@@ -246,3 +249,56 @@ def test_verify_does_not_count_overfull_blocks(monkeypatch):
     assert not report.check("pair_count").passed and not report.check("point_count").passed
     assert report.check("block_count").detail == "expected 14, got 15"
     assert report.check("block_shape").passed
+
+
+def test_verify_walks_no_further_than_the_first_missing_point():
+    # the walk stops by (1, 2, 7), the first triple holding point 7, which no block holds;
+    # a walk over all triples of 1..10**9 + 3 would not fit in memory
+    report = steiner.verify(steiner.SteinerSystem(10**12, 7, [(1, 2, 3, 4, 5, 6, 10**9)]))
+    assert report.check("triple_coverage").detail == "expected 1, got 0 at (1, 2, 7)"
+    assert report.check("pair_count").detail == "expected 999999999998/5, got 1 at (1, 2)"
+
+
+def test_verify_codes_points_past_int64_as_python_ints():
+    # (n + 1)**3 exceeds 2**63, so the subset codes are Python ints
+    system = steiner.SteinerSystem(3 * 10**6, 3, [(1, 2, 3), (2, 3, 2 * 10**6), (1, 5, 3 * 10**6)])
+    assert steiner.verify(system).to_json_obj() == verify_by_counter(system).to_json_obj()
+
+
+Q3 = steiner.construct_spherical(3)
+
+
+def corrupt_design(data, system: steiner.SteinerSystem) -> steiner.SteinerSystem:
+    """A copy of system with one to three corruptions drawn from data."""
+    blocks, n, r = [list(blk) for blk in system.blocks], system.n, system.r
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "replace", "out_of_range", "repeat", "unsort", "ragged", "r", "n"]))
+        e = data.draw(st.integers(0, len(blocks) - 1)) if blocks else None
+        if kind == "r":
+            r = data.draw(st.integers(-1, 2))
+        elif kind == "n":
+            n = data.draw(st.sampled_from([-1, 0, 1, 2, 3, 9, 11, 40]))
+        elif e is None:
+            continue
+        elif kind == "drop":
+            blocks.pop(e)
+        elif kind == "duplicate":
+            blocks.insert(data.draw(st.integers(0, len(blocks))), list(blocks[e]))
+        elif kind == "replace":
+            blocks[e] = sorted(data.draw(st.sets(st.integers(1, system.n), min_size=r, max_size=r)))
+        elif kind == "out_of_range":
+            blocks[e].insert(data.draw(st.integers(0, len(blocks[e]))), data.draw(st.sampled_from([-1, 0, 11, 12, 40])))
+        elif kind == "repeat" and blocks[e]:
+            blocks[e].insert(data.draw(st.integers(0, len(blocks[e]))), data.draw(st.sampled_from(blocks[e])))
+        elif kind == "unsort":
+            blocks[e] = data.draw(st.permutations(blocks[e]))
+        elif kind == "ragged" and blocks[e]:
+            blocks[e].pop(data.draw(st.integers(0, len(blocks[e]) - 1)))
+    return steiner.SteinerSystem(n, r, [tuple(blk) for blk in blocks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_matches_the_counter_walk_on_corrupted_designs(data):
+    system = corrupt_design(data, Q3)
+    assert steiner.verify(system).to_json_obj() == verify_by_counter(system).to_json_obj()
