@@ -14,6 +14,7 @@ demand.  Iterating a table yields ``TransferDemand`` rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,9 +88,6 @@ class Demands:
     def shared(self) -> np.ndarray:
         """The number of shared row blocks of every row."""
         return np.count_nonzero(self.blocks, axis=1)
-
-    def take(self, rows) -> Demands:
-        return Demands(self.src[rows], self.dst[rows], self.blocks[rows])
 
     @classmethod
     def stack(cls, tables: list[Demands]) -> Demands:
@@ -248,18 +246,6 @@ class ScheduleReport(Report):
     send_volume: dict[int, int]
 
 
-def _row_ids(table: Demands) -> tuple[np.ndarray, np.ndarray]:
-    """ids[e]: a number shared by exactly the rows equal to row e; first[u]: the first row with id u."""
-    rows = np.column_stack([table.src, table.dst, table.blocks])
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
-
-
 def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleReport:
     """Check one-send/one-receive per step, exact demand coverage and send volumes.
 
@@ -298,15 +284,13 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
         and np.array_equal(sent.dst[by_pair], demands.dst)
         and np.array_equal(sent.blocks[by_pair, :width], demands.blocks[:, :width])
     ):
-        # rows of the demands, then of the schedule, numbered by value
-        both = Demands.stack([demands, sent])
-        ids, first = _row_ids(both)
-        want = np.bincount(ids[: len(demands)], minlength=len(first))
-        got = np.bincount(ids[len(demands) :], minlength=len(first))
-        for u in sorted(np.flatnonzero(want != got).tolist(), key=lambda u: first[u]):
-            d = next(iter(both.take([first[u]])))
-            if want[u]:
-                coverage.append(f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled {got[u]} times, expected {want[u]}")
+        # rows of the demands, then of the schedule, in first-seen order
+        want, got = Counter(demands), Counter(sent)
+        for d in dict.fromkeys([*demands, *sent]):
+            if want[d] == got[d]:
+                continue
+            if want[d]:
+                coverage.append(f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled {got[d]} times, expected {want[d]}")
             else:
                 coverage.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
 

@@ -4,16 +4,17 @@ P virtual processors execute three phases: gather the row blocks of x named
 by their index sets, contract their owned tensor blocks with those row
 blocks, then exchange and reduce partial y row blocks.  Tensor data never
 moves; only vector chunks appear in messages.  A word is one stored
-element, so all volumes are exact integers.  One ``gather_blocks`` pass
-streams every processor's blocks, each contracted once and dropped, and one
-``block_counts`` call counts the stored elements and ternary
-multiplications of every block, summed by owner for exact comparison
-against the closed-form cost model.
+element, so all volumes are exact integers.  Every processor's blocks form
+one integer table over row blocks of b rows: one ``gather_blocks`` pass
+streams them, each contracted once and dropped, and one ``block_counts``
+call counts the stored elements and ternary multiplications of every block,
+summed by owner for exact comparison against the closed-form cost model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -137,7 +138,6 @@ def simulate(
     b, chunk, P = layout.b, layout.chunk, part.P
     if set(layout.ranges) != {(i, p) for i, procs in enumerate(part.Q, start=1) for p in procs}:
         raise ValueError("layout chunks do not match the partition's holders of each row block")
-    spans = {i: ((i - 1) * b, i * b) for i in range(1, part.m + 1)}
     # start[i, p]: the first row of processor p's chunk of row block i; a chunk's rows are start + width
     start = np.zeros((part.m + 1, P + 1), dtype=np.int64)
     owned = tuple(np.array(list(layout.ranges), dtype=np.int64).reshape(-1, 2).T)
@@ -168,9 +168,12 @@ def simulate(
     # both phases send the same messages, so they send and receive the same words
     sent = np.bincount(src, weights=words, minlength=P + 1)[1:].astype(np.int64).tolist()
     received = np.bincount(dst, weights=words, minlength=P + 1)[1:].astype(np.int64).tolist()
-    # one entry per shared row block of a message: the block, its sender and its receiver
+    # one entry per shared row block a sender passes to a receiver, whatever the
+    # number of messages that carry it, sorted by (block, receiver, sender)
     msg, slot = np.nonzero(carried.blocks)
-    blk, snd, rcv = carried.blocks[msg, slot], carried.src[msg], carried.dst[msg]
+    key = np.unique((carried.blocks[msg, slot] * (P + 1) + carried.dst[msg]) * (P + 1) + carried.src[msg])
+    pair, snd = np.divmod(key, P + 1)
+    blk, rcv = np.divmod(pair, P + 1)
 
     # x phase: the sender forwards its own chunk of every shared row block,
     # which it holds as given, so every row a processor holds carries x's
@@ -192,12 +195,14 @@ def simulate(
         mine = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
         owner += [p] * len(mine)
         blocks += mine
-    # xb[p - 1, i - 1] is processor p's copy of row block i
+    # the blocks' 0-based row-block ids, one table for the gather and the counts
+    blocks = np.fromiter(chain.from_iterable(blocks), np.int64, 3 * len(blocks)).reshape(-1, 3) - 1
+    # xb[p - 1, i] is processor p's copy of row block i + 1
     xb, yb = xs.reshape(P, part.m, b), ys.reshape(P, part.m, b)
-    for p, (kind, D, ids) in zip(owner, gather_blocks(tensor, spans, blocks)):
-        contract(kind, D, [xb[p - 1, i - 1] for i in ids], [yb[p - 1, i - 1] for i in ids])
+    for p, (kind, D, ids) in zip(owner, gather_blocks(tensor, b, blocks)):
+        contract(kind, D, [xb[p - 1, i] for i in ids], [yb[p - 1, i] for i in ids])
     # elems[p] and ternary[p]: the counts of processor p's blocks, whole numbers far below 2**53
-    elems, ternary = (np.bincount(owner, c, P + 1).astype(np.int64).tolist() for c in block_counts(spans, blocks))
+    elems, ternary = (np.bincount(owner, c, P + 1).astype(np.int64).tolist() for c in block_counts(n, b, blocks))
     counters = [
         ProcCounters(p, s, s, r, r, ternary[p], elems[p]) for p, s, r in zip(range(1, P + 1), sent, received)
     ]
@@ -205,12 +210,9 @@ def simulate(
     # y phase: partial sums travel to the receiver's chunk; a repeated message
     # delivers the same partial again, so each sender is reduced once.  The
     # owner's own partial comes first, then each sender in ascending order:
-    # add.at adds in index order, and the keys sort by (block, receiver, sender)
+    # add.at adds in index order, and the table sorts by (block, receiver, sender)
     y_global = np.zeros(n)
     y_global[own_cols] += ys[own_rows, own_cols]
-    key = np.unique((blk * (P + 1) + rcv) * (P + 1) + snd)
-    pair, snd = np.divmod(key, P + 1)
-    blk, rcv = np.divmod(pair, P + 1)
     cols = start[blk, rcv][:, None] + width
     np.add.at(y_global, cols, ys[snd[:, None] - 1, cols])
 

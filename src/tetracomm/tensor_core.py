@@ -3,30 +3,31 @@
 A symmetric n x n x n tensor is stored as its lower tetrahedron (i >= j >= k,
 1-based) in the linear order (i-1)i(i+1)/6 + (j-1)j/2 + (k-1).
 
-Contraction runs over blocks (i, j, k), i >= j >= k, of row ranges, each
-copied out of packed storage into a contiguous dense array and contracted
-with BLAS by ``contract``.  For fixed rows (gi, gj) the entries
-(gi, gj, klo..khi) are one contiguous run of the packed data, so a block is
-gathered as b_i*b_j runs through a window view of the data; the entries of a
-diagonal block that lie past its diagonal are then mirrored from the
-gathered ones.  One generator, ``gather_blocks``, does every gather, one
-block at a time.  A caller that uses each block once contracts it as it
-arrives and drops it: the sequential ``sttsv_symmetric`` on a packed tensor
-(the one-processor case over a fixed tiling of the rows) and each simulated
-processor of the parallel algorithm, so neither holds more than a block of
-the tensor.  Only callers that reuse blocks keep them, in a ``BlockStore``:
-``hopm`` and ``cp_gradient`` build one store per call and reuse it for
-every contraction.  ``block_counts`` counts each block's packed elements
-and ternary multiplications (products a*x*x of the four-case symmetric
-update) from the row spans alone.  Kernels sum in different orders, so
-comparisons between them use relative tolerances.
+The rows are cut into row blocks of one width, the last one shorter where
+the width does not divide n, and a list of blocks is one integer (B, 3)
+array of 0-based row-block ids (i, j, k), i >= j >= k.  Contraction runs
+over these blocks, each copied out of packed storage into a contiguous
+dense array and contracted with BLAS by ``contract``.  For fixed rows
+(gi, gj) the entries (gi, gj, klo..khi) are one contiguous run of the packed
+data, so a block is gathered as b_i*b_j runs through a window view of the
+data; the entries of a diagonal block that lie past its diagonal are then
+mirrored from the gathered ones.  One generator, ``gather_blocks``, does
+every gather, one block at a time.  A caller that uses each block once
+contracts it as it arrives and drops it: the sequential ``sttsv_symmetric``
+on a packed tensor (the one-processor case over a fixed tiling of the rows)
+and each simulated processor of the parallel algorithm, so neither holds
+more than a block of the tensor.  Only callers that reuse blocks keep them,
+in a ``BlockStore``: ``hopm`` and ``cp_gradient`` build one store per call
+and reuse it for every contraction.  ``block_counts`` counts each block's
+packed elements and ternary multiplications (products a*x*x of the
+four-case symmetric update) from the row-block width alone.  Kernels sum in
+different orders, so comparisons between them use relative tolerances.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,7 @@ class PackedSymTensor:
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense symmetric array: the one central block over all rows."""
-        ((_, dense, _),) = gather_blocks(self, {0: (0, self.n)}, [(0, 0, 0)])
+        ((_, dense, _),) = gather_blocks(self, self.n, [(0, 0, 0)])
         return dense
 
 
@@ -155,33 +156,30 @@ def contract(kind: str, D: np.ndarray, xs, ys) -> None:
         raise ValueError(f"unknown block kind {kind!r}")
 
 
-def _check_blocks(spans: dict, blocks: list, n: int) -> None:
-    """Raise ValueError on a bad span or block.
+def _check_blocks(n: int, width, blocks) -> np.ndarray:
+    """The blocks as an int64 (B, 3) array; raise ValueError on a bad width or block.
 
-    Spans must be non-empty ranges in 0..n that order like their ids, and
-    each block an id triple (i, j, k) with i >= j >= k whose ids have spans.
-    Spans and blocks are each checked as one array; the error names the
-    first bad span in id order, else the first bad block in the order given.
+    Row block t holds rows t*width up to min(n, (t+1)*width), so there are
+    m = ceil(n / width) of them.  ``width`` must be a positive int and
+    ``blocks`` an integer (B, 3) array-like of ids with m-1 >= i >= j >= k >= 0;
+    a non-integer id raises rather than being truncated.  The error names
+    the first bad block.
     """
-    ids = sorted(spans)
-    lo, hi = np.array([spans[i] for i in ids]).reshape(-1, 2).T
-    empty = ~((lo >= 0) & (lo < hi) & (hi <= n))
-    early = np.r_[False, lo[1:] < hi[:-1]]
-    if np.any(empty | early):
-        e = int(np.argmax(empty | early))
-        if empty[e]:
-            raise ValueError(f"span of row block {ids[e]} is ({lo[e]}, {hi[e]}), not a non-empty range in 0..{n}")
-        raise ValueError(f"span of row block {ids[e]} starts before the span of row block {ids[e - 1]} ends")
-    # as floats, an id that is not an integer or lies past int64 still matches no span's id
-    i, j, k = np.fromiter(chain.from_iterable(blocks), dtype=np.float64, count=3 * len(blocks)).reshape(-1, 3).T
-    unordered = ~((i >= j) & (j >= k))
-    unknown = ~np.all(np.isin(np.stack([i, j, k]), ids), axis=0)
-    if np.any(unordered | unknown):
-        e = int(np.argmax(unordered | unknown))
-        blk = blocks[e]
+    if not isinstance(width, (int, np.integer)) or width < 1:
+        raise ValueError(f"row-block width must be a positive int, got {width!r}")
+    blocks = np.asarray(blocks)
+    if blocks.dtype.kind not in "iu" or blocks.ndim != 2 or blocks.shape[1] != 3:
+        raise ValueError(f"blocks must be an integer (B, 3) array, got {blocks.dtype} of shape {blocks.shape}")
+    m = -(-n // width)
+    i, j, k = blocks.T
+    unordered, outside = (i < j) | (j < k), (k < 0) | (i >= m)
+    if np.any(unordered | outside):
+        e = int(np.argmax(unordered | outside))
+        blk = tuple(blocks[e].tolist())
         if unordered[e]:
             raise ValueError(f"block {blk} is not ordered i >= j >= k")
-        raise ValueError(f"block {blk} names a row block with no span")
+        raise ValueError(f"block {blk} names a row block outside 0..{m - 1}")
+    return blocks.astype(np.int64, copy=False)
 
 
 def _canonical_counts(ij: bool, jk: bool, shape) -> tuple[int, int]:
@@ -203,85 +201,88 @@ def _canonical_counts(ij: bool, jk: bool, shape) -> tuple[int, int]:
     return entries, 3 * entries - sum(int(np.count_nonzero(canonical & eq)) for eq in equal)
 
 
-def block_counts(spans, blocks) -> tuple[list[int], list[int]]:
-    """(elems, ternary), one entry per block in the order given, counted from the spans alone.
+def block_counts(n: int, width, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(elems, ternary), one int64 entry per block in the order given, counted from the width alone.
 
     ``elems`` counts a block's distinct packed entries and ``ternary`` the
     products a*x*x the four-case update performs on them: 3 per entry, less
-    one for each of i = j and j = k.  Each kind and shape of block is counted
-    once, from its canonical mask.  Spans and blocks are checked as by
-    ``gather_blocks``, except that with no tensor a span may end anywhere.
+    one for each of i = j and j = k.  A block's counts depend only on i = j,
+    j = k and which of its row blocks is the shorter last one, so the blocks
+    fall into at most 32 keys, each counted once from its canonical mask.
+    The width and blocks are checked as by ``gather_blocks``.
     """
-    spans, blocks = dict(spans), list(blocks)
-    _check_blocks(spans, blocks, max((hi for _, hi in spans.values()), default=0))
-    width = {i: hi - lo for i, (lo, hi) in spans.items()}
-    keys = [(i == j, j == k, (width[i], width[j], width[k])) for i, j, k in blocks]
-    counts = {key: _canonical_counts(*key) for key in set(keys)}
-    return [counts[key][0] for key in keys], [counts[key][1] for key in keys]
+    blocks = _check_blocks(n, width, blocks)
+    i, j, k = blocks.T
+    short = (blocks == -(-n // width) - 1) & bool(n % width)  # a row block of n % width rows
+    keys = (i == j) * 16 + (j == k) * 8 + short @ np.array([4, 2, 1])
+    counts = np.zeros((32, 2), dtype=np.int64)
+    for key in np.unique(keys).tolist():
+        shape = [n % width if key & bit else width for bit in (4, 2, 1)]
+        counts[key] = _canonical_counts(bool(key & 16), bool(key & 8), shape)
+    return counts[keys, 0], counts[keys, 1]
 
 
-def gather_blocks(tensor: PackedSymTensor, spans, blocks):
+def gather_blocks(tensor: PackedSymTensor, width, blocks):
     """Yield (kind, D, ids) for each block, in the order given.
 
-    ``spans`` maps a row-block id to its 0-based half-open row range; spans
-    must be non-empty ranges in 0..n, and ids must order like their ranges.
-    ``blocks`` are id triples (i, j, k) with i >= j >= k.  A bad span or
-    block raises ValueError.  D is the block as a dense C-contiguous array,
-    a fresh copy that shares no memory with the tensor; ``ids`` are its
-    distinct row blocks as ``contract`` takes them.
+    Row block t holds rows t*width up to min(n, (t+1)*width); ``blocks`` is
+    an integer (B, 3) array-like of ids (i, j, k) with m-1 >= i >= j >= k >= 0.
+    A bad width or block raises ValueError.  D is the block as a dense
+    C-contiguous array, a fresh copy that shares no memory with the tensor;
+    ``ids`` are its distinct row blocks as ``contract`` takes them.
 
     Block (i, j, k) is gathered as runs: the entries (gi, gj, klo..khi) lie
     at packed offsets tet[gi] + tri[gj] + klo onwards, so a block is the
     b_i*b_j rows of a window view of the data at those run starts, copied by
     one fancy index.  Where i = j the starts take max and min of (gi, gj).
-    Where j = k a run also reads past the diagonal, gk > gj; those entries,
-    and in a central block the ones with gk > min(gi, gj), are mirrored by
-    ``np.where`` over the block's transposes.
+    Where j = k a run also reads past the diagonal, gk > gj, and in a
+    central block past min(gi, gj); only the entries past the diagonal are
+    then copied from their mirror images, first across the last two axes
+    and, in a central block, then across the first two.
 
     Blocks are gathered one at a time, as they are asked for: a caller that
     drops each block once it is used never holds more than one block of the
     tensor.
     """
     n = tensor.n
-    spans, blocks = dict(spans), list(blocks)
-    _check_blocks(spans, blocks, n)
+    blocks = _check_blocks(n, width, blocks)
 
     r = np.arange(n, dtype=np.int64)
     tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
     data = tensor.data
     step = data.strides[0]
     windows = {}  # width -> the runs of that width, one per row
-    lower = {}  # width -> mask of a >= b
-    for i, j, k in blocks:
-        (ilo, ihi), (jlo, jhi), (klo, khi) = spans[i], spans[j], spans[k]
-        gi, gj = r[ilo:ihi, None], r[None, jlo:jhi]
+    upper = {}  # width -> the (row, column) indices past the diagonal
+    for i, j, k in blocks.tolist():
+        gi, gj = r[i * width : (i + 1) * width, None], r[None, j * width : (j + 1) * width]
         if i == j:
             gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
-        w = khi - klo
+        klo = k * width
+        w = min(width, n - klo)
         if w not in windows:
             # row s is the run of w entries from packed offset s, so every row lies
             # inside the data, and a start past the last row raises IndexError
             window = np.lib.stride_tricks.as_strided(data, (data.size - w + 1, w), (step, step), writeable=False)
             # as one w-wide item per row, the gather copies each run in one piece
             windows[w] = window.view(np.dtype((np.void, w * step)))[:, 0] if step == data.itemsize else window
-        D = windows[w][tet[gi] + tri[gj] + klo].view(np.float64).reshape(ihi - ilo, jhi - jlo, w)
+        D = windows[w][tet[gi] + tri[gj] + klo].view(np.float64).reshape(gi.shape[0], gj.shape[1], w)
         if i > j > k:
             yield "off", D, (i, j, k)
             continue
-        for b in {D.shape[0], w} - lower.keys():
-            lower[b] = np.tri(b, dtype=bool)
         if j == k:
-            D[...] = np.where(lower[w][None], D, D.transpose(0, 2, 1))
-        if i == j == k:
-            D[...] = np.where(lower[D.shape[0]][:, :, None], D, D.transpose(1, 0, 2))
+            if w not in upper:
+                upper[w] = np.triu_indices(w, 1)
+            a, c = upper[w]
+            D[:, a, c] = D[:, c, a]
+            if i == j:
+                D[a, c] = D[c, a]
         kind, ids = ("central", (i,)) if i == k else ("aac", (i, k)) if i == j else ("acc", (i, j))
         yield kind, D, ids
 
 
-def _contract_blocks(spans: dict, blocks, x, y) -> None:
-    """Add the share of A x x of every (kind, D, ids) in blocks into y."""
-    xs = {i: x[lo:hi] for i, (lo, hi) in spans.items()}
-    ys = {i: y[lo:hi] for i, (lo, hi) in spans.items()}
+def _contract_blocks(width: int, blocks, x, y) -> None:
+    """Add the share of A x x of every (kind, D, ids) in blocks into y, over row blocks of width rows."""
+    xs, ys = (np.split(v, range(width, len(v), width)) for v in (x, y))
     for kind, D, ids in blocks:
         contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
 
@@ -293,28 +294,26 @@ class BlockStore:
     reach the store.
     """
 
-    __slots__ = ("n", "spans", "blocks")
+    __slots__ = ("n", "width", "blocks")
 
-    def __init__(self, tensor: PackedSymTensor, spans, blocks):
-        self.n = tensor.n
-        self.spans = dict(spans)
-        self.blocks: list[tuple[str, np.ndarray, tuple]] = list(gather_blocks(tensor, self.spans, blocks))
+    def __init__(self, tensor: PackedSymTensor, width, blocks):
+        self.n, self.width = tensor.n, width
+        self.blocks: list[tuple[str, np.ndarray, tuple]] = list(gather_blocks(tensor, width, blocks))
 
     def run(self, x, y) -> None:
         """Add every stored block's share of A x x into y; x and y have length n."""
-        _contract_blocks(self.spans, self.blocks, x, y)
+        _contract_blocks(self.width, self.blocks, x, y)
 
 
-def _tiling(n: int) -> tuple[dict, list]:
-    """Spans of row tiles of TILE rows and every block over them, in the kernel's order."""
+def _tiling(n: int) -> list[tuple[int, int, int]]:
+    """Every block over row tiles of TILE rows, in the kernel's order."""
     m = -(-n // TILE)
-    spans = {t: (t * TILE, min(n, (t + 1) * TILE)) for t in range(m)}
-    return spans, [(i, j, k) for i in range(m) for j in range(i + 1) for k in range(j + 1)]
+    return [(i, j, k) for i in range(m) for j in range(i + 1) for k in range(j + 1)]
 
 
 def tiled_store(tensor: PackedSymTensor) -> BlockStore:
     """Every block of the whole tensor over row tiles of TILE rows."""
-    return BlockStore(tensor, *_tiling(tensor.n))
+    return BlockStore(tensor, TILE, _tiling(tensor.n))
 
 
 def sttsv_symmetric(tensor: PackedSymTensor | BlockStore, x) -> np.ndarray:
@@ -330,8 +329,7 @@ def sttsv_symmetric(tensor: PackedSymTensor | BlockStore, x) -> np.ndarray:
     if isinstance(tensor, BlockStore):
         tensor.run(x, y)
     else:
-        spans, blocks = _tiling(n)
-        _contract_blocks(spans, gather_blocks(tensor, spans, blocks), x, y)
+        _contract_blocks(TILE, gather_blocks(tensor, TILE, _tiling(n)), x, y)
     return y
 
 

@@ -123,7 +123,7 @@ def sttsv_symmetric_counted(tensor, x) -> tuple[np.ndarray, int]:
 
 
 class ElementGatherStore:
-    """A block store laid out by one int64 packed index per block entry.
+    """A block store over row blocks of width rows, laid out by one int64 packed index per block entry.
 
     Each position's rows are sorted descending across the axes that share a
     row block, so every entry of a diagonal block is read from where it is
@@ -132,16 +132,15 @@ class ElementGatherStore:
 
     run = BlockStore.run
 
-    def __init__(self, tensor, spans, blocks):
-        self.n = tensor.n
-        self.spans = dict(spans)
+    def __init__(self, tensor, width, blocks):
+        self.n, self.width = tensor.n, width
         r = np.arange(tensor.n, dtype=np.int64)
         tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
         self.blocks = []
         self.tensor_elems = self.ternary_mults = 0
         for blk in blocks:
             i, j, k = blk
-            gi, gj, gk = rows = np.ix_(*(np.arange(*self.spans[t]) for t in blk))
+            gi, gj, gk = rows = np.ix_(*(r[t * width : (t + 1) * width] for t in blk))
             if i == j:
                 gi, gj = np.maximum(gi, gj), np.minimum(gi, gj)
             if j == k:
@@ -175,7 +174,6 @@ def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=b
     n, b, chunk, P = layout.n, layout.b, layout.chunk, part.P
     x_global = np.asarray(x, dtype=np.float64)
     counters = [ProcCounters(p) for p in range(1, P + 1)]
-    spans = {i: ((i - 1) * b, i * b) for i in range(1, part.m + 1)}
     chunks = {key: slice(lo, hi) for key, (lo, hi) in layout.ranges.items()}
 
     xs = np.zeros((P, n))
@@ -209,12 +207,12 @@ def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=b
             have[dst - 1, s] = have[src - 1, s]
         counters[src - 1].sent_x += words
         counters[dst - 1].received_x += words
-    gather_complete = all(have[p - 1, slice(*spans[i])].all() for p in range(1, P + 1) for i in part.R[p - 1])
+    gather_complete = all(have[p - 1, (i - 1) * b : i * b].all() for p in range(1, P + 1) for i in part.R[p - 1])
 
     ys = np.zeros((P, n))
     for p in range(1, P + 1):
         blocks = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
-        store = ElementGatherStore(tensor, spans, blocks)
+        store = ElementGatherStore(tensor, b, [(i - 1, j - 1, k - 1) for i, j, k in blocks])
         store.run(xs[p - 1], ys[p - 1])
         counters[p - 1].ternary_mults = store.ternary_mults
         counters[p - 1].tensor_elems = store.tensor_elems

@@ -6,7 +6,7 @@ module to keep the suite fast.
 """
 
 import time
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 import pytest
@@ -189,20 +189,20 @@ def test_criterion_6_exact_computation(q2, q3, runs_q2, runs_q3):
 
 
 def test_criterion_6_exact_computation_without_a_tensor():
-    # a packed tensor at q = 7 is 29 GB, so these counts come from the spans alone
+    # a packed tensor at q = 7 is 29 GB, so these counts come from the row-block width alone
     start = time.perf_counter()
     for q in (7, 8, 9):
         part = build_partition(steiner.construct_spherical(q))
         b = q * (q + 1)
         n = part.m * b
-        spans = {i: ((i - 1) * b, i * b) for i in range(1, part.m + 1)}
         owner, blocks = [], []
         for p in range(1, part.P + 1):
             mine = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
             owner += [p] * len(mine)
             blocks += mine
+        blocks = np.fromiter(chain.from_iterable(blocks), np.int64, 3 * len(blocks)).reshape(-1, 3) - 1
         elems, ternary = [0] * (part.P + 1), [0] * (part.P + 1)
-        for p, e, t in zip(owner, *block_counts(spans, blocks)):
+        for p, e, t in zip(owner, *(c.tolist() for c in block_counts(n, b, blocks))):
             elems[p] += e
             ternary[p] += t
         predicted = compute_report(part, vector_layout(n, part))

@@ -14,6 +14,7 @@ from tetracomm.tensor_core import (
     PackedSymTensor,
     block_counts,
     cp_gradient,
+    gather_blocks,
     hopm,
     load_tensor,
     load_vector,
@@ -164,7 +165,7 @@ def test_block_kernel_matches_oracles_on_ragged_tilings(n):
     y_dense = np.einsum("ijk,j,k->i", t.to_dense(), x, x)
     for expected in (y_elem, y_dense):
         assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-    elems, ternary = block_counts(*tensor_core._tiling(n))
+    elems, ternary = block_counts(n, TILE, tensor_core._tiling(n))
     assert sum(ternary) == count == ternary_count(n)
     assert sum(elems) == lower_tetra_count(n)
 
@@ -174,30 +175,25 @@ def test_block_kernel_matches_oracles_on_ragged_tilings(n):
     [((2, 1, 0), "off"), ((2, 2, 0), "aac"), ((2, 0, 0), "acc"), ((1, 1, 1), "central"), ((2, 2, 2), "central")],
 )
 def test_block_store_single_block_of_each_kind(blk, kind):
-    spans = {0: (0, 3), 1: (3, 5), 2: (5, 9)}  # unequal row blocks
-    t = random_symmetric(9, 4)
-    x = random_vector(9, 5)
-    store = BlockStore(t, spans, [blk])
+    rows = [range(0, 4), range(4, 8), range(8, 10)]  # width 4 over 10 rows: the last row block is short
+    t = random_symmetric(10, 4)
+    x = random_vector(10, 5)
+    store = BlockStore(t, 4, [blk])
     assert [k for k, _, _ in store.blocks] == [kind]
     # oracle: the dense tensor restricted to the positions the block stands for
-    mask = np.zeros((9, 9, 9), dtype=bool)
+    mask = np.zeros((10, 10, 10), dtype=bool)
     for perm in set(permutations(blk)):
-        mask[np.ix_(*(np.arange(*spans[b]) for b in perm))] = True
+        mask[np.ix_(*(rows[b] for b in perm))] = True
     expected = np.einsum("ijk,j,k->i", np.where(mask, t.to_dense(), 0.0), x, x)
     y = sttsv_symmetric(store, x)
     assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-    entries = [
-        (i, j, k)
-        for i in range(*spans[blk[0]])
-        for j in range(*spans[blk[1]])
-        for k in range(*spans[blk[2]])
-        if i >= j >= k
-    ]
-    assert block_counts(spans, [blk]) == ([len(entries)], [sum(3 - (i == j) - (j == k) for i, j, k in entries)])
+    entries = [(i, j, k) for i in rows[blk[0]] for j in rows[blk[1]] for k in rows[blk[2]] if i >= j >= k]
+    elems, ternary = block_counts(10, 4, [blk])
+    assert (elems.tolist(), ternary.tolist()) == ([len(entries)], [sum(3 - (i == j) - (j == k) for i, j, k in entries)])
 
 
 def assert_same_blocks(store, oracle, blocks):
-    elems, ternary = block_counts(store.spans, blocks)
+    elems, ternary = block_counts(store.n, store.width, blocks)
     assert (sum(elems), sum(ternary)) == (oracle.tensor_elems, oracle.ternary_mults)
     assert len(store.blocks) == len(oracle.blocks)
     for (kind, D, ids), (want_kind, want, want_ids) in zip(store.blocks, oracle.blocks):
@@ -206,7 +202,7 @@ def assert_same_blocks(store, oracle, blocks):
         assert np.array_equal(D, want)
 
 
-RAGGED = {0: (0, 1), 1: (1, 7), 2: (7, 8), 3: (8, 20), 4: (20, 23)}  # widths 1, 6, 1, 12, 3
+RAGGED = 5  # row-block width over n = 23: four row blocks of 5 rows and a last one of 3
 EVERY_BLOCK = [(i, j, k) for i in range(5) for j in range(i + 1) for k in range(j + 1)]
 
 
@@ -215,28 +211,26 @@ def test_run_gather_equals_element_gather_on_every_kind_of_block():
     store = BlockStore(t, RAGGED, EVERY_BLOCK)
     assert {kind for kind, _, _ in store.blocks} == {"off", "aac", "acc", "central"}
     assert_same_blocks(store, ElementGatherStore(t, RAGGED, EVERY_BLOCK), EVERY_BLOCK)
-    assert sum(block_counts(RAGGED, EVERY_BLOCK)[0]) == lower_tetra_count(23)
+    assert sum(block_counts(23, RAGGED, EVERY_BLOCK)[0]) == lower_tetra_count(23)
 
 
 @st.composite
 def stores(draw):
     n = draw(st.integers(1, 40))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=7))) if n > 1 else []
-    bounds = [0, *cuts, n]
-    ids = sorted(draw(st.sets(st.integers(-5, 30), min_size=len(bounds) - 1, max_size=len(bounds) - 1)))
-    spans = {i: (lo, hi) for i, lo, hi in zip(ids, bounds, bounds[1:])}
-    ordered = [(i, j, k) for i in ids for j in ids for k in ids if i >= j >= k]
+    width = draw(st.integers(1, n))
+    m = -(-n // width)  # the last of the m row blocks is short where width does not divide n
+    ordered = [(i, j, k) for i in range(m) for j in range(i + 1) for k in range(j + 1)]
     blocks = draw(st.lists(st.sampled_from(ordered), min_size=1, max_size=15))
-    return n, spans, blocks, draw(st.integers(0, 2**32 - 1))
+    return n, width, blocks, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(stores())
 @example((23, RAGGED, EVERY_BLOCK * 2, 11))
 def test_every_block_equals_the_element_gather_oracle(case):
-    n, spans, blocks, seed = case
+    n, width, blocks, seed = case
     t = random_symmetric(n, seed)
-    assert_same_blocks(BlockStore(t, spans, blocks), ElementGatherStore(t, spans, blocks), blocks)
+    assert_same_blocks(BlockStore(t, width, blocks), ElementGatherStore(t, width, blocks), blocks)
 
 
 def strided_copy(data, layout):
@@ -331,28 +325,48 @@ def test_streamed_kernel_memory_does_not_grow_with_n():
     assert max(peaks) - min(peaks) < block, peaks
 
 
-SPANS = {1: (0, 3), 2: (3, 5), 3: (5, 9)}
-
-
 @pytest.mark.parametrize(
-    "spans,blocks,message",
+    "width,blocks,message",
     [
-        (SPANS, [(1, 2, 3)], r"block \(1, 2, 3\) is not ordered i >= j >= k"),
-        (SPANS, [(3, 2, 2), (2, 2, 1), (3, 2, 0)], r"block \(3, 2, 0\) names a row block with no span"),
-        ({1: (0, 3), 2: (3, 3), 3: (3, 9)}, [(1, 1, 1)], r"span of row block 2 is \(3, 3\), not a non-empty range in 0\.\.9"),
-        ({1: (-1, 3), 2: (3, 5), 3: (5, 9)}, [(1, 1, 1)], r"span of row block 1 is \(-1, 3\)"),
-        ({1: (0, 3), 2: (3, 5), 3: (5, 10)}, [(1, 1, 1)], r"span of row block 3 is \(5, 10\)"),
-        ({1: (3, 5), 2: (0, 3), 3: (5, 9)}, [(1, 1, 1)], "span of row block 2 starts before the span of row block 1 ends"),
-        ({1: (0, 4), 2: (3, 5), 3: (5, 9)}, [(1, 1, 1)], "span of row block 2 starts before the span of row block 1 ends"),
+        (0, [(0, 0, 0)], "row-block width must be a positive int, got 0"),
+        (-1, [(0, 0, 0)], "row-block width must be a positive int, got -1"),
+        (2.5, [(0, 0, 0)], "row-block width must be a positive int, got 2.5"),
+        (None, [(0, 0, 0)], "row-block width must be a positive int, got None"),
+        (4, [(1, 2, 0)], r"block \(1, 2, 0\) is not ordered i >= j >= k"),
+        (4, [(2, 2, 1), (3, 2, 0)], r"block \(3, 2, 0\) names a row block outside 0\.\.2"),
+        (4, [(1, 1, 0), (1, 1, -1)], r"block \(1, 1, -1\) names a row block outside 0\.\.2"),
+        (4, [(2, 1, 0), (1.5, 1, 0)], r"blocks must be an integer \(B, 3\) array, got float64 of shape \(2, 3\)"),
+        (4, [(2.0, 1.0, 0.0)], r"blocks must be an integer \(B, 3\) array, got float64"),
+        (4, [(2, 1)], r"blocks must be an integer \(B, 3\) array, got int64 of shape \(1, 2\)"),
+        (4, [2, 1, 0], r"blocks must be an integer \(B, 3\) array, got int64 of shape \(3,\)"),
     ],
 )
-def test_block_store_rejects_bad_blocks_and_spans(spans, blocks, message):
+def test_block_store_rejects_bad_widths_and_blocks(width, blocks, message):
+    # width 4 over n = 9: row blocks 0..2, the last one of a single row
     with pytest.raises(ValueError, match=message):
-        BlockStore(random_symmetric(9, 4), spans, blocks)
-    # with no tensor there is no n to bound the spans by, so a span may end past 9
-    if max(hi for _, hi in spans.values()) <= 9:
-        with pytest.raises(ValueError, match=message):
-            block_counts(spans, blocks)
+        BlockStore(random_symmetric(9, 4), width, blocks)
+    with pytest.raises(ValueError, match=message):
+        block_counts(9, width, blocks)
+
+
+ids = st.one_of(st.integers(-3, 4), st.integers(2**63, 2**70), st.floats(allow_nan=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.one_of(st.integers(-2, 12), st.integers(2**63, 2**70), st.floats(allow_nan=True), st.none()),
+    blocks=st.one_of(st.lists(st.tuples(ids, ids, ids), max_size=4), st.lists(st.lists(ids, max_size=4), max_size=4)),
+)
+@example(width=3, blocks=[])
+@example(width=2**64, blocks=[(0, 0, 0)])
+@example(width=3, blocks=[(2, 1, 0), (2, 1)])
+def test_any_width_and_blocks_either_work_or_raise_value_error(width, blocks):
+    t = random_symmetric(9, 4)
+    for call in (lambda: list(gather_blocks(t, width, blocks)), lambda: block_counts(9, width, blocks)):
+        try:
+            call()
+        except ValueError:
+            pass
 
 
 def test_to_dense_holds_every_entry_at_every_permutation():
