@@ -282,7 +282,7 @@ def gather_blocks(tensor: PackedSymTensor, width, blocks):
 
 def _contract_blocks(width: int, blocks, x, y) -> None:
     """Add the share of A x x of every (kind, D, ids) in blocks into y, over row blocks of width rows."""
-    xs, ys = (np.split(v, range(width, len(v), width)) for v in (x, y))
+    xs, ys = ([v[lo : lo + width] for lo in range(0, len(v), width)] for v in (x, y))
     for kind, D, ids in blocks:
         contract(kind, D, [xs[i] for i in ids], [ys[i] for i in ids])
 
