@@ -30,6 +30,7 @@ __all__ = [
     "tb3",
     "all_lower_blocks",
     "noncentral_blocks",
+    "owned_blocks",
     "build_partition",
     "validate_partition",
     "vector_layout",
@@ -183,24 +184,47 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     )
 
 
-def _off_triples(rows) -> np.ndarray:
-    """Every processor's set(combinations(sorted(R_p), 3)), as rows (a, b, c), a <= b <= c.
+def _off_triples(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(row, triples): every row's sorted(tb3(row)), as 1-based (i, j, k), i >= j >= k.
 
-    The rows of R are read as one flat array and gathered into one matrix per
-    row length.  Only a row that repeats a value makes a triple twice, and
-    only such rows are de-duplicated.
+    row[e] is the index in ``rows`` of triple e.  A row's triples are
+    consecutive and ascending, but rows of one length come before longer
+    ones.  The rows are read as one flat array and gathered into one matrix
+    per row length.  Only a row that repeats a value makes a triple twice,
+    and only such rows are de-duplicated.
     """
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     starts = np.cumsum(lengths) - lengths
-    out = [np.zeros((0, 3), dtype=np.int64)]
+    row, out = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 3), dtype=np.int64)]
     for length in np.unique(lengths[lengths >= 3]).tolist():
-        grid = np.sort(values[starts[lengths == length, None] + np.arange(length)], axis=1)
-        triples = grid[:, np.array(list(combinations(range(length), 3)))]
+        at = np.flatnonzero(lengths == length)
+        grid = np.sort(values[starts[at, None] + np.arange(length)], axis=1)
+        # columns (c, b, a) with c > b > a, ascending, pick (i, j, k) of a sorted row in order
+        columns = np.array(sorted(t[::-1] for t in combinations(range(length), 3)))
+        triples = grid[:, columns]
         repeats = np.any(grid[:, 1:] == grid[:, :-1], axis=1)
+        row.append(np.repeat(at[~repeats], len(columns)))
         out.append(triples[~repeats].reshape(-1, 3))
-        out += [np.unique(row, axis=0) for row in triples[repeats]]
-    return np.concatenate(out)
+        for a, mine in zip(at[repeats].tolist(), triples[repeats]):
+            out.append(np.unique(mine, axis=0))
+            row.append(np.full(len(out[-1]), a))
+    return np.concatenate(row), np.concatenate(out)
+
+
+def owned_blocks(part: TetraPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, blocks): every processor's blocks as one int64 table of 1-based (i, j, k) rows.
+
+    Processor by processor, p's blocks are TB3(R_p) in ascending order, then
+    N_p and D_p as listed; owner[e] is the processor of block e.
+    """
+    row, off = _off_triples(part.R)
+    diagonal = [*part.N, *part.D]
+    lengths = np.fromiter(map(len, diagonal), dtype=np.int64, count=len(diagonal))
+    owner = np.concatenate([row + 1, np.repeat(np.r_[1 : len(part.N) + 1, 1 : len(part.D) + 1], lengths)])
+    blocks = np.fromiter(chain.from_iterable(chain.from_iterable(diagonal)), np.int64, 3 * int(lengths.sum()))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], np.take(np.concatenate([off, blocks.reshape(-1, 3)]), order, axis=0)
 
 
 def validate_partition(part: TetraPartition) -> list[str]:
@@ -219,7 +243,7 @@ def validate_partition(part: TetraPartition) -> list[str]:
     holder = np.repeat(np.arange(1, P + 1), [len(blocks) for blocks in owned])
     unowned = chain(*part.N[P:], *part.D[P:])  # lists past processor P: counted, but owned by no one
     diagonal = np.fromiter(chain.from_iterable(chain(held, unowned)), dtype=np.int64).reshape(-1, 3)
-    blocks = np.concatenate([_off_triples(part.R)[:, ::-1], diagonal])
+    blocks = np.concatenate([_off_triples(part.R)[1], diagonal])
     inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
     i, j, k = (blocks[inside] - 1).T
     ids, counts = np.unique((i * m + j) * m + k, return_counts=True)
@@ -279,19 +303,18 @@ def validate_partition(part: TetraPartition) -> list[str]:
 
 @dataclass
 class VectorLayout:
-    """Ownership map of a length-n vector over the partition's processors.
+    """How a length-n vector is spread over the partition's processors.
 
-    Row block i occupies global indices [(i-1)*b, i*b) (0-based half-open)
-    and is split into |Q_i| contiguous chunks assigned to the processors of
-    Q_i in ascending order.  ``ranges[(i, p)]`` is the global range of
-    processor p's chunk of row block i.
+    Row block i occupies global rows [(i-1)*b, i*b) (0-based half-open) and
+    is cut into g = b / chunk chunks, g = |Q_i|.  Chunk c = (i-1)*g + t holds
+    rows [c*chunk, (c+1)*chunk) and belongs to Q_i[t], the t-th processor of
+    Q_i (t from 0), so Q alone says who holds which chunk.
     """
 
     n: int
     m: int
     b: int
     chunk: int
-    ranges: dict[tuple[int, int], tuple[int, int]]
 
 
 def pad_dimension(n: int, part: TetraPartition) -> int:
@@ -311,13 +334,7 @@ def vector_layout(n: int, part: TetraPartition) -> VectorLayout:
             f"n={n} is not divisible into {part.m} row blocks of {g} chunks; pad to {pad_dimension(n, part)}"
         )
     b = n // part.m
-    chunk = b // g
-    ranges: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(1, part.m + 1):
-        base = (i - 1) * b
-        for t, p in enumerate(part.Q[i - 1]):
-            ranges[(i, p)] = (base + t * chunk, base + (t + 1) * chunk)
-    return VectorLayout(n=n, m=part.m, b=b, chunk=chunk, ranges=ranges)
+    return VectorLayout(n=n, m=part.m, b=b, chunk=b // g)
 
 
 def storage_count(part: TetraPartition, n: int, p: int) -> int:

@@ -3,25 +3,27 @@
 P virtual processors execute three phases: gather the row blocks of x named
 by their index sets, contract their owned tensor blocks with those row
 blocks, then exchange and reduce partial y row blocks.  Tensor data never
-moves; only vector chunks appear in messages.  A word is one stored
-element, so all volumes are exact integers.  Every processor's blocks form
-one integer table over row blocks of b rows: one ``gather_blocks`` pass
-streams them, each contracted once and dropped, and one ``block_counts``
-call counts the stored elements and ternary multiplications of every block,
-summed by owner for exact comparison against the closed-form cost model.
+moves; only vector chunks appear in messages, addressed by chunk id: chunk
+(i-1)*g + t is the t-th of the g chunks of row block i and belongs to the
+t-th processor of Q_i.  A word is one stored element, so all volumes are
+exact integers.  Every processor's blocks form one integer table,
+``partition.owned_blocks``, over row blocks of b rows: one
+``gather_blocks`` pass streams them, each contracted once and dropped, and
+one ``block_counts`` call counts the stored elements and ternary
+multiplications of every block, summed by owner for exact comparison
+against the closed-form cost model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import comb
 
 import numpy as np
 
 from .bounds import lower_bound
 from .checks import Check, Report
-from .partition import TetraPartition, VectorLayout, storage_count, tb3, validate_partition
+from .partition import TetraPartition, VectorLayout, owned_blocks, storage_count, validate_partition, vector_layout
 from .schedule import Demands, alltoall_cost, build_demands, build_schedule, validate
 from .tensor_core import PackedSymTensor, block_counts, contract, gather_blocks, sttsv_symmetric, ternary_count
 
@@ -126,9 +128,9 @@ def simulate(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if layout.m != part.m:
-        raise ValueError(f"layout has {layout.m} row blocks but the partition has {part.m}")
     n = layout.n
+    if layout != vector_layout(n, part):
+        raise ValueError(f"{layout} is not vector_layout({n}, part), the partition's chunks of n={n} rows")
     if tensor.n != n:
         raise ValueError(f"tensor dimension {tensor.n} does not match layout n={n}")
     x_global = np.asarray(x, dtype=np.float64)
@@ -136,19 +138,17 @@ def simulate(
         raise ValueError(f"x must have shape ({n},), got {x_global.shape}")
 
     b, chunk, P = layout.b, layout.chunk, part.P
-    if set(layout.ranges) != {(i, p) for i, procs in enumerate(part.Q, start=1) for p in procs}:
-        raise ValueError("layout chunks do not match the partition's holders of each row block")
-    # start[i, p]: the first row of processor p's chunk of row block i; a chunk's rows are start + width
-    start = np.zeros((part.m + 1, P + 1), dtype=np.int64)
-    owned = tuple(np.array(list(layout.ranges), dtype=np.int64).reshape(-1, 2).T)
-    start[owned] = [lo for lo, _ in layout.ranges.values()]
-    width = np.arange(chunk)
+    # chunk c = (i - 1) * g + t holds rows c * chunk onwards, and its holder is
+    # Q_i[t]; slot[i, p] is the chunk of row block i that processor p holds
+    Q = np.array(part.Q)
+    chunks = np.arange(Q.size).reshape(Q.shape)
+    slot = np.zeros((part.m + 1, P + 1), dtype=np.int64)
+    slot[np.arange(1, part.m + 1)[:, None], Q] = chunks
 
-    # have[p - 1] marks the rows of x processor p holds: it starts with only its
-    # own chunks, so no value of x can pass for "not yet received"
-    have = np.zeros((P, n), dtype=bool)
-    own_rows, own_cols = owned[1][:, None] - 1, start[owned][:, None] + width
-    have[own_rows, own_cols] = True
+    # have[p - 1, c] marks the chunks of x processor p holds: it starts with only
+    # its own, so no value of x can pass for "not yet received"
+    have = np.zeros((P, Q.size), dtype=bool)
+    have[Q - 1, chunks] = True
 
     demands = build_demands(part)
     if mode == "p2p":
@@ -170,36 +170,31 @@ def simulate(
     received = np.bincount(dst, weights=words, minlength=P + 1)[1:].astype(np.int64).tolist()
     # one entry per shared row block a sender passes to a receiver, whatever the
     # number of messages that carry it, sorted by (block, receiver, sender)
-    msg, slot = np.nonzero(carried.blocks)
-    key = np.unique((carried.blocks[msg, slot] * (P + 1) + carried.dst[msg]) * (P + 1) + carried.src[msg])
+    msg, col = np.nonzero(carried.blocks)
+    key = np.unique((carried.blocks[msg, col] * (P + 1) + carried.dst[msg]) * (P + 1) + carried.src[msg])
     pair, snd = np.divmod(key, P + 1)
     blk, rcv = np.divmod(pair, P + 1)
 
     # x phase: the sender forwards its own chunk of every shared row block,
-    # which it holds as given, so every row a processor holds carries x's
+    # which it holds as given, so every chunk a processor holds carries x's
     # value and the messages may land in any order
-    rows, cols = rcv[:, None] - 1, start[blk, snd][:, None] + width
-    have[rows, cols] = True
+    have[rcv - 1, slot[blk, snd]] = True
+    # one table of every processor's blocks feeds the gather and the counts;
+    # need[p - 1, i] marks the row blocks i + 1 that p's blocks read (R_p for r >= 3)
+    owner, blocks = owned_blocks(part)
+    blocks -= 1  # 0-based row-block ids
     need = np.zeros((P, part.m), dtype=bool)
-    for p, row_blocks in enumerate(part.R):
-        need[p, np.asarray(row_blocks, dtype=np.int64) - 1] = True
-    gather_complete = bool(have.reshape(P, part.m, b).all(axis=2)[need].all())
+    need[owner[:, None] - 1, blocks] = True
+    gather_complete = bool(have.reshape(P, part.m, -1).all(axis=2)[need].all())
 
     # local compute: row p-1 of xs is processor p's copy of x, zero where it
     # holds nothing.  One gather streams every processor's blocks, each
     # contracted into its owner's row of xs/ys and dropped as it arrives
-    xs = np.where(have, x_global, 0.0)
+    xs = np.where(have[:, :, None], x_global.reshape(-1, chunk), 0.0).reshape(P, n)
     ys = np.zeros((P, n))
-    owner, blocks = [], []
-    for p in range(1, P + 1):
-        mine = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
-        owner += [p] * len(mine)
-        blocks += mine
-    # the blocks' 0-based row-block ids, one table for the gather and the counts
-    blocks = np.fromiter(chain.from_iterable(blocks), np.int64, 3 * len(blocks)).reshape(-1, 3) - 1
     # xb[p - 1, i] is processor p's copy of row block i + 1
     xb, yb = xs.reshape(P, part.m, b), ys.reshape(P, part.m, b)
-    for p, (kind, D, ids) in zip(owner, gather_blocks(tensor, b, blocks)):
+    for p, (kind, D, ids) in zip(owner.tolist(), gather_blocks(tensor, b, blocks)):
         contract(kind, D, [xb[p - 1, i] for i in ids], [yb[p - 1, i] for i in ids])
     # elems[p] and ternary[p]: the counts of processor p's blocks, whole numbers far below 2**53
     elems, ternary = (np.bincount(owner, c, P + 1).astype(np.int64).tolist() for c in block_counts(n, b, blocks))
@@ -209,12 +204,13 @@ def simulate(
 
     # y phase: partial sums travel to the receiver's chunk; a repeated message
     # delivers the same partial again, so each sender is reduced once.  The
-    # owner's own partial comes first, then each sender in ascending order:
+    # holder's own partial comes first, then each sender in ascending order:
     # add.at adds in index order, and the table sorts by (block, receiver, sender)
-    y_global = np.zeros(n)
-    y_global[own_cols] += ys[own_rows, own_cols]
-    cols = start[blk, rcv][:, None] + width
-    np.add.at(y_global, cols, ys[snd[:, None] - 1, cols])
+    yc = ys.reshape(P, -1, chunk)
+    y_global = yc[Q - 1, chunks].reshape(-1, chunk)
+    into = slot[blk, rcv]
+    np.add.at(y_global, into, yc[snd - 1, into])
+    y_global = y_global.reshape(n)
 
     checks = [
         schedule_valid,

@@ -70,11 +70,6 @@ class SteinerSystem:
     blocks: list[tuple[int, ...]]
     s: int = 3
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SteinerSystem):
-            return NotImplemented
-        return (self.n, self.r, self.s, self.blocks) == (other.n, other.r, other.s, other.blocks)
-
 
 def divisibility_ok(n: int, r: int) -> bool:
     """Necessary divisibility conditions for an (n, r, 3) system to exist."""

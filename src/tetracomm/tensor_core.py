@@ -188,17 +188,15 @@ def _canonical_counts(ij: bool, jk: bool, shape) -> tuple[int, int]:
     Its entries are the positions gi >= gj where i = j and gj >= gk where
     j = k (every position of an off-diagonal block).  Each takes 3 products,
     less one for each tie: gi = gj where i = j, and gj = gk where j = k.
+    ``plane`` marks the (gi, gj) pairs and ``per_gj`` counts the gk of each
+    gj, so no mask has more than two axes.
     """
-    canonical = np.ones(shape, dtype=bool)
-    equal = []
-    if jk:
-        canonical &= np.tri(shape[2], dtype=bool)[None]
-        equal.append(np.eye(shape[2], dtype=bool)[None])
-    if ij:
-        canonical &= np.tri(shape[0], dtype=bool)[:, :, None]
-        equal.append(np.eye(shape[0], dtype=bool)[:, :, None])
-    entries = int(np.count_nonzero(canonical))
-    return entries, 3 * entries - sum(int(np.count_nonzero(canonical & eq)) for eq in equal)
+    wi, wj, wk = shape
+    plane = np.tri(wi, wj, dtype=bool) if ij else np.ones((wi, wj), dtype=bool)
+    per_gj = np.minimum(np.arange(1, wj + 1), wk) if jk else np.full(wj, wk)
+    entries = int(plane.sum(0) @ per_gj)
+    ties = (int(np.diag(plane) @ per_gj) if ij else 0) + (int(plane.sum()) if jk else 0)
+    return entries, 3 * entries - ties
 
 
 def block_counts(n: int, width, blocks) -> tuple[np.ndarray, np.ndarray]:

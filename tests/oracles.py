@@ -161,6 +161,20 @@ class ElementGatherStore:
             self.ternary_mults += 3 * elems - ties
 
 
+def canonical_counts_by_cube(ij, jk, shape):
+    """tensor_core._canonical_counts from dense (w_i, w_j, w_k) masks of the canonical positions and ties."""
+    canonical = np.ones(shape, dtype=bool)
+    equal = []
+    if jk:
+        canonical &= np.tri(shape[2], dtype=bool)[None]
+        equal.append(np.eye(shape[2], dtype=bool)[None])
+    if ij:
+        canonical &= np.tri(shape[0], dtype=bool)[:, :, None]
+        equal.append(np.eye(shape[0], dtype=bool)[:, :, None])
+    entries = int(np.count_nonzero(canonical))
+    return entries, 3 * entries - sum(int(np.count_nonzero(canonical & eq)) for eq in equal)
+
+
 # ---------------------------------------------------------------------------
 # message replay, one message and one shared block at a time
 # ---------------------------------------------------------------------------
@@ -174,7 +188,12 @@ def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=b
     n, b, chunk, P = layout.n, layout.b, layout.chunk, part.P
     x_global = np.asarray(x, dtype=np.float64)
     counters = [ProcCounters(p) for p in range(1, P + 1)]
-    chunks = {key: slice(lo, hi) for key, (lo, hi) in layout.ranges.items()}
+    # the t-th processor of Q_i holds the t-th chunk of row block i
+    chunks = {
+        (i, p): slice((i - 1) * b + t * chunk, (i - 1) * b + (t + 1) * chunk)
+        for i, procs in enumerate(part.Q, start=1)
+        for t, p in enumerate(procs)
+    }
 
     xs = np.zeros((P, n))
     have = np.zeros((P, n), dtype=bool)

@@ -6,7 +6,7 @@ module to keep the suite fast.
 """
 
 import time
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from tetracomm.bounds import (
     random_strict_point_set,
 )
 from tetracomm.cli import fixtures_dir
-from tetracomm.partition import build_partition, storage_count, tb3, validate_partition, vector_layout
+from tetracomm.partition import build_partition, owned_blocks, storage_count, tb3, validate_partition, vector_layout
 from tetracomm.schedule import alltoall_cost, build_demands, build_schedule, validate
 from tetracomm.simulator import compute_report, simulate
 from tetracomm.tensor_core import (
@@ -195,16 +195,9 @@ def test_criterion_6_exact_computation_without_a_tensor():
         part = build_partition(steiner.construct_spherical(q))
         b = q * (q + 1)
         n = part.m * b
-        owner, blocks = [], []
-        for p in range(1, part.P + 1):
-            mine = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
-            owner += [p] * len(mine)
-            blocks += mine
-        blocks = np.fromiter(chain.from_iterable(blocks), np.int64, 3 * len(blocks)).reshape(-1, 3) - 1
-        elems, ternary = [0] * (part.P + 1), [0] * (part.P + 1)
-        for p, e, t in zip(owner, *(c.tolist() for c in block_counts(n, b, blocks))):
-            elems[p] += e
-            ternary[p] += t
+        owner, blocks = owned_blocks(part)
+        counts = block_counts(n, b, blocks - 1)
+        elems, ternary = (np.bincount(owner, c, part.P + 1).astype(np.int64).tolist() for c in counts)
         predicted = compute_report(part, vector_layout(n, part))
         for p, pc in zip(range(1, part.P + 1), predicted.per_proc):
             assert elems[p] == storage_count(part, n, p)

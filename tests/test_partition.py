@@ -2,6 +2,7 @@ import copy
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,11 @@ from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
 from tetracomm.partition import (
     BlockIndex,
+    VectorLayout,
     all_lower_blocks,
     build_partition,
     noncentral_blocks,
+    owned_blocks,
     pad_dimension,
     storage_count,
     tb3,
@@ -258,6 +261,42 @@ def test_validate_matches_the_processor_loops_on_corrupted_partitions(data):
     assert validate_partition(part) == validate_partition_by_loops(part)
 
 
+def owned_rows(part) -> list[tuple[int, int, int, int]]:
+    """owned_blocks(part) as (owner, i, j, k) tuples."""
+    owner, blocks = owned_blocks(part)
+    return [(p, *blk) for p, blk in zip(owner.tolist(), blocks.tolist())]
+
+
+def owned_rows_by_loops(part) -> list[tuple[int, int, int, int]]:
+    """Each processor's sorted(tb3(R_p)) + N_p + D_p, processor by processor."""
+    return [
+        (p, *blk)
+        for p in range(1, len(part.R) + 1)
+        for blk in sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_owned_blocks_are_tb3_then_the_diagonal_blocks(q):
+    part = build_partition(steiner.construct_spherical(q))
+    owner, blocks = owned_blocks(part)
+    assert owner.dtype == blocks.dtype == np.int64 and blocks.shape == (len(owner), 3)
+    assert owned_rows(part) == owned_rows_by_loops(part)
+
+
+def test_owned_blocks_on_the_fixture_designs(part_fixture_10, part_fixture_8):
+    for part in (part_fixture_10, part_fixture_8):
+        assert owned_rows(part) == owned_rows_by_loops(part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_owned_blocks_match_the_processor_loops_on_corrupted_partitions(data):
+    # corruptions include repeated row blocks in R_p and blocks outside 1..m
+    part = corrupt_partition(data, PART_Q3)
+    assert owned_rows(part) == owned_rows_by_loops(part)
+
+
 # ---------------------------------------------------------------------------
 # vector layout and padding
 # ---------------------------------------------------------------------------
@@ -265,12 +304,9 @@ def test_validate_matches_the_processor_loops_on_corrupted_partitions(data):
 
 def test_layout_q2_n30(part_q2):
     lay = vector_layout(30, part_q2)
-    assert (lay.b, lay.chunk) == (6, 1)
-    for p in range(1, 11):
-        owned = sum(
-            hi - lo for (i, pp), (lo, hi) in lay.ranges.items() if pp == p
-        )
-        assert owned == 3  # n / P
+    assert lay == VectorLayout(n=30, m=5, b=6, chunk=1)
+    # processor p holds one chunk of each row block of R_p: n / P = 3 rows
+    assert all(lay.chunk * len(r) == 30 // part_q2.P for r in part_q2.R)
 
 
 def test_layout_q3_values(part_q3):
@@ -280,13 +316,9 @@ def test_layout_q3_values(part_q3):
 
 
 def test_layout_chunks_tile_each_row_block(part_q3):
-    lay = vector_layout(120, part_q3)
-    for i in range(1, 11):
-        spans = sorted(lay.ranges[(i, p)] for p in part_q3.Q[i - 1])
-        assert spans[0][0] == (i - 1) * lay.b
-        assert spans[-1][1] == i * lay.b
-        for (lo1, hi1), (lo2, _) in zip(spans, spans[1:]):
-            assert hi1 == lo2
+    for n in (120, 240):
+        lay = vector_layout(n, part_q3)
+        assert all(lay.chunk * len(qi) == lay.b for qi in part_q3.Q)
 
 
 def test_layout_divisibility_error_names_padding(part_q3):

@@ -477,9 +477,10 @@ def test_array_replay_equals_message_replay_on_broken_schedules(setup_q3, monkey
 
 def test_simulate_rejects_a_layout_of_other_chunk_holders(setup_q2):
     part, layout = setup_q2
-    ranges = dict(layout.ranges)
-    i, p = next(iter(ranges))
-    ranges[i, p + 100] = ranges.pop((i, p))
-    other = VectorLayout(layout.n, layout.m, layout.b, layout.chunk, ranges)
-    with pytest.raises(ValueError, match="layout chunks do not match"):
-        simulate(random_symmetric(30, 1), random_vector(30, 2), part, other, "p2p")
+    assert layout == VectorLayout(30, 5, 6, 1)
+    tensor, x = random_symmetric(30, 1), random_vector(30, 2)
+    # a wrong number of row blocks, row-block width or chunk width
+    for m, b, chunk in ((6, 6, 1), (5, 5, 1), (5, 6, 2), (5, 6, 3)):
+        other = VectorLayout(30, m, b, chunk)
+        with pytest.raises(ValueError, match=r"is not vector_layout\(30, part\)"):
+            simulate(tensor, x, part, other, "p2p")

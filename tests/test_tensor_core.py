@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from tetracomm.tensor_core import (
 
 from oracles import (
     ElementGatherStore,
+    canonical_counts_by_cube,
     get_entry,
     set_entry,
     sttsv_naive,
@@ -323,6 +324,21 @@ def test_streamed_kernel_memory_does_not_grow_with_n():
     block = TILE**3 * 8
     assert max(peaks) < 4 * block, peaks
     assert max(peaks) - min(peaks) < block, peaks
+
+
+def test_canonical_counts_equal_the_cube_masks():
+    # i = j needs w_i = w_j and j = k needs w_j = w_k, as every block of one width has
+    for shape in product(range(1, 9), repeat=3):
+        for ij, jk in product((False, True), repeat=2):
+            if (ij and shape[0] != shape[1]) or (jk and shape[1] != shape[2]):
+                continue
+            assert tensor_core._canonical_counts(ij, jk, shape) == canonical_counts_by_cube(ij, jk, shape)
+
+
+def test_block_counts_memory_grows_with_the_square_of_the_width():
+    # a (300, 300, 300) bool mask alone would be 27 MB; the counts need only 2-D masks
+    peak = traced_peak(lambda: block_counts(300, 300, np.array([[0, 0, 0]])))
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize(
