@@ -194,6 +194,35 @@ class Field:
             e >>= 1
         return result
 
+    def element_id(self, a: FieldElement) -> int:
+        """a's position in canonical order: its coefficients as base-p digits, constant term first."""
+        self._check(a)
+        out = 0
+        for c in a.coeffs:
+            out = out * self.p + c
+        return out
+
+    def exp_table(self) -> list[int]:
+        """The ids of w^0, w^1, ..., w^(order-2) for the first primitive element w.
+
+        w is the first element in canonical order whose powers cover every
+        non-zero element.  Each candidate's powers are walked until they
+        return to one, one ``mul`` per power.
+        """
+        one = self.one()
+        for w in self.elements():
+            if w.is_zero():
+                continue
+            table, x = [], one
+            while True:
+                table.append(self.element_id(x))
+                x = self.mul(w, x)
+                if x == one:
+                    break
+            if len(table) == self.order - 1:
+                return table
+        raise RuntimeError(f"GF({self.p}^{self.k}) has no primitive element")
+
     def subfield_elements(self, q: int) -> list[FieldElement]:
         """The q elements fixed by x -> x^q, in canonical order.
 

@@ -80,6 +80,13 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> np.ndarray:
     Rows list Y ids in 1..ny and are only read, so one list may stand for
     several rows.  Augmenting paths are searched depth first on an explicit
     stack, so a long path cannot reach the recursion limit.
+
+    The search starts with its greedy phase.  While nothing is matched,
+    every x is free at distance 0 and every edge ends at a free y, so a
+    first breadth-first pass would only rescan every edge to learn whether
+    any row is non-empty, and the augment pass after it could follow no
+    matched edge: it would match each x in turn to the first free y in its
+    row.  That pass runs first, with no search before it.
     """
     nx = len(adj)
     inf = float("inf")
@@ -133,6 +140,12 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> np.ndarray:
                     return
                 x, ys, _ = stack.pop()
 
+    for x, row in enumerate(adj, start=1):
+        for y in row:
+            if pair_y[y] == 0:
+                pair_x[x] = y
+                pair_y[y] = x
+                break
     while bfs():
         for x in range(1, nx + 1):
             if pair_x[x] == 0:

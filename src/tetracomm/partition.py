@@ -71,13 +71,16 @@ def all_lower_blocks(m: int):
 
 
 def noncentral_blocks(m: int) -> list[BlockIndex]:
-    """The m(m-1) blocks with exactly two equal coordinates, sorted."""
+    """The m(m-1) blocks with exactly two equal coordinates, sorted.
+
+    For a > b, (a, b, b) is block (a-1)(a-2) + b of the list, counting
+    from 1, and (a, a, b) is block (a-1)(a-2) + (a-1) + b.
+    """
     out = []
     for a in range(2, m + 1):
-        for b in range(1, a):
-            out.append(BlockIndex(a, a, b))
-            out.append(BlockIndex(a, b, b))
-    return sorted(out)
+        out += [BlockIndex(a, b, b) for b in range(1, a)]
+        out += [BlockIndex(a, a, b) for b in range(1, a)]
+    return out
 
 
 @dataclass
@@ -127,40 +130,53 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     set).  Non-central diagonal blocks are split evenly via disjoint
     matchings; central diagonal blocks go to distinct compatible processors
     via one maximum matching.  The caller is expected to pass a verified
-    system; an unsuitable design raises DesignUnsuitableError naming the
-    failing stage.
+    system; a block that is not a strictly increasing r-subset of 1..m, or an
+    unsuitable design, raises DesignUnsuitableError naming the first such
+    block or the failing stage.
+
+    The blocks are read as one (P, r) integer array.  Q comes from one
+    (m, P) membership array, and processor p's non-central candidates, the
+    blocks (b, b, a) and (b, a, a) of every pair a < b of R_p, are their ids
+    in ``noncentral_blocks(m)``, computed for all pairs at once.
     """
     m, r = system.n, system.r
     blocks = system.blocks
     P = len(blocks)
-    R = [tuple(blk) for blk in blocks]
-    Q = [tuple(p for p in range(1, P + 1) if i in R[p - 1]) for i in range(1, m + 1)]
-    if len({len(qi) for qi in Q}) != 1:
-        raise DesignUnsuitableError("row-block sharing stage: |Q_i| is not uniform across row blocks")
+    wrong_length = np.fromiter(map(len, blocks), dtype=np.int64, count=P) != r
+    first = int(np.argmax(wrong_length)) if wrong_length.any() else P
+    sets = np.fromiter(chain.from_iterable(blocks[:first]), dtype=np.int64, count=first * r).reshape(first, r)
+    good = np.all((sets >= 1) & (sets <= m), axis=1) & np.all(sets[:, 1:] > sets[:, :-1], axis=1)
+    if not good.all():
+        first = int(np.argmin(good))
+    if first < P:
+        raise DesignUnsuitableError(f"block {first + 1}, {blocks[first]}, is not a strictly increasing {r}-subset of 1..{m}")
+    if P == 0:
+        raise DesignUnsuitableError("the design has no blocks")
 
-    nc = noncentral_blocks(m)
-    total_nc = len(nc)
+    member = np.zeros((m, P), dtype=bool)
+    member[sets - 1, np.arange(P)[:, None]] = True
+    sharing = np.count_nonzero(member, axis=1)
+    if len(np.unique(sharing)) != 1:
+        raise DesignUnsuitableError("row-block sharing stage: |Q_i| is not uniform across row blocks")
+    holders = np.nonzero(member)[1].reshape(m, sharing[0]) + 1
+
+    total_nc = m * (m - 1)
     if total_nc % P != 0:
         raise DesignUnsuitableError(
             f"non-central stage: {total_nc} blocks do not divide evenly over {P} processors"
         )
-    d = total_nc // P
-    nc_index = {blk: idx + 1 for idx, blk in enumerate(nc)}
-    adj: list[list[int]] = []
-    for p in range(1, P + 1):
-        row = []
-        for a, b in combinations(R[p - 1], 2):  # a < b within the sorted set
-            row.append(nc_index[BlockIndex(b, b, a)])
-            row.append(nc_index[BlockIndex(b, a, a)])
-        adj.append(row)
+    small, big = np.triu_indices(r, 1)
+    small, big = sets[:, small], sets[:, big]
+    ids = (big - 1) * (big - 2) + small  # (big, small, small); (big, big, small) follows big - 1 ids later
     try:
-        mates = d_disjoint_matchings(BipartiteGraph(P, total_nc, adj), d)
+        mates = d_disjoint_matchings(BipartiteGraph(P, total_nc, np.hstack([ids, ids + big - 1])), total_nc // P)
     except MatchingInfeasibleError as exc:
         raise DesignUnsuitableError(f"non-central stage: {exc}") from exc
+    nc = noncentral_blocks(m)
     # nc is sorted, so ascending ids list each processor's blocks in order
     N = [[nc[idx - 1] for idx in row] for row in np.sort(mates.T, axis=1).tolist()]
 
-    central = max_matching(BipartiteGraph(m, P, Q))
+    central = max_matching(BipartiteGraph(m, P, holders))
     assigned = np.count_nonzero(central)
     if assigned != m:
         raise DesignUnsuitableError(
@@ -177,26 +193,27 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
         r=r,
         P=P,
         q=q,
-        R=R,
+        R=list(map(tuple, sets.tolist())),
         N=N,
         D=D,
-        Q=Q,
+        Q=list(map(tuple, holders.tolist())),
     )
 
 
-def _off_triples(rows) -> tuple[np.ndarray, np.ndarray]:
-    """(row, triples): every row's sorted(tb3(row)), as 1-based (i, j, k), i >= j >= k.
+def _off_triples(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, counts, triples): every row's sorted(tb3(row)), as 1-based (i, j, k), i >= j >= k.
 
-    row[e] is the index in ``rows`` of triple e.  A row's triples are
-    consecutive and ascending, but rows of one length come before longer
-    ones.  The rows are read as one flat array and gathered into one matrix
-    per row length.  Only a row that repeats a value makes a triple twice,
-    and only such rows are de-duplicated.
+    The triples of rows[index[t]] are the next counts[t] of ``triples``,
+    ascending, so a row's triples are consecutive, but rows of one length
+    come before longer ones.  The rows are read as one flat array and
+    gathered into one matrix per row length.  Only a row that repeats a
+    value makes a triple twice, and only such rows are de-duplicated.
     """
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     starts = np.cumsum(lengths) - lengths
-    row, out = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 3), dtype=np.int64)]
+    index, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    out = [np.zeros((0, 3), dtype=np.int64)]
     for length in np.unique(lengths[lengths >= 3]).tolist():
         at = np.flatnonzero(lengths == length)
         grid = np.sort(values[starts[at, None] + np.arange(length)], axis=1)
@@ -204,12 +221,14 @@ def _off_triples(rows) -> tuple[np.ndarray, np.ndarray]:
         columns = np.array(sorted(t[::-1] for t in combinations(range(length), 3)))
         triples = grid[:, columns]
         repeats = np.any(grid[:, 1:] == grid[:, :-1], axis=1)
-        row.append(np.repeat(at[~repeats], len(columns)))
+        index.append(at[~repeats])
+        counts.append(np.full(len(index[-1]), len(columns)))
         out.append(triples[~repeats].reshape(-1, 3))
         for a, mine in zip(at[repeats].tolist(), triples[repeats]):
             out.append(np.unique(mine, axis=0))
-            row.append(np.full(len(out[-1]), a))
-    return np.concatenate(row), np.concatenate(out)
+            index.append(np.array([a]))
+            counts.append(np.array([len(out[-1])]))
+    return np.concatenate(index), np.concatenate(counts), np.concatenate(out)
 
 
 def owned_blocks(part: TetraPartition) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +237,10 @@ def owned_blocks(part: TetraPartition) -> tuple[np.ndarray, np.ndarray]:
     Processor by processor, p's blocks are TB3(R_p) in ascending order, then
     N_p and D_p as listed; owner[e] is the processor of block e.
     """
-    row, off = _off_triples(part.R)
+    index, counts, off = _off_triples(part.R)
     diagonal = [*part.N, *part.D]
     lengths = np.fromiter(map(len, diagonal), dtype=np.int64, count=len(diagonal))
-    owner = np.concatenate([row + 1, np.repeat(np.r_[1 : len(part.N) + 1, 1 : len(part.D) + 1], lengths)])
+    owner = np.repeat(np.r_[index + 1, 1 : len(part.N) + 1, 1 : len(part.D) + 1], np.r_[counts, lengths])
     blocks = np.fromiter(chain.from_iterable(chain.from_iterable(diagonal)), np.int64, 3 * int(lengths.sum()))
     order = np.argsort(owner, kind="stable")
     return owner[order], np.take(np.concatenate([off, blocks.reshape(-1, 3)]), order, axis=0)
@@ -243,7 +262,7 @@ def validate_partition(part: TetraPartition) -> list[str]:
     holder = np.repeat(np.arange(1, P + 1), [len(blocks) for blocks in owned])
     unowned = chain(*part.N[P:], *part.D[P:])  # lists past processor P: counted, but owned by no one
     diagonal = np.fromiter(chain.from_iterable(chain(held, unowned)), dtype=np.int64).reshape(-1, 3)
-    blocks = np.concatenate([_off_triples(part.R)[1], diagonal])
+    blocks = np.concatenate([_off_triples(part.R)[2], diagonal])
     inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
     i, j, k = (blocks[inside] - 1).T
     ids, counts = np.unique((i * m + j) * m + k, return_counts=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import Check, Report
-from .finite_field import field_new, prime_power
+from .finite_field import Field, field_new, prime_power
 
 __all__ = [
     "SteinerSystem",
@@ -80,6 +80,30 @@ def divisibility_ok(n: int, r: int) -> bool:
     )
 
 
+def _generators(f: Field, q: int) -> tuple[np.ndarray, list[int]]:
+    """(maps, base): the generators x+1, wx and 1/x as rows of one table on point ids, and the base block.
+
+    Point x < q^2 is the x-th element of f = GF(q^2) in canonical order and
+    q^2 is infinity.  The maps are read from the exp table of the first
+    primitive element w (exp[j] = w^j) and its inverse, the log table:
+    wx = exp[log x + 1] and 1/x = exp[-log x], exponents mod q^2 - 1.  The
+    constant term is the most significant base-p digit of an id, so adding
+    one adds q^2/p modulo q^2.  The subfield of order q is 0 and the powers
+    of w^(q+1); the base block is it plus infinity, ascending.
+    """
+    nn = q * q
+    exp = np.array(f.exp_table(), dtype=np.int64)
+    log = np.zeros(nn, dtype=np.int64)
+    log[exp] = np.arange(nn - 1)
+    maps = np.empty((3, nn + 1), dtype=np.int64)
+    maps[0, :nn] = (np.arange(nn) + nn // f.p) % nn
+    maps[1, :nn] = exp[(log + 1) % (nn - 1)]
+    maps[2, :nn] = exp[-log % (nn - 1)]
+    maps[:, 0] = [nn // f.p, 0, nn]  # 0 + 1, w·0 and 1/0 = infinity
+    maps[:, nn] = [nn, nn, 0]  # infinity is fixed by x+1 and wx, and 1/infinity = 0
+    return maps, [0, *sorted(exp[:: q + 1].tolist()), nn]
+
+
 def construct_spherical(q: int) -> SteinerSystem:
     """Build the (q^2+1, q+1, 3) system for a prime power q.
 
@@ -91,6 +115,13 @@ def construct_spherical(q: int) -> SteinerSystem:
     by powers of w gives every translation, translations and scalings give
     every affine map, and every map (ax+b)/(cx+d) with c != 0 is
     alpha + beta/(x+delta).
+
+    The maps are integer tables on point ids read from the powers of w
+    (``_generators``), so the field multiplies only to walk those powers.
+    The closure runs level by level: every block of a level is mapped by
+    all three tables in one array operation.  PGL(2, q^2) is sharply
+    3-transitive, so two images that share their three least points are
+    one block, and a block is known by the integer code of those three.
     """
     pk = prime_power(q)
     if pk is None:
@@ -100,36 +131,27 @@ def construct_spherical(q: int) -> SteinerSystem:
     p, k = pk
     nn = q * q
 
-    f = field_new(p, 2 * k)
-    elems = list(f.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    inf = nn  # point id of infinity; element ids are 0..nn-1
-    one = index[f.one()]
+    maps, base = _generators(field_new(p, 2 * k), q)
+    frontier = np.array([base])
+    found, seen = [frontier], {(base[0] * (nn + 1) + base[1]) * (nn + 1) + base[2]}
+    while len(frontier):
+        images = np.sort(maps[:, frontier].reshape(-1, q + 1), axis=1)
+        codes = (images[:, 0] * (nn + 1) + images[:, 1]) * (nn + 1) + images[:, 2]
+        new = []
+        for e, c in enumerate(codes.tolist()):
+            if c not in seen:
+                seen.add(c)
+                new.append(e)
+        frontier = images[new]
+        found.append(frontier)
 
-    plus_one = [index[f.add(e, f.one())] for e in elems] + [inf]
-    inverse = [inf] + [index[f.inv(e)] for e in elems[1:]] + [0]
-    for w in elems[1:]:  # w is primitive when x -> wx cycles through all nonzero elements
-        times_w = [index[f.mul(w, e)] for e in elems] + [inf]
-        x, order = times_w[one], 1
-        while x != one:
-            x, order = times_w[x], order + 1
-        if order == nn - 1:
-            break
-
-    base = tuple(sorted([index[e] for e in f.subfield_elements(q)] + [inf]))
-    orbit, frontier = {base}, [base]
-    while frontier:
-        block = frontier.pop()
-        for g in (plus_one, times_w, inverse):
-            image = tuple(sorted(g[x] for x in block))
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-
-    expected = q * (q * q + 1)
-    if len(orbit) != expected:
-        raise ConstructionError(f"orbit produced {len(orbit)} blocks, expected {expected}")
-    return SteinerSystem(n=nn + 1, r=q + 1, blocks=sorted(tuple(x + 1 for x in block) for block in orbit))
+    expected = q * (nn + 1)
+    if len(seen) != expected:
+        raise ConstructionError(f"orbit produced {len(seen)} blocks, expected {expected}")
+    # blocks differ in their three least points, so those alone order them lexicographically
+    blocks = np.concatenate(found)
+    blocks = blocks[np.lexsort(blocks[:, 2::-1].T)] + 1
+    return SteinerSystem(n=nn + 1, r=q + 1, blocks=list(map(tuple, blocks.tolist())))
 
 
 def _point_sets(blocks: list, n: int, r: int) -> tuple[int | None, dict[int, list[np.ndarray]]]:

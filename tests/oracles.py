@@ -1,6 +1,6 @@
 """Reference implementations that the library's fast paths are checked against."""
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -8,7 +8,10 @@ from math import comb
 import numpy as np
 
 from tetracomm.checks import Check, Report
-from tetracomm.partition import BlockIndex, tb3
+from tetracomm.finite_field import field_new, prime_power
+from tetracomm.matching import BipartiteGraph, MatchingInfeasibleError, d_disjoint_matchings, max_matching
+from tetracomm.partition import BlockIndex, DesignUnsuitableError, TetraPartition, noncentral_blocks, tb3
+from tetracomm.steiner import SteinerSystem
 from tetracomm.schedule import TransferDemand, build_demands, build_schedule, validate
 from tetracomm.simulator import ProcCounters
 from tetracomm.tensor_core import BlockStore, packed_index
@@ -363,3 +366,142 @@ def validate_partition_by_loops(part) -> list[str]:
         if sizes != {part.q}:
             problems.append(f"expected {part.q} non-central blocks per processor, got {sorted(sizes)}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# set-up by field operations, dictionary lookups and a BFS-first matching
+# ---------------------------------------------------------------------------
+
+
+def generators_by_field_ops(f, q) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
+    """(plus_one, times_w, inverse, base) on point ids, element by element with Field.add/mul/inv.
+
+    w is the first element in canonical order whose multiplication table
+    cycles through every non-zero element; every candidate gets a full table.
+    """
+    nn = q * q
+    elems = list(f.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    inf = nn
+    one = index[f.one()]
+    plus_one = [index[f.add(e, f.one())] for e in elems] + [inf]
+    inverse = [inf] + [index[f.inv(e)] for e in elems[1:]] + [0]
+    for w in elems[1:]:
+        times_w = [index[f.mul(w, e)] for e in elems] + [inf]
+        x, order = times_w[one], 1
+        while x != one:
+            x, order = times_w[x], order + 1
+        if order == nn - 1:
+            break
+    base = tuple(sorted([index[e] for e in f.subfield_elements(q)] + [inf]))
+    return plus_one, times_w, inverse, base
+
+
+def construct_spherical_by_field_ops(q: int) -> SteinerSystem:
+    """steiner.construct_spherical by per-element generator tables and a set closure over block tuples."""
+    p, k = prime_power(q)
+    *maps, base = generators_by_field_ops(field_new(p, 2 * k), q)
+    orbit, frontier = {base}, [base]
+    while frontier:
+        block = frontier.pop()
+        for g in maps:
+            image = tuple(sorted(g[x] for x in block))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return SteinerSystem(n=q * q + 1, r=q + 1, blocks=sorted(tuple(x + 1 for x in block) for block in orbit))
+
+
+def hopcroft_karp_bfs_first(adj: list[list[int]], ny: int) -> np.ndarray:
+    """matching._hopcroft_karp with a breadth-first pass before every augment pass, the first included."""
+    nx = len(adj)
+    inf = float("inf")
+    pair_x = [0] * (nx + 1)
+    pair_y = [0] * (ny + 1)
+    dist = [inf] * (nx + 1)
+
+    def bfs() -> bool:
+        queue = deque()
+        for x in range(1, nx + 1):
+            if pair_x[x] == 0:
+                dist[x] = 0
+                queue.append(x)
+            else:
+                dist[x] = inf
+        reached = inf
+        while queue:
+            x = queue.popleft()
+            if dist[x] < reached:
+                for y in adj[x - 1]:
+                    px = pair_y[y]
+                    if px == 0:
+                        reached = dist[x] + 1
+                    elif dist[px] == inf:
+                        dist[px] = dist[x] + 1
+                        queue.append(px)
+        return reached != inf
+
+    def augment(root: int) -> None:
+        x, ys = root, iter(adj[root - 1])
+        stack = []
+        while True:
+            for y in ys:
+                px = pair_y[y]
+                if px == 0:
+                    pair_x[x] = y
+                    pair_y[y] = x
+                    for u, _, v in stack:
+                        pair_x[u] = v
+                        pair_y[v] = u
+                    return
+                if dist[px] == dist[x] + 1:
+                    stack.append((x, ys, y))
+                    x, ys = px, iter(adj[px - 1])
+                    break
+            else:
+                dist[x] = inf
+                if not stack:
+                    return
+                x, ys, _ = stack.pop()
+
+    while bfs():
+        for x in range(1, nx + 1):
+            if pair_x[x] == 0:
+                augment(x)
+    return np.array(pair_x[1:], dtype=np.int64)
+
+
+def build_partition_by_lookup(system, label=None) -> TetraPartition:
+    """partition.build_partition by a dictionary from BlockIndex to candidate id and per-point scans for Q."""
+    m, r = system.n, system.r
+    P = len(system.blocks)
+    R = [tuple(blk) for blk in system.blocks]
+    Q = [tuple(p for p in range(1, P + 1) if i in R[p - 1]) for i in range(1, m + 1)]
+    if len({len(qi) for qi in Q}) != 1:
+        raise DesignUnsuitableError("row-block sharing stage: |Q_i| is not uniform across row blocks")
+    nc = sorted(noncentral_blocks(m))
+    total_nc = len(nc)
+    if total_nc % P != 0:
+        raise DesignUnsuitableError(f"non-central stage: {total_nc} blocks do not divide evenly over {P} processors")
+    nc_index = {blk: idx + 1 for idx, blk in enumerate(nc)}
+    adj = []
+    for p in range(1, P + 1):
+        row = []
+        for a, b in combinations(R[p - 1], 2):
+            row.append(nc_index[BlockIndex(b, b, a)])
+            row.append(nc_index[BlockIndex(b, a, a)])
+        adj.append(row)
+    try:
+        mates = d_disjoint_matchings(BipartiteGraph(P, total_nc, adj), total_nc // P)
+    except MatchingInfeasibleError as exc:
+        raise DesignUnsuitableError(f"non-central stage: {exc}") from exc
+    N = [sorted(nc[idx - 1] for idx in row) for row in mates.T.tolist()]
+    central = max_matching(BipartiteGraph(m, P, Q))
+    assigned = np.count_nonzero(central)
+    if assigned != m:
+        raise DesignUnsuitableError(f"central stage: only {assigned} of {m} central blocks could be assigned")
+    D = [[] for _ in range(P)]
+    for i, p in enumerate(central.tolist(), start=1):
+        D[p - 1].append(BlockIndex(i, i, i))
+    q = r - 1 if prime_power(r - 1) is not None and m == (r - 1) ** 2 + 1 else None
+    return TetraPartition(label=label or f"steiner-{m}-{r}-3", m=m, r=r, P=P, q=q, R=R, N=N, D=D, Q=Q)

@@ -206,6 +206,9 @@ def sha256(text: str) -> str:
         (("schedule", "--design", "steiner_10_4_3.txt"), "0725f5b2477a45e993840951ac47df2c5d6827f010b41cfc2e62ba04a1173e06"),
         (("schedule", "--design", "steiner_8_4_3.txt"), "1741ae695f73c775cc416320457eacc83b0425115d0fdd4c72bb92624f281fdb"),
         (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
+        (("partition", "--q", "4", "--n", "340"), "d470669ed4edc1da321f7ca5ad79b2412fef3650d5e5f29123474a66d9c21eb3"),
+        (("partition", "--design", "steiner_8_4_3.txt"), "9178f175d9460130af8fc9b0b4b224300ab044745ac109752a59422eee69df25"),
+        (("partition", "--design", "steiner_10_4_3.txt"), "55f657203570032cc8e3b7aa68ea41aa2cfd78baa4c19fd57d54fa00d8d379cb"),
     ],
 )
 def test_integer_output_pinned(argv, digest, capsys):

@@ -200,3 +200,22 @@ def test_prime_power_detection():
     assert prime_power(7) == (7, 1)
     assert prime_power(6) is None
     assert prime_power(1) is None
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (3, 4)])
+def test_element_ids_count_in_canonical_order(p, k):
+    f = field_new(p, k)
+    assert [f.element_id(e) for e in f.elements()] == list(range(f.order))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (3, 4)])
+def test_exp_table_walks_the_powers_of_the_first_primitive_element(p, k):
+    f = field_new(p, k)
+    elems = list(f.elements())
+    table = f.exp_table()
+    assert sorted(table) == list(range(1, f.order))  # every non-zero element once
+    w = elems[table[1]] if f.order > 2 else f.one()
+    assert all(elems[table[j]] == f.pow(w, j) for j in range(len(table)))
+    # no non-zero element before w in canonical order has order order - 1
+    for x in elems[1 : elems.index(w)]:
+        assert any(f.pow(x, e) == f.one() for e in range(1, f.order - 1))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import hopcroft_karp_bfs_first
 
-from tetracomm import matching, steiner
+from tetracomm import matching, partition, steiner
 from tetracomm.cli import fixtures_dir
 from tetracomm.matching import (
     BipartiteGraph,
@@ -343,6 +344,64 @@ def test_q7_schedule_runs_hopcroft_karp_only_at_odd_degrees(monkeypatch):
     # 98 and 24 is coloured: 2 + 32 matchings at degrees 49 and 3, 8 at degree 3.
     # Colouring both directions made 84 calls, peeling one matching per step 244
     assert len(calls) == 42
+
+
+# ---------------------------------------------------------------------------
+# greedy-first Hopcroft-Karp against the BFS-first search
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ragged_rows(draw):
+    """(rows, ny): up to 10 rows of distinct neighbours in 1..ny, any lengths, empty rows and nx = 0 included."""
+    ny = draw(st.integers(0, 12))
+    row = st.lists(st.integers(1, ny), unique=True, max_size=ny) if ny else st.just([])
+    return draw(st.lists(row, max_size=10)), ny
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_rows())
+def test_greedy_first_search_equals_the_bfs_first_search(case):
+    rows, ny = case
+    assert np.array_equal(matching._hopcroft_karp(rows, ny), hopcroft_karp_bfs_first(rows, ny))
+
+
+def test_greedy_first_search_on_graphs_without_edges():
+    for rows, ny in [([], 0), ([], 5), ([[], []], 3), ([[], [2], []], 2)]:
+        assert np.array_equal(matching._hopcroft_karp(rows, ny), hopcroft_karp_bfs_first(rows, ny))
+
+
+def recorded_graphs(monkeypatch, owner, name) -> list:
+    """The graphs (and any further arguments) that owner.name is called with from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(graph, *args):
+        calls.append((graph, *args))
+        return real(graph, *args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_greedy_first_search_on_the_odd_level_schedule_graphs(q, monkeypatch):
+    demands = build_demands(build_partition(steiner.construct_spherical(q)))
+    calls = recorded_graphs(monkeypatch, matching, "max_matching")
+    build_schedule(demands)
+    assert calls
+    for (graph,) in calls:
+        rows = graph.adj.tolist()
+        assert np.array_equal(matching._hopcroft_karp(rows, graph.ny), hopcroft_karp_bfs_first(rows, graph.ny))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_greedy_first_search_on_the_replicated_partition_graphs(q, monkeypatch):
+    calls = recorded_graphs(monkeypatch, partition, "d_disjoint_matchings")
+    build_partition(steiner.construct_spherical(q))
+    (graph, d), = calls
+    rows = [row for row in graph.adj.tolist() for _ in range(d)]
+    assert np.array_equal(matching._hopcroft_karp(rows, graph.ny), hopcroft_karp_bfs_first(rows, graph.ny))
 
 
 # ---------------------------------------------------------------------------

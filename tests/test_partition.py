@@ -1,17 +1,20 @@
 import copy
+import re
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import validate_partition_by_loops
+from oracles import build_partition_by_lookup, validate_partition_by_loops
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
 from tetracomm.partition import (
     BlockIndex,
+    DesignUnsuitableError,
     VectorLayout,
     all_lower_blocks,
     build_partition,
@@ -161,6 +164,80 @@ def test_build_deterministic():
     a = build_partition(system)
     b = build_partition(system)
     assert a.N == b.N and a.D == b.D and a.Q == b.Q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_build_equals_the_lookup_oracle(q):
+    system = steiner.construct_spherical(q)
+    assert build_partition(system) == build_partition_by_lookup(system)
+
+
+@pytest.mark.parametrize("name", ["steiner_10_4_3.txt", "steiner_8_4_3.txt"])
+def test_build_equals_the_lookup_oracle_on_the_fixtures(name):
+    system = steiner.load(fixtures_dir() / name)
+    assert build_partition(system, label=name) == build_partition_by_lookup(system, label=name)
+
+
+def test_noncentral_ids_are_arithmetic():
+    m = 9
+    for idx, (i, j, k) in enumerate(noncentral_blocks(m), start=1):
+        a = i
+        assert idx == ((a - 1) * (a - 2) + k if j == k else (a - 1) * (a - 2) + (a - 1) + k)
+
+
+def q2_blocks_with(e, block):
+    blocks = list(steiner.construct_spherical(2).blocks)
+    blocks[e] = block
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        (q2_blocks_with(0, (3, 2, 1)), "block 1, (3, 2, 1), is not a strictly increasing 3-subset of 1..5"),
+        (q2_blocks_with(0, (1, 1, 2)), "block 1, (1, 1, 2), is not"),
+        (q2_blocks_with(4, (0, 2, 3)), "block 5, (0, 2, 3), is not"),
+        (q2_blocks_with(9, (3, 4, 6)), "block 10, (3, 4, 6), is not"),
+        (q2_blocks_with(2, (1, 2)), "block 3, (1, 2), is not"),
+        (q2_blocks_with(2, (1, 2, 3, 4)), "block 3, (1, 2, 3, 4), is not"),
+        ([], "the design has no blocks"),
+    ],
+)
+def test_build_rejects_blocks_that_are_not_increasing_subsets(blocks, message):
+    with pytest.raises(DesignUnsuitableError, match=re.escape(message)):
+        build_partition(steiner.SteinerSystem(n=5, r=3, blocks=blocks))
+
+
+def test_build_rejects_uneven_row_block_sharing():
+    system = steiner.SteinerSystem(n=5, r=3, blocks=[(1, 2, 3), (1, 2, 4)])
+    with pytest.raises(DesignUnsuitableError, match=r"^row-block sharing stage: \|Q_i\| is not uniform across row blocks$"):
+        build_partition(system)
+
+
+@pytest.mark.parametrize(
+    "system,message",
+    [
+        # all ten pairs of 1..5 and the five of a cycle: every point in six, but 20 % 15 != 0
+        (
+            steiner.SteinerSystem(n=5, r=2, blocks=sorted([*combinations(range(1, 6), 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])),
+            r"^non-central stage: 20 blocks do not divide evenly over 15 processors$",
+        ),
+        # three copies of (1, 2) share its two non-central blocks, two each are needed
+        (
+            steiner.SteinerSystem(n=4, r=2, blocks=[(1, 2)] * 3 + [(3, 4)] * 3),
+            r"^non-central stage: replicated matching covered 4 of 12 copies; 2 disjoint X-covering matchings do not exist$",
+        ),
+    ],
+)
+def test_build_rejects_an_unbalanced_noncentral_stage(system, message):
+    with pytest.raises(DesignUnsuitableError, match=message):
+        build_partition(system)
+
+
+def test_build_rejects_too_few_processors_for_the_central_blocks():
+    system = steiner.SteinerSystem(n=4, r=4, blocks=[(1, 2, 3, 4)])
+    with pytest.raises(DesignUnsuitableError, match=r"^central stage: only 1 of 4 central blocks could be assigned$"):
+        build_partition(system)
 
 
 def test_validate_detects_corruption(part_q3):

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import verify_by_counter
+from oracles import construct_spherical_by_field_ops, generators_by_field_ops, verify_by_counter
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
-from tetracomm.finite_field import prime_power
+from tetracomm.finite_field import field_new, prime_power
 
 FIX_10 = fixtures_dir() / "steiner_10_4_3.txt"
 FIX_8 = fixtures_dir() / "steiner_8_4_3.txt"
@@ -77,6 +77,22 @@ def test_design_file_pinned_for_every_q_up_to_cap(tmp_path, q):
     path = tmp_path / "design.txt"
     steiner.save(steiner.construct_spherical(q), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DESIGN_SHA256[q]
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 10) if prime_power(q)])
+def test_generator_tables_equal_the_field_operations(q):
+    # x+1, wx and 1/x read from the exp/log tables against Field.add, Field.mul and Field.inv
+    p, k = prime_power(q)
+    f = field_new(p, 2 * k)
+    maps, base = steiner._generators(f, q)
+    *expected, expected_base = generators_by_field_ops(f, q)
+    assert maps.tolist() == expected
+    assert base == list(expected_base)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, steiner.Q_CAP + 1) if prime_power(q)])
+def test_construction_equals_the_field_operation_oracle(q):
+    assert steiner.construct_spherical(q) == construct_spherical_by_field_ops(q)
 
 
 def test_construction_deterministic():
