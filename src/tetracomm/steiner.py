@@ -132,18 +132,16 @@ def construct_spherical(q: int) -> SteinerSystem:
     nn = q * q
 
     maps, base = _generators(field_new(p, 2 * k), q)
-    frontier = np.array([base])
-    found, seen = [frontier], {(base[0] * (nn + 1) + base[1]) * (nn + 1) + base[2]}
-    while len(frontier):
-        images = np.sort(maps[:, frontier].reshape(-1, q + 1), axis=1)
+    images, found, seen = np.array([base]), [], set()
+    while len(images):
         codes = (images[:, 0] * (nn + 1) + images[:, 1]) * (nn + 1) + images[:, 2]
         new = []
         for e, c in enumerate(codes.tolist()):
             if c not in seen:
                 seen.add(c)
                 new.append(e)
-        frontier = images[new]
-        found.append(frontier)
+        found.append(images[new])
+        images = np.sort(maps[:, found[-1]].reshape(-1, q + 1), axis=1)
 
     expected = q * (nn + 1)
     if len(seen) != expected:

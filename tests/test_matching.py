@@ -359,7 +359,7 @@ def ragged_rows(draw):
     return draw(st.lists(row, max_size=10)), ny
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(ragged_rows())
 def test_greedy_first_search_equals_the_bfs_first_search(case):
     rows, ny = case

@@ -301,7 +301,8 @@ def corrupt_design(data, system: steiner.SteinerSystem) -> steiner.SteinerSystem
         elif kind == "duplicate":
             blocks.insert(data.draw(st.integers(0, len(blocks))), list(blocks[e]))
         elif kind == "replace":
-            blocks[e] = sorted(data.draw(st.sets(st.integers(1, system.n), min_size=r, max_size=r)))
+            size = max(r, 0)  # a corrupted r may be negative
+            blocks[e] = sorted(data.draw(st.sets(st.integers(1, system.n), min_size=size, max_size=size)))
         elif kind == "out_of_range":
             blocks[e].insert(data.draw(st.integers(0, len(blocks[e]))), data.draw(st.sampled_from([-1, 0, 11, 12, 40])))
         elif kind == "repeat" and blocks[e]:
