@@ -98,11 +98,18 @@ def opt_solution(n: int, processors: int) -> tuple[float, float]:
 
 
 def lower_bound(n: int, processors: int) -> float:
-    """Minimum number of vector elements some processor must communicate."""
+    """Minimum number of vector elements some processor must communicate.
+
+    The formula 2(n(n-1)(n-2)/P)^(1/3) - 2n/P is negative where n is small
+    against P, as at P = 1, where nothing needs to move (n=3 gives -2.37 at
+    P=1 and -0.12 at P=2).  No processor communicates fewer than 0
+    elements, so 0 is always a valid bound and the larger of the two is
+    returned.
+    """
     if processors < 1 or n < 3:
         raise ValueError(f"need P >= 1 and n >= 3, got P={processors}, n={n}")
     volume = n * (n - 1) * (n - 2)
-    return 2.0 * (volume / processors) ** (1.0 / 3.0) - 2.0 * n / processors
+    return max(0.0, 2.0 * (volume / processors) ** (1.0 / 3.0) - 2.0 * n / processors)
 
 
 def optimality_ratio(n: int, q: int) -> float:

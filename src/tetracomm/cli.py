@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from importlib import resources
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +229,23 @@ def cmd_hbl_fuzz(args) -> int:
     return 0 if basic_fail == 0 and symm_fail == 0 else 1
 
 
+def _positive(kind):
+    """The argparse type of a count, limit or tolerance: kind(text), finite and > 0.
+
+    It takes kind's name, so text that kind cannot parse still reads as an
+    invalid int or float value.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not (isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"{text} is not a finite positive {kind.__name__}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_design_args(sub) -> None:
     sub.add_argument("--q", type=int, default=None, help="prime power for the spherical design")
     sub.add_argument("--design", type=str, default=None, help="path to a design file")
@@ -269,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--mode", choices=["p2p", "alltoall"], default="p2p")
-    sim.add_argument("--tol", type=float, default=1e-12)
+    sim.add_argument("--tol", type=_positive(float), default=1e-12)
     sim.add_argument("--out", type=str, default=None)
     sim.add_argument("--format", choices=["json", "csv"], default="json")
     sim.set_defaults(func=cmd_simulate)
@@ -284,22 +301,22 @@ def _build_parser() -> argparse.ArgumentParser:
     hp = subs.add_parser("hopm", help="power iteration on a seeded random tensor")
     hp.add_argument("--n", type=int, required=True)
     hp.add_argument("--seed", type=int, required=True)
-    hp.add_argument("--tol", type=float, default=1e-10)
-    hp.add_argument("--max-iters", type=int, default=1000)
+    hp.add_argument("--tol", type=_positive(float), default=1e-10)
+    hp.add_argument("--max-iters", type=_positive(int), default=1000)
     hp.add_argument("--out", type=str, default=None)
     hp.set_defaults(func=cmd_hopm)
 
     cg = subs.add_parser("cpgrad", help="rank-r fit gradient on a seeded random tensor")
     cg.add_argument("--n", type=int, required=True)
-    cg.add_argument("--r", type=int, required=True)
+    cg.add_argument("--r", type=_positive(int), required=True)
     cg.add_argument("--seed", type=int, required=True)
     cg.add_argument("--out", type=str, default=None)
     cg.set_defaults(func=cmd_cpgrad)
 
     hf = subs.add_parser("hbl-fuzz", help="fuzz the projection inequalities")
-    hf.add_argument("--count", type=int, required=True)
+    hf.add_argument("--count", type=_positive(int), required=True)
     hf.add_argument("--seed", type=int, required=True)
-    hf.add_argument("--points", type=int, default=20)
+    hf.add_argument("--points", type=_positive(int), default=20)
     hf.add_argument("--max-coord", type=int, default=50)
     hf.add_argument("--out", type=str, default=None)
     hf.set_defaults(func=cmd_hbl_fuzz)

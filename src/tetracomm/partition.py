@@ -10,7 +10,6 @@ computations never need vector data beyond the row blocks of R_p.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
@@ -268,7 +267,8 @@ def validate_partition(part: TetraPartition) -> list[str]:
     ids, counts = np.unique((i * m + j) * m + k, return_counts=True)
     i, j, k = ids // (m * m), ids // m % m, ids % m
     lower = (i >= j) & (j >= k)
-    outside = Counter(BlockIndex(*blk) for blk in blocks[~inside].tolist())
+    outside, repeats = np.unique(blocks[~inside], axis=0, return_counts=True)
+    outside = [BlockIndex(*blk) for blk in outside.tolist()]
 
     def first3(selected: np.ndarray, more) -> list[BlockIndex]:
         """The three least blocks among the ids selected (ascending) and more."""
@@ -278,8 +278,8 @@ def validate_partition(part: TetraPartition) -> list[str]:
     problems: list[str] = []
     if not lower.all() or outside:
         problems.append(f"blocks outside the lower tetrahedron: {first3(ids[~lower], outside)}")
-    if np.any(counts > 1) or any(c > 1 for c in outside.values()):
-        problems.append(f"blocks assigned more than once: {first3(ids[counts > 1], [b for b, c in outside.items() if c > 1])}")
+    if np.any(counts > 1) or np.any(repeats > 1):
+        problems.append(f"blocks assigned more than once: {first3(ids[counts > 1], [b for b, c in zip(outside, repeats) if c > 1])}")
     if np.count_nonzero(lower) < comb(m + 2, 3):
         expected = np.concatenate([(a * m + j) * m + k for a in range(m) for j, k in [np.tril_indices(a + 1)]])
         problems.append(f"unassigned blocks: {first3(expected[~np.isin(expected, ids)], [])}")

@@ -4,18 +4,19 @@ Every ordered pair of processors with overlapping row-block sets induces one
 transfer demand per vector phase.  Demands are layered by the number of
 shared blocks; each layer is regular and symmetric and decomposes into
 perfect matchings, one communication step per matching, so that within a
-step every processor sends at most one message and receives at most one
-message.
+step every processor sends one message and receives one message.
 
 Demands are held as integer arrays (``Demands``), one row per demand, so
 building, scheduling and validating them creates no Python object per
-demand.  Iterating a table yields ``TransferDemand`` rows.
+demand.  Iterating a table yields ``TransferDemand`` rows.  A step is one
+row of receivers indexed by sender; the blocks a message carries live only
+in the demand table, read by ``messages``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "AllToAllCost",
     "build_demands",
     "build_schedule",
+    "messages",
     "validate",
     "alltoall_cost",
 ]
@@ -54,8 +56,7 @@ class Demands:
     src and dst have shape (E,).  blocks has shape (E, w): row e lists the
     row blocks src and dst share in ascending order, padded with 0 after
     its shared count.  Block ids are 1-based, so 0 never names a block.
-    Iterating yields TransferDemand rows with plain-int tuples; equality
-    compares rows, whatever the padding width.
+    Iterating yields TransferDemand rows with plain-int tuples.
     """
 
     src: np.ndarray
@@ -89,17 +90,10 @@ class Demands:
         """The number of shared row blocks of every row."""
         return np.count_nonzero(self.blocks, axis=1)
 
-    @classmethod
-    def stack(cls, tables: list[Demands]) -> Demands:
-        """One table of all rows of tables, in order, padded to a common width."""
-        width = max((t.blocks.shape[1] for t in tables), default=0)
-        blocks = np.zeros((sum(len(t) for t in tables), width), dtype=np.int64)
-        row = 0
-        for t in tables:
-            blocks[row : row + len(t), : t.blocks.shape[1]] = t.blocks
-            row += len(t)
-        none = [np.zeros(0, dtype=np.int64)]
-        return cls(np.concatenate([t.src for t in tables] + none), np.concatenate([t.dst for t in tables] + none), blocks)
+    @property
+    def processors(self) -> int:
+        """The largest processor id in the table, 0 when it is empty."""
+        return int(max(self.src.max(initial=0), self.dst.max(initial=0)))
 
     def __len__(self) -> int:
         return len(self.src)
@@ -108,32 +102,48 @@ class Demands:
         for s, t, blocks, k in zip(self.src.tolist(), self.dst.tolist(), self.blocks.tolist(), self.shared.tolist()):
             yield TransferDemand(s, t, tuple(blocks[:k]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Demands):
-            return NotImplemented
-        w = int(max(self.shared.max(initial=0), other.shared.max(initial=0)))
-        return (
-            np.array_equal(self.src, other.src)
-            and np.array_equal(self.dst, other.dst)
-            and np.array_equal(self.blocks[:, :w], other.blocks[:, :w])
-        )
-
 
 @dataclass
 class CommSchedule:
-    """Ordered steps, each a P-row demand table with unique senders and receivers."""
+    """Ordered steps over the demands they serve.
 
-    steps: list[Demands]
+    A step is one int64 row of receivers: in step s processor p sends to
+    steps[s][p - 1].  A valid step is a permutation of the processors 1..P.
+    The blocks of every message are those of its row in demands
+    (``messages``).
+    """
+
+    steps: list[np.ndarray]
+    demands: Demands
     meta: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "meta": self.meta,
-            "steps": [
-                [{"src": d.src, "dst": d.dst, "blocks": list(d.blocks)} for d in step]
-                for step in self.steps
-            ],
-        }
+        src, dst, row = messages(self.steps, self.demands)
+        blocks, shared = self.demands.blocks.tolist(), self.demands.shared.tolist()
+        sent = iter(
+            {"src": s, "dst": t, "blocks": blocks[r][: shared[r]] if r >= 0 else []}
+            for s, t, r in zip(src.tolist(), dst.tolist(), row.tolist())
+        )
+        return {"meta": self.meta, "steps": [list(islice(sent, len(step))) for step in self.steps]}
+
+
+def messages(steps, demands: Demands) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every message of the receiver rows steps as (src, dst, row) arrays.
+
+    Messages come by step, then by sender: step s sends from p to
+    steps[s][p - 1].  row is the row of demands whose blocks the message
+    carries, found by one binary search on the (src, dst) key, or -1 where
+    no demand matches, so that such a message carries no blocks.
+    """
+    rows = [np.asarray(step, dtype=np.int64).ravel() for step in steps]
+    none = [np.zeros(0, dtype=np.int64)]
+    src, dst = np.concatenate(none + [np.arange(1, len(row) + 1) for row in rows]), np.concatenate(none + rows)
+    # ids outside 1..P are clipped into the key range and then fail the row comparison
+    P = demands.processors
+    at = np.searchsorted(demands.src * (P + 1) + demands.dst, np.clip(src, 0, P) * (P + 1) + np.clip(dst, 0, P))
+    hit = at < len(demands)
+    hit[hit] = (demands.src[at[hit]] == src[hit]) & (demands.dst[at[hit]] == dst[hit])
+    return src, dst, np.where(hit, at, -1)
 
 
 def build_demands(part: TetraPartition) -> Demands:
@@ -176,7 +186,7 @@ def build_schedule(demands: Demands) -> CommSchedule:
     regular_decompose splits a layer into d perfect matchings, one step
     each: Euler splits halve even degrees, and one Hopcroft-Karp matching
     per subgraph lowers odd ones.  Graph vertices are processor ids, so a
-    step lists its demands by ascending sender.
+    matching's mate array is a step: the receivers of senders 1..P.
 
     Every layer is symmetric, since p and p' share the same blocks whichever
     sends: p->p' is a demand exactly when p'->p is.  So one direction of
@@ -191,22 +201,19 @@ def build_schedule(demands: Demands) -> CommSchedule:
     q ≡ 1 (mod 4).  Odd layers are coloured whole.
 
     A stable sort by shared count keeps every layer sorted by (src, dst),
-    so sender s's d demands are row s of layer.reshape(P, d), and a
-    layer's steps are found by one binary search on the (src, dst) key and
-    cut from one gather of its demand rows.  In an even layer only the
-    coloured half is searched: an inverse step's rows are rev of its
-    matching's rows, scattered to their receivers.  A layer that is not regular
-    on every processor, or not symmetric, raises ValueError.
+    so sender s's d demands are row s of layer.reshape(P, d).  The
+    matchings are receiver rows, so they are the steps themselves; the
+    inverse of a matching is its row scattered back to its senders.  A
+    layer that is not regular on every processor, or not symmetric, raises
+    ValueError.
     """
-    P = int(max(demands.src.max(initial=0), demands.dst.max(initial=0)))
+    P = demands.processors
     shared = demands.shared
     order = np.argsort(-shared, kind="stable")
     sizes, starts = np.unique(-shared[order], return_index=True)
-    senders = np.arange(1, P + 1)
 
-    steps: list[Demands] = []
+    steps: list[np.ndarray] = []
     layer_meta = []
-    blocks_per_step: list[int] = []
     for size, layer in zip((-sizes).tolist(), np.split(order, starts[1:])):
         src, dst = demands.src[layer], demands.dst[layer]
         d = len(layer) // P
@@ -221,24 +228,19 @@ def build_schedule(demands: Demands) -> CommSchedule:
         if not np.array_equal(key[rev], back):
             raise ValueError(f"layer of {size} shared blocks is not symmetric")
         if d % 2:
-            receivers = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
-            # row c of receivers pairs sender s with receivers[c, s - 1]
-            found = np.searchsorted(key, senders * (P + 1) + receivers)
+            rows = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
         else:
             half = regular_decompose(BipartiteGraph(P, P, dst[euler_orient(rev)].reshape(P, d // 2)))
-            found = np.searchsorted(key, senders * (P + 1) + half)
-            # the inverse of matching c sends every demand of c back: its row for
-            # sender half[c, s - 1] is the reverse of c's row for sender s
-            back = np.empty_like(found)
-            np.put_along_axis(back, half - 1, rev[found], axis=1)
-            found = np.concatenate([found, back])
-        rows = layer[found]
-        steps += [Demands(*step) for step in zip(demands.src[rows], demands.dst[rows], demands.blocks[rows])]
-        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(found)})
-        blocks_per_step += [size] * len(found)
+            # the inverse of matching c sends every demand of c back: half[c, s - 1] sends to s
+            inverse = np.empty_like(half)
+            np.put_along_axis(inverse, half - 1, np.arange(1, P + 1), axis=1)
+            rows = np.concatenate([half, inverse])
+        steps += list(rows)
+        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(rows)})
 
+    blocks_per_step = [layer["shared_blocks"] for layer in layer_meta for _ in range(layer["steps"])]
     meta = {"steps": len(steps), "layers": layer_meta, "blocks_per_step": blocks_per_step}
-    return CommSchedule(steps=steps, meta=meta)
+    return CommSchedule(steps, demands, meta)
 
 
 @dataclass
@@ -247,67 +249,74 @@ class ScheduleReport(Report):
 
 
 def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleReport:
-    """Check one-send/one-receive per step, exact demand coverage and send volumes.
+    """Check that every step is a permutation, exact demand coverage and send volumes.
 
-    The checks are one_message_per_step, demands_covered and send_volume.
-    send_volume maps each processor to the words it sends across the
-    schedule (chunk words per shared block per demand).  A clash names the
-    step and processor; a coverage problem names the demand, or the
-    scheduled transfer that matches no demand.
+    The checks are one_message_per_step, demands_covered and send_volume,
+    each one whole-array pass over the steps stacked as rows:
+
+    * every step is a row of P receivers, each in 1..P, that is a
+      permutation with no processor sending to itself.  A problem names the
+      step and the processor; a row of the wrong length sends nothing;
+    * the (src, dst) keys of the messages, sorted, equal the demand keys:
+      every message matches one demand and every demand is carried once.
+      A problem names the demand, or the message that matches no demand;
+    * every processor sends the words its demands need, chunk words per
+      shared block per demand, which send_volume maps it to.  Exact
+      coverage implies them; otherwise each message carries the blocks of
+      its demand row, and one that matches no demand carries none.
     """
-    sent = Demands.stack(sched.steps)
-    step_of = np.repeat(np.arange(len(sched.steps)), [len(step) for step in sched.steps])
-    P = int(max(a.max(initial=0) for a in (demands.src, demands.dst, sent.src, sent.dst)))
+    P = demands.processors
+    rows = [np.asarray(row, dtype=np.int64).ravel() for row in sched.steps]
+    clashes = [(s, f"step {s + 1}: {len(row)} senders, expected {P}") for s, row in enumerate(rows) if len(row) != P]
+    # table[i] is step kept[i], one of the rows of P receivers.  A receiver
+    # outside 1..P is clipped to 0 or P + 1, which no demand has
+    kept = [s for s, row in enumerate(rows) if len(row) == P]
+    table = np.array([rows[s] for s in kept], dtype=np.int64).reshape(len(kept), P)
+    senders = np.arange(1, P + 1)
+    clipped = np.clip(table, 0, P + 1)
+    # count[i, r]: the messages r receives in step kept[i]
+    count = np.bincount((np.arange(len(kept))[:, None] * (P + 2) + clipped).ravel(), minlength=table.size + 2 * len(kept))
+    count = count.reshape(len(kept), P + 2)
+    if not np.all(count[:, 1:-1] == 1) or np.any(table == senders):
+        for i, p in zip(*(a.tolist() for a in np.nonzero((table < 1) | (table > P) | (table == senders)))):
+            to = "itself" if table[i, p] == p + 1 else f"{table[i, p]}, outside 1..{P}"
+            clashes.append((kept[i], f"step {kept[i] + 1}: processor {p + 1} sends to {to}"))
+        for i, r in zip(*(a.tolist() for a in np.nonzero(count[:, 1:-1] > 1))):
+            clashes.append((kept[i], f"step {kept[i] + 1}: processor {r + 1} receives {count[i, r + 1]} messages"))
+    clashes.sort(key=lambda clash: clash[0])
 
-    clashes: list[tuple] = []
-    for verb_no, (verb, ends) in enumerate((("sends", sent.src), ("receives", sent.dst))):
-        key = step_of * (P + 1) + ends
-        count = np.bincount(key)
-        if count.max(initial=0) > 1:
-            keys, first = np.unique(key, return_index=True)
-            for k, e in zip(keys.tolist(), first.tolist()):
-                if count[k] > 1:
-                    text = f"step {step_of[e] + 1}: processor {ends[e]} {verb} {count[k]} messages"
-                    clashes.append((step_of[e], verb_no, e, text))
-
-    # demands with one row per (src, dst) are covered when the scheduled rows, sorted, equal
-    # them, as Demands.__eq__ compares rows; each table's shared counts are taken once
-    sent_shared, demand_shared = sent.shared, demands.shared
-    width = int(max(sent_shared.max(initial=0), demand_shared.max(initial=0)))
-    pair = demands.src * (P + 1) + demands.dst
-    by_pair = np.argsort(sent.src * (P + 1) + sent.dst, kind="stable")
+    # demands are sorted by src, so sender p's rows are first[p - 1] up to
+    # first[p].  reduceat sums the runs of the active senders, those with
+    # rows, only, as it would give an empty run the row at its start
+    first = np.searchsorted(demands.src, np.arange(1, P + 2))
+    active = np.flatnonzero(np.diff(first)) + 1
+    volume = np.zeros(P + 1, dtype=np.int64)
+    volume[active] = np.add.reduceat(demands.blocks != 0, first[active - 1], axis=0, dtype=np.int64).sum(axis=1) * chunk
     coverage: list[str] = []
-    if not (
-        len(sent) == len(demands)
-        and np.all(np.diff(pair) > 0)
-        and np.array_equal(sent.src[by_pair], demands.src)
-        and np.array_equal(sent.dst[by_pair], demands.dst)
-        and np.array_equal(sent.blocks[by_pair, :width], demands.blocks[:, :width])
-    ):
-        # rows of the demands, then of the schedule, in first-seen order
-        want, got = Counter(demands), Counter(sent)
-        for d in dict.fromkeys([*demands, *sent]):
-            if want[d] == got[d]:
-                continue
-            if want[d]:
-                coverage.append(f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled {got[d]} times, expected {want[d]}")
-            else:
-                coverage.append(f"scheduled transfer {d.src}->{d.dst} has no matching demand")
-
-    def words(table: Demands, shared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        volume = np.bincount(table.src, weights=shared, minlength=P + 1).astype(np.int64) * chunk
-        return np.bincount(table.src, minlength=P + 1) > 0, volume
-
-    (senders, volume), (scheduled_senders, scheduled_volume) = words(demands, demand_shared), words(sent, sent_shared)
-    off = np.flatnonzero((senders != scheduled_senders) | (volume != scheduled_volume)).tolist()
+    off: list[int] = []
+    key = (senders * (P + 2) + clipped).ravel()
+    key.sort()
+    if not np.array_equal(key, demands.src * (P + 2) + demands.dst):
+        src, dst, row = messages(table, demands)
+        shared = demands.shared
+        matched = row >= 0
+        times = np.bincount(row[matched], minlength=len(demands))
+        coverage = [
+            f"demand {demands.src[e]}->{demands.dst[e]} blocks {tuple(demands.blocks[e, : shared[e]].tolist())} "
+            f"scheduled {times[e]} times, expected 1"
+            for e in np.flatnonzero(times != 1).tolist()
+        ]
+        unmatched = dict.fromkeys(zip(src[~matched].tolist(), dst[~matched].tolist()))
+        coverage += [f"scheduled transfer {s}->{t} has no matching demand" for s, t in unmatched]
+        carried = np.bincount(src[matched], weights=shared[row[matched]], minlength=P + 1).astype(np.int64) * chunk
+        off = np.flatnonzero(volume != carried).tolist()
 
     checks = [
-        Check("one_message_per_step", not clashes, "; ".join(text for *_, text in sorted(clashes))),
+        Check("one_message_per_step", not clashes, "; ".join(text for _, text in clashes)),
         Check("demands_covered", not coverage, "; ".join(coverage)),
         Check("send_volume", not off, f"processors whose scheduled send volume differs from demands: {off[:5]}"),
     ]
-    send_volume = {p: int(volume[p]) for p in np.flatnonzero(senders).tolist()}
-    return ScheduleReport(checks, send_volume=send_volume)
+    return ScheduleReport(checks, send_volume={p: int(volume[p]) for p in active.tolist()})
 
 
 class AllToAllCost(NamedTuple):

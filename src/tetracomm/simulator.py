@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import lower_bound
 from .checks import Check, Report
 from .partition import TetraPartition, VectorLayout, owned_blocks, storage_count, validate_partition, vector_layout
-from .schedule import Demands, alltoall_cost, build_demands, build_schedule, validate
+from .schedule import alltoall_cost, build_demands, build_schedule, messages, validate
 from .tensor_core import PackedSymTensor, block_counts, contract, gather_blocks, sttsv_symmetric, ternary_count
 
 __all__ = [
@@ -156,13 +156,15 @@ def simulate(
         sched_report = validate(sched, demands, chunk)
         schedule_valid = Check("schedule_valid", sched_report.passed, "; ".join(sched_report.problems))
         steps_per_vector = len(sched.steps)
-        carried = Demands.stack(sched.steps)
-        src, dst, words = carried.src, carried.dst, carried.shared * chunk
+        src, dst, row = messages(sched.steps, demands)
+        # carried[e] is the demand row of message e; a message that matches no demand carries nothing
+        src, dst, carried = src[row >= 0], dst[row >= 0], row[row >= 0]
+        words = demands.shared[carried] * chunk
     else:
         schedule_valid = Check("schedule_valid", True)
         steps_per_vector = P - 1
         # every ordered pair exchanges a fixed two-chunk slot; the shared row blocks ride in it
-        carried = demands
+        carried = np.arange(len(demands))
         src, dst = np.nonzero(~np.eye(P, dtype=bool))
         src, dst, words = src + 1, dst + 1, np.full(len(src), 2 * chunk)
     # both phases send the same messages, so they send and receive the same words
@@ -170,8 +172,9 @@ def simulate(
     received = np.bincount(dst, weights=words, minlength=P + 1)[1:].astype(np.int64).tolist()
     # one entry per shared row block a sender passes to a receiver, whatever the
     # number of messages that carry it, sorted by (block, receiver, sender)
-    msg, col = np.nonzero(carried.blocks)
-    key = np.unique((carried.blocks[msg, col] * (P + 1) + carried.dst[msg]) * (P + 1) + carried.src[msg])
+    msg, col = np.nonzero(demands.blocks[carried])
+    msg = carried[msg]
+    key = np.unique((demands.blocks[msg, col] * (P + 1) + demands.dst[msg]) * (P + 1) + demands.src[msg])
     pair, snd = np.divmod(key, P + 1)
     blk, rcv = np.divmod(pair, P + 1)
 

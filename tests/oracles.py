@@ -205,16 +205,18 @@ def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=b
         have[p - 1, s] = True
 
     demands = build_demands(part)
+    shared = {(d.src, d.dst): d.blocks for d in demands}
     if mode == "p2p":
         sched = schedule_builder(demands)
         sched_report = validate(sched, demands, chunk)
         schedule_valid = Check("schedule_valid", sched_report.passed, "; ".join(sched_report.problems))
         steps_per_vector = len(sched.steps)
-        messages = [(d.src, d.dst, d.blocks, len(d.blocks) * chunk) for step in sched.steps for d in step]
+        # step s sends from src to sched.steps[s][src - 1], carrying the blocks of its demand
+        pairs = [(src, dst) for step in sched.steps for src, dst in enumerate(step.tolist(), start=1)]
+        messages = [(src, dst, shared.get((src, dst), ()), len(shared.get((src, dst), ())) * chunk) for src, dst in pairs]
     else:
         schedule_valid = Check("schedule_valid", True)
         steps_per_vector = P - 1
-        shared = {(d.src, d.dst): d.blocks for d in demands}
         messages = [
             (src, dst, shared.get((src, dst), ()), 2 * chunk)
             for src in range(1, P + 1)

@@ -269,6 +269,14 @@ def test_bounds_command(capsys):
     assert obj["opt_point"][0] == pytest.approx(120 * 119 * 118 / 180)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_bounds_never_negative(capsys, p):
+    # the formula reads -2.37 at P=1 and -0.12 at P=2 for n=3; no processor sends fewer than 0 elements
+    code, obj = run_json(capsys, "bounds", "--n", "3", "--p", str(p))
+    assert code == 0
+    assert obj["lower_bound"] == 0.0
+
+
 def test_bounds_with_ratio(capsys):
     code, obj = run_json(capsys, "bounds", "--n", "1000000", "--p", "30", "--q", "3")
     assert code == 0
@@ -294,6 +302,28 @@ def test_hbl_fuzz_command(capsys):
     assert code == 0
     assert obj["basic_violations"] == 0
     assert obj["symmetric_violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["hbl-fuzz", "--count", "-1", "--seed", "1"], "--count"),
+        (["hbl-fuzz", "--count", "1", "--seed", "1", "--points", "-1"], "--points"),
+        (["hopm", "--n", "5", "--seed", "1", "--max-iters", "0"], "--max-iters"),
+        (["hopm", "--n", "5", "--seed", "1", "--tol", "nan"], "--tol"),
+        (["cpgrad", "--n", "5", "--seed", "1", "--r", "0"], "--r"),
+        (["cpgrad", "--n", "5", "--seed", "1", "--r", "-1"], "--r"),
+        (["simulate", "--q", "2", "--n", "30", "--seed", "1", "--tol", "nan"], "--tol"),
+    ],
+    ids=["count-negative", "points-negative", "max-iters-0", "hopm-tol-nan", "r-0", "r-negative", "simulate-tol-nan"],
+)
+def test_out_of_domain_flags_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
 
 
 def test_output_file_flag(tmp_path, capsys):
@@ -336,7 +366,7 @@ def test_steiner_verify_rejects_n_above_cap(tmp_path, capsys):
 
 
 def test_simulate_reports_a_dropped_schedule_step(monkeypatch, capsys):
-    monkeypatch.setattr(simulator, "build_schedule", lambda d: CommSchedule(build_schedule(d).steps[1:]))
+    monkeypatch.setattr(simulator, "build_schedule", lambda d: CommSchedule(build_schedule(d).steps[1:], d))
     code, obj = run_json(capsys, "simulate", "--q", "2", "--n", "30", "--seed", "11")
     assert code == 1
     failed = {c["name"] for c in obj["verdict"]["checks"] if not c["passed"]}

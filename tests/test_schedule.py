@@ -1,8 +1,12 @@
 import hashlib
+import re
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetracomm import schedule, steiner
 from tetracomm.cli import fixtures_dir
@@ -102,8 +106,7 @@ def test_from_rows_sorts_and_round_trips():
     table = Demands.from_rows(rows)
     assert list(table) == sorted(rows)
     assert table.blocks.tolist() == [[4, 0], [2, 5], [2, 0]]
-    assert table == Demands.from_rows(sorted(rows))
-    assert table != Demands.from_rows(rows[:2])
+    assert list(Demands.from_rows(sorted(rows))) == sorted(rows)
 
 
 @pytest.mark.parametrize(
@@ -156,12 +159,13 @@ def test_schedule_deterministic(part_q2):
     demands = build_demands(part_q2)
     a = build_schedule(demands)
     b = build_schedule(demands)
-    assert a.steps == b.steps
+    assert np.array_equal(a.steps, b.steps)
 
 
 def test_steps_are_p_row_tables_sorted_by_sender(part10):
+    # step[p - 1] is the receiver of sender p
     sched = build_schedule(build_demands(part10))
-    assert all(isinstance(step, Demands) and step.src.tolist() == list(range(1, 31)) for step in sched.steps)
+    assert all(step.dtype == np.int64 and step.shape == (30,) for step in sched.steps)
 
 
 @pytest.fixture
@@ -227,8 +231,7 @@ def test_q2_step_list_pinned(part_q2):
         [9, 10, 4, 3, 7, 8, 5, 6, 1, 2],
     ]
     sched = build_schedule(build_demands(part_q2))
-    assert all([d.src for d in step] == list(range(1, 11)) for step in sched.steps)
-    assert [[d.dst for d in step] for step in sched.steps] == expected
+    assert [step.tolist() for step in sched.steps] == expected
     assert sched.meta["layers"] == [
         {"shared_blocks": 2, "demands": 60, "steps": 6},
         {"shared_blocks": 1, "demands": 30, "steps": 3},
@@ -236,11 +239,11 @@ def test_q2_step_list_pinned(part_q2):
 
 
 def steps_sha256(steps) -> str:
-    """sha256 over every step of the src then the dst array, as little-endian int64."""
+    """sha256 over every step of the senders 1..P then the receiver row, as little-endian int64."""
     digest = hashlib.sha256()
     for step in steps:
-        digest.update(step.src.astype("<i8").tobytes())
-        digest.update(step.dst.astype("<i8").tobytes())
+        digest.update(np.arange(1, len(step) + 1).astype("<i8").tobytes())
+        digest.update(step.astype("<i8").tobytes())
     return digest.hexdigest()
 
 
@@ -269,23 +272,22 @@ def test_q4_odd_layer_pinned():
 def test_validate_catches_duplicate_receiver(part_q2):
     demands = build_demands(part_q2)
     sched = build_schedule(demands)
-    d0 = next(iter(sched.steps[0]))
-    clash = next(d for d in demands if d.dst == d0.dst and d != d0)
-    bad = CommSchedule(steps=[Demands.from_rows([*sched.steps[0], clash])] + sched.steps[1:], meta={})
-    report = validate(bad, demands)
+    clash = sched.steps[0].copy()
+    clash[0] = clash[1]
+    report = validate(CommSchedule([clash] + sched.steps[1:], demands), demands)
     assert not report.passed
     assert any("receives" in p for p in report.problems)
 
 
 def test_validate_catches_missing_coverage(part_q2):
     demands = build_demands(part_q2)
-    report = validate(CommSchedule(steps=[], meta={}), demands)
+    report = validate(CommSchedule([], demands), demands)
     assert not report.passed
     assert any("scheduled 0 times" in p for p in report.problems)
 
 
-# validate's problems for broken q=2 schedules at chunk=2, pinned to the
-# strings the per-demand Counter implementation gave
+# validate's problems for broken q=2 schedules at chunk=2; the dropped and
+# duplicated strings are those the per-demand Counter implementation gave
 LAST_STEP = [
     ("1->9", "(2,)"),
     ("2->10", "(4,)"),
@@ -306,16 +308,16 @@ def last_step_problems(times):
     return ["demands_covered: " + pairs, VOLUME_OFF + "[1, 2, 3, 4, 5]"]
 
 
-def broken_schedules(steps, demands):
-    d0 = steps[0][0]
-    clash = next(d for d in demands if d.dst == d0.dst and d != d0)
-    last = steps[-1]
+def broken_schedules(steps):
+    # clash: sender 1 sends to sender 2's receiver 3 too.  extra: in the last
+    # step sender 1 sends to 11, which is no processor, in place of 9
+    clash, extra = steps[0].copy(), steps[-1].copy()
+    clash[0], extra[0] = clash[1], 11
     return {
         "dropped": steps[:-1],
-        "duplicated": steps + [last],
-        "clash": [steps[0] + [clash]] + steps[1:],
-        "altered": steps[:-1] + [[TransferDemand(last[0].src, last[0].dst, (5,))] + last[1:]],
-        "extra": steps + [[TransferDemand(1, 11, (1,))]],
+        "duplicated": steps + [steps[-1]],
+        "clash": [clash] + steps[1:],
+        "extra": steps[:-1] + [extra],
     }
 
 
@@ -323,25 +325,83 @@ EXPECTED_PROBLEMS = {
     "dropped": last_step_problems(0),
     "duplicated": last_step_problems(2),
     "clash": [
-        "one_message_per_step: step 1: processor 3 sends 2 messages; step 1: processor 2 receives 2 messages",
-        "demands_covered: demand 3->2 blocks (1, 2) scheduled 2 times, expected 1",
-        VOLUME_OFF + "[3]",
+        "one_message_per_step: step 1: processor 3 receives 2 messages",
+        "demands_covered: demand 1->2 blocks (1, 2) scheduled 0 times, expected 1; "
+        "demand 1->3 blocks (1, 2) scheduled 2 times, expected 1",
     ],
-    "altered": [
+    "extra": [
+        "one_message_per_step: step 9: processor 1 sends to 11, outside 1..10",
         "demands_covered: demand 1->9 blocks (2,) scheduled 0 times, expected 1; "
-        "scheduled transfer 1->9 has no matching demand"
+        "scheduled transfer 1->11 has no matching demand",
+        VOLUME_OFF + "[1]",
     ],
-    "extra": ["demands_covered: scheduled transfer 1->11 has no matching demand", VOLUME_OFF + "[1]"],
 }
 
 
 @pytest.mark.parametrize("broken", sorted(EXPECTED_PROBLEMS))
 def test_validate_problems_verbatim(part_q2, broken):
     demands = build_demands(part_q2)
-    steps = [list(step) for step in build_schedule(demands).steps]
-    bad = broken_schedules(steps, demands)[broken]
-    report = validate(CommSchedule([Demands.from_rows(step) for step in bad]), demands, 2)
+    bad = broken_schedules(build_schedule(demands).steps)[broken]
+    report = validate(CommSchedule(bad, demands), demands, 2)
     assert report.problems == EXPECTED_PROBLEMS[broken]
+
+
+@pytest.mark.parametrize(
+    "row,problem",
+    [
+        ([2, 3, 1, 5, 10, 4, 8, 9, 7], "step 1: 9 senders, expected 10"),
+        ([2, 3, 1, 5, 10, 4, 8, 9, 7, 6, 1], "step 1: 11 senders, expected 10"),
+        ([0, 3, 1, 5, 10, 4, 8, 9, 7, 6], "step 1: processor 1 sends to 0, outside 1..10"),
+        ([2, 3, 1, 5, 10, 4, 8, 9, 7, 10**12], f"step 1: processor 10 sends to {10**12}, outside 1..10"),
+        ([1, 3, 2, 5, 10, 4, 8, 9, 7, 6], "step 1: processor 1 sends to itself"),
+    ],
+    ids=["short", "long", "receiver-0", "receiver-too-large", "self"],
+)
+def test_validate_names_the_step_of_a_malformed_row(part_q2, row, problem):
+    # the first q=2 step is [2, 3, 1, 5, 10, 4, 8, 9, 7, 6]; a broken row fails a check, never indexing
+    demands = build_demands(part_q2)
+    steps = build_schedule(demands).steps
+    check = validate(CommSchedule([np.array(row)] + steps[1:], demands), demands).check("one_message_per_step")
+    assert not check.passed
+    assert problem in check.detail.split("; ")
+
+
+@cache
+def spherical_schedule(q):
+    demands = build_demands(build_partition(steiner.construct_spherical(q)))
+    return demands, build_schedule(demands).steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3]), data=st.data())
+def test_any_step_order_is_valid(q, data):
+    demands, steps = spherical_schedule(q)
+    order = data.draw(st.permutations(range(len(steps))))
+    assert validate(CommSchedule([steps[s] for s in order], demands), demands).passed
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3]), data=st.data())
+def test_any_changed_row_fails_and_is_named(q, data):
+    demands, steps = spherical_schedule(q)
+    P = len(steps[0])
+    s = data.draw(st.integers(0, len(steps) - 1))
+    row = data.draw(
+        st.one_of(st.permutations(steps[s].tolist()), st.lists(st.integers(-1, P + 2), max_size=P + 1)).filter(
+            lambda row: row != steps[s].tolist()
+        )
+    )
+    report = validate(CommSchedule(steps[:s] + [np.array(row, dtype=np.int64)] + steps[s + 1 :], demands), demands)
+    assert not report.passed
+    assert re.search(r"step \d+:|demand \d+->\d+", "; ".join(report.problems))
+
+
+def test_validate_demands_that_share_no_block():
+    # a demand row may list no block; its sender then sends 0 words
+    demands = Demands.from_rows([(1, 2, ()), (2, 1, ())])
+    report = validate(build_schedule(demands), demands, 3)
+    assert report.passed
+    assert report.send_volume == {1: 0, 2: 0}
 
 
 def test_validate_send_volumes(part_q2):

@@ -381,15 +381,16 @@ def test_dropped_schedule_step_fails_schedule_valid(setup_q2, monkeypatch):
 
     def drop_first_step(demands):
         sched = build_schedule(demands)
-        dropped.extend(sched.steps[0])
-        return CommSchedule(sched.steps[1:], sched.meta)
+        dropped.extend(enumerate(sched.steps[0].tolist(), start=1))
+        return CommSchedule(sched.steps[1:], demands, sched.meta)
 
     monkeypatch.setattr(simulator, "build_schedule", drop_first_step)
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), part, layout)
     check = verdict.check("schedule_valid")
     assert not check.passed
-    for d in dropped:
-        assert f"demand {d.src}->{d.dst} blocks {d.blocks} scheduled 0 times, expected 1" in check.detail
+    blocks = {(d.src, d.dst): d.blocks for d in build_demands(part)}
+    for src, dst in dropped:
+        assert f"demand {src}->{dst} blocks {blocks[src, dst]} scheduled 0 times, expected 1" in check.detail
     assert not verdict.check("gather_complete").passed
     assert not verdict.passed
     assert isinstance(verdict, Report)
@@ -400,7 +401,7 @@ def test_repeated_schedule_step_is_reduced_once(setup_q2, monkeypatch):
 
     def repeat_first_step(demands):
         sched = build_schedule(demands)
-        return CommSchedule(sched.steps[:1] + sched.steps, sched.meta)
+        return CommSchedule(sched.steps[:1] + sched.steps, demands, sched.meta)
 
     monkeypatch.setattr(simulator, "build_schedule", repeat_first_step)
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), part, layout)
@@ -455,12 +456,12 @@ def test_simulate_holds_one_block_at_a_time(setup_q3, mode):
 
 def drop_first_step(demands):
     sched = build_schedule(demands)
-    return CommSchedule(sched.steps[1:], sched.meta)
+    return CommSchedule(sched.steps[1:], demands, sched.meta)
 
 
 def repeat_last_step(demands):
     sched = build_schedule(demands)
-    return CommSchedule(sched.steps + sched.steps[-1:], sched.meta)
+    return CommSchedule(sched.steps + sched.steps[-1:], demands, sched.meta)
 
 
 @pytest.mark.parametrize("builder", [drop_first_step, repeat_last_step])
