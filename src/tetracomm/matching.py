@@ -8,12 +8,9 @@ regular halves in linear time (H. N. Gabow, *Using Euler partitions to edge
 color bipartite multigraphs*, 1976), so Hopcroft-Karp runs only where the
 degree is odd, once per subgraph, to take one perfect matching off.
 
-``euler_orient`` serves symmetric arc sets, where every arc's reverse is an
-arc too, as in the schedule's demand layers.  At even degree d it keeps one
-arc of every reverse pair so that each vertex keeps d/2 arcs out and d/2
-in.  A perfect matching of the kept arcs and its inverse cover the same
-pairs in both directions, so colouring the d/2-regular kept graph colours
-the whole set with half the Euler splits and Hopcroft-Karp runs.
+``birkhoff_decompose`` splits a square integer matrix whose rows and
+columns all have one sum, the edge multiplicities of a regular bipartite
+multigraph, into weighted perfect matchings, one Hopcroft-Karp run each.
 
 All vertex ids are 1-based, so 0 never names a vertex.  Graphs and results
 are integer arrays: a matching is a mate array whose entry x-1 is x's
@@ -34,7 +31,7 @@ __all__ = [
     "max_matching",
     "d_disjoint_matchings",
     "regular_decompose",
-    "euler_orient",
+    "birkhoff_decompose",
 ]
 
 
@@ -213,25 +210,6 @@ def _cycle_min(sigma: np.ndarray) -> np.ndarray:
         label, step = nxt, step[step]
 
 
-def euler_orient(rev: np.ndarray) -> np.ndarray:
-    """keep[a]: whether arc a survives an Euler orientation of a symmetric layer.
-
-    The arcs are the entries of an (n, d) adjacency array, d even, taken
-    row by row, so arc a leaves vertex a // d + 1 and arcs a and a ^ 1
-    leave the same vertex; rev[a] is the index of a's reverse arc.  Pairing
-    every vertex's arcs two by two that way splits the undirected edges
-    into closed trails: the trail that enters a vertex by arc a leaves it by
-    rev[a] ^ 1, the arc paired with a's reverse.  Each trail is a cycle of
-    that successor and its reversal is another cycle, never the same one,
-    so keeping whichever of the two holds the lesser least arc keeps
-    exactly one arc of every reverse pair.  A trail leaves a vertex once
-    for every time it enters it, so every vertex keeps d/2 arcs out and
-    d/2 in.
-    """
-    label = _cycle_min(rev ^ 1)
-    return label < label[rev]
-
-
 def _split(order: np.ndarray, half: np.ndarray, groups: int, n: int, d: int) -> np.ndarray:
     """Regroup order, d edges per (group, vertex) block, by half.
 
@@ -309,3 +287,39 @@ def regular_decompose(graph: BipartiteGraph) -> np.ndarray:
     if d == 1:
         result.append(y[by_x].reshape(groups, n))
     return np.concatenate(result)
+
+
+def birkhoff_decompose(weights) -> tuple[np.ndarray, np.ndarray]:
+    """(mates, counts): weights as a sum of counts[c] perfect matchings mates[c].
+
+    weights is a square (n, n) array of non-negative integers whose rows
+    and columns all sum to one d: entry [x-1, y-1] is the number of edges
+    from x to y of a d-regular bipartite multigraph.  Row c of the (C, n)
+    mates array is a perfect matching on the support of what is left, x
+    matched to mates[c, x-1], found by Hopcroft-Karp on rows listing the
+    y of every positive entry in ascending order (a positive matrix with
+    equal line sums has one, by König's theorem).  counts[c] is the least
+    weight along it, which is taken off every matched entry, so each round
+    clears at least one entry and the counts sum to d.  Raises ValueError
+    for a matrix that is not square, has a negative entry or has unequal
+    line sums.
+    """
+    left = np.array(weights, dtype=np.int64)
+    if left.ndim != 2 or left.shape[0] != left.shape[1]:
+        raise ValueError(f"weights of shape {left.shape} are not a square matrix")
+    if np.any(left < 0) or len(np.unique(np.r_[left.sum(axis=0), left.sum(axis=1)])) > 1:
+        raise ValueError("weights must be non-negative with every row and column of one sum")
+    n = len(left)
+    left = left.tolist()
+    rows = [[y + 1 for y, v in enumerate(row) if v] for row in left]
+    mates, counts = [], []
+    while any(rows):
+        mate = _hopcroft_karp(rows, n).tolist()
+        least = min(left[x][y - 1] for x, y in enumerate(mate))
+        for x, y in enumerate(mate):
+            left[x][y - 1] -= least
+            if not left[x][y - 1]:
+                rows[x].remove(y)
+        mates.append(mate)
+        counts.append(least)
+    return np.array(mates, dtype=np.int64).reshape(len(mates), n), np.array(counts, dtype=np.int64)

@@ -15,16 +15,19 @@ in the demand table, read by ``messages``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
+from . import steiner
 from .checks import Check, Report
+from .finite_field import prime_power
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
-from .matching import BipartiteGraph, euler_orient, max_matching, regular_decompose  # noqa: F401
+from .matching import BipartiteGraph, birkhoff_decompose, max_matching, regular_decompose  # noqa: F401
 from .partition import TetraPartition, vector_layout
 
 __all__ = [
@@ -88,7 +91,11 @@ class Demands:
     @property
     def shared(self) -> np.ndarray:
         """The number of shared row blocks of every row."""
-        return np.count_nonzero(self.blocks, axis=1)
+        # one pass per column: count_nonzero along short rows is several times slower
+        shared = np.zeros(len(self.blocks), dtype=np.int64)
+        for column in self.blocks.T:
+            shared += column != 0
+        return shared
 
     @property
     def processors(self) -> int:
@@ -132,15 +139,20 @@ def messages(steps, demands: Demands) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Messages come by step, then by sender: step s sends from p to
     steps[s][p - 1].  row is the row of demands whose blocks the message
-    carries, found by one binary search on the (src, dst) key, or -1 where
-    no demand matches, so that such a message carries no blocks.
+    carries, found by a binary search on the (src, dst) key, or -1 where
+    no demand matches, so that such a message carries no blocks.  The
+    message keys are searched in sorted order, which keeps the searches'
+    reads close together, and scattered back.
     """
     rows = [np.asarray(step, dtype=np.int64).ravel() for step in steps]
     none = [np.zeros(0, dtype=np.int64)]
     src, dst = np.concatenate(none + [np.arange(1, len(row) + 1) for row in rows]), np.concatenate(none + rows)
     # ids outside 1..P are clipped into the key range and then fail the row comparison
     P = demands.processors
-    at = np.searchsorted(demands.src * (P + 1) + demands.dst, np.clip(src, 0, P) * (P + 1) + np.clip(dst, 0, P))
+    key = np.clip(src, 0, P) * (P + 1) + np.clip(dst, 0, P)
+    order = np.argsort(key)
+    at = np.empty_like(key)
+    at[order] = np.searchsorted(demands.src * (P + 1) + demands.dst, key[order])
     hit = at < len(demands)
     hit[hit] = (demands.src[at[hit]] == src[hit]) & (demands.dst[at[hit]] == dst[hit])
     return src, dst, np.where(hit, at, -1)
@@ -182,65 +194,155 @@ def build_schedule(demands: Demands) -> CommSchedule:
     of points lies in λ₂ = (m-2)/(r-2) blocks and each point in
     λ₁ = (m-1)(m-2)/((r-1)(r-2)) blocks.  So every processor has
     C(r,2)(λ₂-1) two-share partners and r(λ₁-1-(r-1)(λ₂-1)) one-share
-    partners.  A d-regular bipartite graph is d-edge colourable, so
-    regular_decompose splits a layer into d perfect matchings, one step
-    each: Euler splits halve even degrees, and one Hopcroft-Karp matching
-    per subgraph lowers odd ones.  Graph vertices are processor ids, so a
-    matching's mate array is a step: the receivers of senders 1..P.
+    partners.  A layer of degree d is split into d steps, each a perfect
+    matching: every processor sends one message and receives one.  Every
+    layer keeps the table's (src, dst) order, so sender s's d demands are
+    row s of layer.reshape(P, d).  A layer that is not regular on every
+    processor, or not symmetric (p->p' a demand exactly when p'->p is),
+    raises ValueError before any layer is split.
 
-    Every layer is symmetric, since p and p' share the same blocks whichever
-    sends: p->p' is a demand exactly when p'->p is.  So one direction of
-    each partner pair stands for both.  At even d, euler_orient keeps one
-    arc of every pair so that each processor keeps d/2 out-partners and
-    d/2 in-partners; regular_decompose colours that d/2-regular half, and
-    each of its matchings gives two steps, itself and its inverse.  That
-    halves every Euler split and Hopcroft-Karp run below the top level.
-    For the spherical designs the two-share degree is q²(q+1)/2 and the
-    one-share degree q²-1: both are even when q ≡ 3 (mod 4), only the
-    two-share degree when q is even, and only the one-share degree when
-    q ≡ 1 (mod 4).  Odd layers are coloured whole.
+    The demands of a spherical (q^2+1, q+1, 3) design are split by the
+    design's symmetry (``_cyclic_orbits``): a cyclic group <h> of Möbius
+    maps acts freely on the processors, with e·q orbits of length L
+    (e = gcd(2, q-1), L = (q^2+1)/e), and maps demands to demands of the
+    same layer.  With processor p written as (orbit, position), every
+    demand (a, j) -> (b, j') lies in the class (a, b, k = j' - j mod L),
+    and each class is a bijection from orbit a onto orbit b, with one
+    representative row from position 0.  Counting a layer's classes per
+    (a, b) gives a d-regular bipartite multigraph on the e·q orbits, which
+    birkhoff_decompose splits into matchings with multiplicities; a pair
+    (a, b) matched w times takes its next w shifts k in ascending order.
+    Every colour of that small graph is one step, filled for the whole
+    layer by one fancy index: row[members[a, j]] = members[b, (j + k) % L].
 
-    A stable sort by shared count keeps every layer sorted by (src, dst),
-    so sender s's d demands are row s of layer.reshape(P, d).  The
-    matchings are receiver rows, so they are the steps themselves; the
-    inverse of a matching is its row scattered back to its senders.  A
-    layer that is not regular on every processor, or not symmetric, raises
-    ValueError.
+    Any other table, such as that of a design file, is split by
+    regular_decompose: the graph vertices are processor ids, so each
+    matching's mate array is a step, the receivers of senders 1..P.
     """
     P = demands.processors
     shared = demands.shared
-    order = np.argsort(-shared, kind="stable")
-    sizes, starts = np.unique(-shared[order], return_index=True)
-
-    steps: list[np.ndarray] = []
-    layer_meta = []
-    for size, layer in zip((-sizes).tolist(), np.split(order, starts[1:])):
+    layers = []
+    for size in np.flatnonzero(np.bincount(shared))[::-1].tolist():
+        layer = shared == size
         src, dst = demands.src[layer], demands.dst[layer]
-        d = len(layer) // P
-        degrees = np.r_[0, np.full(P, d)]
+        degrees = np.r_[0, np.full(P, len(src) // P)]
         if not all(np.array_equal(np.bincount(ends, minlength=P + 1), degrees) for ends in (src, dst)):
             raise ValueError(f"layer of {size} shared blocks is not regular on processors 1..{P}")
-        key, back = src * (P + 1) + dst, dst * (P + 1) + src
-        # rev[a]: the layer row of the reverse of demand a.  In a symmetric layer
-        # the reverse keys are the sorted keys again, so that row is back[a]'s rank
-        rev = np.empty_like(layer)
-        rev[np.argsort(back)] = np.arange(len(layer))
-        if not np.array_equal(key[rev], back):
+        # in a symmetric layer the reverse keys, sorted, are the sorted keys again
+        if not np.array_equal(np.sort(dst * (P + 1) + src), src * (P + 1) + dst):
             raise ValueError(f"layer of {size} shared blocks is not symmetric")
-        if d % 2:
+        layers.append((size, src, dst))
+
+    members = _cyclic_orbits(demands, shared)
+    steps: list[np.ndarray] = []
+    layer_meta = []
+    for size, src, dst in layers:
+        d = len(src) // P
+        if members is None:
             rows = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
         else:
-            half = regular_decompose(BipartiteGraph(P, P, dst[euler_orient(rev)].reshape(P, d // 2)))
-            # the inverse of matching c sends every demand of c back: half[c, s - 1] sends to s
-            inverse = np.empty_like(half)
-            np.put_along_axis(inverse, half - 1, np.arange(1, P + 1), axis=1)
-            rows = np.concatenate([half, inverse])
+            rows = _orbit_steps(members, dst, d)
         steps += list(rows)
-        layer_meta.append({"shared_blocks": size, "demands": len(layer), "steps": len(rows)})
+        layer_meta.append({"shared_blocks": size, "demands": len(src), "steps": len(rows)})
 
     blocks_per_step = [layer["shared_blocks"] for layer in layer_meta for _ in range(layer["steps"])]
     meta = {"steps": len(steps), "layers": layer_meta, "blocks_per_step": blocks_per_step}
     return CommSchedule(steps, demands, meta)
+
+
+def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray | None:
+    """members: row a lists orbit a of <h> on the processors, or None when the table is no spherical design's.
+
+    m is the largest block id, P the largest processor id and R_p the
+    blocks of p's rows.  The table is taken for the spherical design of q
+    when q is a prime power up to steiner.Q_CAP, m = q^2+1, P = q·m and
+    every R_p has q+1 points.  Let g be steiner.mobius_cycle(q), h = g for
+    even q and g∘g for odd q, and L = (q^2+1)/gcd(2, q-1).  Mapping every
+    R_p by h and looking the image up by the integer code of its three
+    least points gives the processor permutation π.  A group of order L
+    coprime to the block stabiliser's q(q^2-1) acts freely, so every orbit
+    has length L.  The table is a design's only when every image is some
+    R_p, π is a permutation with every orbit of length L, and π maps the
+    (src, dst, shared) rows onto themselves; when any of these fails the
+    result is None.  Orbits are listed by least member, each from it:
+    members[a, j] = π^j(members[a, 0]).  Ids are 1-based.
+    """
+    P, m = demands.processors, int(demands.blocks.max(initial=0))
+    q = math.isqrt(max(m - 1, 0))
+    if q * q != m - 1 or prime_power(q) is None or q > steiner.Q_CAP or P != q * m:
+        return None
+    member = np.zeros((P + 1, m + 1), dtype=bool)
+    member[demands.src[:, None], demands.blocks] = True
+    member = member[1:, 1:]  # column 0 is the padding
+    if np.any(np.count_nonzero(member, axis=1) != q + 1):
+        return None
+    # 0-based point ids, as mobius_cycle numbers them, ascending in every row
+    R = np.nonzero(member)[1].reshape(P, q + 1)
+    g = steiner.mobius_cycle(q)
+    h = g if q % 2 == 0 else g[g]
+    L = (q * q + 1) // math.gcd(2, q - 1)
+
+    image = np.sort(h[R], axis=1)
+    code = (R[:, 0] * m + R[:, 1]) * m + R[:, 2]
+    by_code = np.argsort(code)
+    want = (image[:, 0] * m + image[:, 1]) * m + image[:, 2]
+    pi = by_code[np.minimum(np.searchsorted(code[by_code], want), P - 1)]  # 0-based
+    if not np.array_equal(R[pi], image) or np.any(np.bincount(pi, minlength=P) != 1):
+        return None
+
+    pi_list, seen, orbits = pi.tolist(), [False] * P, []
+    for start in range(P):
+        orbit, p = [], start
+        while not seen[p]:
+            seen[p] = True
+            orbit.append(p)
+            p = pi_list[p]
+        if orbit:
+            if len(orbit) != L:
+                return None
+            orbits.append(orbit)
+    members = np.array(orbits, dtype=np.int64) + 1
+
+    # rows are sorted by (src, dst) and every sender has D of them, so π
+    # maps sender s's rows onto sender π(s)'s when their sorted codes agree
+    D = len(demands) // P
+    w = int(shared.max(initial=0)) + 1
+    rows = (demands.dst * w + shared).reshape(P, D)
+    moved = np.sort(np.r_[0, pi + 1][demands.dst].reshape(P, D) * w + shared.reshape(P, D), axis=1)
+    return members if np.array_equal(moved, rows[pi]) else None
+
+
+def _orbit_steps(members: np.ndarray, dst: np.ndarray, d: int) -> np.ndarray:
+    """The (d, P) receiver rows of one layer, from its classes of demands between orbits.
+
+    dst lists the layer's receivers by (src, dst), d to a sender, and
+    members is ``_cyclic_orbits``'s table.  Sender members[a, 0]'s d rows
+    represent the classes of orbit a: a demand to members[b, k] stands for
+    the class (a, b, k).  The class counts per (a, b) are the multigraph
+    that birkhoff_decompose splits.
+    """
+    E, L = members.shape
+    orbit, pos = np.empty((2, E * L + 1), dtype=np.int64)
+    orbit[members], pos[members] = np.arange(E)[:, None], np.arange(L)
+    to = dst.reshape(-1, d)[members[:, 0] - 1]
+    key = np.sort(((np.arange(E)[:, None] * E + orbit[to]) * L + pos[to]).ravel())
+    pair, shift = np.divmod(key, L)
+    # the shifts of pair a·E + b are shift[first[a·E + b]:], ascending
+    first = np.searchsorted(pair, np.arange(E * E))
+    mates, counts = birkhoff_decompose(np.bincount(pair, minlength=E * E).reshape(E, E))
+
+    # step t sends orbit a to orbit b[t, a], shifted by k[t, a]
+    b = np.repeat(mates - 1, counts, axis=0)
+    k = np.empty_like(b)
+    used, t = np.zeros(E * E, dtype=np.int64), 0
+    for mate, w in zip((mates - 1).tolist(), counts.tolist()):
+        pairs = np.arange(E) * E + mate
+        k[t : t + w] = shift[first[pairs] + used[pairs] + np.arange(w)[:, None]]
+        used[pairs] += w
+        t += w
+    rows = np.empty((d, E * L), dtype=np.int64)
+    rows[np.arange(d)[:, None, None], members - 1] = members[b[:, :, None], (np.arange(L) + k[:, :, None]) % L]
+    return rows
 
 
 @dataclass

@@ -27,6 +27,7 @@ __all__ = [
     "SteinerInvariantError",
     "ConstructionError",
     "construct_spherical",
+    "mobius_cycle",
     "verify",
     "load",
     "parse",
@@ -80,6 +81,17 @@ def divisibility_ok(n: int, r: int) -> bool:
     )
 
 
+def _exp_log(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log): exp[j] is the id of w^j for the first primitive element w of f, and log[exp[j]] = j.
+
+    log[0] is 0, so a product read from the tables must treat zero apart.
+    """
+    exp = np.array(f.exp_table(), dtype=np.int64)
+    log = np.zeros(f.order, dtype=np.int64)
+    log[exp] = np.arange(f.order - 1)
+    return exp, log
+
+
 def _generators(f: Field, q: int) -> tuple[np.ndarray, list[int]]:
     """(maps, base): the generators x+1, wx and 1/x as rows of one table on point ids, and the base block.
 
@@ -92,9 +104,7 @@ def _generators(f: Field, q: int) -> tuple[np.ndarray, list[int]]:
     of w^(q+1); the base block is it plus infinity, ascending.
     """
     nn = q * q
-    exp = np.array(f.exp_table(), dtype=np.int64)
-    log = np.zeros(nn, dtype=np.int64)
-    log[exp] = np.arange(nn - 1)
+    exp, log = _exp_log(f)
     maps = np.empty((3, nn + 1), dtype=np.int64)
     maps[0, :nn] = (np.arange(nn) + nn // f.p) % nn
     maps[1, :nn] = exp[(log + 1) % (nn - 1)]
@@ -150,6 +160,53 @@ def construct_spherical(q: int) -> SteinerSystem:
     blocks = np.concatenate(found)
     blocks = blocks[np.lexsort(blocks[:, 2::-1].T)] + 1
     return SteinerSystem(n=nn + 1, r=q + 1, blocks=list(map(tuple, blocks.tolist())))
+
+
+def mobius_cycle(q: int) -> np.ndarray:
+    """The point permutation of the first Möbius map x -> (ax+b)/(x+d) that is one (q^2+1)-cycle.
+
+    Points are numbered as in construct_spherical but from 0: x < q^2 is
+    the x-th element of GF(q^2) and q^2 is infinity, and g[x] is the image
+    of x.  The map sends -d to infinity and infinity to a.  Maps are
+    scanned d, then b, then a in id order, skipping those with ad = b,
+    which are not invertible.  Such a cycle generates a non-split torus of
+    PGL(2, q^2), cyclic of order q^2+1, so one exists for every q.  Being
+    in PGL(2, q^2), the map permutes the blocks of the spherical design.
+
+    Products come from the exp and log tables and sums digit by digit in
+    base p, both as (q^2, q^2) tables on ids.  For each (d, b) the maps of
+    every a are walked together from point 0: a map is one cycle when the
+    walk first returns to 0 after all q^2+1 steps.
+    """
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError(f"q={q} is not a prime power")
+    if q > Q_CAP:  # the tables hold q^4 ids
+        raise ValueError(f"q={q} exceeds the cap {Q_CAP} on the spherical construction")
+    p, k = pk
+    nn = q * q
+    exp, log = _exp_log(field_new(p, 2 * k))
+    ids = np.arange(nn)
+    add = np.zeros((nn, nn), dtype=np.int64)
+    for w in (p ** np.arange(2 * k)).tolist():
+        add += (ids[:, None] // w + ids // w) % p * w
+    mul = exp[(log[:, None] + log) % (nn - 1)]
+    mul[0] = mul[:, 0] = 0
+    inv = exp[-log % (nn - 1)]  # inv[0] is a placeholder: the pole's column is overwritten
+    maps = np.empty((nn, nn + 1), dtype=np.int64)  # row a: the map of a
+    maps[:, nn] = ids
+    for d in range(nn):
+        pole = int(np.argmax(add[:, d] == 0))
+        for b in range(nn):
+            maps[:, :nn] = mul[add[mul, b], inv[add[:, d]]]
+            maps[:, pole] = nn
+            cycle, x = mul[:, d] != b, np.zeros(nn, dtype=np.int64)
+            for _ in range(nn):
+                x = maps[ids, x]
+                cycle &= x != 0
+            if cycle.any():
+                return maps[int(np.argmax(cycle))].copy()
+    raise ConstructionError(f"no Möbius map of GF({q}^2) is one cycle on the points")
 
 
 def _point_sets(blocks: list, n: int, r: int) -> tuple[int | None, dict[int, list[np.ndarray]]]:

@@ -202,9 +202,9 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        (("schedule", "--q", "3", "--n", "120"), "3b50503787786c55eaf34019eab117692492ffdae5c95ab478a296b61bd017ff"),
-        (("schedule", "--design", "steiner_10_4_3.txt"), "0725f5b2477a45e993840951ac47df2c5d6827f010b41cfc2e62ba04a1173e06"),
-        (("schedule", "--design", "steiner_8_4_3.txt"), "1741ae695f73c775cc416320457eacc83b0425115d0fdd4c72bb92624f281fdb"),
+        (("schedule", "--q", "3", "--n", "120"), "cbc1c0b1d6e7fbb8628bb0cdc5a963f5214facfe076031d5af403cde0fe4ab50"),
+        (("schedule", "--design", "steiner_10_4_3.txt"), "bd47d2d07bb85ec55d04fa40a2d791949a9e22666875d9e1bad9ac2c4536ae2a"),
+        (("schedule", "--design", "steiner_8_4_3.txt"), "5c4051a79c62eda30cb1f877b18df372f6dd858ab0fb0bc66bfe18c945901a48"),
         (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
         (("partition", "--q", "4", "--n", "340"), "d470669ed4edc1da321f7ca5ad79b2412fef3650d5e5f29123474a66d9c21eb3"),
         (("partition", "--design", "steiner_8_4_3.txt"), "9178f175d9460130af8fc9b0b4b224300ab044745ac109752a59422eee69df25"),

@@ -11,8 +11,8 @@ from tetracomm.cli import fixtures_dir
 from tetracomm.matching import (
     BipartiteGraph,
     MatchingInfeasibleError,
+    birkhoff_decompose,
     d_disjoint_matchings,
-    euler_orient,
     max_matching,
     regular_decompose,
 )
@@ -336,14 +336,32 @@ def test_even_power_degree_needs_no_maximum_matching(monkeypatch):
     assert calls == []
 
 
+def recorded_searches(monkeypatch) -> list:
+    """The (rows, ny, mate) of every Hopcroft-Karp search from now on, rows copied as they were passed."""
+    calls = []
+    real = matching._hopcroft_karp
+
+    def recording(adj, ny):
+        rows = [list(row) for row in adj]
+        mate = real(adj, ny)
+        calls.append((rows, ny, mate))
+        return mate
+
+    monkeypatch.setattr(matching, "_hopcroft_karp", recording)
+    return calls
+
+
 def test_q7_schedule_runs_hopcroft_karp_only_at_odd_degrees(monkeypatch):
+    # the q=7 layers have degrees 196 and 48, and no P-vertex graph is searched
+    # at any degree: Hopcroft-Karp runs only on the orbit multigraphs, 14 orbits
+    # a side, once per Birkhoff round
     demands = build_demands(build_partition(steiner.construct_spherical(7)))
     calls = counting_max_matching(monkeypatch)
+    searches = recorded_searches(monkeypatch)
     assert len(build_schedule(demands).steps) == 244
-    # layer degrees 196 and 48, both even, so each layer's Euler orientation of degree
-    # 98 and 24 is coloured: 2 + 32 matchings at degrees 49 and 3, 8 at degree 3.
-    # Colouring both directions made 84 calls, peeling one matching per step 244
-    assert len(calls) == 42
+    assert calls == []
+    assert {(len(rows), ny) for rows, ny, _ in searches} == {(14, 14)}
+    assert len(searches) == 127
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +404,19 @@ def recorded_graphs(monkeypatch, owner, name) -> list:
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
 def test_greedy_first_search_on_the_odd_level_schedule_graphs(q, monkeypatch):
+    # the spherical schedules search only the support of their orbit multigraphs
     demands = build_demands(build_partition(steiner.construct_spherical(q)))
+    searches = recorded_searches(monkeypatch)
+    build_schedule(demands)
+    assert searches
+    for rows, ny, mate in searches:
+        assert np.array_equal(mate, hopcroft_karp_bfs_first(rows, ny))
+
+
+@pytest.mark.parametrize("name", ["steiner_8_4_3.txt", "steiner_10_4_3.txt"])
+def test_greedy_first_search_on_the_fixture_schedule_graphs(name, monkeypatch):
+    # design files are edge-coloured, with one search per odd-degree subgraph
+    demands = build_demands(build_partition(steiner.load(fixtures_dir() / name)))
     calls = recorded_graphs(monkeypatch, matching, "max_matching")
     build_schedule(demands)
     assert calls
@@ -405,55 +435,49 @@ def test_greedy_first_search_on_the_replicated_partition_graphs(q, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Euler orientation
+# Birkhoff decomposition
 # ---------------------------------------------------------------------------
 
 
-def reverse_arcs(adj) -> np.ndarray:
-    """rev[a]: the index of the reverse of arc a of the (n, d) adjacency, arcs taken row by row."""
-    n, d = adj.shape
-    x = np.repeat(np.arange(1, n + 1), d)
-    key = x * (n + 1) + adj.ravel()
-    order = np.argsort(key)
-    return order[np.searchsorted(key[order], adj.ravel() * (n + 1) + x)]
-
-
-def check_euler_orientation(adj):
-    n, d = adj.shape
-    rev = reverse_arcs(adj)
-    keep = euler_orient(rev)
-    assert keep.shape == (n * d,) and keep.dtype == bool
-    assert keep.reshape(n, d).sum(axis=1).tolist() == [d // 2] * n  # out-degrees
-    assert np.bincount(adj.ravel()[keep], minlength=n + 1)[1:].tolist() == [d // 2] * n  # in-degrees
-    # exactly one arc of every reverse pair is kept, so the kept arcs and their reverses are the layer
-    assert np.all(keep != keep[rev])
-    x = np.repeat(np.arange(1, n + 1), d)
-    kept = set(zip(x[keep].tolist(), adj.ravel()[keep].tolist()))
-    assert kept | {(b, a) for a, b in kept} == set(zip(x.tolist(), adj.ravel().tolist()))
-
-
 @st.composite
-def symmetric_even_graphs(draw):
-    """A circulant on n vertices joined by shifts +-s, k shifts, relabelled by a permutation."""
-    n = draw(st.integers(3, 40))
-    shifts = draw(st.permutations(range(1, (n + 1) // 2)))[: draw(st.integers(1, (n - 1) // 2))]
-    perm = draw(st.permutations(range(1, n + 1)))
-    adj = np.zeros((n, 2 * len(shifts)), dtype=np.int64)
-    for x in range(n):
-        adj[perm[x] - 1] = sorted(perm[(x + t) % n] for s in shifts for t in (s, -s))
-    return adj
+def regular_multigraphs(draw):
+    """An (n, n) weight matrix: the sum of d permutation matrices, repeats allowed."""
+    n = draw(st.integers(0, 9))
+    d = draw(st.integers(0, 12))
+    weights = np.zeros((n, n), dtype=np.int64)
+    for _ in range(d):
+        weights[np.arange(n), draw(st.permutations(range(n)))] += 1
+    return weights
 
 
 @settings(max_examples=150, deadline=None)
-@given(symmetric_even_graphs())
-def test_euler_orient_keeps_one_arc_of_each_pair_and_half_of_each_degree(adj):
-    check_euler_orientation(adj)
+@given(regular_multigraphs())
+def test_birkhoff_decompose_sums_back_to_the_weights(weights):
+    n = len(weights)
+    mates, counts = birkhoff_decompose(weights)
+    assert mates.shape == (len(counts), n) and mates.dtype == counts.dtype == np.int64
+    assert np.all(counts > 0) and len(counts) <= n * n
+    total = np.zeros_like(weights)
+    for mate, w in zip(mates, counts):
+        assert sorted(mate.tolist()) == list(range(1, n + 1))  # perfect
+        total[np.arange(n), mate - 1] += w
+    assert np.array_equal(total, weights)
+    again = birkhoff_decompose(weights.copy())
+    assert np.array_equal(again[0], mates) and np.array_equal(again[1], counts)
 
 
-@pytest.mark.parametrize("q", [3, 7])
-def test_euler_orient_on_the_schedule_layers(q):
-    demands = build_demands(build_partition(steiner.construct_spherical(q)))
-    P = int(demands.src.max())
-    for size in (1, 2):
-        dst = demands.dst[demands.shared == size]
-        check_euler_orientation(dst.reshape(P, -1))
+def test_birkhoff_decompose_takes_the_least_weight_of_each_matching():
+    # x takes the least free y of its row first, so the identity comes first, weight 3
+    mates, counts = birkhoff_decompose([[3, 1], [1, 3]])
+    assert mates.tolist() == [[1, 2], [2, 1]]
+    assert counts.tolist() == [3, 1]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[[1, 0, 0], [0, 1, 0]], [[2, -1], [-1, 2]], [[1, 1], [0, 1]], [[2, 0], [0, 1]], [1, 2]],
+    ids=["not-square", "negative", "unequal-columns", "unequal-rows", "one-dimensional"],
+)
+def test_birkhoff_decompose_rejects_unbalanced_weights(weights):
+    with pytest.raises(ValueError):
+        birkhoff_decompose(weights)

@@ -124,18 +124,37 @@ def test_from_rows_rejects_rows_that_could_collide_with_padding(row):
 # ---------------------------------------------------------------------------
 
 
+@cache
+def spherical_demands(q):
+    part = build_partition(steiner.construct_spherical(q))
+    return part, build_demands(part)
+
+
 def step_count_formula(q):
     return (q**3 + 3 * q * q) // 2 - 1
 
 
-@pytest.mark.parametrize("q,expected", [(2, 9), (3, 26), (4, 55), (5, 99), (7, 244)])
+@pytest.mark.parametrize("q,expected", [(2, 9), (3, 26), (4, 55), (5, 99), (7, 244), (8, 351), (9, 485)])
 def test_spherical_step_counts(q, expected):
     assert step_count_formula(q) == expected
-    part = build_partition(steiner.construct_spherical(q))
-    demands = build_demands(part)
+    part, demands = spherical_demands(q)
     sched = build_schedule(demands)
     assert len(sched.steps) == expected
-    assert validate(sched, demands).passed
+    report = validate(sched, demands)
+    assert report.passed
+    # the layer meta of the P-vertex edge colouring too
+    two, one = q * q * (q + 1) // 2, q * q - 1
+    assert sched.meta == {
+        "steps": expected,
+        "layers": [
+            {"shared_blocks": 2, "demands": part.P * two, "steps": two},
+            {"shared_blocks": 1, "demands": part.P * one, "steps": one},
+        ],
+        "blocks_per_step": [2] * two + [1] * one,
+    }
+    # chunk 1 is n = m·|Q_i|, where every processor sends n(q+1)/(q²+1) - n/P words
+    n = part.m * part.group_size
+    assert set(report.send_volume.values()) == {n * (q + 1) // part.m - n // part.P}
 
 
 def test_appendix_fixture_schedules_in_12_steps(part8):
@@ -218,17 +237,17 @@ def test_passing_path_builds_no_transfer_demand(monkeypatch):
 
 
 def test_q2_step_list_pinned(part_q2):
-    # receivers of senders 1..10 per step; pins the decomposition order
+    # receivers of senders 1..10 per step; pins the orbit colouring's order
     expected = [
-        [2, 3, 1, 5, 10, 4, 8, 9, 7, 6],
-        [7, 6, 8, 2, 1, 9, 10, 5, 3, 4],
-        [4, 9, 5, 7, 6, 3, 2, 1, 10, 8],
-        [3, 1, 2, 6, 4, 10, 9, 7, 8, 5],
-        [5, 4, 9, 10, 8, 2, 1, 3, 6, 7],
-        [8, 7, 6, 1, 3, 5, 4, 10, 2, 9],
-        [6, 5, 10, 8, 9, 7, 3, 2, 4, 1],
-        [10, 8, 7, 9, 2, 1, 6, 4, 5, 3],
-        [9, 10, 4, 3, 7, 8, 5, 6, 1, 2],
+        [8, 1, 9, 5, 3, 2, 4, 10, 7, 6],
+        [2, 6, 5, 7, 4, 10, 9, 1, 3, 8],
+        [3, 4, 1, 2, 10, 9, 8, 7, 6, 5],
+        [7, 3, 6, 10, 1, 4, 2, 5, 8, 9],
+        [4, 9, 8, 1, 6, 5, 10, 3, 2, 7],
+        [5, 7, 2, 6, 8, 3, 1, 9, 10, 4],
+        [6, 10, 7, 3, 9, 8, 5, 2, 4, 1],
+        [10, 8, 4, 9, 7, 1, 3, 6, 5, 2],
+        [9, 5, 10, 8, 2, 7, 6, 4, 1, 3],
     ]
     sched = build_schedule(build_demands(part_q2))
     assert [step.tolist() for step in sched.steps] == expected
@@ -247,9 +266,9 @@ def steps_sha256(steps) -> str:
     return digest.hexdigest()
 
 
-Q7_STEPS_SHA256 = "e6e82a634294e880d8bcf505ff67c5117b4e92afa7755b8a871759eb37e47a0a"
-# the 15 steps of q=4's one-share layer: its degree is odd, so it is coloured whole
-Q4_ODD_LAYER_SHA256 = "c8c6f824a64110145682c6deaa41cfd08d07eab2fec0b2cd0abb267d777de8e5"
+Q7_STEPS_SHA256 = "7f9bbbfda62c2c66b6c36069e343d7d65216585c36c041d5ed407c04e8d16b2c"
+# the 15 steps of q=4's one-share layer, whose degree is odd
+Q4_ONE_SHARE_LAYER_SHA256 = "4f08a498e1a4342a86fd6b31691b12224a682e530258995d7a5f307f2f1286ca"
 
 
 def test_q7_schedule_pinned():
@@ -261,7 +280,53 @@ def test_q7_schedule_pinned():
 def test_q4_odd_layer_pinned():
     sched = build_schedule(build_demands(build_partition(steiner.construct_spherical(4))))
     assert sched.meta["layers"][1] == {"shared_blocks": 1, "demands": 1020, "steps": 15}
-    assert steps_sha256(sched.steps[40:]) == Q4_ODD_LAYER_SHA256
+    assert steps_sha256(sched.steps[40:]) == Q4_ONE_SHARE_LAYER_SHA256
+
+
+# ---------------------------------------------------------------------------
+# orbit schedules of the spherical designs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_cyclic_group_acts_freely_on_the_processors(q):
+    part, demands = spherical_demands(q)
+    members = schedule._cyclic_orbits(demands, demands.shared)
+    e = 2 if q % 2 else 1
+    assert members.shape == (e * q, (q * q + 1) // e)
+    assert sorted(members.ravel().tolist()) == list(range(1, part.P + 1))
+    # π is h on the blocks: the next processor of an orbit holds the image of the last one's points
+    g = steiner.mobius_cycle(q)
+    h = g[g] if q % 2 else g
+    R = np.array(part.R) - 1
+    assert np.array_equal(R[np.roll(members, -1, axis=1) - 1], np.sort(h[R[members - 1]], axis=2))
+
+
+def relabelled(system, perm):
+    """The system with point x renamed perm[x - 1], blocks sorted."""
+    blocks = sorted(tuple(sorted(perm[x - 1] for x in block)) for block in system.blocks)
+    return steiner.SteinerSystem(system.n, system.r, blocks)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: relabelled(steiner.construct_spherical(3), [2, 1, *range(3, 11)]),
+        lambda: steiner.load(fixtures_dir() / "steiner_8_4_3.txt"),
+        lambda: steiner.load(fixtures_dir() / "steiner_10_4_3.txt"),
+    ],
+    ids=["q3-relabelled", "fixture8", "fixture10"],
+)
+def test_other_designs_fall_back_to_the_edge_colouring(make, monkeypatch):
+    system = make()
+    assert steiner.verify(system).passed
+    demands = build_demands(build_partition(system))
+    assert schedule._cyclic_orbits(demands, demands.shared) is None
+    coloured = []
+    real = schedule.regular_decompose
+    monkeypatch.setattr(schedule, "regular_decompose", lambda graph: coloured.append(graph) or real(graph))
+    sched = build_schedule(demands)
+    assert len(coloured) == len(sched.meta["layers"])
+    assert validate(sched, demands).passed
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +349,27 @@ def test_validate_catches_missing_coverage(part_q2):
     report = validate(CommSchedule([], demands), demands)
     assert not report.passed
     assert any("scheduled 0 times" in p for p in report.problems)
+
+
+# A valid q=2 schedule, the one the P-vertex edge colouring gave.  The
+# verbatim problem tests break it rather than build_schedule's output, so
+# they pin validate alone
+Q2_COLOURED_STEPS = [
+    [2, 3, 1, 5, 10, 4, 8, 9, 7, 6],
+    [7, 6, 8, 2, 1, 9, 10, 5, 3, 4],
+    [4, 9, 5, 7, 6, 3, 2, 1, 10, 8],
+    [3, 1, 2, 6, 4, 10, 9, 7, 8, 5],
+    [5, 4, 9, 10, 8, 2, 1, 3, 6, 7],
+    [8, 7, 6, 1, 3, 5, 4, 10, 2, 9],
+    [6, 5, 10, 8, 9, 7, 3, 2, 4, 1],
+    [10, 8, 7, 9, 2, 1, 6, 4, 5, 3],
+    [9, 10, 4, 3, 7, 8, 5, 6, 1, 2],
+]
+
+
+def test_q2_coloured_steps_are_valid(part_q2):
+    demands = build_demands(part_q2)
+    assert validate(CommSchedule([np.array(row) for row in Q2_COLOURED_STEPS], demands), demands).passed
 
 
 # validate's problems for broken q=2 schedules at chunk=2; the dropped and
@@ -341,7 +427,7 @@ EXPECTED_PROBLEMS = {
 @pytest.mark.parametrize("broken", sorted(EXPECTED_PROBLEMS))
 def test_validate_problems_verbatim(part_q2, broken):
     demands = build_demands(part_q2)
-    bad = broken_schedules(build_schedule(demands).steps)[broken]
+    bad = broken_schedules([np.array(row) for row in Q2_COLOURED_STEPS])[broken]
     report = validate(CommSchedule(bad, demands), demands, 2)
     assert report.problems == EXPECTED_PROBLEMS[broken]
 
@@ -358,7 +444,7 @@ def test_validate_problems_verbatim(part_q2, broken):
     ids=["short", "long", "receiver-0", "receiver-too-large", "self"],
 )
 def test_validate_names_the_step_of_a_malformed_row(part_q2, row, problem):
-    # the first q=2 step is [2, 3, 1, 5, 10, 4, 8, 9, 7, 6]; a broken row fails a check, never indexing
+    # each row breaks the first step of a q=2 schedule; it fails a check, never indexing
     demands = build_demands(part_q2)
     steps = build_schedule(demands).steps
     check = validate(CommSchedule([np.array(row)] + steps[1:], demands), demands).check("one_message_per_step")
@@ -368,7 +454,7 @@ def test_validate_names_the_step_of_a_malformed_row(part_q2, row, problem):
 
 @cache
 def spherical_schedule(q):
-    demands = build_demands(build_partition(steiner.construct_spherical(q)))
+    _, demands = spherical_demands(q)
     return demands, build_schedule(demands).steps
 
 
