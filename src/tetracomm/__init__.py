@@ -21,7 +21,7 @@ from .partition import (
     tb3,
     vector_layout,
 )
-from .schedule import CommSchedule, Demands, TransferDemand, alltoall_cost, build_demands, build_schedule
+from .schedule import CommSchedule, Demands, alltoall_cost, build_demands, build_schedule
 from .simulator import SimReport, compute_report, simulate, verify_run
 from .steiner import SteinerSystem, construct_spherical, divisibility_ok
 from .tensor_core import (
@@ -63,7 +63,6 @@ __all__ = [
     "cp_gradient",
     "random_symmetric",
     "random_vector",
-    "TransferDemand",
     "Demands",
     "CommSchedule",
     "build_demands",

@@ -246,6 +246,17 @@ def _positive(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: a non-negative int, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative int")
+    return value
+
+
+_seed.__name__ = "int"  # text int() cannot parse still reads as an invalid int value
+
+
 def _add_design_args(sub) -> None:
     sub.add_argument("--q", type=int, default=None, help="prime power for the spherical design")
     sub.add_argument("--design", type=str, default=None, help="path to a design file")
@@ -284,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="run the parallel algorithm and verify it")
     _add_design_args(sim)
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=_seed, required=True)
     sim.add_argument("--mode", choices=["p2p", "alltoall"], default="p2p")
     sim.add_argument("--tol", type=_positive(float), default=1e-12)
     sim.add_argument("--out", type=str, default=None)
@@ -300,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hp = subs.add_parser("hopm", help="power iteration on a seeded random tensor")
     hp.add_argument("--n", type=int, required=True)
-    hp.add_argument("--seed", type=int, required=True)
+    hp.add_argument("--seed", type=_seed, required=True)
     hp.add_argument("--tol", type=_positive(float), default=1e-10)
     hp.add_argument("--max-iters", type=_positive(int), default=1000)
     hp.add_argument("--out", type=str, default=None)
@@ -309,13 +320,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cg = subs.add_parser("cpgrad", help="rank-r fit gradient on a seeded random tensor")
     cg.add_argument("--n", type=int, required=True)
     cg.add_argument("--r", type=_positive(int), required=True)
-    cg.add_argument("--seed", type=int, required=True)
+    cg.add_argument("--seed", type=_seed, required=True)
     cg.add_argument("--out", type=str, default=None)
     cg.set_defaults(func=cmd_cpgrad)
 
     hf = subs.add_parser("hbl-fuzz", help="fuzz the projection inequalities")
     hf.add_argument("--count", type=_positive(int), required=True)
-    hf.add_argument("--seed", type=int, required=True)
+    hf.add_argument("--seed", type=_seed, required=True)
     hf.add_argument("--points", type=_positive(int), default=20)
     hf.add_argument("--max-coord", type=int, default=50)
     hf.add_argument("--out", type=str, default=None)

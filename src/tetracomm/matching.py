@@ -2,20 +2,20 @@
 
 ``max_matching`` is Hopcroft-Karp; ``d_disjoint_matchings`` runs the same
 search once on a replicated graph whose copies share their row lists.
-``regular_decompose`` edge-colours a d-regular bipartite graph with d
-perfect matchings: an even degree splits along Euler partitions into two
-regular halves in linear time (H. N. Gabow, *Using Euler partitions to edge
-color bipartite multigraphs*, 1976), so Hopcroft-Karp runs only where the
-degree is odd, once per subgraph, to take one perfect matching off.
-
-``birkhoff_decompose`` splits a square integer matrix whose rows and
-columns all have one sum, the edge multiplicities of a regular bipartite
-multigraph, into weighted perfect matchings, one Hopcroft-Karp run each.
+``regular_decompose`` edge-colours a d-regular bipartite multigraph, given
+as an (n, d) array of edge ends, with d perfect matchings of edge ids: an
+even degree splits along Euler partitions into two regular halves in linear
+time (H. N. Gabow, *Using Euler partitions to edge color bipartite
+multigraphs*, 1976), so Hopcroft-Karp runs only where the degree is odd,
+once per subgraph, to take one perfect matching off.  Parallel edges are
+kept apart by their ids, so the schedule's orbit multigraphs and plain
+graphs go through the same colouring.
 
 All vertex ids are 1-based, so 0 never names a vertex.  Graphs and results
 are integer arrays: a matching is a mate array whose entry x-1 is x's
-partner, or 0 when x is unmatched.  Results are deterministic: adjacency
-rows are kept sorted and the search loops break ties by ascending index.
+partner, or 0 when x is unmatched.  Results are deterministic: the search
+loops break ties by ascending index, and ``BipartiteGraph`` keeps its rows
+sorted.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "max_matching",
     "d_disjoint_matchings",
     "regular_decompose",
-    "birkhoff_decompose",
 ]
 
 
@@ -222,21 +221,27 @@ def _split(order: np.ndarray, half: np.ndarray, groups: int, n: int, d: int) -> 
     return np.concatenate([blocks[~upper].reshape(shape), blocks[upper].reshape(shape)], axis=1).ravel()
 
 
-def regular_decompose(graph: BipartiteGraph) -> np.ndarray:
-    """Partition the edges of a d-regular bipartite graph into d perfect matchings.
+def regular_decompose(adj) -> np.ndarray:
+    """Partition the edges of a d-regular bipartite multigraph into d perfect matchings.
 
-    d is the row length of graph.adj.  Returns a (d, n) receiver array: row
-    c is the c-th matching's mate array, so x is matched to row[x-1].
+    adj is an (n, d) integer array: row x-1 lists the Y ends of x's d
+    edges, each in 1..n, and a repeated end is a parallel edge.  Edge e is
+    entry e of adj.ravel(), joining x = e // d + 1 to y = adj.ravel()[e].
+    Returns a (d, n) array of edge ids: row c holds the c-th matching's
+    edge of every x, so adj.ravel()[edges[c]] is its mate array.  Raises
+    ValueError unless every end is in 1..n and every y has degree d.
 
     The edges are coloured level by level.  At every level they fall into
-    groups, each a regular bipartite graph of the current degree d on all
-    the vertices; at first the one group is the whole graph.
+    groups, each a regular bipartite multigraph of the current degree d on
+    all the vertices; at first the one group is the whole graph.
 
-    * d odd: a regular bipartite graph has a perfect matching (König's
-      theorem), and no Euler split exists, since a vertex of odd degree
-      cannot give each half the same number of edges.  So one Hopcroft-Karp
-      run per group finds a perfect matching.  It becomes an output matching
-      and is removed, which leaves every group (d-1)-regular.
+    * d odd: a regular bipartite multigraph has a perfect matching
+      (König's theorem), and no Euler split exists, since a vertex of odd
+      degree cannot give each half the same number of edges.  So one
+      Hopcroft-Karp run per group finds a perfect matching on the group's
+      rows, parallel edges and all.  x's matched edge is the first edge of
+      its row that ends at its mate.  It becomes an output matching and is
+      removed, which leaves every group (d-1)-regular.
     * d even: pair the edges at each vertex of a group two by two.  Each
       edge then has one partner through its X end and one through its Y
       end, and these links close into cycles of even length (an Euler
@@ -249,14 +254,16 @@ def regular_decompose(graph: BipartiteGraph) -> np.ndarray:
 
     Two index arrays list the edges by (group, x) and by (group, y), d edges
     to a block, so pairing takes consecutive entries and regrouping is one
-    masked reshape; no pass sorts.  Hopcroft-Karp runs only at odd levels,
-    once per group.  The matchings come out by level and group.  The
-    caller's graph is left unchanged.
+    masked reshape; no pass sorts.  The matchings come out by level and
+    group.  The caller's array is left unchanged.
     """
-    if graph.nx != graph.ny:
-        raise ValueError(f"sides differ: nx={graph.nx}, ny={graph.ny}")
-    n, d = graph.adj.shape
-    y = graph.adj.ravel()
+    y = np.asarray(adj, dtype=np.int64)
+    if y.ndim != 2:
+        raise ValueError(f"adjacency array must be 2-D, got {y.ndim}-D")
+    n, d = y.shape
+    y = y.ravel()
+    if np.any((y < 1) | (y > n)):
+        raise ValueError(f"an edge end is out of range 1..{n}")
     if np.any(np.bincount(y, minlength=n + 1)[1:] != d):
         raise ValueError(f"graph is not {d}-regular on Y")
 
@@ -267,15 +274,16 @@ def regular_decompose(graph: BipartiteGraph) -> np.ndarray:
     result = [np.zeros((0, n), dtype=np.int64)]
     while d > 1:
         if d % 2:
+            blocks = by_x.reshape(groups, n, d)
+            rows = y[blocks]
+            mates = np.array([_hopcroft_karp(group, n) for group in rows.tolist()]).reshape(groups, n)
+            if not mates.all():
+                raise RuntimeError("perfect matching extraction failed on a regular bipartite graph")
+            first = np.argmax(rows == mates[:, :, None], axis=2)
+            matched = np.take_along_axis(blocks, first[:, :, None], axis=2)[:, :, 0]
             live = np.ones(len(y), dtype=bool)
-            for edges in by_x.reshape(groups, n, d):
-                rows = y[edges]
-                mate = max_matching(BipartiteGraph(n, n, rows))
-                if not mate.all():
-                    raise RuntimeError("perfect matching extraction failed on a regular bipartite graph")
-                # x's matched edge is where its row holds its partner
-                live[edges[np.arange(n), np.argmax(rows == mate[:, None], axis=1)]] = False
-                result.append(mate[None])
+            live[matched] = False
+            result.append(matched)
             by_x, by_y = by_x[live[by_x]], by_y[live[by_y]]
             d -= 1
         pair_x = _partners(by_x, len(y))
@@ -285,41 +293,5 @@ def regular_decompose(graph: BipartiteGraph) -> np.ndarray:
         groups *= 2
         d //= 2
     if d == 1:
-        result.append(y[by_x].reshape(groups, n))
+        result.append(by_x.reshape(groups, n))
     return np.concatenate(result)
-
-
-def birkhoff_decompose(weights) -> tuple[np.ndarray, np.ndarray]:
-    """(mates, counts): weights as a sum of counts[c] perfect matchings mates[c].
-
-    weights is a square (n, n) array of non-negative integers whose rows
-    and columns all sum to one d: entry [x-1, y-1] is the number of edges
-    from x to y of a d-regular bipartite multigraph.  Row c of the (C, n)
-    mates array is a perfect matching on the support of what is left, x
-    matched to mates[c, x-1], found by Hopcroft-Karp on rows listing the
-    y of every positive entry in ascending order (a positive matrix with
-    equal line sums has one, by König's theorem).  counts[c] is the least
-    weight along it, which is taken off every matched entry, so each round
-    clears at least one entry and the counts sum to d.  Raises ValueError
-    for a matrix that is not square, has a negative entry or has unequal
-    line sums.
-    """
-    left = np.array(weights, dtype=np.int64)
-    if left.ndim != 2 or left.shape[0] != left.shape[1]:
-        raise ValueError(f"weights of shape {left.shape} are not a square matrix")
-    if np.any(left < 0) or len(np.unique(np.r_[left.sum(axis=0), left.sum(axis=1)])) > 1:
-        raise ValueError("weights must be non-negative with every row and column of one sum")
-    n = len(left)
-    left = left.tolist()
-    rows = [[y + 1 for y, v in enumerate(row) if v] for row in left]
-    mates, counts = [], []
-    while any(rows):
-        mate = _hopcroft_karp(rows, n).tolist()
-        least = min(left[x][y - 1] for x, y in enumerate(mate))
-        for x, y in enumerate(mate):
-            left[x][y - 1] -= least
-            if not left[x][y - 1]:
-                rows[x].remove(y)
-        mates.append(mate)
-        counts.append(least)
-    return np.array(mates, dtype=np.int64).reshape(len(mates), n), np.array(counts, dtype=np.int64)

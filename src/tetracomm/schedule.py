@@ -8,9 +8,8 @@ step every processor sends one message and receives one message.
 
 Demands are held as integer arrays (``Demands``), one row per demand, so
 building, scheduling and validating them creates no Python object per
-demand.  Iterating a table yields ``TransferDemand`` rows.  A step is one
-row of receivers indexed by sender; the blocks a message carries live only
-in the demand table, read by ``messages``.
+demand.  A step is one row of receivers indexed by sender; the blocks a
+message carries live only in the demand table, read by ``messages``.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from .checks import Check, Report
 from .finite_field import prime_power
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
-from .matching import BipartiteGraph, birkhoff_decompose, max_matching, regular_decompose  # noqa: F401
+from .matching import max_matching, regular_decompose  # noqa: F401
 from .partition import TetraPartition, vector_layout
 
 __all__ = [
-    "TransferDemand",
     "Demands",
     "CommSchedule",
     "ScheduleReport",
@@ -44,14 +42,6 @@ __all__ = [
 ]
 
 
-class TransferDemand(NamedTuple):
-    """One directed transfer: src sends its chunks of the shared row blocks to dst."""
-
-    src: int
-    dst: int
-    blocks: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Demands:
     """A table of transfer demands, one row per demand, sorted by (src, dst).
@@ -59,7 +49,6 @@ class Demands:
     src and dst have shape (E,).  blocks has shape (E, w): row e lists the
     row blocks src and dst share in ascending order, padded with 0 after
     its shared count.  Block ids are 1-based, so 0 never names a block.
-    Iterating yields TransferDemand rows with plain-int tuples.
     """
 
     src: np.ndarray
@@ -104,10 +93,6 @@ class Demands:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __iter__(self):
-        for s, t, blocks, k in zip(self.src.tolist(), self.dst.tolist(), self.blocks.tolist(), self.shared.tolist()):
-            yield TransferDemand(s, t, tuple(blocks[:k]))
 
 
 @dataclass
@@ -201,23 +186,19 @@ def build_schedule(demands: Demands) -> CommSchedule:
     processor, or not symmetric (p->p' a demand exactly when p'->p is),
     raises ValueError before any layer is split.
 
-    The demands of a spherical (q^2+1, q+1, 3) design are split by the
-    design's symmetry (``_cyclic_orbits``): a cyclic group <h> of Möbius
-    maps acts freely on the processors, with e·q orbits of length L
-    (e = gcd(2, q-1), L = (q^2+1)/e), and maps demands to demands of the
-    same layer.  With processor p written as (orbit, position), every
-    demand (a, j) -> (b, j') lies in the class (a, b, k = j' - j mod L),
-    and each class is a bijection from orbit a onto orbit b, with one
-    representative row from position 0.  Counting a layer's classes per
-    (a, b) gives a d-regular bipartite multigraph on the e·q orbits, which
-    birkhoff_decompose splits into matchings with multiplicities; a pair
-    (a, b) matched w times takes its next w shifts k in ascending order.
+    Every layer is split on the orbits of a cyclic group <h> that acts
+    freely on the processors and maps demands to demands of the same layer
+    (``_cyclic_orbits``).  For a spherical (q^2+1, q+1, 3) design h is a
+    Möbius map of the design, with e·q orbits of length L (e = gcd(2, q-1),
+    L = (q^2+1)/e); for any other table, such as that of a design file, the
+    group is trivial, every processor its own orbit with L = 1.  With
+    processor p written as (orbit, position), every demand (a, j) -> (b, j')
+    lies in the class (a, b, k = j' - j mod L), and each class is a
+    bijection from orbit a onto orbit b.  So the layer's classes, as edges
+    a -> b, form a d-regular bipartite multigraph on the orbits, which one
+    regular_decompose call splits into d perfect matchings (``_orbit_steps``).
     Every colour of that small graph is one step, filled for the whole
-    layer by one fancy index: row[members[a, j]] = members[b, (j + k) % L].
-
-    Any other table, such as that of a design file, is split by
-    regular_decompose: the graph vertices are processor ids, so each
-    matching's mate array is a step, the receivers of senders 1..P.
+    layer by one fancy index.
     """
     P = demands.processors
     shared = demands.shared
@@ -237,11 +218,7 @@ def build_schedule(demands: Demands) -> CommSchedule:
     steps: list[np.ndarray] = []
     layer_meta = []
     for size, src, dst in layers:
-        d = len(src) // P
-        if members is None:
-            rows = regular_decompose(BipartiteGraph(P, P, dst.reshape(P, d)))
-        else:
-            rows = _orbit_steps(members, dst, d)
+        rows = _orbit_steps(members, dst, len(src) // P)
         steps += list(rows)
         layer_meta.append({"shared_blocks": size, "demands": len(src), "steps": len(rows)})
 
@@ -250,8 +227,8 @@ def build_schedule(demands: Demands) -> CommSchedule:
     return CommSchedule(steps, demands, meta)
 
 
-def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray | None:
-    """members: row a lists orbit a of <h> on the processors, or None when the table is no spherical design's.
+def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray:
+    """members: row a lists orbit a of <h> on the processors, trivial orbits when the table is no spherical design's.
 
     m is the largest block id, P the largest processor id and R_p the
     blocks of p's rows.  The table is taken for the spherical design of q
@@ -263,19 +240,21 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray | None:
     coprime to the block stabiliser's q(q^2-1) acts freely, so every orbit
     has length L.  The table is a design's only when every image is some
     R_p, π is a permutation with every orbit of length L, and π maps the
-    (src, dst, shared) rows onto themselves; when any of these fails the
-    result is None.  Orbits are listed by least member, each from it:
-    members[a, j] = π^j(members[a, 0]).  Ids are 1-based.
+    (src, dst, shared) rows onto themselves; when any of these fails h is
+    the identity, and the result is the (P, 1) column of ids 1..P.  Orbits
+    are listed by least member, each from it: members[a, j] =
+    π^j(members[a, 0]).  Ids are 1-based.
     """
     P, m = demands.processors, int(demands.blocks.max(initial=0))
+    trivial = np.arange(1, P + 1)[:, None]
     q = math.isqrt(max(m - 1, 0))
     if q * q != m - 1 or prime_power(q) is None or q > steiner.Q_CAP or P != q * m:
-        return None
+        return trivial
     member = np.zeros((P + 1, m + 1), dtype=bool)
     member[demands.src[:, None], demands.blocks] = True
     member = member[1:, 1:]  # column 0 is the padding
     if np.any(np.count_nonzero(member, axis=1) != q + 1):
-        return None
+        return trivial
     # 0-based point ids, as mobius_cycle numbers them, ascending in every row
     R = np.nonzero(member)[1].reshape(P, q + 1)
     g = steiner.mobius_cycle(q)
@@ -288,7 +267,7 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray | None:
     want = (image[:, 0] * m + image[:, 1]) * m + image[:, 2]
     pi = by_code[np.minimum(np.searchsorted(code[by_code], want), P - 1)]  # 0-based
     if not np.array_equal(R[pi], image) or np.any(np.bincount(pi, minlength=P) != 1):
-        return None
+        return trivial
 
     pi_list, seen, orbits = pi.tolist(), [False] * P, []
     for start in range(P):
@@ -299,7 +278,7 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray | None:
             p = pi_list[p]
         if orbit:
             if len(orbit) != L:
-                return None
+                return trivial
             orbits.append(orbit)
     members = np.array(orbits, dtype=np.int64) + 1
 
@@ -309,37 +288,27 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray | None:
     w = int(shared.max(initial=0)) + 1
     rows = (demands.dst * w + shared).reshape(P, D)
     moved = np.sort(np.r_[0, pi + 1][demands.dst].reshape(P, D) * w + shared.reshape(P, D), axis=1)
-    return members if np.array_equal(moved, rows[pi]) else None
+    return members if np.array_equal(moved, rows[pi]) else trivial
 
 
 def _orbit_steps(members: np.ndarray, dst: np.ndarray, d: int) -> np.ndarray:
     """The (d, P) receiver rows of one layer, from its classes of demands between orbits.
 
     dst lists the layer's receivers by (src, dst), d to a sender, and
-    members is ``_cyclic_orbits``'s table.  Sender members[a, 0]'s d rows
-    represent the classes of orbit a: a demand to members[b, k] stands for
-    the class (a, b, k).  The class counts per (a, b) are the multigraph
-    that birkhoff_decompose splits.
+    members is ``_cyclic_orbits``'s (E, L) table.  Sender members[a, 0]'s
+    d rows represent the classes of orbit a: a demand to members[b, k]
+    stands for the class (a, b, k), keyed b·L + k and sorted per row.  The
+    keys' orbits b + 1 are the rows of the orbit multigraph; each colour of
+    regular_decompose's picks one class (b, k) per orbit a, and step t
+    sends members[a, j] to members[b, (j + k) % L].
     """
     E, L = members.shape
     orbit, pos = np.empty((2, E * L + 1), dtype=np.int64)
     orbit[members], pos[members] = np.arange(E)[:, None], np.arange(L)
     to = dst.reshape(-1, d)[members[:, 0] - 1]
-    key = np.sort(((np.arange(E)[:, None] * E + orbit[to]) * L + pos[to]).ravel())
-    pair, shift = np.divmod(key, L)
-    # the shifts of pair a·E + b are shift[first[a·E + b]:], ascending
-    first = np.searchsorted(pair, np.arange(E * E))
-    mates, counts = birkhoff_decompose(np.bincount(pair, minlength=E * E).reshape(E, E))
-
+    key = np.sort(orbit[to] * L + pos[to], axis=1)
     # step t sends orbit a to orbit b[t, a], shifted by k[t, a]
-    b = np.repeat(mates - 1, counts, axis=0)
-    k = np.empty_like(b)
-    used, t = np.zeros(E * E, dtype=np.int64), 0
-    for mate, w in zip((mates - 1).tolist(), counts.tolist()):
-        pairs = np.arange(E) * E + mate
-        k[t : t + w] = shift[first[pairs] + used[pairs] + np.arange(w)[:, None]]
-        used[pairs] += w
-        t += w
+    b, k = np.divmod(key.ravel()[regular_decompose(key // L + 1)], L)
     rows = np.empty((d, E * L), dtype=np.int64)
     rows[np.arange(d)[:, None, None], members - 1] = members[b[:, :, None], (np.arange(L) + k[:, :, None]) % L]
     return rows

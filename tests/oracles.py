@@ -4,6 +4,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,12 +13,28 @@ from tetracomm.finite_field import field_new, prime_power
 from tetracomm.matching import BipartiteGraph, MatchingInfeasibleError, d_disjoint_matchings, max_matching
 from tetracomm.partition import BlockIndex, DesignUnsuitableError, TetraPartition, noncentral_blocks, tb3
 from tetracomm.steiner import SteinerSystem
-from tetracomm.schedule import TransferDemand, build_demands, build_schedule, validate
+from tetracomm.schedule import build_demands, build_schedule, validate
 from tetracomm.simulator import ProcCounters
 from tetracomm.tensor_core import BlockStore, packed_index
 
 
-def build_demands_by_intersection(part) -> list[TransferDemand]:
+class DemandRow(NamedTuple):
+    """One directed transfer: src sends its chunks of the shared row blocks to dst."""
+
+    src: int
+    dst: int
+    blocks: tuple[int, ...]
+
+
+def demand_rows(demands) -> list[DemandRow]:
+    """The rows of a Demands table in its (src, dst) order, as plain-int tuples."""
+    return [
+        DemandRow(s, t, tuple(blocks[:k]))
+        for s, t, blocks, k in zip(demands.src.tolist(), demands.dst.tolist(), demands.blocks.tolist(), demands.shared.tolist())
+    ]
+
+
+def build_demands_by_intersection(part) -> list[DemandRow]:
     """All ordered-pair demands by intersecting the row-block sets of all P² pairs."""
     sets = [set(r) for r in part.R]
     demands = []
@@ -27,7 +44,7 @@ def build_demands_by_intersection(part) -> list[TransferDemand]:
                 continue
             shared = sorted(sets[src - 1] & sets[dst - 1])
             if shared:
-                demands.append(TransferDemand(src, dst, tuple(shared)))
+                demands.append(DemandRow(src, dst, tuple(shared)))
     return demands
 
 
@@ -205,7 +222,7 @@ def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=b
         have[p - 1, s] = True
 
     demands = build_demands(part)
-    shared = {(d.src, d.dst): d.blocks for d in demands}
+    shared = {(d.src, d.dst): d.blocks for d in demand_rows(demands)}
     if mode == "p2p":
         sched = schedule_builder(demands)
         sched_report = validate(sched, demands, chunk)

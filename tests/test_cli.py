@@ -202,7 +202,7 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        (("schedule", "--q", "3", "--n", "120"), "cbc1c0b1d6e7fbb8628bb0cdc5a963f5214facfe076031d5af403cde0fe4ab50"),
+        (("schedule", "--q", "3", "--n", "120"), "56052e0ee90ac3999926506e353907a60c6567b33d78b036a1e8097d4c9b436f"),
         (("schedule", "--design", "steiner_10_4_3.txt"), "bd47d2d07bb85ec55d04fa40a2d791949a9e22666875d9e1bad9ac2c4536ae2a"),
         (("schedule", "--design", "steiner_8_4_3.txt"), "5c4051a79c62eda30cb1f877b18df372f6dd858ab0fb0bc66bfe18c945901a48"),
         (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
@@ -314,8 +314,24 @@ def test_hbl_fuzz_command(capsys):
         (["cpgrad", "--n", "5", "--seed", "1", "--r", "0"], "--r"),
         (["cpgrad", "--n", "5", "--seed", "1", "--r", "-1"], "--r"),
         (["simulate", "--q", "2", "--n", "30", "--seed", "1", "--tol", "nan"], "--tol"),
+        (["simulate", "--q", "2", "--n", "60", "--seed", "-1"], "--seed"),
+        (["hopm", "--n", "2", "--seed", "-4"], "--seed"),
+        (["cpgrad", "--n", "5", "--r", "1", "--seed", "-1"], "--seed"),
+        (["hbl-fuzz", "--count", "1", "--seed", "-1"], "--seed"),
     ],
-    ids=["count-negative", "points-negative", "max-iters-0", "hopm-tol-nan", "r-0", "r-negative", "simulate-tol-nan"],
+    ids=[
+        "count-negative",
+        "points-negative",
+        "max-iters-0",
+        "hopm-tol-nan",
+        "r-0",
+        "r-negative",
+        "simulate-tol-nan",
+        "simulate-seed-negative",
+        "hopm-seed-negative",
+        "cpgrad-seed-negative",
+        "hbl-fuzz-seed-negative",
+    ],
 )
 def test_out_of_domain_flags_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

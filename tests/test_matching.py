@@ -11,7 +11,6 @@ from tetracomm.cli import fixtures_dir
 from tetracomm.matching import (
     BipartiteGraph,
     MatchingInfeasibleError,
-    birkhoff_decompose,
     d_disjoint_matchings,
     max_matching,
     regular_decompose,
@@ -210,54 +209,76 @@ def test_noncentral_assignment_graph_three_matchings():
 # ---------------------------------------------------------------------------
 
 
+def coloured_edges(adj, colours) -> list[tuple[int, int]]:
+    """The (x, y) edges of every colour of regular_decompose's edge ids, by colour then x."""
+    d = np.shape(adj)[1]
+    return [(e // d + 1, int(np.ravel(adj)[e])) for row in colours.tolist() for e in row]
+
+
+def assert_perfect_colours(adj, colours):
+    """Every edge id once, and every colour a perfect matching with x's own edge at entry x-1."""
+    n, d = np.shape(adj)
+    assert colours.shape == (d, n) and colours.dtype == np.int64
+    assert sorted(colours.ravel().tolist()) == list(range(n * d))
+    for row in colours:
+        assert np.array_equal(row // d, np.arange(n))  # x's edge leaves x
+        assert sorted(np.ravel(adj)[row].tolist()) == list(range(1, n + 1))  # perfect
+
+
 def test_k33_decomposes_into_three_perfect_matchings():
-    g = BipartiteGraph(3, 3, np.array([[1, 2, 3]] * 3))
-    mates = regular_decompose(g)
-    assert mates.shape == (3, 3)
-    all_edges = edges(mates)
+    adj = np.array([[1, 2, 3]] * 3)
+    colours = regular_decompose(adj)
+    assert colours.shape == (3, 3)
+    all_edges = coloured_edges(adj, colours)
     assert len(all_edges) == 9
     assert len(set(all_edges)) == 9
-    for mate in mates:
-        assert mate.all() and is_matching(mate)
+    assert_perfect_colours(adj, colours)
 
 
 def test_permutation_graph_is_its_own_decomposition():
-    g = BipartiteGraph(3, 3, np.array([[2], [3], [1]]))
-    assert regular_decompose(g).tolist() == [[2, 3, 1]]
+    adj = np.array([[2], [3], [1]])
+    colours = regular_decompose(adj)
+    assert colours.tolist() == [[0, 1, 2]]
+    assert adj.ravel()[colours].tolist() == [[2, 3, 1]]
 
 
 def test_two_regular_cycle_splits_into_two_perfect_matchings():
     # 8-cycle on 4+4 vertices
-    g = BipartiteGraph(4, 4, np.array([[1, 2], [2, 3], [3, 4], [1, 4]]))
-    mates = regular_decompose(g)
-    assert mates.shape == (2, 4)
-    edge_sets = [set(edges(mate)) for mate in mates]
-    assert edge_sets[0].isdisjoint(edge_sets[1])
-    for mate in mates:
-        assert mate.all() and is_matching(mate)
+    adj = np.array([[1, 2], [2, 3], [3, 4], [1, 4]])
+    colours = regular_decompose(adj)
+    assert colours.shape == (2, 4)
+    assert_perfect_colours(adj, colours)
+    edge_sets = [set(coloured_edges(adj, row[None])) for row in colours]
     # brute-force oracle: the cycle has exactly two perfect matchings
     expected = [{(1, 1), (2, 2), (3, 3), (4, 4)}, {(1, 2), (2, 3), (3, 4), (4, 1)}]
     assert edge_sets in ([expected[0], expected[1]], [expected[1], expected[0]])
 
 
 def test_regular_decompose_leaves_graph_unchanged():
-    g = BipartiteGraph(4, 4, np.array([[1, 2], [2, 3], [3, 4], [1, 4]]))
-    before = g.adj.copy()
-    regular_decompose(g)
-    assert np.array_equal(g.adj, before)
+    adj = np.array([[2, 1], [2, 3], [3, 4], [4, 1]])
+    before = adj.copy()
+    regular_decompose(adj)
+    assert np.array_equal(adj, before)
 
 
 def test_regular_decompose_rejects_irregular():
     with pytest.raises(ValueError, match="not 1-regular on Y"):
-        regular_decompose(BipartiteGraph(2, 2, np.array([[1], [1]])))
-    with pytest.raises(ValueError, match="sides differ"):
-        regular_decompose(BipartiteGraph(2, 3, np.array([[1], [2]])))
+        regular_decompose(np.array([[1], [1]]))
+    with pytest.raises(ValueError, match="not 2-regular on Y"):
+        regular_decompose(np.array([[1, 1], [2, 1]]))
+    # two rows are two Y vertices, so an end 3 names no vertex
+    with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+        regular_decompose(np.array([[1], [3]]))
+    with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+        regular_decompose(np.array([[0, 1], [2, 2]]))
+    with pytest.raises(ValueError, match="must be 2-D"):
+        regular_decompose(np.array([1, 2]))
 
 
 def test_regular_decompose_of_a_degree_zero_graph_is_empty():
-    mates = regular_decompose(BipartiteGraph(5, 5, np.zeros((5, 0), dtype=np.int64)))
-    assert mates.shape == (0, 5)
-    assert mates.dtype == np.int64
+    colours = regular_decompose(np.zeros((5, 0), dtype=np.int64))
+    assert colours.shape == (0, 5)
+    assert colours.dtype == np.int64
 
 
 def test_d_disjoint_deterministic():
@@ -299,41 +320,24 @@ def regular_graphs(draw):
     return d, np.array([sorted(perm[(x + s) % n] for s in shifts) for x in range(n)])
 
 
+@st.composite
+def regular_multigraphs(draw):
+    """(d, adj): the sum of d random permutations, x joined to perm[x] for each, repeats allowed."""
+    n = draw(st.integers(0, 9))
+    d = draw(st.integers(0, 12))
+    perms = [draw(st.permutations(range(1, n + 1))) for _ in range(d)]
+    return d, np.array(perms, dtype=np.int64).reshape(d, n).T
+
+
 @settings(max_examples=150, deadline=None)
-@given(regular_graphs())
+@given(st.one_of(regular_graphs(), regular_multigraphs()))
 def test_regular_decompose_colours_every_edge_once(case):
     d, adj = case
-    n = len(adj)
-    g = BipartiteGraph(n, n, adj)
-    mates = regular_decompose(g)
-    assert mates.shape == (d, n)
-    for mate in mates:
-        assert sorted(mate.tolist()) == list(range(1, n + 1))  # perfect
-    colored = edges(mates)
-    assert len(colored) == n * d
-    assert set(colored) == {(x, y) for x, row in enumerate(adj.tolist(), start=1) for y in row}
-    assert np.array_equal(g.adj, adj)
-    assert np.array_equal(regular_decompose(BipartiteGraph(n, n, adj.copy())), mates)
-
-
-def counting_max_matching(monkeypatch) -> list:
-    calls = []
-    real = matching.max_matching
-
-    def counted(graph):
-        calls.append(graph.nx)
-        return real(graph)
-
-    monkeypatch.setattr(matching, "max_matching", counted)
-    return calls
-
-
-def test_even_power_degree_needs_no_maximum_matching(monkeypatch):
-    calls = counting_max_matching(monkeypatch)
-    n = 12
-    g = BipartiteGraph(n, n, np.array([[(x + s) % n + 1 for s in range(8)] for x in range(n)]))
-    assert len(regular_decompose(g)) == 8
-    assert calls == []
+    before = adj.copy()
+    colours = regular_decompose(adj)
+    assert_perfect_colours(adj, colours)
+    assert np.array_equal(adj, before)
+    assert np.array_equal(regular_decompose(adj.copy()), colours)
 
 
 def recorded_searches(monkeypatch) -> list:
@@ -351,17 +355,25 @@ def recorded_searches(monkeypatch) -> list:
     return calls
 
 
+def test_even_power_degree_needs_no_maximum_matching(monkeypatch):
+    searches = recorded_searches(monkeypatch)
+    n = 12
+    assert len(regular_decompose(np.array([[(x + s) % n + 1 for s in range(8)] for x in range(n)]))) == 8
+    assert searches == []
+
+
 def test_q7_schedule_runs_hopcroft_karp_only_at_odd_degrees(monkeypatch):
-    # the q=7 layers have degrees 196 and 48, and no P-vertex graph is searched
-    # at any degree: Hopcroft-Karp runs only on the orbit multigraphs, 14 orbits
-    # a side, once per Birkhoff round
+    # the q=7 layers have degrees 196 = 4·49 and 48 = 16·3, and no P-vertex
+    # graph is searched at any degree: Hopcroft-Karp runs only on the orbit
+    # multigraphs, 14 orbits a side, once per group at an odd level:
+    # 4 + 4·16 groups for 196 (degrees 49 and 3) and 16 for 48 (degree 3)
     demands = build_demands(build_partition(steiner.construct_spherical(7)))
-    calls = counting_max_matching(monkeypatch)
+    calls = recorded_graphs(monkeypatch, matching, "max_matching")
     searches = recorded_searches(monkeypatch)
     assert len(build_schedule(demands).steps) == 244
     assert calls == []
     assert {(len(rows), ny) for rows, ny, _ in searches} == {(14, 14)}
-    assert len(searches) == 127
+    assert len(searches) == 84
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +427,13 @@ def test_greedy_first_search_on_the_odd_level_schedule_graphs(q, monkeypatch):
 
 @pytest.mark.parametrize("name", ["steiner_8_4_3.txt", "steiner_10_4_3.txt"])
 def test_greedy_first_search_on_the_fixture_schedule_graphs(name, monkeypatch):
-    # design files are edge-coloured, with one search per odd-degree subgraph
+    # design files are coloured on trivial orbits, one search per odd-degree subgraph
     demands = build_demands(build_partition(steiner.load(fixtures_dir() / name)))
-    calls = recorded_graphs(monkeypatch, matching, "max_matching")
+    searches = recorded_searches(monkeypatch)
     build_schedule(demands)
-    assert calls
-    for (graph,) in calls:
-        rows = graph.adj.tolist()
-        assert np.array_equal(matching._hopcroft_karp(rows, graph.ny), hopcroft_karp_bfs_first(rows, graph.ny))
+    assert searches
+    for rows, ny, mate in searches:
+        assert np.array_equal(mate, hopcroft_karp_bfs_first(rows, ny))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -432,52 +443,3 @@ def test_greedy_first_search_on_the_replicated_partition_graphs(q, monkeypatch):
     (graph, d), = calls
     rows = [row for row in graph.adj.tolist() for _ in range(d)]
     assert np.array_equal(matching._hopcroft_karp(rows, graph.ny), hopcroft_karp_bfs_first(rows, graph.ny))
-
-
-# ---------------------------------------------------------------------------
-# Birkhoff decomposition
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def regular_multigraphs(draw):
-    """An (n, n) weight matrix: the sum of d permutation matrices, repeats allowed."""
-    n = draw(st.integers(0, 9))
-    d = draw(st.integers(0, 12))
-    weights = np.zeros((n, n), dtype=np.int64)
-    for _ in range(d):
-        weights[np.arange(n), draw(st.permutations(range(n)))] += 1
-    return weights
-
-
-@settings(max_examples=150, deadline=None)
-@given(regular_multigraphs())
-def test_birkhoff_decompose_sums_back_to_the_weights(weights):
-    n = len(weights)
-    mates, counts = birkhoff_decompose(weights)
-    assert mates.shape == (len(counts), n) and mates.dtype == counts.dtype == np.int64
-    assert np.all(counts > 0) and len(counts) <= n * n
-    total = np.zeros_like(weights)
-    for mate, w in zip(mates, counts):
-        assert sorted(mate.tolist()) == list(range(1, n + 1))  # perfect
-        total[np.arange(n), mate - 1] += w
-    assert np.array_equal(total, weights)
-    again = birkhoff_decompose(weights.copy())
-    assert np.array_equal(again[0], mates) and np.array_equal(again[1], counts)
-
-
-def test_birkhoff_decompose_takes_the_least_weight_of_each_matching():
-    # x takes the least free y of its row first, so the identity comes first, weight 3
-    mates, counts = birkhoff_decompose([[3, 1], [1, 3]])
-    assert mates.tolist() == [[1, 2], [2, 1]]
-    assert counts.tolist() == [3, 1]
-
-
-@pytest.mark.parametrize(
-    "weights",
-    [[[1, 0, 0], [0, 1, 0]], [[2, -1], [-1, 2]], [[1, 1], [0, 1]], [[2, 0], [0, 1]], [1, 2]],
-    ids=["not-square", "negative", "unequal-columns", "unequal-rows", "one-dimensional"],
-)
-def test_birkhoff_decompose_rejects_unbalanced_weights(weights):
-    with pytest.raises(ValueError):
-        birkhoff_decompose(weights)

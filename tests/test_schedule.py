@@ -1,6 +1,5 @@
 import hashlib
 import re
-from collections import Counter
 from functools import cache
 
 import numpy as np
@@ -14,14 +13,13 @@ from tetracomm.partition import build_partition
 from tetracomm.schedule import (
     CommSchedule,
     Demands,
-    TransferDemand,
     alltoall_cost,
     build_demands,
     build_schedule,
     validate,
 )
 
-from oracles import build_demands_by_intersection
+from oracles import build_demands_by_intersection, demand_rows
 
 
 @pytest.fixture(scope="module")
@@ -45,37 +43,41 @@ def part_q2():
 
 
 def test_processor_1_and_26_share_nothing(part10):
-    assert not [d for d in build_demands(part10) if d.src == 1 and d.dst == 26]
+    demands = build_demands(part10)
+    assert not np.any((demands.src == 1) & (demands.dst == 26))
 
 
 def test_processor_1_single_block_partners(part10):
-    singles = sorted(d.dst for d in build_demands(part10) if d.src == 1 and len(d.blocks) == 1)
-    assert singles == [8, 11, 16, 19, 21, 24, 27, 30]
+    demands = build_demands(part10)
+    singles = demands.dst[(demands.src == 1) & (demands.shared == 1)]
+    assert singles.tolist() == [8, 11, 16, 19, 21, 24, 27, 30]
 
 
 def test_processor_1_two_block_partner_count(part10):
-    assert sum(1 for d in build_demands(part10) if d.src == 1 and len(d.blocks) == 2) == 18
+    demands = build_demands(part10)
+    assert np.count_nonzero((demands.src == 1) & (demands.shared == 2)) == 18
 
 
 def test_partner_counts_uniform_for_spherical(part10):
     q = part10.q
     demands = build_demands(part10)
-    for p in range(1, part10.P + 1):
-        two = sum(1 for d in demands if d.src == p and len(d.blocks) == 2)
-        one = sum(1 for d in demands if d.src == p and len(d.blocks) == 1)
-        assert two == q * q * (q + 1) // 2
-        assert one == q * q - 1
+    # count[p, k]: the partners with which p shares k blocks
+    count = np.zeros((part10.P + 1, 3), dtype=np.int64)
+    np.add.at(count, (demands.src, demands.shared), 1)
+    assert np.all(count[1:, 2] == q * q * (q + 1) // 2)
+    assert np.all(count[1:, 1] == q * q - 1)
 
 
 def test_demand_symmetry(part10):
-    demands = {(d.src, d.dst): d.blocks for d in build_demands(part10)}
-    for (src, dst), blocks in demands.items():
-        assert demands[(dst, src)] == blocks
+    demands = build_demands(part10)
+    row = {(s, t): e for e, (s, t) in enumerate(zip(demands.src.tolist(), demands.dst.tolist()))}
+    reverse = [row[t, s] for s, t in row]
+    assert np.array_equal(demands.blocks[reverse], demands.blocks)
 
 
 def test_shared_blocks_never_exceed_two(part10, part8):
     for part in (part10, part8):
-        assert all(len(d.blocks) <= 2 for d in build_demands(part))
+        assert build_demands(part).shared.max() <= 2
 
 
 @pytest.mark.parametrize(
@@ -86,7 +88,7 @@ def test_shared_blocks_never_exceed_two(part10, part8):
 )
 def test_demands_equal_pairwise_intersection(make):
     part = build_partition(make())
-    assert list(build_demands(part)) == build_demands_by_intersection(part)
+    assert demand_rows(build_demands(part)) == build_demands_by_intersection(part)
 
 
 def test_demand_table_layout(part_q2):
@@ -97,16 +99,15 @@ def test_demand_table_layout(part_q2):
     # 1-based ids, each row ascending and padded with 0 after its shared count
     for row, k in zip(demands.blocks.tolist(), demands.shared.tolist()):
         assert row[k:] == [0] * (2 - k) and all(0 < a < b for a, b in zip(row[:k], row[1:k]))
-    first = next(iter(demands))
-    assert type(first) is TransferDemand and all(type(v) is int for v in (first.src, first.dst, *first.blocks))
+    assert all(column.dtype == np.int64 for column in (demands.src, demands.dst, demands.blocks))
 
 
 def test_from_rows_sorts_and_round_trips():
-    rows = [TransferDemand(3, 1, (2,)), TransferDemand(1, 3, (2, 5)), TransferDemand(1, 2, (4,))]
+    rows = [(3, 1, (2,)), (1, 3, (2, 5)), (1, 2, (4,))]
     table = Demands.from_rows(rows)
-    assert list(table) == sorted(rows)
+    assert demand_rows(table) == sorted(rows)
     assert table.blocks.tolist() == [[4, 0], [2, 5], [2, 0]]
-    assert list(Demands.from_rows(sorted(rows))) == sorted(rows)
+    assert demand_rows(Demands.from_rows(sorted(rows))) == sorted(rows)
 
 
 @pytest.mark.parametrize(
@@ -164,7 +165,7 @@ def test_appendix_fixture_schedules_in_12_steps(part8):
     report = validate(sched, demands)
     assert report.passed
     # every partner pair shares exactly two row blocks in this design
-    assert all(len(d.blocks) == 2 for d in demands)
+    assert np.all(demands.shared == 2)
 
 
 def test_two_block_layer_scheduled_before_one_block(part10):
@@ -191,7 +192,7 @@ def test_steps_are_p_row_tables_sorted_by_sender(part10):
 def no_decompose(monkeypatch):
     """build_schedule must reject an irregular or asymmetric layer itself, before decomposing or reshaping it."""
 
-    def unreachable(graph):
+    def unreachable(adj):
         raise AssertionError("regular_decompose reached")
 
     monkeypatch.setattr(schedule, "regular_decompose", unreachable)
@@ -202,10 +203,10 @@ def test_irregular_demands_raise(no_decompose):
     # (four rows over three processors: reshaping the layer to (3, 1) would fail first)
     demands = Demands.from_rows(
         [
-            TransferDemand(1, 2, (1,)),
-            TransferDemand(1, 3, (1,)),
-            TransferDemand(2, 1, (1,)),
-            TransferDemand(3, 1, (1,)),
+            (1, 2, (1,)),
+            (1, 3, (1,)),
+            (2, 1, (1,)),
+            (3, 1, (1,)),
         ]
     )
     with pytest.raises(ValueError, match="layer of 1 shared blocks is not regular on processors 1..3"):
@@ -214,7 +215,7 @@ def test_irregular_demands_raise(no_decompose):
 
 def test_layer_that_leaves_out_a_processor_raises(no_decompose):
     # processors 2 and 3 exchange one block; processor 1 takes no part
-    demands = Demands.from_rows([TransferDemand(2, 3, (1,)), TransferDemand(3, 2, (1,))])
+    demands = Demands.from_rows([(2, 3, (1,)), (3, 2, (1,))])
     with pytest.raises(ValueError, match="layer of 1 shared blocks is not regular on processors 1..3"):
         build_schedule(demands)
 
@@ -226,28 +227,18 @@ def test_asymmetric_regular_layer_raises(no_decompose):
         build_schedule(demands)
 
 
-def test_passing_path_builds_no_transfer_demand(monkeypatch):
-    demands = build_demands(build_partition(steiner.construct_spherical(3)))
-
-    def unexpected(*args):
-        raise AssertionError("TransferDemand built")
-
-    monkeypatch.setattr(schedule, "TransferDemand", unexpected)
-    assert validate(build_schedule(demands), demands).passed
-
-
 def test_q2_step_list_pinned(part_q2):
     # receivers of senders 1..10 per step; pins the orbit colouring's order
     expected = [
-        [8, 1, 9, 5, 3, 2, 4, 10, 7, 6],
         [2, 6, 5, 7, 4, 10, 9, 1, 3, 8],
-        [3, 4, 1, 2, 10, 9, 8, 7, 6, 5],
+        [8, 1, 9, 5, 3, 2, 4, 10, 7, 6],
+        [5, 7, 2, 6, 8, 3, 1, 9, 10, 4],
         [7, 3, 6, 10, 1, 4, 2, 5, 8, 9],
         [4, 9, 8, 1, 6, 5, 10, 3, 2, 7],
-        [5, 7, 2, 6, 8, 3, 1, 9, 10, 4],
+        [3, 4, 1, 2, 10, 9, 8, 7, 6, 5],
         [6, 10, 7, 3, 9, 8, 5, 2, 4, 1],
-        [10, 8, 4, 9, 7, 1, 3, 6, 5, 2],
         [9, 5, 10, 8, 2, 7, 6, 4, 1, 3],
+        [10, 8, 4, 9, 7, 1, 3, 6, 5, 2],
     ]
     sched = build_schedule(build_demands(part_q2))
     assert [step.tolist() for step in sched.steps] == expected
@@ -266,9 +257,9 @@ def steps_sha256(steps) -> str:
     return digest.hexdigest()
 
 
-Q7_STEPS_SHA256 = "7f9bbbfda62c2c66b6c36069e343d7d65216585c36c041d5ed407c04e8d16b2c"
+Q7_STEPS_SHA256 = "7421c226e00018d8c1b8a958744d8239b27c7ee9e27f89f0416bd98a7968704c"
 # the 15 steps of q=4's one-share layer, whose degree is odd
-Q4_ONE_SHARE_LAYER_SHA256 = "4f08a498e1a4342a86fd6b31691b12224a682e530258995d7a5f307f2f1286ca"
+Q4_ONE_SHARE_LAYER_SHA256 = "41816264c130f36c9961be0d2d46516ecfe93c91a295d4ec7d04d21cb7ba8b07"
 
 
 def test_q7_schedule_pinned():
@@ -317,15 +308,20 @@ def relabelled(system, perm):
     ids=["q3-relabelled", "fixture8", "fixture10"],
 )
 def test_other_designs_fall_back_to_the_edge_colouring(make, monkeypatch):
+    # trivial orbits, one per processor, so each layer's orbit graph is the P-vertex graph
     system = make()
     assert steiner.verify(system).passed
     demands = build_demands(build_partition(system))
-    assert schedule._cyclic_orbits(demands, demands.shared) is None
+    P = demands.processors
+    members = schedule._cyclic_orbits(demands, demands.shared)
+    assert members.shape == (P, 1)
+    assert members.ravel().tolist() == list(range(1, P + 1))
     coloured = []
     real = schedule.regular_decompose
-    monkeypatch.setattr(schedule, "regular_decompose", lambda graph: coloured.append(graph) or real(graph))
+    monkeypatch.setattr(schedule, "regular_decompose", lambda adj: coloured.append(adj) or real(adj))
     sched = build_schedule(demands)
     assert len(coloured) == len(sched.meta["layers"])
+    assert [adj.shape for adj in coloured] == [(P, layer["demands"] // P) for layer in sched.meta["layers"]]
     assert validate(sched, demands).passed
 
 
@@ -500,13 +496,11 @@ def test_validate_send_volumes(part_q2):
 
 def test_per_processor_volume_formula(part10):
     demands = build_demands(part10)
-    volume = Counter()
-    for d in demands:
-        volume[d.src] += len(d.blocks)
+    volume = np.bincount(demands.src, weights=demands.shared, minlength=part10.P + 1)[1:]
     q, P = part10.q, part10.P
     n = 120
     expected = n * (q + 1) // (q * q + 1) - n // P
-    assert all(v * 1 == expected for v in volume.values())  # chunk = 1 at n = 120
+    assert np.all(volume * 1 == expected)  # chunk = 1 at n = 120
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +526,7 @@ def test_alltoall_cost_q2(part_q2):
 def test_alltoall_vs_p2p_ratio_q3():
     part = build_partition(steiner.construct_spherical(3))
     demands = build_demands(part)
-    p2p_per_vector = sum(len(d.blocks) for d in demands if d.src == 1)
+    p2p_per_vector = int(demands.shared[demands.src == 1].sum())
     assert p2p_per_vector == 44
     assert alltoall_cost(part, 120).per_vector == 58
     # the collective moves more words than the matched point-to-point plan

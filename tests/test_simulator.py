@@ -20,7 +20,7 @@ from tetracomm.tensor_core import (
     ternary_count,
 )
 
-from oracles import simulate_by_messages, sttsv_symmetric_counted
+from oracles import demand_rows, simulate_by_messages, sttsv_symmetric_counted
 
 
 @pytest.fixture(scope="module")
@@ -289,9 +289,10 @@ def test_closed_form_send_volume_equals_demands(design):
         system = steiner.load(fixtures_dir() / f"{design}.txt")
     part = build_partition(system)
     layout = vector_layout(3 * pad_dimension(1, part), part)  # chunk = 3
+    demands = build_demands(part)
     from_demands = Counter()
-    for d in build_demands(part):
-        from_demands[d.src] += len(d.blocks) * layout.chunk
+    for p, shared in zip(demands.src.tolist(), demands.shared.tolist()):
+        from_demands[p] += shared * layout.chunk
     pred = compute_report(part, layout)
     assert {c.p: c.send_words_per_vector for c in pred.per_proc} == dict(from_demands)
 
@@ -388,7 +389,7 @@ def test_dropped_schedule_step_fails_schedule_valid(setup_q2, monkeypatch):
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), part, layout)
     check = verdict.check("schedule_valid")
     assert not check.passed
-    blocks = {(d.src, d.dst): d.blocks for d in build_demands(part)}
+    blocks = {(d.src, d.dst): d.blocks for d in demand_rows(build_demands(part))}
     for src, dst in dropped:
         assert f"demand {src}->{dst} blocks {blocks[src, dst]} scheduled 0 times, expected 1" in check.detail
     assert not verdict.check("gather_complete").passed
