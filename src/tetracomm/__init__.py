@@ -18,7 +18,6 @@ from .partition import (
     build_partition,
     pad_dimension,
     storage_count,
-    tb3,
     vector_layout,
 )
 from .schedule import CommSchedule, Demands, alltoall_cost, build_demands, build_schedule
@@ -51,7 +50,6 @@ __all__ = [
     "BlockIndex",
     "TetraPartition",
     "VectorLayout",
-    "tb3",
     "build_partition",
     "vector_layout",
     "pad_dimension",

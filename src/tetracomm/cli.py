@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import steiner as steiner_mod
+from .finite_field import prime_power
 from .matching import MatchingInfeasibleError
 from .partition import DesignUnsuitableError, build_partition, pad_dimension, vector_layout
 from .schedule import build_demands, build_schedule, validate
@@ -162,6 +163,9 @@ def cmd_bounds(args) -> int:
         "opt_point": [x1, x2],
     }
     if args.q is not None:
+        processors = args.q * (args.q * args.q + 1)
+        if args.p != processors:
+            raise ValueError(f"--q {args.q} describes P = q(q^2+1) = {processors} processors, but --p is {args.p}")
         obj["q"] = args.q
         obj["optimality_ratio"] = bounds_mod.optimality_ratio(args.n, args.q)
     _emit(obj, args.out)
@@ -257,8 +261,19 @@ def _seed(text: str) -> int:
 _seed.__name__ = "int"  # text int() cannot parse still reads as an invalid int value
 
 
+def _prime_power(text: str) -> int:
+    """The argparse type of --q: a prime power.  The cap on q is the library's, which names it."""
+    value = int(text)
+    if prime_power(value) is None:
+        raise argparse.ArgumentTypeError(f"{text} is not a prime power")
+    return value
+
+
+_prime_power.__name__ = "int"
+
+
 def _add_design_args(sub) -> None:
-    sub.add_argument("--q", type=int, default=None, help="prime power for the spherical design")
+    sub.add_argument("--q", type=_prime_power, default=None, help="prime power for the spherical design")
     sub.add_argument("--design", type=str, default=None, help="path to a design file")
 
 
@@ -273,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st = subs.add_parser("steiner", help="construct, verify, or list design files")
     st_subs = st.add_subparsers(dest="action", required=True)
     st_c = st_subs.add_parser("construct")
-    st_c.add_argument("--q", type=int, required=True)
+    st_c.add_argument("--q", type=_prime_power, required=True)
     st_c.add_argument("-o", "--out", type=str, default=None)
     st_v = st_subs.add_parser("verify")
     st_v.add_argument("path", type=str)
@@ -282,19 +297,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = subs.add_parser("partition", help="build the block partition for a design")
     _add_design_args(pt)
-    pt.add_argument("--n", type=int, default=None)
+    pt.add_argument("--n", type=_positive(int), default=None)
     pt.add_argument("--out", type=str, default=None)
     pt.set_defaults(func=cmd_partition)
 
     sc = subs.add_parser("schedule", help="build and validate the point-to-point schedule")
     _add_design_args(sc)
-    sc.add_argument("--n", type=int, default=None)
+    sc.add_argument("--n", type=_positive(int), default=None)
     sc.add_argument("--out", type=str, default=None)
     sc.set_defaults(func=cmd_schedule)
 
     sim = subs.add_parser("simulate", help="run the parallel algorithm and verify it")
     _add_design_args(sim)
-    sim.add_argument("--n", type=int, required=True)
+    sim.add_argument("--n", type=_positive(int), required=True)
     sim.add_argument("--seed", type=_seed, required=True)
     sim.add_argument("--mode", choices=["p2p", "alltoall"], default="p2p")
     sim.add_argument("--tol", type=_positive(float), default=1e-12)
@@ -303,14 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     bd = subs.add_parser("bounds", help="lower bound and optimization solution")
-    bd.add_argument("--n", type=int, required=True)
-    bd.add_argument("--p", type=int, required=True)
-    bd.add_argument("--q", type=int, default=None)
+    bd.add_argument("--n", type=_positive(int), required=True)
+    bd.add_argument("--p", type=_positive(int), required=True)
+    bd.add_argument("--q", type=_prime_power, default=None, help="prime power; P must then be q(q^2+1)")
     bd.add_argument("--out", type=str, default=None)
     bd.set_defaults(func=cmd_bounds)
 
     hp = subs.add_parser("hopm", help="power iteration on a seeded random tensor")
-    hp.add_argument("--n", type=int, required=True)
+    hp.add_argument("--n", type=_positive(int), required=True)
     hp.add_argument("--seed", type=_seed, required=True)
     hp.add_argument("--tol", type=_positive(float), default=1e-10)
     hp.add_argument("--max-iters", type=_positive(int), default=1000)
@@ -318,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hp.set_defaults(func=cmd_hopm)
 
     cg = subs.add_parser("cpgrad", help="rank-r fit gradient on a seeded random tensor")
-    cg.add_argument("--n", type=int, required=True)
+    cg.add_argument("--n", type=_positive(int), required=True)
     cg.add_argument("--r", type=_positive(int), required=True)
     cg.add_argument("--seed", type=_seed, required=True)
     cg.add_argument("--out", type=str, default=None)
@@ -328,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hf.add_argument("--count", type=_positive(int), required=True)
     hf.add_argument("--seed", type=_seed, required=True)
     hf.add_argument("--points", type=_positive(int), default=20)
-    hf.add_argument("--max-coord", type=int, default=50)
+    hf.add_argument("--max-coord", type=_positive(int), default=50)
     hf.add_argument("--out", type=str, default=None)
     hf.set_defaults(func=cmd_hbl_fuzz)
 

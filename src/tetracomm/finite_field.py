@@ -223,19 +223,6 @@ class Field:
                 return table
         raise RuntimeError(f"GF({self.p}^{self.k}) has no primitive element")
 
-    def subfield_elements(self, q: int) -> list[FieldElement]:
-        """The q elements fixed by x -> x^q, in canonical order.
-
-        Requires the field order to be exactly q^2; the fixed points form
-        the subfield of order q.
-        """
-        if self.order != q * q:
-            raise ValueError(f"field order {self.order} is not the square of q={q}")
-        fixed = [x for x in self.elements() if self.pow(x, q) == x]
-        if len(fixed) != q:
-            raise RuntimeError(f"expected {q} fixed points of x -> x^{q}, found {len(fixed)}")
-        return fixed
-
 
 def field_new(p: int, k: int) -> Field:
     """Construct GF(p^k) with the minimal monic irreducible modulus.

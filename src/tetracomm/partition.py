@@ -26,8 +26,6 @@ __all__ = [
     "TetraPartition",
     "VectorLayout",
     "DesignUnsuitableError",
-    "tb3",
-    "all_lower_blocks",
     "noncentral_blocks",
     "owned_blocks",
     "build_partition",
@@ -54,19 +52,6 @@ class BlockIndex(NamedTuple):
         if self.i == self.j == self.k:
             return "central"
         return "noncentral"
-
-
-def tb3(indices) -> set[BlockIndex]:
-    """All strictly ordered triples drawn from an index set."""
-    return {BlockIndex(c, b, a) for a, b, c in combinations(sorted(indices), 3)}
-
-
-def all_lower_blocks(m: int):
-    """Every block index (i, j, k) with m >= i >= j >= k >= 1."""
-    for i in range(1, m + 1):
-        for j in range(1, i + 1):
-            for k in range(1, j + 1):
-                yield BlockIndex(i, j, k)
 
 
 def noncentral_blocks(m: int) -> list[BlockIndex]:
@@ -200,7 +185,7 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
 
 
 def _off_triples(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, counts, triples): every row's sorted(tb3(row)), as 1-based (i, j, k), i >= j >= k.
+    """(index, counts, triples): every row's TB3 in ascending order, as 1-based (i, j, k), i >= j >= k.
 
     The triples of rows[index[t]] are the next counts[t] of ``triples``,
     ascending, so a row's triples are consecutive, but rows of one length

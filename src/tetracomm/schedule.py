@@ -23,10 +23,9 @@ import numpy as np
 
 from . import steiner
 from .checks import Check, Report
-from .finite_field import prime_power
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
-from .matching import max_matching, regular_decompose  # noqa: F401
+from .matching import _cycle_min, max_matching, regular_decompose  # noqa: F401
 from .partition import TetraPartition, vector_layout
 
 __all__ = [
@@ -54,28 +53,6 @@ class Demands:
     src: np.ndarray
     dst: np.ndarray
     blocks: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows) -> Demands:
-        """The sorted table of (src, dst, blocks) rows, for demand lists built by hand.
-
-        Raises ValueError for a processor id below 1, for src == dst and for
-        blocks that are not strictly increasing ids >= 1, so the 0 padding
-        never stands for a block.
-        """
-        rows = [(int(s), int(t), tuple(int(i) for i in blocks)) for s, t, blocks in rows]
-        for s, t, blocks in rows:
-            if s < 1 or t < 1 or s == t:
-                raise ValueError(f"demand {s}->{t}: processors must be distinct ids >= 1")
-            if blocks and (blocks[0] < 1 or any(a >= b for a, b in zip(blocks, blocks[1:]))):
-                raise ValueError(f"demand {s}->{t}: blocks {blocks} must be strictly increasing ids >= 1")
-        table = np.zeros((len(rows), max((len(r[2]) for r in rows), default=0)), dtype=np.int64)
-        for e, (_, _, blocks) in enumerate(rows):
-            table[e, : len(blocks)] = blocks
-        src = np.array([r[0] for r in rows], dtype=np.int64)
-        dst = np.array([r[1] for r in rows], dtype=np.int64)
-        order = np.lexsort((dst, src))
-        return cls(src[order], dst[order], table[order])
 
     @property
     def shared(self) -> np.ndarray:
@@ -242,13 +219,18 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray:
     R_p, π is a permutation with every orbit of length L, and π maps the
     (src, dst, shared) rows onto themselves; when any of these fails h is
     the identity, and the result is the (P, 1) column of ids 1..P.  Orbits
-    are listed by least member, each from it: members[a, j] =
-    π^j(members[a, 0]).  Ids are 1-based.
+    are listed by least member, the label ``_cycle_min`` gives each of its
+    members, and each from it: members[a, j] = π^j(members[a, 0]).  Ids
+    are 1-based.
     """
     P, m = demands.processors, int(demands.blocks.max(initial=0))
     trivial = np.arange(1, P + 1)[:, None]
     q = math.isqrt(max(m - 1, 0))
-    if q * q != m - 1 or prime_power(q) is None or q > steiner.Q_CAP or P != q * m:
+    if q * q != m - 1 or P != q * m:
+        return trivial
+    try:
+        g = steiner.mobius_cycle(q)
+    except ValueError:  # q is no prime power, or past steiner.Q_CAP
         return trivial
     member = np.zeros((P + 1, m + 1), dtype=bool)
     member[demands.src[:, None], demands.blocks] = True
@@ -257,7 +239,6 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray:
         return trivial
     # 0-based point ids, as mobius_cycle numbers them, ascending in every row
     R = np.nonzero(member)[1].reshape(P, q + 1)
-    g = steiner.mobius_cycle(q)
     h = g if q % 2 == 0 else g[g]
     L = (q * q + 1) // math.gcd(2, q - 1)
 
@@ -269,18 +250,14 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray:
     if not np.array_equal(R[pi], image) or np.any(np.bincount(pi, minlength=P) != 1):
         return trivial
 
-    pi_list, seen, orbits = pi.tolist(), [False] * P, []
-    for start in range(P):
-        orbit, p = [], start
-        while not seen[p]:
-            seen[p] = True
-            orbit.append(p)
-            p = pi_list[p]
-        if orbit:
-            if len(orbit) != L:
-                return trivial
-            orbits.append(orbit)
-    members = np.array(orbits, dtype=np.int64) + 1
+    label = _cycle_min(pi)  # every orbit's least member
+    if np.any(np.bincount(label, minlength=P)[label] != L):
+        return trivial
+    members = np.empty((P // L, L), dtype=np.int64)
+    members[:, 0] = np.flatnonzero(label == np.arange(P))
+    for j in range(1, L):
+        members[:, j] = pi[members[:, j - 1]]
+    members += 1
 
     # rows are sorted by (src, dst) and every sender has D of them, so π
     # maps sender s's rows onto sender π(s)'s when their sorted codes agree

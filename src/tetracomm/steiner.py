@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .checks import Check, Report
-from .finite_field import Field, field_new, prime_power
+from .finite_field import field_new, prime_power
+from .matching import _cycle_min
 
 __all__ = [
     "SteinerSystem",
@@ -81,41 +82,40 @@ def divisibility_ok(n: int, r: int) -> bool:
     )
 
 
-def _exp_log(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(exp, log): exp[j] is the id of w^j for the first primitive element w of f, and log[exp[j]] = j.
-
-    log[0] is 0, so a product read from the tables must treat zero apart.
-    """
-    exp = np.array(f.exp_table(), dtype=np.int64)
-    log = np.zeros(f.order, dtype=np.int64)
-    log[exp] = np.arange(f.order - 1)
-    return exp, log
-
-
-def _generators(f: Field, q: int) -> tuple[np.ndarray, list[int]]:
+def _generators(q: int) -> tuple[np.ndarray, list[int]]:
     """(maps, base): the generators x+1, wx and 1/x as rows of one table on point ids, and the base block.
 
-    Point x < q^2 is the x-th element of f = GF(q^2) in canonical order and
-    q^2 is infinity.  The maps are read from the exp table of the first
-    primitive element w (exp[j] = w^j) and its inverse, the log table:
+    This is the one place that does GF(q^2) arithmetic on point ids.  q must
+    be a prime power up to Q_CAP, checked before the field is built, else
+    ValueError.  Point x < q^2 is the x-th element of GF(q^2) in canonical
+    order and q^2 is infinity.  The maps are read from the exp table of the
+    first primitive element w (exp[j] = w^j) and its inverse, the log table:
     wx = exp[log x + 1] and 1/x = exp[-log x], exponents mod q^2 - 1.  The
     constant term is the most significant base-p digit of an id, so adding
     one adds q^2/p modulo q^2.  The subfield of order q is 0 and the powers
     of w^(q+1); the base block is it plus infinity, ascending.
     """
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError(f"q={q} is not a prime power")
+    if q > Q_CAP:
+        raise ValueError(f"q={q} exceeds the cap {Q_CAP} on the spherical construction")
+    p, k = pk
     nn = q * q
-    exp, log = _exp_log(f)
+    exp = np.array(field_new(p, 2 * k).exp_table(), dtype=np.int64)
+    log = np.zeros(nn, dtype=np.int64)
+    log[exp] = np.arange(nn - 1)  # log[0] stays 0: the zero column is set apart below
     maps = np.empty((3, nn + 1), dtype=np.int64)
-    maps[0, :nn] = (np.arange(nn) + nn // f.p) % nn
+    maps[0, :nn] = (np.arange(nn) + nn // p) % nn
     maps[1, :nn] = exp[(log + 1) % (nn - 1)]
     maps[2, :nn] = exp[-log % (nn - 1)]
-    maps[:, 0] = [nn // f.p, 0, nn]  # 0 + 1, w·0 and 1/0 = infinity
+    maps[:, 0] = [nn // p, 0, nn]  # 0 + 1, w·0 and 1/0 = infinity
     maps[:, nn] = [nn, nn, 0]  # infinity is fixed by x+1 and wx, and 1/infinity = 0
     return maps, [0, *sorted(exp[:: q + 1].tolist()), nn]
 
 
 def construct_spherical(q: int) -> SteinerSystem:
-    """Build the (q^2+1, q+1, 3) system for a prime power q.
+    """Build the (q^2+1, q+1, 3) system for a prime power q up to Q_CAP.
 
     Points 1..q^2 are the elements of GF(q^2) in canonical order and point
     q^2+1 is infinity.  Blocks are the images of the subfield line (plus
@@ -126,22 +126,15 @@ def construct_spherical(q: int) -> SteinerSystem:
     every affine map, and every map (ax+b)/(cx+d) with c != 0 is
     alpha + beta/(x+delta).
 
-    The maps are integer tables on point ids read from the powers of w
-    (``_generators``), so the field multiplies only to walk those powers.
-    The closure runs level by level: every block of a level is mapped by
-    all three tables in one array operation.  PGL(2, q^2) is sharply
-    3-transitive, so two images that share their three least points are
-    one block, and a block is known by the integer code of those three.
+    The maps are integer tables on point ids (``_generators``), so the
+    field multiplies only to walk the powers of w.  The closure runs level
+    by level: every block of a level is mapped by all three tables in one
+    array operation.  PGL(2, q^2) is sharply 3-transitive, so two images
+    that share their three least points are one block, and a block is known
+    by the integer code of those three.
     """
-    pk = prime_power(q)
-    if pk is None:
-        raise ValueError(f"q={q} is not a prime power")
-    if q > Q_CAP:
-        raise ValueError(f"q={q} exceeds the cap {Q_CAP} on the spherical construction")
-    p, k = pk
+    maps, base = _generators(q)
     nn = q * q
-
-    maps, base = _generators(field_new(p, 2 * k), q)
     images, found, seen = np.array([base]), [], set()
     while len(images):
         codes = (images[:, 0] * (nn + 1) + images[:, 1]) * (nn + 1) + images[:, 2]
@@ -163,50 +156,34 @@ def construct_spherical(q: int) -> SteinerSystem:
 
 
 def mobius_cycle(q: int) -> np.ndarray:
-    """The point permutation of the first Möbius map x -> (ax+b)/(x+d) that is one (q^2+1)-cycle.
+    """The point permutation of x -> 1/(w^j x + 1) for the least j >= 0 that makes it one (q^2+1)-cycle.
 
     Points are numbered as in construct_spherical but from 0: x < q^2 is
-    the x-th element of GF(q^2) and q^2 is infinity, and g[x] is the image
-    of x.  The map sends -d to infinity and infinity to a.  Maps are
-    scanned d, then b, then a in id order, skipping those with ad = b,
-    which are not invertible.  Such a cycle generates a non-split torus of
-    PGL(2, q^2), cyclic of order q^2+1, so one exists for every q.  Being
-    in PGL(2, q^2), the map permutes the blocks of the spherical design.
+    the x-th element of GF(q^2), q^2 is infinity and g[x] is the image of
+    x.  The map is composed from ``_generators``' tables as
+    inverse[plus_one[times_w^j]], and its point permutation is one cycle
+    when ``_cycle_min`` labels every point with point 0.
 
-    Products come from the exp and log tables and sums digit by digit in
-    base p, both as (q^2, q^2) tables on ids.  For each (d, b) the maps of
-    every a are walked together from point 0: a map is one cycle when the
-    walk first returns to 0 after all q^2+1 steps.
+    Some j works for every q.  The map is the matrix M = [[0, 1], [w^j, 1]]
+    of trace 1 and determinant -w^j, so tr^2/det = -w^-j takes every
+    non-zero value of GF(q^2) as j runs over 0..q^2-2.  A non-scalar
+    element's class in PGL(2, q^2) depends only on tr^2/det: scaling one
+    matrix to the other's trace then equates their characteristic
+    polynomials, and a non-scalar 2x2 matrix is conjugate to the companion
+    matrix of its own.  A generator of a non-split torus has order q^2+1
+    and permutes the points in one cycle.  It is no involution, and by
+    Cayley-Hamilton M^2 = tr·M - det·I, so an element of trace 0 squares
+    to a scalar: its trace is non-zero, and some j meets its class.  Being
+    in PGL(2, q^2), the map permutes the blocks of the spherical design.
     """
-    pk = prime_power(q)
-    if pk is None:
-        raise ValueError(f"q={q} is not a prime power")
-    if q > Q_CAP:  # the tables hold q^4 ids
-        raise ValueError(f"q={q} exceeds the cap {Q_CAP} on the spherical construction")
-    p, k = pk
-    nn = q * q
-    exp, log = _exp_log(field_new(p, 2 * k))
-    ids = np.arange(nn)
-    add = np.zeros((nn, nn), dtype=np.int64)
-    for w in (p ** np.arange(2 * k)).tolist():
-        add += (ids[:, None] // w + ids // w) % p * w
-    mul = exp[(log[:, None] + log) % (nn - 1)]
-    mul[0] = mul[:, 0] = 0
-    inv = exp[-log % (nn - 1)]  # inv[0] is a placeholder: the pole's column is overwritten
-    maps = np.empty((nn, nn + 1), dtype=np.int64)  # row a: the map of a
-    maps[:, nn] = ids
-    for d in range(nn):
-        pole = int(np.argmax(add[:, d] == 0))
-        for b in range(nn):
-            maps[:, :nn] = mul[add[mul, b], inv[add[:, d]]]
-            maps[:, pole] = nn
-            cycle, x = mul[:, d] != b, np.zeros(nn, dtype=np.int64)
-            for _ in range(nn):
-                x = maps[ids, x]
-                cycle &= x != 0
-            if cycle.any():
-                return maps[int(np.argmax(cycle))].copy()
-    raise ConstructionError(f"no Möbius map of GF({q}^2) is one cycle on the points")
+    plus_one, times_w, inverse = _generators(q)[0]
+    scaled = np.arange(len(plus_one))  # x -> w^j x
+    for _ in range(q * q - 1):
+        g = inverse[plus_one[scaled]]
+        if not _cycle_min(g).any():
+            return g
+        scaled = times_w[scaled]
+    raise ConstructionError(f"no map x -> 1/(w^j x + 1) of GF({q}^2) is one cycle on the points")
 
 
 def _point_sets(blocks: list, n: int, r: int) -> tuple[int | None, dict[int, list[np.ndarray]]]:

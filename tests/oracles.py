@@ -11,9 +11,9 @@ import numpy as np
 from tetracomm.checks import Check, Report
 from tetracomm.finite_field import field_new, prime_power
 from tetracomm.matching import BipartiteGraph, MatchingInfeasibleError, d_disjoint_matchings, max_matching
-from tetracomm.partition import BlockIndex, DesignUnsuitableError, TetraPartition, noncentral_blocks, tb3
+from tetracomm.partition import BlockIndex, DesignUnsuitableError, TetraPartition, noncentral_blocks
 from tetracomm.steiner import SteinerSystem
-from tetracomm.schedule import build_demands, build_schedule, validate
+from tetracomm.schedule import Demands, build_demands, build_schedule, validate
 from tetracomm.simulator import ProcCounters
 from tetracomm.tensor_core import BlockStore, packed_index
 
@@ -32,6 +32,23 @@ def demand_rows(demands) -> list[DemandRow]:
         DemandRow(s, t, tuple(blocks[:k]))
         for s, t, blocks, k in zip(demands.src.tolist(), demands.dst.tolist(), demands.blocks.tolist(), demands.shared.tolist())
     ]
+
+
+def demands_from_rows(rows) -> Demands:
+    """The Demands table of hand-written (src, dst, blocks) rows, sorted by (src, dst), blocks padded with 0.
+
+    Raises ValueError for a processor id below 1, for src == dst and for
+    blocks that are not strictly increasing ids >= 1, which the 0 padding
+    would misread.
+    """
+    rows = sorted((int(s), int(t), tuple(int(i) for i in blocks)) for s, t, blocks in rows)
+    for s, t, blocks in rows:
+        if s < 1 or t < 1 or s == t or list(blocks) != sorted(set(blocks)) or min(blocks, default=1) < 1:
+            raise ValueError(f"demand {s}->{t} blocks {blocks}: need distinct processors >= 1 and increasing blocks >= 1")
+    width = max((len(blocks) for _, _, blocks in rows), default=0)
+    table = np.array([blocks + (0,) * (width - len(blocks)) for _, _, blocks in rows], dtype=np.int64)
+    src, dst = (np.array([row[c] for row in rows], dtype=np.int64) for c in (0, 1))
+    return Demands(src, dst, table.reshape(len(rows), width))
 
 
 def build_demands_by_intersection(part) -> list[DemandRow]:
@@ -388,8 +405,30 @@ def validate_partition_by_loops(part) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# blocks of the lower tetrahedron, as sets of BlockIndex
+# ---------------------------------------------------------------------------
+
+
+def tb3(indices) -> set[BlockIndex]:
+    """All strictly ordered triples drawn from an index set."""
+    return {BlockIndex(c, b, a) for a, b, c in combinations(sorted(indices), 3)}
+
+
+def all_lower_blocks(m: int) -> list[BlockIndex]:
+    """Every block index (i, j, k) with m >= i >= j >= k >= 1, ascending."""
+    return [BlockIndex(i, j, k) for i in range(1, m + 1) for j in range(1, i + 1) for k in range(1, j + 1)]
+
+
+# ---------------------------------------------------------------------------
 # set-up by field operations, dictionary lookups and a BFS-first matching
 # ---------------------------------------------------------------------------
+
+
+def subfield_elements(f, q: int) -> list:
+    """The elements of f = GF(q^2) fixed by x -> x^q, the subfield of order q, in canonical order."""
+    if f.order != q * q:
+        raise ValueError(f"field order {f.order} is not the square of q={q}")
+    return [x for x in f.elements() if f.pow(x, q) == x]
 
 
 def generators_by_field_ops(f, q) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
@@ -412,8 +451,40 @@ def generators_by_field_ops(f, q) -> tuple[list[int], list[int], list[int], tupl
             x, order = times_w[x], order + 1
         if order == nn - 1:
             break
-    base = tuple(sorted([index[e] for e in f.subfield_elements(q)] + [inf]))
+    base = tuple(sorted([index[e] for e in subfield_elements(f, q)] + [inf]))
     return plus_one, times_w, inverse, base
+
+
+def mobius_cycle_by_field_ops(q: int) -> list[int]:
+    """steiner.mobius_cycle point by point: x -> 1/(w^j x + 1) by Field.add/mul/inv, for the least j that is one cycle.
+
+    w is the first element in canonical order of multiplicative order
+    q^2 - 1, found by walking its powers; point q^2 is infinity, which the
+    map sends to 0.
+    """
+    p, k = prime_power(q)
+    f = field_new(p, 2 * k)
+    nn = q * q
+    elems = list(f.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    one = f.one()
+    for w in elems[1:]:
+        x, order = w, 1
+        while x != one:
+            x, order = f.mul(w, x), order + 1
+        if order == nn - 1:
+            break
+    scale = one
+    for _ in range(nn - 1):
+        denominators = [f.add(f.mul(scale, e), one) for e in elems]
+        g = [nn if d.is_zero() else index[f.inv(d)] for d in denominators] + [0]
+        x, length = g[0], 1
+        while x != 0:
+            x, length = g[x], length + 1
+        if length == nn + 1:
+            return g
+        scale = f.mul(w, scale)
+    raise AssertionError(f"no map x -> 1/(w^j x + 1) of GF({q}^2) is one cycle")
 
 
 def construct_spherical_by_field_ops(q: int) -> SteinerSystem:

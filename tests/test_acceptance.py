@@ -21,7 +21,7 @@ from tetracomm.bounds import (
     random_strict_point_set,
 )
 from tetracomm.cli import fixtures_dir
-from tetracomm.partition import build_partition, owned_blocks, storage_count, tb3, validate_partition, vector_layout
+from tetracomm.partition import build_partition, owned_blocks, storage_count, validate_partition, vector_layout
 from tetracomm.schedule import alltoall_cost, build_demands, build_schedule, validate
 from tetracomm.simulator import compute_report, simulate
 from tetracomm.tensor_core import (
@@ -35,7 +35,7 @@ from tetracomm.tensor_core import (
     ternary_count,
 )
 
-from oracles import set_entry, sttsv_naive
+from oracles import all_lower_blocks, set_entry, sttsv_naive, tb3
 
 SEEDS = [11, 23, 37, 51, 68]
 
@@ -120,7 +120,6 @@ def test_criterion_2_appendix_fixture(appendix):
 
 def test_criterion_3_partition_invariants(q2, q3, appendix):
     from collections import Counter
-    from tetracomm.partition import all_lower_blocks
 
     parts = [q2[0], q3[0], build_partition(appendix)]
     for part in parts:

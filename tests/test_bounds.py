@@ -13,7 +13,7 @@ from tetracomm.bounds import (
     random_point_set,
     random_strict_point_set,
 )
-from tetracomm.partition import tb3
+from oracles import tb3
 
 
 def brute_projection_sizes(points):

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import shlex
+from math import isfinite
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tetracomm import bounds, cli, simulator, steiner
 from tetracomm.cli import fixtures_dir, main
+from tetracomm.finite_field import prime_power
 from tetracomm.schedule import CommSchedule, build_schedule
 
 
@@ -35,7 +41,10 @@ def test_steiner_construct_writes_file(tmp_path, capsys):
 
 
 def test_steiner_construct_rejects_non_prime_power(capsys):
-    assert main(["steiner", "construct", "--q", "6"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["steiner", "construct", "--q", "6"])
+    assert exc.value.code == 2
+    assert "argument --q: 6 is not a prime power" in capsys.readouterr().err
 
 
 def test_steiner_construct_rejects_q_above_cap(capsys):
@@ -202,7 +211,7 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        (("schedule", "--q", "3", "--n", "120"), "56052e0ee90ac3999926506e353907a60c6567b33d78b036a1e8097d4c9b436f"),
+        (("schedule", "--q", "3", "--n", "120"), "6e2862921a75d373916a7787485dc9fd1acfbcdeeac9c8a1503ea05b5dc6ce17"),
         (("schedule", "--design", "steiner_10_4_3.txt"), "bd47d2d07bb85ec55d04fa40a2d791949a9e22666875d9e1bad9ac2c4536ae2a"),
         (("schedule", "--design", "steiner_8_4_3.txt"), "5c4051a79c62eda30cb1f877b18df372f6dd858ab0fb0bc66bfe18c945901a48"),
         (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
@@ -283,6 +292,17 @@ def test_bounds_with_ratio(capsys):
     assert obj["optimality_ratio"] == pytest.approx(1.2429, abs=1e-3)
 
 
+@pytest.mark.parametrize("p", [5, 69])
+def test_bounds_q_must_describe_p(capsys, p):
+    # q=4 describes P = 4·17 = 68 processors; its ratio beside any other P would mix two machines
+    assert main(["bounds", "--n", "10", "--p", str(p), "--q", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--q 4" in captured.err and f"--p is {p}" in captured.err
+    code, obj = run_json(capsys, "bounds", "--n", "10", "--p", "68", "--q", "4")
+    assert code == 0 and obj["P"] == 68 and obj["q"] == 4
+
+
 def test_hopm_command(capsys):
     code, obj = run_json(capsys, "hopm", "--n", "20", "--seed", "3", "--tol", "1e-10")
     assert code == 0
@@ -342,6 +362,75 @@ def test_out_of_domain_flags_are_usage_errors(capsys, argv, flag):
     assert f"argument {flag}:" in captured.err
 
 
+# Every subcommand's numeric flags: a valid value, and the largest int drawn
+# for the flag.  Larger q, n, counts or iteration limits would allocate or
+# run for long (simulate at q=5 pads n to 520, a 187 MB tensor).
+NUMERIC_FLAGS = {
+    ("steiner", "construct"): {"--q": ("3", 9)},
+    ("partition",): {"--q": ("2", 5), "--n": ("30", 8)},
+    ("schedule",): {"--q": ("2", 5), "--n": ("30", 8)},
+    ("simulate",): {"--q": ("2", 4), "--n": ("30", 8), "--seed": ("1", 8), "--tol": ("1e-12", 8)},
+    ("bounds",): {"--n": ("120", 8), "--p": ("30", 8), "--q": ("3", 8)},
+    ("hopm",): {"--n": ("5", 8), "--seed": ("1", 8), "--tol": ("1e-10", 8), "--max-iters": ("5", 8)},
+    ("cpgrad",): {"--n": ("5", 8), "--r": ("2", 8), "--seed": ("1", 8)},
+    ("hbl-fuzz",): {"--count": ("2", 8), "--seed": ("1", 8), "--points": ("5", 8), "--max-coord": ("10", 8)},
+}
+OTHER_TEXT = ["nan", "inf", "-inf", "1e400", "0.5", "-0", "abc", "", "3x"]
+
+
+def in_domain(flag: str, text: str) -> bool:
+    """Whether text is in the flag's documented domain: --seed a non-negative int, --q a prime power, else > 0."""
+    try:
+        value = (float if flag == "--tol" else int)(text)
+    except ValueError:
+        return False
+    if flag == "--seed":
+        return value >= 0
+    if flag == "--q":
+        return prime_power(value) is not None
+    return isfinite(value) and value > 0
+
+
+FLAG_CASES = [(command, flag) for command, flags in NUMERIC_FLAGS.items() for flag in flags]
+
+
+@pytest.mark.parametrize("command,flag", FLAG_CASES, ids=[f"{command[0]}{flag}" for command, flag in FLAG_CASES])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_numeric_flags_exit_cleanly_and_name_a_rejected_flag(capsys, command, flag, data):
+    # the flag takes a drawn value, the command's other flags their valid one
+    flags = NUMERIC_FLAGS[command]
+    text = data.draw(st.one_of(st.integers(-3, flags[flag][1]).map(str), st.sampled_from(OTHER_TEXT)), label="value")
+    argv = list(command)
+    for name, (valid, _) in flags.items():
+        argv += [name, text if name == flag else valid]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        assert exc.code == 2 and captured.out == ""
+        assert not in_domain(flag, text) and f"argument {flag}:" in captured.err
+    else:
+        captured = capsys.readouterr()
+        assert in_domain(flag, text) and code in (0, 1, 2)
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # every `tetracomm ...` line of the README's Command line block, run where it may write its files
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line.replace("path/to/", f"{fixtures_dir()}/")) for line in block.splitlines() if line.startswith("tetracomm ")]
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+
+
 def test_output_file_flag(tmp_path, capsys):
     out = tmp_path / "bounds.json"
     code = main(["bounds", "--n", "30", "--p", "10", "--out", str(out)])
@@ -359,8 +448,12 @@ def test_output_file_flag(tmp_path, capsys):
     ],
 )
 def test_nonpositive_n_is_usage_error(argv, capsys):
-    assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n:" in captured.err
 
 
 def test_hbl_fuzz_rejects_more_points_than_exist(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_partition_by_lookup, validate_partition_by_loops
+from oracles import all_lower_blocks, build_partition_by_lookup, tb3, validate_partition_by_loops
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
@@ -16,13 +16,11 @@ from tetracomm.partition import (
     BlockIndex,
     DesignUnsuitableError,
     VectorLayout,
-    all_lower_blocks,
     build_partition,
     noncentral_blocks,
     owned_blocks,
     pad_dimension,
     storage_count,
-    tb3,
     validate_partition,
     vector_layout,
 )

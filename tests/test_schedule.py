@@ -12,14 +12,13 @@ from tetracomm.cli import fixtures_dir
 from tetracomm.partition import build_partition
 from tetracomm.schedule import (
     CommSchedule,
-    Demands,
     alltoall_cost,
     build_demands,
     build_schedule,
     validate,
 )
 
-from oracles import build_demands_by_intersection, demand_rows
+from oracles import build_demands_by_intersection, demand_rows, demands_from_rows
 
 
 @pytest.fixture(scope="module")
@@ -104,10 +103,10 @@ def test_demand_table_layout(part_q2):
 
 def test_from_rows_sorts_and_round_trips():
     rows = [(3, 1, (2,)), (1, 3, (2, 5)), (1, 2, (4,))]
-    table = Demands.from_rows(rows)
+    table = demands_from_rows(rows)
     assert demand_rows(table) == sorted(rows)
     assert table.blocks.tolist() == [[4, 0], [2, 5], [2, 0]]
-    assert demand_rows(Demands.from_rows(sorted(rows))) == sorted(rows)
+    assert demand_rows(demands_from_rows(sorted(rows))) == sorted(rows)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +116,7 @@ def test_from_rows_sorts_and_round_trips():
 )
 def test_from_rows_rejects_rows_that_could_collide_with_padding(row):
     with pytest.raises(ValueError):
-        Demands.from_rows([(1, 3, (1,)), row])
+        demands_from_rows([(1, 3, (1,)), row])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,7 @@ def no_decompose(monkeypatch):
 def test_irregular_demands_raise(no_decompose):
     # hand-built demands with unequal degrees: 1->2, 1->3, 2->1, 3->1
     # (four rows over three processors: reshaping the layer to (3, 1) would fail first)
-    demands = Demands.from_rows(
+    demands = demands_from_rows(
         [
             (1, 2, (1,)),
             (1, 3, (1,)),
@@ -215,14 +214,14 @@ def test_irregular_demands_raise(no_decompose):
 
 def test_layer_that_leaves_out_a_processor_raises(no_decompose):
     # processors 2 and 3 exchange one block; processor 1 takes no part
-    demands = Demands.from_rows([(2, 3, (1,)), (3, 2, (1,))])
+    demands = demands_from_rows([(2, 3, (1,)), (3, 2, (1,))])
     with pytest.raises(ValueError, match="layer of 1 shared blocks is not regular on processors 1..3"):
         build_schedule(demands)
 
 
 def test_asymmetric_regular_layer_raises(no_decompose):
     # i->i+1 and i->i+2 mod 5: two sends and two receives each, but no demand has its reverse
-    demands = Demands.from_rows([(i + 1, (i + s) % 5 + 1, (1,)) for i in range(5) for s in (1, 2)])
+    demands = demands_from_rows([(i + 1, (i + s) % 5 + 1, (1,)) for i in range(5) for s in (1, 2)])
     with pytest.raises(ValueError, match="layer of 1 shared blocks is not symmetric"):
         build_schedule(demands)
 
@@ -230,15 +229,15 @@ def test_asymmetric_regular_layer_raises(no_decompose):
 def test_q2_step_list_pinned(part_q2):
     # receivers of senders 1..10 per step; pins the orbit colouring's order
     expected = [
-        [2, 6, 5, 7, 4, 10, 9, 1, 3, 8],
-        [8, 1, 9, 5, 3, 2, 4, 10, 7, 6],
-        [5, 7, 2, 6, 8, 3, 1, 9, 10, 4],
-        [7, 3, 6, 10, 1, 4, 2, 5, 8, 9],
-        [4, 9, 8, 1, 6, 5, 10, 3, 2, 7],
-        [3, 4, 1, 2, 10, 9, 8, 7, 6, 5],
-        [6, 10, 7, 3, 9, 8, 5, 2, 4, 1],
-        [9, 5, 10, 8, 2, 7, 6, 4, 1, 3],
-        [10, 8, 4, 9, 7, 1, 3, 6, 5, 2],
+        [5, 4, 2, 10, 6, 9, 1, 3, 7, 8],
+        [7, 3, 8, 2, 1, 5, 9, 10, 6, 4],
+        [8, 6, 1, 7, 4, 3, 2, 9, 10, 5],
+        [3, 7, 6, 5, 10, 2, 4, 1, 8, 9],
+        [4, 9, 5, 1, 3, 10, 8, 7, 2, 6],
+        [2, 1, 9, 6, 8, 4, 10, 5, 3, 7],
+        [9, 10, 4, 8, 7, 1, 6, 2, 5, 3],
+        [10, 5, 7, 9, 2, 8, 3, 6, 4, 1],
+        [6, 8, 10, 3, 9, 7, 5, 4, 1, 2],
     ]
     sched = build_schedule(build_demands(part_q2))
     assert [step.tolist() for step in sched.steps] == expected
@@ -257,9 +256,9 @@ def steps_sha256(steps) -> str:
     return digest.hexdigest()
 
 
-Q7_STEPS_SHA256 = "7421c226e00018d8c1b8a958744d8239b27c7ee9e27f89f0416bd98a7968704c"
+Q7_STEPS_SHA256 = "2415da858b9ffc2a159bd33636cf0f8d5e620cb7fb6b45db6ce53743d0e0210e"
 # the 15 steps of q=4's one-share layer, whose degree is odd
-Q4_ONE_SHARE_LAYER_SHA256 = "41816264c130f36c9961be0d2d46516ecfe93c91a295d4ec7d04d21cb7ba8b07"
+Q4_ONE_SHARE_LAYER_SHA256 = "cf04e6bfce8cdffd26d3efef1eb05bf3d1e5b3e8e514287676f725d893f78658"
 
 
 def test_q7_schedule_pinned():
@@ -480,7 +479,7 @@ def test_any_changed_row_fails_and_is_named(q, data):
 
 def test_validate_demands_that_share_no_block():
     # a demand row may list no block; its sender then sends 0 words
-    demands = Demands.from_rows([(1, 2, ()), (2, 1, ())])
+    demands = demands_from_rows([(1, 2, ()), (2, 1, ())])
     report = validate(build_schedule(demands), demands, 3)
     assert report.passed
     assert report.send_volume == {1: 0, 2: 0}

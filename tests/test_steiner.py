@@ -5,10 +5,11 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import construct_spherical_by_field_ops, generators_by_field_ops, verify_by_counter
+from oracles import construct_spherical_by_field_ops, generators_by_field_ops, mobius_cycle_by_field_ops, verify_by_counter
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
@@ -83,11 +84,29 @@ def test_design_file_pinned_for_every_q_up_to_cap(tmp_path, q):
 def test_generator_tables_equal_the_field_operations(q):
     # x+1, wx and 1/x read from the exp/log tables against Field.add, Field.mul and Field.inv
     p, k = prime_power(q)
-    f = field_new(p, 2 * k)
-    maps, base = steiner._generators(f, q)
-    *expected, expected_base = generators_by_field_ops(f, q)
+    maps, base = steiner._generators(q)
+    *expected, expected_base = generators_by_field_ops(field_new(p, 2 * k), q)
     assert maps.tolist() == expected
     assert base == list(expected_base)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, steiner.Q_CAP + 1) if prime_power(q)])
+def test_mobius_cycle_is_one_cycle_that_maps_blocks_to_blocks(q):
+    g = steiner.mobius_cycle(q)
+    n = q * q + 1
+    assert sorted(g.tolist()) == list(range(n))
+    x, length = int(g[0]), 1
+    while x != 0:
+        x, length = int(g[x]), length + 1
+    assert length == n
+    blocks = np.array(steiner.construct_spherical(q).blocks) - 1
+    assert set(map(tuple, np.sort(g[blocks], axis=1).tolist())) == set(map(tuple, blocks.tolist()))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 10) if prime_power(q)])
+def test_mobius_cycle_equals_the_field_operations(q):
+    # x -> 1/(w^j x + 1) for the least j that is one cycle, by Field.add, Field.mul and Field.inv
+    assert steiner.mobius_cycle(q).tolist() == mobius_cycle_by_field_ops(q)
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, steiner.Q_CAP + 1) if prime_power(q)])
