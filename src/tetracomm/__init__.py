@@ -9,7 +9,7 @@ communication lower-bound calculators.
 """
 
 from .bounds import check_basic_hbl, check_symm_hbl, lower_bound, opt_solution, optimality_ratio
-from .finite_field import Field, FieldElement, field_new
+from .finite_field import Field, field_new
 from .matching import BipartiteGraph, d_disjoint_matchings, max_matching, regular_decompose
 from .partition import (
     BlockIndex,
@@ -22,7 +22,7 @@ from .partition import (
 )
 from .schedule import CommSchedule, Demands, alltoall_cost, build_demands, build_schedule
 from .simulator import SimReport, compute_report, simulate, verify_run
-from .steiner import SteinerSystem, construct_spherical, divisibility_ok
+from .steiner import SteinerSystem, construct_spherical
 from .tensor_core import (
     PackedSymTensor,
     cp_gradient,
@@ -38,11 +38,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Field",
-    "FieldElement",
     "field_new",
     "SteinerSystem",
     "construct_spherical",
-    "divisibility_ok",
     "BipartiteGraph",
     "max_matching",
     "d_disjoint_matchings",

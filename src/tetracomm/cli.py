@@ -262,9 +262,13 @@ _seed.__name__ = "int"  # text int() cannot parse still reads as an invalid int 
 
 
 def _prime_power(text: str) -> int:
-    """The argparse type of --q: a prime power.  The cap on q is the library's, which names it."""
+    """The argparse type of --q: a prime power.  The caps on q are the library's, which name them."""
     value = int(text)
-    if prime_power(value) is None:
+    try:
+        pk = prime_power(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if pk is None:
         raise argparse.ArgumentTypeError(f"{text} is not a prime power")
     return value
 

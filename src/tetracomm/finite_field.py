@@ -1,11 +1,11 @@
-"""Arithmetic in GF(p^k) with a deterministic choice of modulus.
+"""Arithmetic in GF(p^k) on canonical element ids, with a deterministic modulus.
 
-Elements are coefficient vectors over GF(p), constant term first.  The
-modulus of GF(p^k) is the monic irreducible degree-k polynomial whose
-coefficient vector, read as a base-p integer with the constant term least
-significant, is minimal.  Element ordering is lexicographic on the
-coefficient vector with the constant term most significant; this fixes
-the point numbering used by the design construction downstream.
+An element is a polynomial over GF(p) of degree below k.  Its id is its k
+coefficients read as base-p digits, constant term most significant, so the
+ids are 0..p^k - 1, one is p^(k-1), and the ids are the point numbering the
+design construction uses downstream.  The modulus of GF(p^k) is the monic
+irreducible degree-k polynomial whose coefficient vector, read as a base-p
+integer with the constant term least significant, is minimal.
 
 Intended for desk-scale orbit enumeration (field order <= 2**16), not for
 cryptographic use.
@@ -16,29 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-__all__ = ["Field", "FieldElement", "field_new", "is_prime", "prime_power"]
+__all__ = ["Field", "field_new", "prime_power"]
 
 ORDER_CAP = 1 << 16
 
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for small characteristics."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# prime_power is trial division, at most 2**20 candidate factors below this bound.
+PRIME_POWER_CAP = 1 << 40
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p**k and p prime, or None if q is not a prime power."""
+    """Return (p, k) with q = p**k and p prime, or None if q is not a prime power.
+
+    q above PRIME_POWER_CAP = 2**40 raises ValueError, since trial division
+    would not return in practice for a large prime.
+    """
+    if q > PRIME_POWER_CAP:
+        raise ValueError(f"q={q} exceeds the bound 2**40 on prime-power tests")
     if q < 2:
         return None
     p = 2
@@ -79,15 +72,6 @@ def _poly_mod(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
     return _trim(a)
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, mod, p)
-
-
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """A monic degree-k polynomial over GF(p) is irreducible iff no monic
     polynomial of degree 1..k/2 divides it."""
@@ -100,30 +84,17 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# field and element types
+# the field
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class FieldElement:
-    """Element of GF(p^k) as a length-k coefficient tuple, constant term first."""
-
-    coeffs: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"FieldElement{self.coeffs}"
 
 
 @dataclass(frozen=True)
 class Field:
     """GF(p^k) with a fixed monic irreducible modulus of degree k.
 
-    All operations are pure; Field and FieldElement are immutable and safe
-    to share.  Operands must come from the same field (only the coefficient
-    length is checked).
+    Every operation takes and returns element ids, converting them to
+    coefficients and back per call; an operand outside 0..order-1 raises
+    ValueError.  Field is immutable and safe to share.
     """
 
     p: int
@@ -134,59 +105,53 @@ class Field:
     def order(self) -> int:
         return self.p**self.k
 
-    def element(self, coeffs) -> FieldElement:
-        cs = [int(c) % self.p for c in coeffs]
-        if len(cs) > self.k:
-            cs = _poly_mod(cs, self.modulus, self.p)
-        cs += [0] * (self.k - len(cs))
-        return FieldElement(tuple(cs[: self.k]))
+    def one(self) -> int:
+        return self.p ** (self.k - 1)
 
-    def zero(self) -> FieldElement:
-        return FieldElement((0,) * self.k)
+    def _digits(self, a: int) -> list[int]:
+        """a's k coefficients, constant term first."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"{a} is not an element id of GF({self.p}^{self.k})")
+        out = [0] * self.k
+        for i in range(self.k - 1, -1, -1):
+            a, out[i] = divmod(a, self.p)
+        return out
 
-    def one(self) -> FieldElement:
-        return self.element([1])
+    def _id(self, coeffs: list[int]) -> int:
+        """The id of at most k coefficients, constant term first, each in 0..p-1."""
+        out = 0
+        for c in coeffs + [0] * (self.k - len(coeffs)):
+            out = out * self.p + c
+        return out
 
-    def elements(self):
-        """All field elements in canonical order (constant term most significant)."""
-        for cs in product(range(self.p), repeat=self.k):
-            yield FieldElement(cs)
+    def add(self, a: int, b: int) -> int:
+        return self._id([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
 
-    def _check(self, *elems: FieldElement) -> None:
-        for e in elems:
-            if len(e.coeffs) != self.k:
-                raise ValueError(f"element {e} does not belong to GF({self.p}^{self.k})")
+    def sub(self, a: int, b: int) -> int:
+        return self._id([(x - y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return FieldElement(tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
+    def neg(self, a: int) -> int:
+        return self._id([-x % self.p for x in self._digits(a)])
 
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return FieldElement(tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
+    def mul(self, a: int, b: int) -> int:
+        x, y = self._digits(a), self._digits(b)
+        out = [0] * (2 * self.k - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    out[i + j] += xi * yj
+        return self._id(_poly_mod(out, self.modulus, self.p))
 
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return FieldElement(tuple((-x) % self.p for x in a.coeffs))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        out = _poly_mulmod(list(a.coeffs), list(b.coeffs), self.modulus, self.p)
-        out += [0] * (self.k - len(out))
-        return FieldElement(tuple(out[: self.k]))
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        if a.is_zero():
+    def inv(self, a: int) -> int:
+        if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return self.pow(a, self.order - 2)
 
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        self._check(a)
+    def pow(self, a: int, e: int) -> int:
+        self._digits(a)  # ValueError unless a is an element id
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = self.one()
-        acc = a
+        result, acc = self.one(), a
         while e:
             if e & 1:
                 result = self.mul(result, acc)
@@ -194,28 +159,18 @@ class Field:
             e >>= 1
         return result
 
-    def element_id(self, a: FieldElement) -> int:
-        """a's position in canonical order: its coefficients as base-p digits, constant term first."""
-        self._check(a)
-        out = 0
-        for c in a.coeffs:
-            out = out * self.p + c
-        return out
-
     def exp_table(self) -> list[int]:
         """The ids of w^0, w^1, ..., w^(order-2) for the first primitive element w.
 
-        w is the first element in canonical order whose powers cover every
-        non-zero element.  Each candidate's powers are walked until they
-        return to one, one ``mul`` per power.
+        w is the least non-zero id whose powers cover every non-zero
+        element.  Each candidate's powers are walked until they return to
+        one, one ``mul`` per power.
         """
         one = self.one()
-        for w in self.elements():
-            if w.is_zero():
-                continue
+        for w in range(1, self.order):
             table, x = [], one
             while True:
-                table.append(self.element_id(x))
+                table.append(x)
                 x = self.mul(w, x)
                 if x == one:
                     break
@@ -229,14 +184,15 @@ def field_new(p: int, k: int) -> Field:
 
     Minimality is over the base-p integer encoding of the non-leading
     coefficients, constant term least significant.  For k = 1 the modulus
-    is the placeholder polynomial t and arithmetic is plain mod p.
+    is the placeholder polynomial t and arithmetic is plain mod p.  The
+    order cap is checked before p's primality, so a huge p fails at once.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
     if k < 1:
         raise ValueError(f"k={k} must be positive")
     if p**k > ORDER_CAP:
         raise ValueError(f"field order {p**k} exceeds the cap {ORDER_CAP}")
+    if prime_power(p) != (p, 1):
+        raise ValueError(f"p={p} is not prime")
     if k == 1:
         return Field(p, 1, (0, 1))
     for m in range(p**k):

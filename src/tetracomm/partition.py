@@ -45,14 +45,6 @@ class BlockIndex(NamedTuple):
     j: int
     k: int
 
-    @property
-    def kind(self) -> str:
-        if self.i > self.j > self.k:
-            return "off"
-        if self.i == self.j == self.k:
-            return "central"
-        return "noncentral"
-
 
 def noncentral_blocks(m: int) -> list[BlockIndex]:
     """The m(m-1) blocks with exactly two equal coordinates, sorted.
@@ -342,7 +334,9 @@ def vector_layout(n: int, part: TetraPartition) -> VectorLayout:
 
 
 def storage_count(part: TetraPartition, n: int, p: int) -> int:
-    """Exact lower-tetrahedral element count stored by processor p."""
+    """Exact lower-tetrahedral element count stored by processor p, one of 1..P."""
+    if not 1 <= p <= part.P:
+        raise ValueError(f"processor p={p} is outside 1..{part.P}")
     if n % part.m != 0:
         raise ValueError(f"n={n} is not a multiple of m={part.m}")
     b = n // part.m

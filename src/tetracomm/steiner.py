@@ -33,7 +33,6 @@ __all__ = [
     "load",
     "parse",
     "save",
-    "divisibility_ok",
 ]
 
 # Designs stop at q=16 so that design files, which share the cap, have
@@ -71,15 +70,6 @@ class SteinerSystem:
     r: int
     blocks: list[tuple[int, ...]]
     s: int = 3
-
-
-def divisibility_ok(n: int, r: int) -> bool:
-    """Necessary divisibility conditions for an (n, r, 3) system to exist."""
-    return (
-        (n - 2) % (r - 2) == 0
-        and ((n - 1) * (n - 2)) % ((r - 1) * (r - 2)) == 0
-        and (n * (n - 1) * (n - 2)) % (r * (r - 1) * (r - 2)) == 0
-    )
 
 
 def _generators(q: int) -> tuple[np.ndarray, list[int]]:

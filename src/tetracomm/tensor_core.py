@@ -41,7 +41,6 @@ __all__ = [
     "HopmResult",
     "packed_index",
     "lower_tetra_count",
-    "strict_lower_count",
     "ternary_count",
     "contract",
     "tiled_store",
@@ -71,11 +70,6 @@ class DegenerateIterateError(ArithmeticError):
 def lower_tetra_count(n: int) -> int:
     """Number of lower-tetrahedral entries (i >= j >= k) of an n-dim tensor."""
     return n * (n + 1) * (n + 2) // 6
-
-
-def strict_lower_count(n: int) -> int:
-    """Number of strictly ordered entries (i > j > k)."""
-    return n * (n - 1) * (n - 2) // 6
 
 
 def ternary_count(n: int) -> int:

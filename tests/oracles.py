@@ -424,51 +424,45 @@ def all_lower_blocks(m: int) -> list[BlockIndex]:
 # ---------------------------------------------------------------------------
 
 
-def subfield_elements(f, q: int) -> list:
-    """The elements of f = GF(q^2) fixed by x -> x^q, the subfield of order q, in canonical order."""
+def subfield_elements(f, q: int) -> list[int]:
+    """The ids of the elements of f = GF(q^2) fixed by x -> x^q, the subfield of order q, ascending."""
     if f.order != q * q:
         raise ValueError(f"field order {f.order} is not the square of q={q}")
-    return [x for x in f.elements() if f.pow(x, q) == x]
+    return [x for x in range(f.order) if f.pow(x, q) == x]
 
 
 def generators_by_field_ops(f, q) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
     """(plus_one, times_w, inverse, base) on point ids, element by element with Field.add/mul/inv.
 
-    w is the first element in canonical order whose multiplication table
-    cycles through every non-zero element; every candidate gets a full table.
+    w is the least non-zero id whose multiplication table cycles through
+    every non-zero element; every candidate gets a full table.
     """
-    nn = q * q
-    elems = list(f.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    inf = nn
-    one = index[f.one()]
-    plus_one = [index[f.add(e, f.one())] for e in elems] + [inf]
-    inverse = [inf] + [index[f.inv(e)] for e in elems[1:]] + [0]
-    for w in elems[1:]:
-        times_w = [index[f.mul(w, e)] for e in elems] + [inf]
+    nn = inf = q * q
+    one = f.one()
+    plus_one = [f.add(x, one) for x in range(nn)] + [inf]
+    inverse = [inf] + [f.inv(x) for x in range(1, nn)] + [0]
+    for w in range(1, nn):
+        times_w = [f.mul(w, x) for x in range(nn)] + [inf]
         x, order = times_w[one], 1
         while x != one:
             x, order = times_w[x], order + 1
         if order == nn - 1:
             break
-    base = tuple(sorted([index[e] for e in subfield_elements(f, q)] + [inf]))
+    base = tuple(subfield_elements(f, q) + [inf])
     return plus_one, times_w, inverse, base
 
 
 def mobius_cycle_by_field_ops(q: int) -> list[int]:
     """steiner.mobius_cycle point by point: x -> 1/(w^j x + 1) by Field.add/mul/inv, for the least j that is one cycle.
 
-    w is the first element in canonical order of multiplicative order
-    q^2 - 1, found by walking its powers; point q^2 is infinity, which the
-    map sends to 0.
+    w is the least non-zero id of multiplicative order q^2 - 1, found by
+    walking its powers; point q^2 is infinity, which the map sends to 0.
     """
     p, k = prime_power(q)
     f = field_new(p, 2 * k)
     nn = q * q
-    elems = list(f.elements())
-    index = {e: i for i, e in enumerate(elems)}
     one = f.one()
-    for w in elems[1:]:
+    for w in range(1, nn):
         x, order = w, 1
         while x != one:
             x, order = f.mul(w, x), order + 1
@@ -476,8 +470,8 @@ def mobius_cycle_by_field_ops(q: int) -> list[int]:
             break
     scale = one
     for _ in range(nn - 1):
-        denominators = [f.add(f.mul(scale, e), one) for e in elems]
-        g = [nn if d.is_zero() else index[f.inv(d)] for d in denominators] + [0]
+        denominators = [f.add(f.mul(scale, x), one) for x in range(nn)]
+        g = [nn if d == 0 else f.inv(d) for d in denominators] + [0]
         x, length = g[0], 1
         while x != 0:
             x, length = g[x], length + 1

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from math import isfinite
 from pathlib import Path
 
@@ -301,6 +304,17 @@ def test_bounds_q_must_describe_p(capsys, p):
     assert "--q 4" in captured.err and f"--p is {p}" in captured.err
     code, obj = run_json(capsys, "bounds", "--n", "10", "--p", "68", "--q", "4")
     assert code == 0 and obj["P"] == 68 and obj["q"] == 4
+
+
+def test_bounds_refuses_a_q_above_the_prime_power_bound():
+    # 2^61 - 1 is prime, so trial division would never return: the bound 2^40 refuses it at parse time
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetracomm.cli", "bounds", "--n", "10", "--p", "5", "--q", "2305843009213693951"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --q: q=2305843009213693951 exceeds the bound 2**40" in proc.stderr
 
 
 def test_hopm_command(capsys):

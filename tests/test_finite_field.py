@@ -1,8 +1,10 @@
 import itertools
+import time
 
 import pytest
 
-from tetracomm.finite_field import field_new, is_prime, prime_power
+from tetracomm.bounds import optimality_ratio
+from tetracomm.finite_field import field_new, prime_power
 
 from oracles import subfield_elements
 
@@ -48,6 +50,30 @@ def minimal_irreducible(p, k):
     raise AssertionError("no irreducible found")
 
 
+def digits(a, p, k):
+    """The k base-p digits of id a, most significant first: the coefficients, constant term first."""
+    return [a // p ** (k - 1 - i) % p for i in range(k)]
+
+
+def element_id(coeffs, p):
+    """The id of a coefficient list, constant term first, as base-p digits."""
+    out = 0
+    for c in coeffs:
+        out = out * p + c
+    return out
+
+
+def digit_mul(a, b, p, k):
+    """a*b by convolving the digits and reducing by long division with minimal_irreducible(p, k)."""
+    mod = minimal_irreducible(p, k)
+    prod = poly_mul_mod_p(digits(a, p, k), digits(b, p, k), p)
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top]
+        for j in range(k + 1):
+            prod[top - k + j] = (prod[top - k + j] - c * mod[j]) % p
+    return element_id(prod[:k], p)
+
+
 # ---------------------------------------------------------------------------
 # modulus selection
 # ---------------------------------------------------------------------------
@@ -86,34 +112,34 @@ def test_field_new_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# arithmetic on element ids
 # ---------------------------------------------------------------------------
 
 
 def test_gf2_one_plus_one_is_zero():
     f = field_new(2, 1)
-    assert f.add(f.one(), f.one()) == f.zero()
+    assert f.add(f.one(), f.one()) == 0
 
 
 def test_gf5_inverse_of_two_is_three():
     f = field_new(5, 1)
-    assert f.inv(f.element([2])) == f.element([3])
+    assert f.inv(2) == 3
 
 
 def test_gf4_t_times_t_via_reduction_oracle():
     f = field_new(2, 2)
-    t = f.element([0, 1])
+    t = element_id([0, 1], 2)
     # oracle: multiply without the field, then reduce by the modulus by hand
     raw = poly_mul_mod_p([0, 1], [0, 1], 2)  # t^2
     # t^2 = t + 1 because t^2 + t + 1 = 0 over GF(2)
     assert raw == [0, 0, 1]
-    assert f.mul(t, t) == f.element([1, 1])
+    assert f.mul(t, t) == element_id([1, 1], 2) == 3
 
 
 def test_inverse_of_zero_raises():
     f = field_new(3, 2)
     with pytest.raises(ZeroDivisionError):
-        f.inv(f.zero())
+        f.inv(0)
 
 
 def test_pow_rejects_negative_exponent():
@@ -122,16 +148,49 @@ def test_pow_rejects_negative_exponent():
         f.pow(f.one(), -1)
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)])
+def test_operations_equal_digit_arithmetic(p, k):
+    f = field_new(p, k)
+    order = p**k
+    one = element_id([1] + [0] * (k - 1), p)
+    assert f.one() == one
+    for a, b in itertools.product(range(order), repeat=2):
+        x, y = digits(a, p, k), digits(b, p, k)
+        assert f.add(a, b) == element_id([(s + t) % p for s, t in zip(x, y)], p)
+        assert f.sub(a, b) == element_id([(s - t) % p for s, t in zip(x, y)], p)
+        assert f.mul(a, b) == digit_mul(a, b, p, k)
+    for a in range(order):
+        assert f.neg(a) == element_id([-s % p for s in digits(a, p, k)], p)
+    for a in range(1, order):
+        assert f.inv(a) == next(b for b in range(1, order) if digit_mul(a, b, p, k) == one)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "neg", "mul", "inv", "pow"])
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_operations_reject_ids_outside_the_field(op, bad):
+    f = field_new(3, 2)  # ids 0..8
+    calls = {
+        "add": [(bad, 1), (1, bad)],
+        "sub": [(bad, 1), (1, bad)],
+        "neg": [(bad,)],
+        "mul": [(bad, 1), (1, bad)],
+        "inv": [(bad,)],
+        "pow": [(bad, 0), (bad, 2)],
+    }[op]
+    for args in calls:
+        with pytest.raises(ValueError, match=rf"{bad} is not an element id of GF\(3\^2\)"):
+            getattr(f, op)(*args)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2)])
 def test_field_axioms_exhaustive(p, k):
     f = field_new(p, k)
-    elems = list(f.elements())
-    assert len(elems) == f.order
-    one, zero = f.one(), f.zero()
+    elems = range(f.order)
+    one, zero = f.one(), 0
     for a in elems:
         assert f.add(a, zero) == a
         assert f.mul(a, one) == a
-        if not a.is_zero():
+        if a != zero:
             assert f.mul(a, f.inv(a)) == one
     sample = elems[:: max(1, len(elems) // 6)]
     for a in sample:
@@ -150,16 +209,16 @@ def test_field_axioms_exhaustive(p, k):
 
 def test_subfield_of_gf4_is_prime_field():
     f = field_new(2, 2)
-    assert subfield_elements(f, 2) == [f.zero(), f.one()]
+    assert subfield_elements(f, 2) == [0, f.one()] == [0, 2]
 
 
 def test_subfield_of_gf9_by_fixed_point_enumeration():
     f = field_new(3, 2)
     # oracle: enumerate x with x^3 == x directly
-    fixed = [x for x in f.elements() if f.mul(f.mul(x, x), x) == x]
+    fixed = [x for x in range(f.order) if f.mul(f.mul(x, x), x) == x]
     got = subfield_elements(f, 3)
     assert got == fixed
-    assert got == [f.element([0]), f.element([1]), f.element([2])]
+    assert got == [element_id([c, 0], 3) for c in range(3)] == [0, 3, 6]
 
 
 def test_subfield_of_gf16_closed_under_ops():
@@ -181,10 +240,14 @@ def test_subfield_requires_square_order():
 
 def test_element_ordering_constant_term_most_significant():
     f = field_new(3, 2)
-    elems = list(f.elements())
-    constants = [f.element([c]) for c in range(3)]
-    assert [elems.index(c) for c in constants] == [0, 3, 6]
-    assert elems == sorted(elems)
+    # the constant c, c copies of one added up, has id c * p^(k-1)
+    constants, c = [], 0
+    for _ in range(3):
+        constants.append(c)
+        c = f.add(c, f.one())
+    assert constants == [0, 3, 6]
+    # t is id 1, and t*t = -1 (the modulus is t^2 + 1) is the constant 2
+    assert f.mul(1, 1) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +256,15 @@ def test_element_ordering_constant_term_most_significant():
 
 
 def test_is_prime_small_values():
-    assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    # field_new(n, 1) accepts exactly the primes
+    accepted = []
+    for n in range(-2, 20):
+        try:
+            field_new(n, 1)
+        except ValueError:
+            continue
+        accepted.append(n)
+    assert accepted == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
 def test_prime_power_detection():
@@ -204,20 +275,47 @@ def test_prime_power_detection():
     assert prime_power(1) is None
 
 
+def test_prime_power_equals_brute_force_below_5000():
+    primes = [n for n in range(2, 5000) if all(n % d for d in range(2, n))]
+    expected = {p**k: (p, k) for p in primes for k in range(1, 13) if p**k < 5000}
+    assert {q: prime_power(q) for q in range(-3, 5000)} == {q: expected.get(q) for q in range(-3, 5000)}
+
+
+def test_prime_power_is_bounded():
+    assert prime_power(2**40) == (2, 40)
+    with pytest.raises(ValueError, match=r"exceeds the bound 2\*\*40"):
+        prime_power(2**40 + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: prime_power(2**61 - 1), lambda: field_new(2**61 - 1, 1), lambda: optimality_ratio(10, 2**61 - 1)],
+    ids=["prime_power", "field_new", "optimality_ratio"],
+)
+def test_a_huge_prime_fails_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (3, 4)])
 def test_element_ids_count_in_canonical_order(p, k):
+    # every id 0..order-1 is an element, and order is not one
     f = field_new(p, k)
-    assert [f.element_id(e) for e in f.elements()] == list(range(f.order))
+    for a in range(f.order):
+        assert f.add(a, 0) == f.mul(a, f.one()) == a
+    with pytest.raises(ValueError):
+        f.add(f.order, 0)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (3, 4)])
 def test_exp_table_walks_the_powers_of_the_first_primitive_element(p, k):
     f = field_new(p, k)
-    elems = list(f.elements())
     table = f.exp_table()
     assert sorted(table) == list(range(1, f.order))  # every non-zero element once
-    w = elems[table[1]] if f.order > 2 else f.one()
-    assert all(elems[table[j]] == f.pow(w, j) for j in range(len(table)))
-    # no non-zero element before w in canonical order has order order - 1
-    for x in elems[1 : elems.index(w)]:
+    w = table[1] if f.order > 2 else f.one()
+    assert all(table[j] == f.pow(w, j) for j in range(len(table)))
+    # no non-zero id below w has order order - 1
+    for x in range(1, w):
         assert any(f.pow(x, e) == f.one() for e in range(1, f.order - 1))

@@ -77,18 +77,11 @@ def test_tb3_size_is_binomial():
     assert len(tb3(range(1, 8))) == comb(7, 3)
 
 
-def test_block_kinds():
-    assert BlockIndex(3, 2, 1).kind == "off"
-    assert BlockIndex(3, 3, 1).kind == "noncentral"
-    assert BlockIndex(3, 1, 1).kind == "noncentral"
-    assert BlockIndex(2, 2, 2).kind == "central"
-
-
 def test_block_census():
     m = 10
     blocks = list(all_lower_blocks(m))
     assert len(blocks) == m * (m + 1) * (m + 2) // 6
-    kinds = Counter(b.kind for b in blocks)
+    kinds = Counter("central" if i == k else "off" if i > j > k else "noncentral" for i, j, k in blocks)
     assert kinds["off"] == comb(m, 3)
     assert kinds["noncentral"] == m * (m - 1)
     assert kinds["central"] == m
@@ -437,6 +430,12 @@ def test_storage_counts_q2(part_q2):
     for p in range(1, 11):
         expected = 524 if part_q2.D[p - 1] else 468
         assert storage_count(part_q2, 30, p) == expected
+
+
+@pytest.mark.parametrize("p", [0, 11])
+def test_storage_count_rejects_a_processor_outside_1_to_P(part_q2, p):
+    with pytest.raises(ValueError, match=rf"p={p} is outside 1\.\.10"):
+        storage_count(part_q2, 30, p)
 
 
 @pytest.mark.parametrize(

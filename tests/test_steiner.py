@@ -211,19 +211,6 @@ def test_load_rejects_unsorted_block(tmp_path):
         steiner.load(path)
 
 
-# ---------------------------------------------------------------------------
-# divisibility predicate
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "n,r,expected",
-    [(10, 4, True), (8, 4, True), (9, 4, False), (5, 3, True), (26, 6, True), (7, 4, False)],
-)
-def test_divisibility(n, r, expected):
-    assert steiner.divisibility_ok(n, r) is expected
-
-
 def test_verify_huge_n_walks_no_further_than_the_blocks_reach():
     report = steiner.verify(steiner.SteinerSystem(10**12, 7, []))
     assert not report.passed

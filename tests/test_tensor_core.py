@@ -24,7 +24,6 @@ from tetracomm.tensor_core import (
     random_vector,
     save_tensor,
     save_vector,
-    strict_lower_count,
     sttsv_symmetric,
     ternary_count,
     tiled_store,
@@ -102,7 +101,6 @@ def test_counts():
     assert ternary_count(2) == 6
     assert ternary_count(1) == 1
     assert ternary_count(10) == 550
-    assert strict_lower_count(10) == 120
     assert lower_tetra_count(3) == 10
 
 
