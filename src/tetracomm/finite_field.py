@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 __all__ = ["Field", "field_new", "prime_power"]
 
 ORDER_CAP = 1 << 16
@@ -163,17 +165,22 @@ class Field:
         """The ids of w^0, w^1, ..., w^(order-2) for the first primitive element w.
 
         w is the least non-zero id whose powers cover every non-zero
-        element.  Each candidate's powers are walked until they return to
-        one, one ``mul`` per power.
+        element.  Multiplying by a candidate is GF(p)-linear on the
+        coefficients, so its k products with the monomials t^i, one ``mul``
+        each, give its product with every element at once, as one integer
+        permutation of the ids.  The candidate's powers are walked on that
+        permutation until they return to one.
         """
-        one = self.one()
+        p, k, one = self.p, self.k, self.one()
+        weights = p ** np.arange(k - 1, -1, -1)  # t^i has id p^(k-1-i)
+        digits = np.arange(self.order)[:, None] // weights % p
         for w in range(1, self.order):
-            table, x = [], one
-            while True:
+            images = np.array([self._digits(self.mul(w, int(t))) for t in weights])
+            times_w = (digits @ images % p @ weights).tolist()
+            table, x = [one], times_w[one]
+            while x != one:
                 table.append(x)
-                x = self.mul(w, x)
-                if x == one:
-                    break
+                x = times_w[x]
             if len(table) == self.order - 1:
                 return table
         raise RuntimeError(f"GF({self.p}^{self.k}) has no primitive element")

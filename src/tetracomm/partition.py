@@ -18,8 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .finite_field import prime_power
-from .matching import BipartiteGraph, MatchingInfeasibleError, d_disjoint_matchings, max_matching
-from .steiner import SteinerSystem
+
+# d_disjoint_matchings stays importable here: perfbench/tracing.py wraps partition.d_disjoint_matchings
+from .matching import BipartiteGraph, _cycle_min, _hopcroft_karp, d_disjoint_matchings, max_matching  # noqa: F401
+from .steiner import SteinerSystem, mobius_orbits
 
 __all__ = [
     "BlockIndex",
@@ -103,17 +105,39 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     """Assign every lower-tetrahedral block of an m-block tensor to a processor.
 
     Off-diagonal blocks follow the design directly (TB3 of each block's index
-    set).  Non-central diagonal blocks are split evenly via disjoint
-    matchings; central diagonal blocks go to distinct compatible processors
-    via one maximum matching.  The caller is expected to pass a verified
-    system; a block that is not a strictly increasing r-subset of 1..m, or an
-    unsuitable design, raises DesignUnsuitableError naming the first such
-    block or the failing stage.
+    set).  Non-central diagonal blocks are split evenly, d = m(m-1)/P per
+    processor, on the orbits of a cyclic group; central diagonal blocks go
+    to distinct compatible processors via one maximum matching.  The caller
+    is expected to pass a verified system; a block that is not a strictly
+    increasing r-subset of 1..m, or an unsuitable design, raises
+    DesignUnsuitableError naming the first such block or the failing stage.
 
-    The blocks are read as one (P, r) integer array.  Q comes from one
-    (m, P) membership array, and processor p's non-central candidates, the
-    blocks (b, b, a) and (b, a, a) of every pair a < b of R_p, are their ids
-    in ``noncentral_blocks(m)``, computed for all pairs at once.
+    A non-central block is one ordered pair (x, y) of distinct points: the
+    block (x, x, y) when x > y and (y, x, x) when x < y, which processor p
+    may own when x and y lie in R_p.  The spherical (q^2+1, q+1, 3) design
+    is the orbit of one block under PGL(2, q^2) (P. Dembowski, *Finite
+    Geometries*, 1968), so Möbius maps permute its blocks.
+    ``steiner.mobius_orbits`` gives a cyclic group <h> of order
+    L = (q^2+1)/e, e = gcd(2, q-1), that acts freely on the processors, with
+    π^t taking R_p to h^t(R_p).  h lies in a non-split torus, whose elements
+    other than the identity fix no point, so <h> acts freely on the ordered
+    pairs too: e·q^2 pair orbits of length L face e·q processor orbits, and
+    each processor orbit takes q of them.  Processor orbit a is joined to
+    the orbits of the r(r-1) pairs of its least member, and one
+    Hopcroft-Karp search on d copies of every orbit's row gives each orbit
+    its d pair orbits.  A row lists its distinct orbits, so rows may differ
+    in length: a least member can hold two pairs of one orbit.  When orbit
+    a takes pair orbit O at the first pair x of its least member in O,
+    processor members[a, t] = π^t(members[a, 0]) takes h^t(x), which lies
+    in its own set; as t runs over 0..L-1 that is every pair of O once.
+    Any other design takes the trivial group, L = 1: every processor and
+    every pair is its own orbit, a pair orbit is numbered by its id in
+    ``noncentral_blocks(m)``, and the search runs on the P x m(m-1) graph
+    whose row p lists the ids of R_p's pairs in ascending order.
+
+    The blocks are read as one (P, r) integer array, Q comes from one (m, P)
+    membership array, and the pairs' ids and orbits are (m, m) and
+    (m(m-1)+1,) integer tables.
     """
     m, r = system.n, system.r
     blocks = system.blocks
@@ -141,16 +165,50 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
         raise DesignUnsuitableError(
             f"non-central stage: {total_nc} blocks do not divide evenly over {P} processors"
         )
-    small, big = np.triu_indices(r, 1)
-    small, big = sets[:, small], sets[:, big]
-    ids = (big - 1) * (big - 2) + small  # (big, small, small); (big, big, small) follows big - 1 ids later
-    try:
-        mates = d_disjoint_matchings(BipartiteGraph(P, total_nc, np.hstack([ids, ids + big - 1])), total_nc // P)
-    except MatchingInfeasibleError as exc:
-        raise DesignUnsuitableError(f"non-central stage: {exc}") from exc
+    d = total_nc // P
+    h, members = mobius_orbits(sets - 1, m)
+    E, L = members.shape
+    # ids[x, y]: the noncentral_blocks id of the ordered pair (x, y) of 0-based
+    # points, the block (x, x, y) when x > y and (y, x, x) when x < y; 0 when x = y
+    x, y = np.indices((m, m))
+    big, small = np.maximum(x, y), np.minimum(x, y)
+    ids = big * (big - 1) + small + 1 + np.where(x > y, big, 0)
+    np.fill_diagonal(ids, 0)
+    step = np.zeros(total_nc + 1, dtype=np.int64)
+    step[ids] = ids[h[:, None], h]
+    orbit = _cycle_min(step)  # every pair orbit's least id
+
+    # the r(r-1) ordered pairs of every orbit's least member, and the distinct
+    # pair orbits they lie in, ascending, as its row of the orbit graph
+    first, second = np.nonzero(~np.eye(r, dtype=bool))
+    rep = sets[members[:, 0] - 1] - 1
+    ends = rep[:, first], rep[:, second]
+    held = orbit[ids[ends]]
+    ordered = np.sort(held, axis=1)
+    fresh = np.ones(ordered.shape, dtype=bool)
+    fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    rows = [row[keep].tolist() for row, keep in zip(ordered, fresh)]
+    # copy c of orbit a is vertex a·d + c + 1 of the replicated graph
+    mate = _hopcroft_karp([row for row in rows for _ in range(d)], total_nc)
+    matched = np.count_nonzero(mate)
+    if matched != E * d:
+        raise DesignUnsuitableError(
+            f"non-central stage: replicated matching covered {matched} of {E * d} copies; "
+            f"{d} disjoint X-covering matchings do not exist"
+        )
+    # orbit a takes each matched pair orbit at the first pair of its least
+    # member that lies in it, and members[a, t] takes that pair's image by h^t
+    at = np.argmax(held[:, None, :] == mate.reshape(E, d)[:, :, None], axis=2)
+    x0, y0 = (np.take_along_axis(end, at, axis=1) for end in ends)
+    powers = np.empty((L, m), dtype=np.int64)
+    powers[0] = np.arange(m)
+    for t in range(1, L):
+        powers[t] = h[powers[t - 1]]
+    owned = np.empty((P, d), dtype=np.int64)
+    owned[members.T - 1] = ids[powers[:, x0], powers[:, y0]]
     nc = noncentral_blocks(m)
     # nc is sorted, so ascending ids list each processor's blocks in order
-    N = [[nc[idx - 1] for idx in row] for row in np.sort(mates.T, axis=1).tolist()]
+    N = [[nc[idx - 1] for idx in row] for row in np.sort(owned, axis=1).tolist()]
 
     central = max_matching(BipartiteGraph(m, P, holders))
     assigned = np.count_nonzero(central)

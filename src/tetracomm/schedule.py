@@ -14,7 +14,6 @@ message carries live only in the demand table, read by ``messages``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from . import steiner
 from .checks import Check, Report
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
-from .matching import _cycle_min, max_matching, regular_decompose  # noqa: F401
+from .matching import max_matching, regular_decompose  # noqa: F401
 from .partition import TetraPartition, vector_layout
 
 __all__ = [
@@ -208,56 +207,28 @@ def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray:
     """members: row a lists orbit a of <h> on the processors, trivial orbits when the table is no spherical design's.
 
     m is the largest block id, P the largest processor id and R_p the
-    blocks of p's rows.  The table is taken for the spherical design of q
-    when q is a prime power up to steiner.Q_CAP, m = q^2+1, P = q·m and
-    every R_p has q+1 points.  Let g be steiner.mobius_cycle(q), h = g for
-    even q and g∘g for odd q, and L = (q^2+1)/gcd(2, q-1).  Mapping every
-    R_p by h and looking the image up by the integer code of its three
-    least points gives the processor permutation π.  A group of order L
-    coprime to the block stabiliser's q(q^2-1) acts freely, so every orbit
-    has length L.  The table is a design's only when every image is some
-    R_p, π is a permutation with every orbit of length L, and π maps the
-    (src, dst, shared) rows onto themselves; when any of these fails h is
-    the identity, and the result is the (P, 1) column of ids 1..P.  Orbits
-    are listed by least member, the label ``_cycle_min`` gives each of its
-    members, and each from it: members[a, j] = π^j(members[a, 0]).  Ids
-    are 1-based.
+    blocks of p's rows.  When every R_p has one size, the group and its
+    (E, L) table come from ``steiner.mobius_orbits`` on the R_p, with
+    members[a, j] = π^j(members[a, 0]) for the processor permutation π.
+    The table is a design's only when, besides that helper's checks, π
+    maps the (src, dst, shared) rows onto themselves; otherwise, as for any
+    table the helper does not take, the result is the (P, 1) column of ids
+    1..P.  Ids are 1-based.
     """
     P, m = demands.processors, int(demands.blocks.max(initial=0))
     trivial = np.arange(1, P + 1)[:, None]
-    q = math.isqrt(max(m - 1, 0))
-    if q * q != m - 1 or P != q * m:
-        return trivial
-    try:
-        g = steiner.mobius_cycle(q)
-    except ValueError:  # q is no prime power, or past steiner.Q_CAP
-        return trivial
     member = np.zeros((P + 1, m + 1), dtype=bool)
     member[demands.src[:, None], demands.blocks] = True
     member = member[1:, 1:]  # column 0 is the padding
-    if np.any(np.count_nonzero(member, axis=1) != q + 1):
+    sizes = np.count_nonzero(member, axis=1)
+    if P == 0 or np.any(sizes != sizes[0]):
         return trivial
     # 0-based point ids, as mobius_cycle numbers them, ascending in every row
-    R = np.nonzero(member)[1].reshape(P, q + 1)
-    h = g if q % 2 == 0 else g[g]
-    L = (q * q + 1) // math.gcd(2, q - 1)
-
-    image = np.sort(h[R], axis=1)
-    code = (R[:, 0] * m + R[:, 1]) * m + R[:, 2]
-    by_code = np.argsort(code)
-    want = (image[:, 0] * m + image[:, 1]) * m + image[:, 2]
-    pi = by_code[np.minimum(np.searchsorted(code[by_code], want), P - 1)]  # 0-based
-    if not np.array_equal(R[pi], image) or np.any(np.bincount(pi, minlength=P) != 1):
+    members = steiner.mobius_orbits(np.nonzero(member)[1].reshape(P, sizes[0]), m)[1]
+    if members.shape[1] == 1:
         return trivial
-
-    label = _cycle_min(pi)  # every orbit's least member
-    if np.any(np.bincount(label, minlength=P)[label] != L):
-        return trivial
-    members = np.empty((P // L, L), dtype=np.int64)
-    members[:, 0] = np.flatnonzero(label == np.arange(P))
-    for j in range(1, L):
-        members[:, j] = pi[members[:, j - 1]]
-    members += 1
+    pi = np.empty(P, dtype=np.int64)  # 0-based
+    pi[members - 1] = np.roll(members, -1, axis=1) - 1
 
     # rows are sorted by (src, dst) and every sender has D of them, so π
     # maps sender s's rows onto sender π(s)'s when their sorted codes agree

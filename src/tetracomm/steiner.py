@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, gcd, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "ConstructionError",
     "construct_spherical",
     "mobius_cycle",
+    "mobius_orbits",
     "verify",
     "load",
     "parse",
@@ -117,7 +118,7 @@ def construct_spherical(q: int) -> SteinerSystem:
     alpha + beta/(x+delta).
 
     The maps are integer tables on point ids (``_generators``), so the
-    field multiplies only to walk the powers of w.  The closure runs level
+    field multiplies only to build the exp table of w.  The closure runs level
     by level: every block of a level is mapped by all three tables in one
     array operation.  PGL(2, q^2) is sharply 3-transitive, so two images
     that share their three least points are one block, and a block is known
@@ -152,7 +153,7 @@ def mobius_cycle(q: int) -> np.ndarray:
     the x-th element of GF(q^2), q^2 is infinity and g[x] is the image of
     x.  The map is composed from ``_generators``' tables as
     inverse[plus_one[times_w^j]], and its point permutation is one cycle
-    when ``_cycle_min`` labels every point with point 0.
+    when the walk from point 0 first returns after every point.
 
     Some j works for every q.  The map is the matrix M = [[0, 1], [w^j, 1]]
     of trace 1 and determinant -w^j, so tr^2/det = -w^-j takes every
@@ -170,10 +171,65 @@ def mobius_cycle(q: int) -> np.ndarray:
     scaled = np.arange(len(plus_one))  # x -> w^j x
     for _ in range(q * q - 1):
         g = inverse[plus_one[scaled]]
-        if not _cycle_min(g).any():
+        walk = g.tolist()
+        x, length = walk[0], 1
+        while x:
+            x, length = walk[x], length + 1
+        if length == len(walk):
             return g
         scaled = times_w[scaled]
     raise ConstructionError(f"no map x -> 1/(w^j x + 1) of GF({q}^2) is one cycle on the points")
+
+
+def mobius_orbits(sets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h, members): a cyclic group <h> of Möbius maps acting freely on the blocks sets, or the trivial group.
+
+    sets is a (P, r) integer array of 0-based points below m, ascending in
+    every row, one row per block.  The blocks are taken for the spherical
+    design of q when q is a prime power up to Q_CAP, m = q^2+1, P = q·m and
+    r = q+1.  Let g be mobius_cycle(q), h = g for even q and g∘g for odd q,
+    and L = (q^2+1)/gcd(2, q-1).  Mapping every block by h and looking the
+    image up by the integer code of its three least points gives the block
+    permutation π.  A group of order L coprime to the block stabiliser's
+    q(q^2-1) acts freely, so every orbit has length L.  The blocks are a
+    design's only when every image is a block and π is a permutation with
+    every orbit of length L.
+
+    h is the point permutation of the group's generator, h[x] the image of
+    x.  Orbits are listed by least member, the label ``_cycle_min`` gives
+    each of its members, and each from it: members is the (E, L) table with
+    members[a, j] = π^j(members[a, 0]), as 1-based block ids.  When any
+    check fails the group is trivial: h is the identity and members the
+    (P, 1) column of ids 1..P.
+    """
+    P, r = sets.shape
+    trivial = np.arange(m), np.arange(1, P + 1)[:, None]
+    q = isqrt(max(m - 1, 0))
+    if q < 2 or q * q != m - 1 or P != q * m or r != q + 1:
+        return trivial
+    try:
+        g = mobius_cycle(q)
+    except ValueError:  # q is no prime power, or past Q_CAP
+        return trivial
+    h = g if q % 2 == 0 else g[g]
+    L = (q * q + 1) // gcd(2, q - 1)
+
+    image = np.sort(h[sets], axis=1)
+    code = (sets[:, 0] * m + sets[:, 1]) * m + sets[:, 2]
+    by_code = np.argsort(code)
+    want = (image[:, 0] * m + image[:, 1]) * m + image[:, 2]
+    pi = by_code[np.minimum(np.searchsorted(code[by_code], want), P - 1)]  # 0-based
+    if not np.array_equal(sets[pi], image) or np.any(np.bincount(pi, minlength=P) != 1):
+        return trivial
+
+    label = _cycle_min(pi)  # every orbit's least member
+    if np.any(np.bincount(label, minlength=P)[label] != L):
+        return trivial
+    members = np.empty((P // L, L), dtype=np.int64)
+    members[:, 0] = np.flatnonzero(label == np.arange(P))
+    for j in range(1, L):
+        members[:, j] = pi[members[:, j - 1]]
+    return h, members + 1
 
 
 def _point_sets(blocks: list, n: int, r: int) -> tuple[int | None, dict[int, list[np.ndarray]]]:

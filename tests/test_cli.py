@@ -217,8 +217,8 @@ def sha256(text: str) -> str:
         (("schedule", "--q", "3", "--n", "120"), "6e2862921a75d373916a7787485dc9fd1acfbcdeeac9c8a1503ea05b5dc6ce17"),
         (("schedule", "--design", "steiner_10_4_3.txt"), "bd47d2d07bb85ec55d04fa40a2d791949a9e22666875d9e1bad9ac2c4536ae2a"),
         (("schedule", "--design", "steiner_8_4_3.txt"), "5c4051a79c62eda30cb1f877b18df372f6dd858ab0fb0bc66bfe18c945901a48"),
-        (("partition", "--q", "7", "--n", "2800"), "1ced1a6a11a1f9e45b2725c5e6793e9aab06187182d5f6daa0307545a2e90db4"),
-        (("partition", "--q", "4", "--n", "340"), "d470669ed4edc1da321f7ca5ad79b2412fef3650d5e5f29123474a66d9c21eb3"),
+        (("partition", "--q", "7", "--n", "2800"), "bd040cc3eac00156b9180b3980e03b5bdd811391b254ccbaec047c9be2c1c734"),
+        (("partition", "--q", "4", "--n", "340"), "63256d9c1e008779df05b22dd759c795de50a72526b861fb9ac37e158953d070"),
         (("partition", "--design", "steiner_8_4_3.txt"), "9178f175d9460130af8fc9b0b4b224300ab044745ac109752a59422eee69df25"),
         (("partition", "--design", "steiner_10_4_3.txt"), "55f657203570032cc8e3b7aa68ea41aa2cfd78baa4c19fd57d54fa00d8d379cb"),
     ],

@@ -340,8 +340,8 @@ def test_regular_decompose_colours_every_edge_once(case):
     assert np.array_equal(regular_decompose(adj.copy()), colours)
 
 
-def recorded_searches(monkeypatch) -> list:
-    """The (rows, ny, mate) of every Hopcroft-Karp search from now on, rows copied as they were passed."""
+def recorded_searches(monkeypatch, owner=matching) -> list:
+    """The (rows, ny, mate) of every Hopcroft-Karp search owner makes from now on, rows copied as they were passed."""
     calls = []
     real = matching._hopcroft_karp
 
@@ -351,7 +351,7 @@ def recorded_searches(monkeypatch) -> list:
         calls.append((rows, ny, mate))
         return mate
 
-    monkeypatch.setattr(matching, "_hopcroft_karp", recording)
+    monkeypatch.setattr(owner, "_hopcroft_karp", recording)
     return calls
 
 
@@ -438,8 +438,12 @@ def test_greedy_first_search_on_the_fixture_schedule_graphs(name, monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_greedy_first_search_on_the_replicated_partition_graphs(q, monkeypatch):
-    calls = recorded_graphs(monkeypatch, partition, "d_disjoint_matchings")
-    build_partition(steiner.construct_spherical(q))
-    (graph, d), = calls
-    rows = [row for row in graph.adj.tolist() for _ in range(d)]
-    assert np.array_equal(matching._hopcroft_karp(rows, graph.ny), hopcroft_karp_bfs_first(rows, graph.ny))
+    # one search on the orbit graph: q copies of each of the e·q processor orbits' rows
+    system = steiner.construct_spherical(q)
+    searches = recorded_searches(monkeypatch, partition)
+    build_partition(system)
+    (rows, ny, mate), = searches
+    e = 2 if q % 2 else 1
+    assert len(rows) == e * q * q and ny == system.n * (system.n - 1)
+    assert all(rows[c] == rows[c - c % q] for c in range(len(rows)))
+    assert np.array_equal(mate, hopcroft_karp_bfs_first(rows, ny))

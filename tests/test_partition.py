@@ -159,8 +159,51 @@ def test_build_deterministic():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_build_equals_the_lookup_oracle(q):
+    # the oracle matches the P-vertex graph and the build the orbit graph, so
+    # a processor's non-central blocks may differ; all else is equal, and both are valid
     system = steiner.construct_spherical(q)
-    assert build_partition(system) == build_partition_by_lookup(system)
+    part, oracle = build_partition(system), build_partition_by_lookup(system)
+    fields = ("label", "m", "r", "P", "q", "R", "D", "Q")
+    assert [getattr(part, name) for name in fields] == [getattr(oracle, name) for name in fields]
+    assert validate_partition(part) == validate_partition(oracle) == []
+    assert {len(blocks) for blocks in part.N} == {len(blocks) for blocks in oracle.N} == {q}
+
+
+def pair_of(blk):
+    """The ordered point pair (x, y) of a non-central block: (x, x, y) or (y, x, x)."""
+    i, j, k = blk
+    return (j, i) if j == k else (i, k)
+
+
+def block_of(x, y):
+    """The non-central block of the ordered point pair (x, y)."""
+    return BlockIndex(max(x, y), x, min(x, y))
+
+
+@pytest.mark.parametrize("q", [3, 4, 7])
+def test_noncentral_blocks_follow_the_mobius_cycle(q):
+    # the next processor of an orbit holds the image of every non-central block of the last one
+    part = build_partition(steiner.construct_spherical(q))
+    h, members = steiner.mobius_orbits(np.array(part.R) - 1, part.m)
+    assert members.shape == ((2 if q % 2 else 1) * q, (q * q + 1) // (2 if q % 2 else 1))
+    h = [0, *(h + 1).tolist()]  # 1-based points
+    for row in members.tolist():
+        for p, image in zip(row, row[1:] + row[:1]):
+            moved = [block_of(h[x], h[y]) for x, y in map(pair_of, part.N[p - 1])]
+            assert part.N[image - 1] == sorted(moved)
+
+
+def test_a_relabelled_design_takes_the_trivial_group():
+    # the points renamed by a fixed random permutation: no Möbius cycle maps the blocks onto themselves
+    system = steiner.construct_spherical(4)
+    perm = (np.random.default_rng(26).permutation(system.n) + 1).tolist()
+    blocks = sorted(tuple(sorted(perm[x - 1] for x in blk)) for blk in system.blocks)
+    relabelled = steiner.SteinerSystem(system.n, system.r, blocks)
+    assert steiner.verify(relabelled).passed
+    assert steiner.mobius_orbits(np.array(blocks) - 1, system.n)[1].shape == (len(blocks), 1)
+    part = build_partition(relabelled)
+    assert validate_partition(part) == []
+    assert part == build_partition_by_lookup(relabelled)
 
 
 @pytest.mark.parametrize("name", ["steiner_10_4_3.txt", "steiner_8_4_3.txt"])
@@ -264,7 +307,7 @@ CORRUPTIONS = {
     ),
     "locality": (
         swap_first_noncentral,
-        ["locality violated at processor 1: block (4, 1, 1) not within [1, 2, 3, 10]"],
+        ["locality violated at processor 1: block (4, 2, 2) not within [1, 2, 3, 10]"],
     ),
     "outside": (
         lambda part: part.D[0].append(BlockIndex(11, 1, 1)),
@@ -286,9 +329,11 @@ def test_validate_problems_verbatim(part_q3, corruption):
     assert validate_partition(bad) == expected
 
 
-@pytest.mark.parametrize("q", [7, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_spherical_partitions_validate(q):
-    assert validate_partition(build_partition(steiner.construct_spherical(q))) == []
+    part = build_partition(steiner.construct_spherical(q))
+    assert validate_partition(part) == []
+    assert {len(blocks) for blocks in part.N} == {q}
 
 
 PART_Q3 = build_partition(steiner.construct_spherical(3))

@@ -56,6 +56,22 @@ def test_q2_p2p_matches_sequential(setup_q2):
     assert all(c.passed for c in report.checks)
 
 
+@pytest.mark.parametrize("mode", ["p2p", "alltoall"])
+@pytest.mark.parametrize("design", ["q2", "q3"])
+def test_key_table_equals_np_unique(setup_q2, setup_q3, design, mode, monkeypatch):
+    # the (block, receiver, sender) table is np.unique of its keys, built without np.unique
+    part, layout = setup_q2 if design == "q2" else setup_q3
+    calls = []
+    real = simulator._distinct
+    monkeypatch.setattr(simulator, "_distinct", lambda keys: calls.append((keys, real(keys))) or calls[-1][1])
+    simulate(random_symmetric(layout.n, 1), random_vector(layout.n, 2), part, layout, mode)
+    (keys, table), = calls
+    assert not np.array_equal(keys, np.sort(keys))
+    assert table.dtype == keys.dtype and np.array_equal(table, np.unique(keys))
+    # a block passed in two messages, as an invalid schedule may send it, is listed once
+    assert np.array_equal(real(np.concatenate([keys, keys[::3]])), table)
+
+
 @pytest.mark.parametrize("design,mode", [("q2", "p2p"), ("q2", "alltoall"), ("appendix", "p2p")])
 def test_simulate_matches_per_element_oracles(setup_q2, setup_appendix, design, mode):
     part, layout = setup_q2 if design == "q2" else setup_appendix

@@ -109,6 +109,36 @@ def test_mobius_cycle_equals_the_field_operations(q):
     assert steiner.mobius_cycle(q).tolist() == mobius_cycle_by_field_ops(q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_mobius_orbits_of_the_spherical_design(q):
+    # π is h on the blocks, and every orbit of π is one of length L = (q^2+1)/gcd(2, q-1)
+    blocks = np.array(steiner.construct_spherical(q).blocks) - 1
+    h, members = steiner.mobius_orbits(blocks, q * q + 1)
+    g = steiner.mobius_cycle(q)
+    assert np.array_equal(h, g[g] if q % 2 else g)
+    e = 2 if q % 2 else 1
+    assert members.shape == (e * q, (q * q + 1) // e)
+    assert sorted(members.ravel().tolist()) == list(range(1, len(blocks) + 1))
+    assert members[:, 0].tolist() == sorted(members.min(axis=1).tolist())
+    assert np.array_equal(blocks[np.roll(members, -1, axis=1) - 1], np.sort(h[blocks[members - 1]], axis=2))
+
+
+@pytest.mark.parametrize(
+    "blocks,m",
+    [
+        (np.array(steiner.construct_spherical(3).blocks)[:-1] - 1, 10),  # P != q·m
+        (np.sort(np.array([1, 0, *range(2, 10)])[np.array(steiner.construct_spherical(3).blocks) - 1], axis=1), 10),  # points 0 and 1 swapped
+        (np.zeros((0, 3), dtype=np.int64), 1),  # no points
+        (np.tile(np.arange(7), (222, 1)), 37),  # q = 6 is no prime power
+    ],
+    ids=["short", "relabelled", "empty", "q6"],
+)
+def test_mobius_orbits_fall_back_to_the_trivial_group(blocks, m):
+    h, members = steiner.mobius_orbits(blocks, m)
+    assert h.tolist() == list(range(m))
+    assert members.tolist() == [[p] for p in range(1, len(blocks) + 1)]
+
+
 @pytest.mark.parametrize("q", [q for q in range(2, steiner.Q_CAP + 1) if prime_power(q)])
 def test_construction_equals_the_field_operation_oracle(q):
     assert steiner.construct_spherical(q) == construct_spherical_by_field_ops(q)
