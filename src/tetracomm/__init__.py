@@ -10,7 +10,7 @@ communication lower-bound calculators.
 
 from .bounds import check_basic_hbl, check_symm_hbl, lower_bound, opt_solution, optimality_ratio
 from .finite_field import Field, field_new
-from .matching import BipartiteGraph, d_disjoint_matchings, max_matching, regular_decompose
+from .matching import BipartiteGraph, max_matching, regular_decompose
 from .partition import (
     BlockIndex,
     TetraPartition,
@@ -43,7 +43,6 @@ __all__ = [
     "construct_spherical",
     "BipartiteGraph",
     "max_matching",
-    "d_disjoint_matchings",
     "regular_decompose",
     "BlockIndex",
     "TetraPartition",

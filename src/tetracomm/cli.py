@@ -21,7 +21,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import steiner as steiner_mod
 from .finite_field import prime_power
-from .matching import MatchingInfeasibleError
 from .partition import DesignUnsuitableError, build_partition, pad_dimension, vector_layout
 from .schedule import build_demands, build_schedule, validate
 from .simulator import compute_report, verify_run
@@ -363,7 +362,6 @@ def main(argv=None) -> int:
     except (
         steiner_mod.SteinerInvariantError,
         DesignUnsuitableError,
-        MatchingInfeasibleError,
         DegenerateIterateError,
     ) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

@@ -69,6 +69,12 @@ class TetraPartition:
     central diagonal blocks, Q[i-1] the processors whose sets contain row
     block i.  q is set when the design has spherical parameters
     (m, r) = (q^2+1, q+1), None otherwise.
+
+    orbits is derived from R by ``build_partition``: the (E, L) table of
+    ``steiner.mobius_orbits``, 1-based processor ids, row a listing orbit a
+    of the design's cyclic group of Möbius maps, (P, 1) for the trivial
+    group.  It is None on a partition built by hand, which
+    ``build_schedule`` takes as the trivial group, and equality ignores it.
     """
 
     label: str
@@ -80,6 +86,7 @@ class TetraPartition:
     N: list[list[BlockIndex]]
     D: list[list[BlockIndex]]
     Q: list[tuple[int, ...]] = field(default_factory=list)
+    orbits: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def group_size(self) -> int:
@@ -133,7 +140,9 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     Any other design takes the trivial group, L = 1: every processor and
     every pair is its own orbit, a pair orbit is numbered by its id in
     ``noncentral_blocks(m)``, and the search runs on the P x m(m-1) graph
-    whose row p lists the ids of R_p's pairs in ascending order.
+    whose row p lists the ids of R_p's pairs in ascending order.  The orbit
+    table members is kept as the partition's ``orbits``, on which
+    ``build_schedule`` splits the demand layers, so the group is found once.
 
     The blocks are read as one (P, r) integer array, Q comes from one (m, P)
     membership array, and the pairs' ids and orbits are (m, m) and
@@ -231,6 +240,7 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
         N=N,
         D=D,
         Q=list(map(tuple, holders.tolist())),
+        orbits=members,
     )
 
 

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import steiner
 from .checks import Check, Report
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
@@ -47,11 +46,15 @@ class Demands:
     src and dst have shape (E,).  blocks has shape (E, w): row e lists the
     row blocks src and dst share in ascending order, padded with 0 after
     its shared count.  Block ids are 1-based, so 0 never names a block.
+    orbits is the orbit table of the partition the demands come from
+    (``TetraPartition.orbits``), on which ``build_schedule`` splits every
+    layer; None for a table built by hand, scheduled on the trivial group.
     """
 
     src: np.ndarray
     dst: np.ndarray
     blocks: np.ndarray
+    orbits: np.ndarray | None = None
 
     @property
     def shared(self) -> np.ndarray:
@@ -125,16 +128,14 @@ def build_demands(part: TetraPartition) -> Demands:
     Two processors share row block i exactly when both are in Q_i, so the
     ordered pairs of distinct processors in every Q_i, sorted by
     (src, dst, i) as one integer key and grouped by (src, dst), are the
-    demands with their shared blocks in ascending order.
+    demands with their shared blocks in ascending order.  Q is read as one
+    (m, g) array, whose rows ``build_partition`` gives ascending and
+    distinct, and the partition's orbit table is carried along.
     """
     P, m = part.P, part.m
-    keys = []
-    for i, procs in enumerate(part.Q, start=1):
-        members = np.unique(np.asarray(procs, dtype=np.int64))
-        src, dst = np.repeat(members, len(members)), np.tile(members, len(members))
-        pair = src != dst
-        keys.append((src[pair] * (P + 1) + dst[pair]) * (m + 1) + i)
-    key = np.sort(np.concatenate(keys or [np.zeros(0, dtype=np.int64)]))
+    Q = np.asarray(part.Q, dtype=np.int64)
+    src, dst = Q[:, :, None], Q[:, None, :]
+    key = np.sort(((src * (P + 1) + dst) * (m + 1) + np.arange(1, m + 1)[:, None, None])[src != dst])
     pair, block = np.divmod(key, m + 1)
     new = np.diff(pair, prepend=-1) != 0
     first = np.flatnonzero(new)
@@ -143,7 +144,7 @@ def build_demands(part: TetraPartition) -> Demands:
     blocks = np.zeros((len(first), int(shared.max(initial=0))), dtype=np.int64)
     blocks[group, np.arange(len(key)) - first[group]] = block
     src, dst = np.divmod(pair[first], P + 1)
-    return Demands(src, dst, blocks)
+    return Demands(src, dst, blocks, part.orbits)
 
 
 def build_schedule(demands: Demands) -> CommSchedule:
@@ -163,18 +164,26 @@ def build_schedule(demands: Demands) -> CommSchedule:
     raises ValueError before any layer is split.
 
     Every layer is split on the orbits of a cyclic group <h> that acts
-    freely on the processors and maps demands to demands of the same layer
-    (``_cyclic_orbits``).  For a spherical (q^2+1, q+1, 3) design h is a
-    Möbius map of the design, with e·q orbits of length L (e = gcd(2, q-1),
-    L = (q^2+1)/e); for any other table, such as that of a design file, the
-    group is trivial, every processor its own orbit with L = 1.  With
-    processor p written as (orbit, position), every demand (a, j) -> (b, j')
-    lies in the class (a, b, k = j' - j mod L), and each class is a
-    bijection from orbit a onto orbit b.  So the layer's classes, as edges
-    a -> b, form a d-regular bipartite multigraph on the orbits, which one
-    regular_decompose call splits into d perfect matchings (``_orbit_steps``).
-    Every colour of that small graph is one step, filled for the whole
-    layer by one fancy index.
+    freely on the processors and maps demands to demands of the same layer,
+    read from demands.orbits.  For a spherical (q^2+1, q+1, 3) design
+    ``build_partition`` found h, a Möbius map of the design, through
+    ``steiner.mobius_orbits``, with e·q orbits of length L (e = gcd(2, q-1),
+    L = (q^2+1)/e).  Any other design, such as that of a design file, and a
+    table built by hand (orbits None) take the trivial group, every
+    processor its own orbit with L = 1.  h keeps every demand in its layer
+    by construction: the orbits' processor permutation π takes R_p to
+    h(R_p) and h permutes the points, so |R_π(p) ∩ R_π(p')| = |R_p ∩ R_p'|,
+    and ``build_demands`` reads the demands from Q, which ``build_partition``
+    reads from the same sets R.  So p -> p' is a demand of layer k exactly
+    when π(p) -> π(p') is.
+
+    With processor p written as (orbit, position), every demand
+    (a, j) -> (b, j') lies in the class (a, b, k = j' - j mod L), and each
+    class is a bijection from orbit a onto orbit b.  So the layer's classes,
+    as edges a -> b, form a d-regular bipartite multigraph on the orbits,
+    which one regular_decompose call splits into d perfect matchings
+    (``_orbit_steps``).  Every colour of that small graph is one step,
+    filled for the whole layer by one fancy index.
     """
     P = demands.processors
     shared = demands.shared
@@ -190,7 +199,7 @@ def build_schedule(demands: Demands) -> CommSchedule:
             raise ValueError(f"layer of {size} shared blocks is not symmetric")
         layers.append((size, src, dst))
 
-    members = _cyclic_orbits(demands, shared)
+    members = np.arange(1, P + 1)[:, None] if demands.orbits is None else demands.orbits
     steps: list[np.ndarray] = []
     layer_meta = []
     for size, src, dst in layers:
@@ -203,47 +212,12 @@ def build_schedule(demands: Demands) -> CommSchedule:
     return CommSchedule(steps, demands, meta)
 
 
-def _cyclic_orbits(demands: Demands, shared: np.ndarray) -> np.ndarray:
-    """members: row a lists orbit a of <h> on the processors, trivial orbits when the table is no spherical design's.
-
-    m is the largest block id, P the largest processor id and R_p the
-    blocks of p's rows.  When every R_p has one size, the group and its
-    (E, L) table come from ``steiner.mobius_orbits`` on the R_p, with
-    members[a, j] = π^j(members[a, 0]) for the processor permutation π.
-    The table is a design's only when, besides that helper's checks, π
-    maps the (src, dst, shared) rows onto themselves; otherwise, as for any
-    table the helper does not take, the result is the (P, 1) column of ids
-    1..P.  Ids are 1-based.
-    """
-    P, m = demands.processors, int(demands.blocks.max(initial=0))
-    trivial = np.arange(1, P + 1)[:, None]
-    member = np.zeros((P + 1, m + 1), dtype=bool)
-    member[demands.src[:, None], demands.blocks] = True
-    member = member[1:, 1:]  # column 0 is the padding
-    sizes = np.count_nonzero(member, axis=1)
-    if P == 0 or np.any(sizes != sizes[0]):
-        return trivial
-    # 0-based point ids, as mobius_cycle numbers them, ascending in every row
-    members = steiner.mobius_orbits(np.nonzero(member)[1].reshape(P, sizes[0]), m)[1]
-    if members.shape[1] == 1:
-        return trivial
-    pi = np.empty(P, dtype=np.int64)  # 0-based
-    pi[members - 1] = np.roll(members, -1, axis=1) - 1
-
-    # rows are sorted by (src, dst) and every sender has D of them, so π
-    # maps sender s's rows onto sender π(s)'s when their sorted codes agree
-    D = len(demands) // P
-    w = int(shared.max(initial=0)) + 1
-    rows = (demands.dst * w + shared).reshape(P, D)
-    moved = np.sort(np.r_[0, pi + 1][demands.dst].reshape(P, D) * w + shared.reshape(P, D), axis=1)
-    return members if np.array_equal(moved, rows[pi]) else trivial
-
-
 def _orbit_steps(members: np.ndarray, dst: np.ndarray, d: int) -> np.ndarray:
     """The (d, P) receiver rows of one layer, from its classes of demands between orbits.
 
     dst lists the layer's receivers by (src, dst), d to a sender, and
-    members is ``_cyclic_orbits``'s (E, L) table.  Sender members[a, 0]'s
+    members is the (E, L) orbit table, row a listing orbit a, with
+    members[a, j + 1] = π(members[a, j]).  Sender members[a, 0]'s
     d rows represent the classes of orbit a: a demand to members[b, k]
     stands for the class (a, b, k), keyed b·L + k and sorted per row.  The
     keys' orbits b + 1 are the rows of the orbit multigraph; each colour of

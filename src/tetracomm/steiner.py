@@ -201,6 +201,11 @@ def mobius_orbits(sets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     members[a, j] = π^j(members[a, 0]), as 1-based block ids.  When any
     check fails the group is trivial: h is the identity and members the
     (P, 1) column of ids 1..P.
+
+    This is the one place that recognises the design.  ``build_partition``
+    calls it once and keeps members on the partition as ``orbits``, which
+    ``build_demands`` carries to ``build_schedule``: one call serves both
+    the non-central assignment and the schedule.
     """
     P, r = sets.shape
     trivial = np.arange(m), np.arange(1, P + 1)[:, None]

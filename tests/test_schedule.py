@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetracomm import schedule, steiner
+from tetracomm import partition, schedule, steiner
 from tetracomm.cli import fixtures_dir
-from tetracomm.partition import build_partition
+from tetracomm.partition import build_partition, pad_dimension, vector_layout
 from tetracomm.schedule import (
     CommSchedule,
     alltoall_cost,
@@ -17,6 +17,8 @@ from tetracomm.schedule import (
     build_schedule,
     validate,
 )
+from tetracomm.simulator import verify_run
+from tetracomm.tensor_core import random_symmetric, random_vector
 
 from oracles import build_demands_by_intersection, demand_rows, demands_from_rows
 
@@ -267,6 +269,21 @@ def test_q7_schedule_pinned():
     assert steps_sha256(sched.steps) == Q7_STEPS_SHA256
 
 
+# (steps, digest) of the full spherical schedule at q = 4, 5, 8 and 9
+SPHERICAL_STEPS_SHA256 = {
+    4: (55, "31fb8b6360afe1d0b57ad8ffc18ccb473f6dafcec5e0af25a6af2a84dccf6d8b"),
+    5: (99, "d45136c88c243ab2b6bd58ef5618e0c72bd7b866398aa2123ef36350a16ddb1c"),
+    8: (351, "bf00a2d3663a98dccb9b908a8dd45ce07c37048f44a21769c983d2a1419eb2ac"),
+    9: (485, "5b71f03f4a43f7202f53418eec804e42b058efb21de49ac96b5994a72d1a7eb1"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(SPHERICAL_STEPS_SHA256))
+def test_spherical_schedule_pinned(q):
+    sched = build_schedule(spherical_demands(q)[1])
+    assert (len(sched.steps), steps_sha256(sched.steps)) == SPHERICAL_STEPS_SHA256[q]
+
+
 def test_q4_odd_layer_pinned():
     sched = build_schedule(build_demands(build_partition(steiner.construct_spherical(4))))
     assert sched.meta["layers"][1] == {"shared_blocks": 1, "demands": 1020, "steps": 15}
@@ -280,7 +297,8 @@ def test_q4_odd_layer_pinned():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_cyclic_group_acts_freely_on_the_processors(q):
     part, demands = spherical_demands(q)
-    members = schedule._cyclic_orbits(demands, demands.shared)
+    members = part.orbits
+    assert demands.orbits is members
     e = 2 if q % 2 else 1
     assert members.shape == (e * q, (q * q + 1) // e)
     assert sorted(members.ravel().tolist()) == list(range(1, part.P + 1))
@@ -297,24 +315,32 @@ def relabelled(system, perm):
     return steiner.SteinerSystem(system.n, system.r, blocks)
 
 
+def trivial_design_demands(system):
+    """The demands of system's partition, whose orbit table must be the (P, 1) column of ids 1..P."""
+    assert steiner.verify(system).passed
+    part = build_partition(system)
+    assert part.orbits.tolist() == [[p] for p in range(1, part.P + 1)]
+    return build_demands(part)
+
+
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: relabelled(steiner.construct_spherical(3), [2, 1, *range(3, 11)]),
-        lambda: steiner.load(fixtures_dir() / "steiner_8_4_3.txt"),
-        lambda: steiner.load(fixtures_dir() / "steiner_10_4_3.txt"),
+        lambda: trivial_design_demands(relabelled(steiner.construct_spherical(3), [2, 1, *range(3, 11)])),
+        lambda: trivial_design_demands(steiner.load(fixtures_dir() / "steiner_8_4_3.txt")),
+        lambda: trivial_design_demands(steiner.load(fixtures_dir() / "steiner_10_4_3.txt")),
+        # no partition, so no orbit table: 1-2 and 3-4 share two blocks, every other pair one
+        lambda: demands_from_rows(
+            [(1, 2, (1, 2)), (3, 4, (3, 4)), (1, 3, (1,)), (1, 4, (2,)), (2, 3, (1,)), (2, 4, (2,))]
+            + [(2, 1, (1, 2)), (4, 3, (3, 4)), (3, 1, (1,)), (4, 1, (2,)), (3, 2, (1,)), (4, 2, (2,))]
+        ),
     ],
-    ids=["q3-relabelled", "fixture8", "fixture10"],
+    ids=["q3-relabelled", "fixture8", "fixture10", "hand-written"],
 )
 def test_other_designs_fall_back_to_the_edge_colouring(make, monkeypatch):
     # trivial orbits, one per processor, so each layer's orbit graph is the P-vertex graph
-    system = make()
-    assert steiner.verify(system).passed
-    demands = build_demands(build_partition(system))
+    demands = make()
     P = demands.processors
-    members = schedule._cyclic_orbits(demands, demands.shared)
-    assert members.shape == (P, 1)
-    assert members.ravel().tolist() == list(range(1, P + 1))
     coloured = []
     real = schedule.regular_decompose
     monkeypatch.setattr(schedule, "regular_decompose", lambda adj: coloured.append(adj) or real(adj))
@@ -322,6 +348,21 @@ def test_other_designs_fall_back_to_the_edge_colouring(make, monkeypatch):
     assert len(coloured) == len(sched.meta["layers"])
     assert [adj.shape for adj in coloured] == [(P, layer["demands"] // P) for layer in sched.meta["layers"]]
     assert validate(sched, demands).passed
+
+
+def test_the_design_is_recognised_once(monkeypatch):
+    # GF(q^2) is built by the construction and by the partition's one mobius_orbits
+    # call; build_schedule reads the orbit table the partition keeps
+    calls = []
+    real_orbits, real_generators = steiner.mobius_orbits, steiner._generators
+    for module in (steiner, partition):  # partition imports mobius_orbits by name
+        monkeypatch.setattr(module, "mobius_orbits", lambda *args: calls.append("mobius_orbits") or real_orbits(*args))
+    monkeypatch.setattr(steiner, "_generators", lambda q: calls.append("_generators") or real_generators(q))
+    part = build_partition(steiner.construct_spherical(3))
+    layout = vector_layout(pad_dimension(1, part), part)
+    verdict = verify_run(random_symmetric(layout.n, 1), random_vector(layout.n, 2), part, layout)
+    assert verdict.passed, verdict.problems
+    assert calls == ["_generators", "mobius_orbits", "_generators"]
 
 
 # ---------------------------------------------------------------------------
