@@ -5,12 +5,14 @@ off-diagonal when strict, non-central diagonal when exactly two coordinates
 are equal, central diagonal when all three are equal.  A design with m
 points and blocks R_p induces the partition: processor p owns TB3(R_p) plus
 matched diagonal blocks whose coordinates stay inside R_p, so its block
-computations never need vector data beyond the row blocks of R_p.
+computations never need vector data beyond the row blocks of R_p.  The
+non-central blocks of all P processors are one (P, d, 3) integer table,
+d = m(m-1)/P; the m central blocks are per-processor lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
@@ -48,27 +50,33 @@ class BlockIndex(NamedTuple):
     k: int
 
 
-def noncentral_blocks(m: int) -> list[BlockIndex]:
-    """The m(m-1) blocks with exactly two equal coordinates, sorted.
+def noncentral_blocks(m: int) -> np.ndarray:
+    """The m(m-1) blocks with exactly two equal coordinates, sorted, as one (m(m-1), 3) int64 table.
 
-    For a > b, (a, b, b) is block (a-1)(a-2) + b of the list, counting
-    from 1, and (a, a, b) is block (a-1)(a-2) + (a-1) + b.
+    For a > b, (a, b, b) is row (a-1)(a-2) + b of the table, counting
+    from 1, and (a, a, b) is row (a-1)(a-2) + (a-1) + b.
     """
-    out = []
-    for a in range(2, m + 1):
-        out += [BlockIndex(a, b, b) for b in range(1, a)]
-        out += [BlockIndex(a, a, b) for b in range(1, a)]
-    return out
+    a = np.repeat(np.arange(2, m + 1), 2 * np.arange(1, m))
+    offset = np.arange(len(a)) - (a - 1) * (a - 2)  # 0..2(a-1)-1 within a's rows
+    later = offset >= a - 1  # the (a, a, b) half
+    b = offset - np.where(later, a - 1, 0) + 1
+    return np.stack([a, np.where(later, a, b), b], axis=1)
 
 
 @dataclass
 class TetraPartition:
     """Per-processor block ownership derived from an (m, r, 3) design.
 
-    R[p-1] is processor p's index set, N[p-1]/D[p-1] its non-central and
-    central diagonal blocks, Q[i-1] the processors whose sets contain row
-    block i.  q is set when the design has spherical parameters
-    (m, r) = (q^2+1, q+1), None otherwise.
+    R[p-1] is processor p's index set and Q[i-1] the processors whose sets
+    contain row block i.  N is one (P, d, 3) int64 table of 1-based
+    (i, j, k) rows, N[p-1] processor p's non-central blocks in ascending
+    order; D[p-1] lists its central blocks.  q is set when the design has
+    spherical parameters (m, r) = (q^2+1, q+1), None otherwise.
+
+    A partition built by hand may hold N as any sequence of per-processor
+    (k, 3) integer rows, ragged ones included: every reader takes both, and
+    equality compares N row for row, so the table equals the same rows as
+    lists of ``BlockIndex``.
 
     orbits is derived from R by ``build_partition``: the (E, L) table of
     ``steiner.mobius_orbits``, 1-based processor ids, row a listing orbit a
@@ -83,10 +91,17 @@ class TetraPartition:
     P: int
     q: int | None
     R: list[tuple[int, ...]]
-    N: list[list[BlockIndex]]
+    N: np.ndarray = field(compare=False)
     D: list[list[BlockIndex]]
     Q: list[tuple[int, ...]] = field(default_factory=list)
     orbits: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TetraPartition):
+            return NotImplemented
+        if not all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare):
+            return False
+        return all(map(np.array_equal, _block_rows(self.N, "N"), _block_rows(other.N, "N")))
 
     @property
     def group_size(self) -> int:
@@ -99,7 +114,7 @@ class TetraPartition:
                 {
                     "p": p,
                     "R": list(self.R[p - 1]),
-                    "N": [list(blk) for blk in self.N[p - 1]],
+                    "N": np.asarray(self.N[p - 1]).tolist(),
                     "D": [list(blk) for blk in self.D[p - 1]],
                 }
                 for p in range(1, self.P + 1)
@@ -138,15 +153,17 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     processor members[a, t] = π^t(members[a, 0]) takes h^t(x), which lies
     in its own set; as t runs over 0..L-1 that is every pair of O once.
     Any other design takes the trivial group, L = 1: every processor and
-    every pair is its own orbit, a pair orbit is numbered by its id in
-    ``noncentral_blocks(m)``, and the search runs on the P x m(m-1) graph
-    whose row p lists the ids of R_p's pairs in ascending order.  The orbit
-    table members is kept as the partition's ``orbits``, on which
-    ``build_schedule`` splits the demand layers, so the group is found once.
+    every pair is its own orbit, a pair orbit is numbered by its block's
+    1-based row in ``noncentral_blocks(m)``, and the search runs on the
+    P x m(m-1) graph whose row p lists the ids of R_p's pairs in ascending
+    order.  The orbit table members is kept as the partition's ``orbits``,
+    on which ``build_schedule`` splits the demand layers, so the group is
+    found once.
 
     The blocks are read as one (P, r) integer array, Q comes from one (m, P)
     membership array, and the pairs' ids and orbits are (m, m) and
-    (m(m-1)+1,) integer tables.
+    (m(m-1)+1,) integer tables.  N is filled by one fancy index of every
+    processor's ascending ids into ``noncentral_blocks(m)``.
     """
     m, r = system.n, system.r
     blocks = system.blocks
@@ -215,9 +232,8 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
         powers[t] = h[powers[t - 1]]
     owned = np.empty((P, d), dtype=np.int64)
     owned[members.T - 1] = ids[powers[:, x0], powers[:, y0]]
-    nc = noncentral_blocks(m)
-    # nc is sorted, so ascending ids list each processor's blocks in order
-    N = [[nc[idx - 1] for idx in row] for row in np.sort(owned, axis=1).tolist()]
+    # the table is sorted, so ascending ids list each processor's blocks in order
+    N = noncentral_blocks(m)[np.sort(owned, axis=1) - 1]
 
     central = max_matching(BipartiteGraph(m, P, holders))
     assigned = np.count_nonzero(central)
@@ -242,6 +258,28 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
         Q=list(map(tuple, holders.tolist())),
         orbits=members,
     )
+
+
+def _block_rows(tables, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, blocks): how many blocks each entry of tables holds, and all of them as one (B, 3) int64 table.
+
+    tables is a partition's N or D: a (P, d, 3) integer array, read as it
+    is, or any sequence of per-processor (k, 3) integer rows, ragged ones
+    included.  Anything else raises ValueError naming it.
+    """
+    if isinstance(tables, np.ndarray) and tables.ndim == 3 and tables.shape[2] == 3 and tables.dtype.kind in "iu":
+        return np.full(len(tables), tables.shape[1], dtype=np.int64), tables.reshape(-1, 3).astype(np.int64, copy=False)
+    try:
+        lengths = np.fromiter(map(len, tables), dtype=np.int64, count=len(tables))
+        blocks = np.array(list(chain.from_iterable(tables)))
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{name} is not a sequence of per-processor (k, 3) integer tables") from err
+    total = int(lengths.sum())
+    if total == 0 and blocks.size == 0:  # np.array([]) is a float (0,) array
+        blocks = np.zeros((0, 3), dtype=np.int64)
+    if blocks.shape != (total, 3) or blocks.dtype.kind not in "iu":
+        raise ValueError(f"{name} is not a sequence of per-processor (k, 3) integer tables")
+    return lengths, blocks.astype(np.int64, copy=False)
 
 
 def _off_triples(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,12 +320,11 @@ def owned_blocks(part: TetraPartition) -> tuple[np.ndarray, np.ndarray]:
     N_p and D_p as listed; owner[e] is the processor of block e.
     """
     index, counts, off = _off_triples(part.R)
-    diagonal = [*part.N, *part.D]
-    lengths = np.fromiter(map(len, diagonal), dtype=np.int64, count=len(diagonal))
-    owner = np.repeat(np.r_[index + 1, 1 : len(part.N) + 1, 1 : len(part.D) + 1], np.r_[counts, lengths])
-    blocks = np.fromiter(chain.from_iterable(chain.from_iterable(diagonal)), np.int64, 3 * int(lengths.sum()))
+    n_lengths, n_blocks = _block_rows(part.N, "N")
+    d_lengths, d_blocks = _block_rows(part.D, "D")
+    owner = np.repeat(np.r_[index + 1, 1 : len(n_lengths) + 1, 1 : len(d_lengths) + 1], np.r_[counts, n_lengths, d_lengths])
     order = np.argsort(owner, kind="stable")
-    return owner[order], np.take(np.concatenate([off, blocks.reshape(-1, 3)]), order, axis=0)
+    return owner[order], np.take(np.concatenate([off, n_blocks, d_blocks]), order, axis=0)
 
 
 def validate_partition(part: TetraPartition) -> list[str]:
@@ -295,17 +332,19 @@ def validate_partition(part: TetraPartition) -> list[str]:
 
     Assigned blocks are counted by integer id ((i-1)m + (j-1))m + (k-1); a
     block with a coordinate outside 1..m has no id and is counted on its own.
-    The off-diagonal blocks are TB3(R_p), gathered from R as integer arrays.
-    Locality and the Q/R consistency are read from one (P+1, m+1) boolean
-    membership array, member[p, i] = (i in R_p) for i in 1..m, and a problem
-    is formatted only for a processor or block that violates an invariant.
+    The off-diagonal blocks are TB3(R_p), gathered from R as integer arrays,
+    and the diagonal blocks are N's rows, then D's.  Locality and the Q/R
+    consistency are read from one (P+1, m+1) boolean membership array,
+    member[p, i] = (i in R_p) for i in 1..m, and a problem is formatted only
+    for a processor or block that violates an invariant.  N or D that is not
+    a sequence of per-processor (k, 3) integer rows raises ValueError.
     """
     m, P = part.m, part.P
-    owned = [list(part.N[p]) + list(part.D[p]) for p in range(P)]
-    held = list(chain.from_iterable(owned))  # every processor's diagonal blocks, processor by processor
-    holder = np.repeat(np.arange(1, P + 1), [len(blocks) for blocks in owned])
-    unowned = chain(*part.N[P:], *part.D[P:])  # lists past processor P: counted, but owned by no one
-    diagonal = np.fromiter(chain.from_iterable(chain(held, unowned)), dtype=np.int64).reshape(-1, 3)
+    n_lengths, n_blocks = _block_rows(part.N, "N")
+    d_lengths, d_blocks = _block_rows(part.D, "D")
+    diagonal = np.concatenate([n_blocks, d_blocks])
+    # entries past processor P are counted, but owned by no one
+    holder = np.repeat(np.r_[1 : len(n_lengths) + 1, 1 : len(d_lengths) + 1], np.r_[n_lengths, d_lengths])
     blocks = np.concatenate([_off_triples(part.R)[2], diagonal])
     inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
     i, j, k = (blocks[inside] - 1).T
@@ -336,17 +375,19 @@ def validate_partition(part: TetraPartition) -> list[str]:
     in_range = (values >= 1) & (values <= m)
     member[rows[in_range], values[in_range]] = True
 
-    # a block with a coordinate outside 1..m is flagged here and judged by its sets below
-    coords = diagonal[: len(held)]
-    local = np.all(member[holder[:, None], np.clip(coords, 0, m)] & (coords >= 1) & (coords <= m), axis=1)
+    # a block with a coordinate outside 1..m is flagged here and judged by its sets below;
+    # a processor's N blocks come before its D blocks, so (processor, position) is block order
+    owned = holder <= P
+    coords = np.clip(diagonal, 0, m)
+    local = np.all(member[np.where(owned, holder, 0)[:, None], coords] & (diagonal >= 1) & (diagonal <= m), axis=1)
     found = []  # (processor, position, problem): locality in block order, then the central count
-    for e in np.flatnonzero(~local).tolist():
-        p, blk = int(holder[e]), held[e]
+    for e in np.flatnonzero(owned & ~local).tolist():
+        p, blk = int(holder[e]), tuple(diagonal[e].tolist())
         if not set(blk) <= set(part.R[p - 1]):
-            found.append((p, e, f"locality violated at processor {p}: block {tuple(blk)} not within {sorted(set(part.R[p - 1]))}"))
-    central = np.fromiter(map(len, part.D[:P]), dtype=np.int64, count=P)
+            found.append((p, e, f"locality violated at processor {p}: block {blk} not within {sorted(set(part.R[p - 1]))}"))
+    central = d_lengths[:P]
     for p in (np.flatnonzero(central > 1) + 1).tolist():
-        found.append((p, len(held), f"processor {p} holds {central[p - 1]} central blocks"))
+        found.append((p, len(diagonal), f"processor {p} holds {central[p - 1]} central blocks"))
     problems += [text for *_, text in sorted(found)]
 
     # column i of member lists the processors of row block i in ascending order
@@ -356,12 +397,12 @@ def validate_partition(part: TetraPartition) -> list[str]:
     if [tuple(holders[a:b]) for a, b in zip(ends, ends[1:])] != list(part.Q):
         problems.append("row-block processor sets Q are inconsistent with R")
 
-    sizes = {len(n_p) for n_p in part.N}
+    sizes = sorted(set(n_lengths.tolist()))
     if len(sizes) != 1:
-        problems.append(f"non-central loads are unbalanced: {sorted(sizes)}")
+        problems.append(f"non-central loads are unbalanced: {sizes}")
     if part.q is not None:
-        if sizes != {part.q}:
-            problems.append(f"expected {part.q} non-central blocks per processor, got {sorted(sizes)}")
+        if sizes != [part.q]:
+            problems.append(f"expected {part.q} non-central blocks per processor, got {sizes}")
     return problems
 
 

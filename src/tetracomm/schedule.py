@@ -136,15 +136,19 @@ def build_demands(part: TetraPartition) -> Demands:
     Q = np.asarray(part.Q, dtype=np.int64)
     src, dst = Q[:, :, None], Q[:, None, :]
     key = np.sort(((src * (P + 1) + dst) * (m + 1) + np.arange(1, m + 1)[:, None, None])[src != dst])
-    pair, block = np.divmod(key, m + 1)
-    new = np.diff(pair, prepend=-1) != 0
+    pair = key // (m + 1)
+    block = key - pair * (m + 1)
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(pair[1:], pair[:-1], out=new[1:])
     first = np.flatnonzero(new)
-    group = np.cumsum(new) - 1
     shared = np.diff(first, append=len(key))
     blocks = np.zeros((len(first), int(shared.max(initial=0))), dtype=np.int64)
-    blocks[group, np.arange(len(key)) - first[group]] = block
-    src, dst = np.divmod(pair[first], P + 1)
-    return Demands(src, dst, blocks, part.orbits)
+    for c in range(blocks.shape[1]):  # column c holds each run's (c+1)-th block, where the run has one
+        runs = shared > c
+        blocks[runs, c] = block[first[runs] + c]
+    src = pair[first] // (P + 1)
+    return Demands(src, pair[first] - src * (P + 1), blocks, part.orbits)
 
 
 def build_schedule(demands: Demands) -> CommSchedule:

@@ -269,7 +269,7 @@ def simulate_by_messages(tensor, x, part, layout, mode="p2p", schedule_builder=b
 
     ys = np.zeros((P, n))
     for p in range(1, P + 1):
-        blocks = sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
+        blocks = sorted(tb3(part.R[p - 1])) + block_tuples(part.N[p - 1]) + block_tuples(part.D[p - 1])
         store = ElementGatherStore(tensor, b, [(i - 1, j - 1, k - 1) for i, j, k in blocks])
         store.run(xs[p - 1], ys[p - 1])
         counters[p - 1].ternary_mults = store.ternary_mults
@@ -359,7 +359,7 @@ def validate_partition_by_loops(part) -> list[str]:
     """partition.validate_partition by tuple sets and a loop over processors and their blocks."""
     m = part.m
     off = chain.from_iterable(c for row in part.R for c in set(combinations(sorted(row), 3)))
-    diagonal = chain.from_iterable(blk for blocks in (*part.N, *part.D) for blk in blocks)
+    diagonal = chain.from_iterable(blk for blocks in (*part.N, *part.D) for blk in block_tuples(blocks))
     blocks = np.concatenate(
         [np.fromiter(off, dtype=np.int64).reshape(-1, 3)[:, ::-1], np.fromiter(diagonal, dtype=np.int64).reshape(-1, 3)]
     )
@@ -385,7 +385,7 @@ def validate_partition_by_loops(part) -> list[str]:
 
     for p in range(1, part.P + 1):
         owned = set(part.R[p - 1])
-        for blk in list(part.N[p - 1]) + list(part.D[p - 1]):
+        for blk in block_tuples(part.N[p - 1]) + block_tuples(part.D[p - 1]):
             if not set(blk) <= owned:
                 problems.append(f"locality violated at processor {p}: block {tuple(blk)} not within {sorted(owned)}")
         if len(part.D[p - 1]) > 1:
@@ -407,6 +407,11 @@ def validate_partition_by_loops(part) -> list[str]:
 # ---------------------------------------------------------------------------
 # blocks of the lower tetrahedron, as sets of BlockIndex
 # ---------------------------------------------------------------------------
+
+
+def block_tuples(blocks) -> list[tuple[int, ...]]:
+    """One processor's N or D rows, from a (k, 3) array or a list of BlockIndex, as plain-int tuples."""
+    return [tuple(map(int, blk)) for blk in blocks]
 
 
 def tb3(indices) -> set[BlockIndex]:
@@ -563,7 +568,7 @@ def build_partition_by_lookup(system, label=None) -> TetraPartition:
     Q = [tuple(p for p in range(1, P + 1) if i in R[p - 1]) for i in range(1, m + 1)]
     if len({len(qi) for qi in Q}) != 1:
         raise DesignUnsuitableError("row-block sharing stage: |Q_i| is not uniform across row blocks")
-    nc = sorted(noncentral_blocks(m))
+    nc = sorted(BlockIndex(*blk) for blk in noncentral_blocks(m).tolist())
     total_nc = len(nc)
     if total_nc % P != 0:
         raise DesignUnsuitableError(f"non-central stage: {total_nc} blocks do not divide evenly over {P} processors")

@@ -35,7 +35,7 @@ from tetracomm.tensor_core import (
     ternary_count,
 )
 
-from oracles import all_lower_blocks, set_entry, sttsv_naive, tb3
+from oracles import all_lower_blocks, block_tuples, set_entry, sttsv_naive, tb3
 
 SEEDS = [11, 23, 37, 51, 68]
 
@@ -127,12 +127,12 @@ def test_criterion_3_partition_invariants(q2, q3, appendix):
         counts = Counter()
         for p in range(1, part.P + 1):
             counts.update(tb3(part.R[p - 1]))
-            counts.update(part.N[p - 1])
+            counts.update(block_tuples(part.N[p - 1]))
             counts.update(part.D[p - 1])
         assert counts == Counter(all_lower_blocks(part.m))
         for p in range(1, part.P + 1):
             owned = set(part.R[p - 1])
-            for blk in list(part.N[p - 1]) + list(part.D[p - 1]):
+            for blk in block_tuples(part.N[p - 1]) + block_tuples(part.D[p - 1]):
                 assert set(blk) <= owned
     part3 = parts[1]
     assert all(len(n) == 3 for n in part3.N)

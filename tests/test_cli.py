@@ -221,6 +221,16 @@ def sha256(text: str) -> str:
         (("partition", "--q", "4", "--n", "340"), "63256d9c1e008779df05b22dd759c795de50a72526b861fb9ac37e158953d070"),
         (("partition", "--design", "steiner_8_4_3.txt"), "9178f175d9460130af8fc9b0b4b224300ab044745ac109752a59422eee69df25"),
         (("partition", "--design", "steiner_10_4_3.txt"), "55f657203570032cc8e3b7aa68ea41aa2cfd78baa4c19fd57d54fa00d8d379cb"),
+        (("partition", "--q", "2"), "df9550799f30e45b727c6ef16f6ac94618622dea318f9f19c832e1145c69cd4b"),
+        (("partition", "--q", "2", "--n", "30"), "7fc9a21ad656cbc8ba1a8bbaece4e113e1923730821b4cd2fc1a5dd231274519"),
+        (("partition", "--q", "3"), "4cb793bbd2e70737d34ae85aa89762929277e3e67f6ed1abd325101eb159e04c"),
+        (("partition", "--q", "3", "--n", "120"), "52aa22f9ee793f88e02220f4a964d94ac2b8a6e49c597369c956b7d75796c9fb"),
+        (("partition", "--q", "5"), "155b6194850527f344a5aec90b93955cf38fad48df03cfe48ba93c3393595f77"),
+        (("partition", "--q", "5", "--n", "780"), "57d95abc1d709f62c33fbaaf99a5545f35a4e438a074cdf20cfbe84ce0f31864"),
+        (("partition", "--q", "8"), "06ae993671cc7327ad932a39925bfc298490cbbbc3101999322ae34adba836fb"),
+        (("partition", "--q", "8", "--n", "4680"), "2958b75b0d92ea879e5f2fb8d3ae1edabee88230c1fc5e162e8bcdd83eabbb7c"),
+        (("partition", "--q", "9"), "d3dc1f774d602805608aeebf90506a223854aa3974e1105f1b2994da484c62e5"),
+        (("partition", "--q", "9", "--n", "7380"), "5856c5ee2e65586bf4a466dbf81946fa801b68e5dc69280b6cb6d46cad17433e"),
     ],
 )
 def test_integer_output_pinned(argv, digest, capsys):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import re
 from collections import Counter
 from itertools import combinations
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import all_lower_blocks, build_partition_by_lookup, tb3, validate_partition_by_loops
+from oracles import all_lower_blocks, block_tuples, build_partition_by_lookup, tb3, validate_partition_by_loops
 
 from tetracomm import steiner
 from tetracomm.cli import fixtures_dir
@@ -97,7 +98,7 @@ def exact_partition_ok(part):
     counts = Counter()
     for p in range(1, part.P + 1):
         counts.update(tb3(part.R[p - 1]))
-        counts.update(part.N[p - 1])
+        counts.update(block_tuples(part.N[p - 1]))
         counts.update(part.D[p - 1])
     return counts == Counter(all_lower_blocks(part.m))
 
@@ -105,7 +106,7 @@ def exact_partition_ok(part):
 def locality_ok(part):
     for p in range(1, part.P + 1):
         owned = set(part.R[p - 1])
-        for blk in list(part.N[p - 1]) + list(part.D[p - 1]):
+        for blk in block_tuples(part.N[p - 1]) + block_tuples(part.D[p - 1]):
             if not set(blk) <= owned:
                 return False
     return True
@@ -154,7 +155,8 @@ def test_build_deterministic():
     system = steiner.construct_spherical(2)
     a = build_partition(system)
     b = build_partition(system)
-    assert a.N == b.N and a.D == b.D and a.Q == b.Q
+    assert np.array_equal(a.N, b.N) and a.D == b.D and a.Q == b.Q
+    assert a == b
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -190,7 +192,7 @@ def test_noncentral_blocks_follow_the_mobius_cycle(q):
     for row in members.tolist():
         for p, image in zip(row, row[1:] + row[:1]):
             moved = [block_of(h[x], h[y]) for x, y in map(pair_of, part.N[p - 1])]
-            assert part.N[image - 1] == sorted(moved)
+            assert block_tuples(part.N[image - 1]) == sorted(moved)
 
 
 def test_a_relabelled_design_takes_the_trivial_group():
@@ -214,9 +216,71 @@ def test_build_equals_the_lookup_oracle_on_the_fixtures(name):
 
 def test_noncentral_ids_are_arithmetic():
     m = 9
-    for idx, (i, j, k) in enumerate(noncentral_blocks(m), start=1):
+    for idx, (i, j, k) in enumerate(noncentral_blocks(m).tolist(), start=1):
         a = i
         assert idx == ((a - 1) * (a - 2) + k if j == k else (a - 1) * (a - 2) + (a - 1) + k)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 10, 17])
+def test_noncentral_blocks_are_one_sorted_integer_table(m):
+    listed = [blk for a in range(2, m + 1) for blk in [*((a, b, b) for b in range(1, a)), *((a, a, b) for b in range(1, a))]]
+    table = noncentral_blocks(m)
+    assert table.dtype == np.int64 and table.shape == (m * (m - 1), 3)
+    assert block_tuples(table) == listed == sorted(listed)
+
+
+@pytest.mark.parametrize("fixture_name", ["part_q2", "part_q3", "part_fixture_8", "part_fixture_10"])
+def test_noncentral_blocks_are_one_table_ascending_per_processor(fixture_name, request):
+    part = request.getfixturevalue(fixture_name)
+    d = part.m * (part.m - 1) // part.P
+    assert part.N.dtype == np.int64 and part.N.shape == (part.P, d, 3)
+    assert all(block_tuples(rows) == sorted(block_tuples(rows)) for rows in part.N)
+
+
+def as_lists(part):
+    """A copy of part whose N is per-processor lists of BlockIndex, as a partition built by hand holds it."""
+    return dataclasses.replace(part, N=[[BlockIndex(*blk) for blk in rows] for rows in part.N.tolist()])
+
+
+@pytest.mark.parametrize("fixture_name", ["part_q3", "part_fixture_8"])
+def test_the_table_reads_as_the_same_rows_in_lists(fixture_name, request):
+    part = request.getfixturevalue(fixture_name)
+    listed = as_lists(part)
+    assert part == listed and listed == part
+    assert validate_partition(listed) == validate_partition(part) == []
+    assert owned_rows(listed) == owned_rows(part)
+    assert listed.to_json_obj() == part.to_json_obj()
+    other = as_lists(part)
+    other.N[0][0], other.N[1][0] = other.N[1][0], other.N[0][0]
+    assert part != other and other != part
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1, 2)], [(2, 1, 1, 1)], [(2.0, 1.0, 1.0)], [("2", "1", "1")], [(2, 1, [1])], [(2**70, 1, 1)], 7, "211"],
+    ids=["pair", "quadruple", "floats", "strings", "nested", "huge", "integer", "text"],
+)
+def test_noncentral_rows_that_are_not_integer_triples_raise_a_value_error_naming_n(part_q3, rows):
+    bad = copy.deepcopy(part_q3)
+    bad.N = list(bad.N)
+    bad.N[0] = rows
+    for reader in (validate_partition, owned_blocks):
+        with pytest.raises(ValueError, match=r"^N is not a sequence of per-processor \(k, 3\) integer tables$"):
+            reader(bad)
+    for table in (None, 3, np.zeros((30, 3, 3)), np.zeros((30, 3), dtype=np.int64)):
+        bad.N = table
+        with pytest.raises(ValueError, match=r"^N is not"):
+            validate_partition(bad)
+
+
+def test_a_hand_built_partition_with_no_noncentral_blocks(part_q3):
+    bad = copy.deepcopy(part_q3)
+    bad.N = [[] for _ in range(bad.P)]
+    problems = validate_partition(bad)
+    assert problems == validate_partition_by_loops(bad)
+    assert problems[0].startswith("unassigned blocks: [BlockIndex(i=2, j=1, k=1)")
+    assert problems[-1] == "expected 3 non-central blocks per processor, got [0]"
+    assert owned_rows(bad) == owned_rows_by_loops(bad)
 
 
 def q2_blocks_with(e, block):
@@ -274,23 +338,44 @@ def test_build_rejects_too_few_processors_for_the_central_blocks():
         build_partition(system)
 
 
-def test_validate_detects_corruption(part_q3):
-    import copy
+def per_processor(part):
+    """A deep copy of part whose N is a list of per-processor (k, 3) arrays, so one processor's rows can change length."""
+    part = copy.deepcopy(part)
+    part.N = list(part.N)
+    return part
 
-    bad = copy.deepcopy(part_q3)
-    moved = bad.N[0].pop()
-    bad.N[1].append(moved)
+
+def test_validate_detects_corruption(part_q3):
+    bad = per_processor(part_q3)
+    bad.N[1] = np.concatenate([bad.N[1], bad.N[0][-1:]])
+    bad.N[0] = bad.N[0][:-1]
     problems = validate_partition(bad)
     assert problems  # locality and/or balance violations reported
 
 
 def swap_first_noncentral(part):
-    part.N[0][0], part.N[1][0] = part.N[1][0], part.N[0][0]
+    # on the (P, d, 3) table itself: the swap keeps its shape
+    part.N[[0, 1], 0] = part.N[[1, 0], 0]
+
+
+def swap_first_noncentral_and_add_a_central(part):
+    swap_first_noncentral(part)
+    part.D[0].append(BlockIndex(5, 5, 5))
+
+
+def duplicate_first_noncentral(part):
+    part.N = list(part.N)
+    part.N[1] = np.concatenate([part.N[1], part.N[0][:1]])
+
+
+def drop_last_noncentral(part):
+    part.N = list(part.N)
+    part.N[0] = part.N[0][:-1]
 
 
 CORRUPTIONS = {
     "duplicated": (
-        lambda part: part.N[1].append(part.N[0][0]),
+        duplicate_first_noncentral,
         [
             "blocks assigned more than once: [BlockIndex(i=2, j=1, k=1)]",
             "non-central loads are unbalanced: [3, 4]",
@@ -298,7 +383,7 @@ CORRUPTIONS = {
         ],
     ),
     "missing": (
-        lambda part: part.N[0].pop(),
+        drop_last_noncentral,
         [
             "unassigned blocks: [BlockIndex(i=3, j=1, k=1)]",
             "non-central loads are unbalanced: [2, 3]",
@@ -308,6 +393,15 @@ CORRUPTIONS = {
     "locality": (
         swap_first_noncentral,
         ["locality violated at processor 1: block (4, 2, 2) not within [1, 2, 3, 10]"],
+    ),
+    "locality in N and D": (
+        swap_first_noncentral_and_add_a_central,
+        [
+            "blocks assigned more than once: [BlockIndex(i=5, j=5, k=5)]",
+            "locality violated at processor 1: block (4, 2, 2) not within [1, 2, 3, 10]",
+            "locality violated at processor 1: block (5, 5, 5) not within [1, 2, 3, 10]",
+            "processor 1 holds 2 central blocks",
+        ],
     ),
     "outside": (
         lambda part: part.D[0].append(BlockIndex(11, 1, 1)),
@@ -340,15 +434,18 @@ PART_Q3 = build_partition(steiner.construct_spherical(3))
 
 
 def corrupt_partition(data, part):
-    """A copy of part with one to three corruptions drawn from data."""
-    part = copy.deepcopy(part)
+    """A copy of part with one to three corruptions drawn from data, N as per-processor arrays."""
+    part = per_processor(part)
     processor = st.integers(0, part.P - 1)
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(["move", "duplicate", "drop", "outside", "central", "permute_q", "repeat_r"]))
         p, other = data.draw(processor), data.draw(processor)
         if kind == "outside":
             blk = data.draw(st.sampled_from([(11, 1, 1), (0, 0, 0), (1, 2, 3), (12, 12, 12), (5, 11, 2), (2, 1, 0)]))
-            data.draw(st.sampled_from([part.N, part.D]))[p].append(BlockIndex(*blk))
+            if data.draw(st.booleans()):
+                part.N[p] = np.concatenate([part.N[p], [blk]])
+            else:
+                part.D[p].append(BlockIndex(*blk))
         elif kind == "central":
             part.D[p].append(BlockIndex(*[data.draw(st.integers(1, part.m))] * 3))
         elif kind == "permute_q":
@@ -356,14 +453,16 @@ def corrupt_partition(data, part):
             part.Q[i] = tuple(data.draw(st.permutations(part.Q[i])))
         elif kind == "repeat_r":  # a row block listed twice in R_p makes some of its triples twice
             part.R[p] = tuple(sorted(part.R[p] + (data.draw(st.sampled_from(part.R[p])),)))
-        elif part.N[p]:
+        elif len(part.N[p]):
             e = data.draw(st.integers(0, len(part.N[p]) - 1))
+            blk = part.N[p][e].copy()
             if kind == "move":
-                part.N[other].append(part.N[p].pop(e))
+                part.N[p] = np.delete(part.N[p], e, axis=0)
+                part.N[other] = np.concatenate([part.N[other], [blk]])
             elif kind == "duplicate":
-                part.N[other].insert(data.draw(st.integers(0, len(part.N[other]))), part.N[p][e])
+                part.N[other] = np.insert(part.N[other], data.draw(st.integers(0, len(part.N[other]))), blk, axis=0)
             else:
-                part.N[p].pop(e)
+                part.N[p] = np.delete(part.N[p], e, axis=0)
     return part
 
 
@@ -385,7 +484,7 @@ def owned_rows_by_loops(part) -> list[tuple[int, int, int, int]]:
     return [
         (p, *blk)
         for p in range(1, len(part.R) + 1)
-        for blk in sorted(tb3(part.R[p - 1])) + list(part.N[p - 1]) + list(part.D[p - 1])
+        for blk in sorted(tb3(part.R[p - 1])) + block_tuples(part.N[p - 1]) + block_tuples(part.D[p - 1])
     ]
 
 

@@ -178,7 +178,8 @@ def test_simulate_input_validation(setup_q2):
 def test_counters_are_measured_from_gathered_blocks(setup_q2):
     part, layout = setup_q2
     short = copy.deepcopy(part)
-    short.N[0].pop()
+    short.N = list(short.N)
+    short.N[0] = short.N[0][:-1]
     _, report = simulate(random_symmetric(30, 1), random_vector(30, 2), short, layout, "p2p")
     predicted = compute_report(part, layout).per_proc
     b = layout.b
@@ -358,8 +359,9 @@ def test_verify_run_exact_for_random_seeds_and_chunk_sizes(setup_q2, setup_appen
 def test_verify_run_detects_moved_block(setup_q2):
     part, layout = setup_q2
     bad = copy.deepcopy(part)
-    moved = bad.N[0].pop()
-    bad.N[1].append(moved)
+    bad.N = list(bad.N)
+    bad.N[1] = np.concatenate([bad.N[1], bad.N[0][-1:]])
+    bad.N[0] = bad.N[0][:-1]
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), bad, layout)
     assert not verdict.passed
     assert not verdict.check("partition_invariants").passed
@@ -368,7 +370,8 @@ def test_verify_run_detects_moved_block(setup_q2):
 def test_verify_run_detects_duplicated_block(setup_q2):
     part, layout = setup_q2
     bad = copy.deepcopy(part)
-    bad.N[0].append(bad.N[1][0])
+    bad.N = list(bad.N)
+    bad.N[0] = np.concatenate([bad.N[0], bad.N[1][:1]])
     verdict = verify_run(random_symmetric(30, 11), random_vector(30, 12), bad, layout)
     assert not verdict.passed
 
