@@ -106,10 +106,7 @@ def lower_bound(n: int, processors: int) -> float:
     elements, so 0 is always a valid bound and the larger of the two is
     returned.
     """
-    if processors < 1 or n < 3:
-        raise ValueError(f"need P >= 1 and n >= 3, got P={processors}, n={n}")
-    volume = n * (n - 1) * (n - 2)
-    return max(0.0, 2.0 * (volume / processors) ** (1.0 / 3.0) - 2.0 * n / processors)
+    return max(0.0, 2.0 * opt_solution(n, processors)[1] - 2.0 * n / processors)
 
 
 def optimality_ratio(n: int, q: int) -> float:
@@ -120,12 +117,8 @@ def optimality_ratio(n: int, q: int) -> float:
     """
     if prime_power(q) is None:
         raise ValueError(f"q={q} is not a prime power")
-    if n < 3:
-        raise ValueError(f"n={n} too small")
-    processors = q * (q * q + 1)
     algorithm = 2.0 * n * (q + 1) / (q * q + 1)
-    bound = 2.0 * (n * (n - 1) * (n - 2) / processors) ** (1.0 / 3.0)
-    return algorithm / bound
+    return algorithm / (2.0 * opt_solution(n, q * (q * q + 1))[1])
 
 
 def random_point_set(rng: np.random.Generator, n_points: int = 20, max_coord: int = 50) -> set[tuple[int, int, int]]:

@@ -157,28 +157,29 @@ def max_matching(graph: BipartiteGraph) -> np.ndarray:
     return _hopcroft_karp(graph.adj.tolist(), graph.ny)
 
 
-def d_disjoint_matchings(graph: BipartiteGraph, d: int) -> np.ndarray:
+def d_disjoint_matchings(adj: list[list[int]], ny: int, d: int) -> np.ndarray:
     """d edge-disjoint matchings, each covering every X vertex exactly once.
 
-    Returns a (d, nx) array: row c is the c-th matching's mate array.  Each
-    X vertex is replicated d times and a single maximum matching of the
-    replicated graph is split by copy index.  The copies share x's row
-    list, so the graph is neither copied nor validated again.  Raises
-    MatchingInfeasibleError when the replicated matching is not X-perfect,
-    which signals that the caller's degree structure does not support d
-    matchings.
+    adj holds X vertex x's row of Y ids in 1..ny at entry x-1, rows of any
+    length, as ``_hopcroft_karp`` takes them.  Returns a (d, nx) array: row
+    c is the c-th matching's mate array.  Each X vertex is replicated d
+    times and a single maximum matching of the replicated graph is split by
+    copy index.  The copies share x's row list, so no row is copied.
+    Raises MatchingInfeasibleError when the replicated matching is not
+    X-perfect, which signals that the caller's degree structure does not
+    support d matchings.
     """
     if d < 1:
         raise ValueError(f"d={d} must be positive")
     # copy c of x is vertex (x-1)d + c + 1 of the replicated graph
-    mate = _hopcroft_karp([row for row in graph.adj.tolist() for _ in range(d)], graph.ny)
+    mate = _hopcroft_karp([row for row in adj for _ in range(d)], ny)
     matched = np.count_nonzero(mate)
-    if matched != graph.nx * d:
+    if matched != len(adj) * d:
         raise MatchingInfeasibleError(
-            f"replicated matching covered {matched} of {graph.nx * d} copies; "
+            f"replicated matching covered {matched} of {len(adj) * d} copies; "
             f"{d} disjoint X-covering matchings do not exist"
         )
-    return mate.reshape(graph.nx, d).T
+    return mate.reshape(len(adj), d).T
 
 
 def _partners(order: np.ndarray, size: int) -> np.ndarray:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .finite_field import prime_power
 
-# d_disjoint_matchings stays importable here: perfbench/tracing.py wraps partition.d_disjoint_matchings
-from .matching import BipartiteGraph, _cycle_min, _hopcroft_karp, d_disjoint_matchings, max_matching  # noqa: F401
+from .matching import BipartiteGraph, MatchingInfeasibleError, _cycle_min, d_disjoint_matchings, max_matching
 from .steiner import SteinerSystem, mobius_orbits
 
 __all__ = [
@@ -145,13 +144,14 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     other than the identity fix no point, so <h> acts freely on the ordered
     pairs too: e·q^2 pair orbits of length L face e·q processor orbits, and
     each processor orbit takes q of them.  Processor orbit a is joined to
-    the orbits of the r(r-1) pairs of its least member, and one
-    Hopcroft-Karp search on d copies of every orbit's row gives each orbit
-    its d pair orbits.  A row lists its distinct orbits, so rows may differ
+    the orbits of the r(r-1) pairs of its least member, and
+    ``matching.d_disjoint_matchings`` on these rows gives each orbit its d
+    pair orbits.  A row lists its distinct orbits, so rows may differ
     in length: a least member can hold two pairs of one orbit.  When orbit
     a takes pair orbit O at the first pair x of its least member in O,
     processor members[a, t] = π^t(members[a, 0]) takes h^t(x), which lies
-    in its own set; as t runs over 0..L-1 that is every pair of O once.
+    in its own set; as t runs over 0..L-1 that is every pair of O once,
+    read by walking the permutation h induces on the pairs' ids.
     Any other design takes the trivial group, L = 1: every processor and
     every pair is its own orbit, a pair orbit is numbered by its block's
     1-based row in ``noncentral_blocks(m)``, and the search runs on the
@@ -162,8 +162,9 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
 
     The blocks are read as one (P, r) integer array, Q comes from one (m, P)
     membership array, and the pairs' ids and orbits are (m, m) and
-    (m(m-1)+1,) integer tables.  N is filled by one fancy index of every
-    processor's ascending ids into ``noncentral_blocks(m)``.
+    (m(m-1)+1,) integer tables, the ids scattered from the rows of
+    ``noncentral_blocks(m)``.  N is filled by one fancy index of every
+    processor's ascending ids into that same table.
     """
     m, r = system.n, system.r
     blocks = system.blocks
@@ -194,12 +195,12 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     d = total_nc // P
     h, members = mobius_orbits(sets - 1, m)
     E, L = members.shape
-    # ids[x, y]: the noncentral_blocks id of the ordered pair (x, y) of 0-based
-    # points, the block (x, x, y) when x > y and (y, x, x) when x < y; 0 when x = y
-    x, y = np.indices((m, m))
-    big, small = np.maximum(x, y), np.minimum(x, y)
-    ids = big * (big - 1) + small + 1 + np.where(x > y, big, 0)
-    np.fill_diagonal(ids, 0)
+    # ids[x, y]: the row, counting from 1, of the ordered pair (x, y) of 0-based
+    # points in the table, 0 when x = y; (i, j, k) is the pair (j, i + k - j)
+    table = noncentral_blocks(m)
+    i, j, k = table.T - 1
+    ids = np.zeros((m, m), dtype=np.int64)
+    ids[j, i + k - j] = np.arange(1, total_nc + 1)
     step = np.zeros(total_nc + 1, dtype=np.int64)
     step[ids] = ids[h[:, None], h]
     orbit = _cycle_min(step)  # every pair orbit's least id
@@ -208,32 +209,26 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     # pair orbits they lie in, ascending, as its row of the orbit graph
     first, second = np.nonzero(~np.eye(r, dtype=bool))
     rep = sets[members[:, 0] - 1] - 1
-    ends = rep[:, first], rep[:, second]
-    held = orbit[ids[ends]]
+    pairs = ids[rep[:, first], rep[:, second]]
+    held = orbit[pairs]
     ordered = np.sort(held, axis=1)
     fresh = np.ones(ordered.shape, dtype=bool)
     fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    rows = [row[keep].tolist() for row, keep in zip(ordered, fresh)]
-    # copy c of orbit a is vertex a·d + c + 1 of the replicated graph
-    mate = _hopcroft_karp([row for row in rows for _ in range(d)], total_nc)
-    matched = np.count_nonzero(mate)
-    if matched != E * d:
-        raise DesignUnsuitableError(
-            f"non-central stage: replicated matching covered {matched} of {E * d} copies; "
-            f"{d} disjoint X-covering matchings do not exist"
-        )
+    try:
+        mates = d_disjoint_matchings([row[keep].tolist() for row, keep in zip(ordered, fresh)], total_nc, d)
+    except MatchingInfeasibleError as err:
+        raise DesignUnsuitableError(f"non-central stage: {err}") from err
     # orbit a takes each matched pair orbit at the first pair of its least
     # member that lies in it, and members[a, t] takes that pair's image by h^t
-    at = np.argmax(held[:, None, :] == mate.reshape(E, d)[:, :, None], axis=2)
-    x0, y0 = (np.take_along_axis(end, at, axis=1) for end in ends)
-    powers = np.empty((L, m), dtype=np.int64)
-    powers[0] = np.arange(m)
+    at = np.argmax(held[:, None, :] == mates.T[:, :, None], axis=2)
+    walk = np.empty((L, E, d), dtype=np.int64)
+    walk[0] = np.take_along_axis(pairs, at, axis=1)
     for t in range(1, L):
-        powers[t] = h[powers[t - 1]]
+        walk[t] = step[walk[t - 1]]
     owned = np.empty((P, d), dtype=np.int64)
-    owned[members.T - 1] = ids[powers[:, x0], powers[:, y0]]
+    owned[members.T - 1] = walk
     # the table is sorted, so ascending ids list each processor's blocks in order
-    N = noncentral_blocks(m)[np.sort(owned, axis=1) - 1]
+    N = table[np.sort(owned, axis=1) - 1]
 
     central = max_matching(BipartiteGraph(m, P, holders))
     assigned = np.count_nonzero(central)
@@ -431,13 +426,10 @@ def pad_dimension(n: int, part: TetraPartition) -> int:
 
 
 def vector_layout(n: int, part: TetraPartition) -> VectorLayout:
-    if n < 1:
-        raise ValueError(f"n={n} must be positive")
     g = part.group_size
-    if n % part.m != 0 or (n // part.m) % g != 0:
-        raise ValueError(
-            f"n={n} is not divisible into {part.m} row blocks of {g} chunks; pad to {pad_dimension(n, part)}"
-        )
+    padded = pad_dimension(n, part)
+    if padded != n:
+        raise ValueError(f"n={n} is not divisible into {part.m} row blocks of {g} chunks; pad to {padded}")
     b = n // part.m
     return VectorLayout(n=n, m=part.m, b=b, chunk=b // g)
 

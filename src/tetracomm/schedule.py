@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "Demands",
     "CommSchedule",
     "ScheduleReport",
-    "AllToAllCost",
     "build_demands",
     "build_schedule",
     "messages",
@@ -316,17 +314,10 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
     return ScheduleReport(checks, send_volume={p: int(volume[p]) for p in active.tolist()})
 
 
-class AllToAllCost(NamedTuple):
-    per_vector: int
-    both_vectors: int
-
-
-def alltoall_cost(part: TetraPartition, n: int) -> AllToAllCost:
-    """Words sent per processor when each vector moves via an all-to-all.
+def alltoall_cost(part: TetraPartition, n: int) -> int:
+    """Words sent per processor per vector when each vector moves via an all-to-all.
 
     The collective runs P-1 steps and every step carries a fixed slot of two
     row-block chunks, whether or not that much is shared with the receiver.
     """
-    layout = vector_layout(n, part)
-    per_vector = 2 * layout.chunk * (part.P - 1)
-    return AllToAllCost(per_vector, 2 * per_vector)
+    return 2 * vector_layout(n, part).chunk * (part.P - 1)

@@ -314,7 +314,7 @@ def compute_report(part: TetraPartition, layout: VectorLayout) -> PredictedCosts
         per_proc=per_proc,
         total_ternary=sum(c.ternary_mults for c in per_proc),
         max_send_per_vector=max(c.send_words_per_vector for c in per_proc),
-        alltoall_per_vector=alltoall_cost(part, n).per_vector,
+        alltoall_per_vector=alltoall_cost(part, n),
         bound=lower_bound(n, part.P),
     )
 

@@ -70,7 +70,6 @@ class SteinerSystem:
     n: int
     r: int
     blocks: list[tuple[int, ...]]
-    s: int = 3
 
 
 def _generators(q: int) -> tuple[np.ndarray, list[int]]:
@@ -406,6 +405,6 @@ def parse(path) -> SteinerSystem:
 
 
 def save(system: SteinerSystem, path) -> None:
-    out = [f"steiner {system.n} {system.r} {system.s}"]
+    out = [f"steiner {system.n} {system.r} 3"]
     out.extend(" ".join(str(x) for x in blk) for blk in system.blocks)
     Path(path).write_text("\n".join(out) + "\n")

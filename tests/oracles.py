@@ -579,9 +579,9 @@ def build_partition_by_lookup(system, label=None) -> TetraPartition:
         for a, b in combinations(R[p - 1], 2):
             row.append(nc_index[BlockIndex(b, b, a)])
             row.append(nc_index[BlockIndex(b, a, a)])
-        adj.append(row)
+        adj.append(sorted(row))
     try:
-        mates = d_disjoint_matchings(BipartiteGraph(P, total_nc, adj), total_nc // P)
+        mates = d_disjoint_matchings(adj, total_nc, total_nc // P)
     except MatchingInfeasibleError as exc:
         raise DesignUnsuitableError(f"non-central stage: {exc}") from exc
     N = [sorted(nc[idx - 1] for idx in row) for row in mates.T.tolist()]

@@ -158,7 +158,7 @@ def test_graph_from_a_2d_array_keeps_sorted_rows():
 
 def test_k24_two_disjoint_covering_matchings():
     g = BipartiteGraph(2, 4, np.array([[1, 2, 3, 4], [1, 2, 3, 4]]))
-    mates = d_disjoint_matchings(g, 2)
+    mates = d_disjoint_matchings(g.adj.tolist(), g.ny, 2)
     assert mates.shape == (2, 2)
     for mate in mates:
         assert mate.all()  # covers x = 1 and 2
@@ -173,9 +173,9 @@ def test_k22_infeasible_when_y_side_too_small():
     # for W = X (2*2 = 4 > 2), so no two disjoint X-covering, Y-disjoint
     # matchings exist
     with pytest.raises(MatchingInfeasibleError):
-        d_disjoint_matchings(k22(), 2)
+        d_disjoint_matchings(k22().adj.tolist(), 2, 2)
     with pytest.raises(MatchingInfeasibleError):
-        d_disjoint_matchings(k22(), 3)
+        d_disjoint_matchings(k22().adj.tolist(), 2, 3)
 
 
 def test_noncentral_assignment_graph_three_matchings():
@@ -194,7 +194,7 @@ def test_noncentral_assignment_graph_three_matchings():
             row.extend([idx[(b, b, a)], idx[(b, a, a)]])
         adj.append(sorted(row))
     g = BipartiteGraph(30, len(nc), np.array(adj))
-    mates = d_disjoint_matchings(g, 3)
+    mates = d_disjoint_matchings(g.adj.tolist(), g.ny, 3)
     assert mates.shape == (3, 30)
     for mate in mates:
         assert mate.all()  # covers x = 1..30
@@ -284,7 +284,7 @@ def test_regular_decompose_of_a_degree_zero_graph_is_empty():
 def test_d_disjoint_deterministic():
     g1 = BipartiteGraph(2, 4, np.array([[1, 2, 3, 4], [1, 2, 3, 4]]))
     g2 = BipartiteGraph(2, 4, np.array([[1, 2, 3, 4], [1, 2, 3, 4]]))
-    assert np.array_equal(d_disjoint_matchings(g1, 2), d_disjoint_matchings(g2, 2))
+    assert np.array_equal(d_disjoint_matchings(g1.adj.tolist(), 4, 2), d_disjoint_matchings(g2.adj.tolist(), 4, 2))
 
 
 @st.composite
@@ -303,10 +303,45 @@ def test_d_disjoint_equals_one_matching_of_the_replicated_graph(case):
     graph, d = case
     mate = max_matching(BipartiteGraph(graph.nx * d, graph.ny, np.repeat(graph.adj, d, axis=0)))
     if mate.all():
-        assert np.array_equal(d_disjoint_matchings(graph, d), mate.reshape(graph.nx, d).T)
+        assert np.array_equal(d_disjoint_matchings(graph.adj.tolist(), graph.ny, d), mate.reshape(graph.nx, d).T)
     else:
         with pytest.raises(MatchingInfeasibleError):
-            d_disjoint_matchings(graph, d)
+            d_disjoint_matchings(graph.adj.tolist(), graph.ny, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_d_disjoint_on_ragged_rows_splits_the_replicated_search(data):
+    rows, ny = data.draw(ragged_rows())
+    d = data.draw(st.integers(1, 3))
+    mate = matching._hopcroft_karp([row for row in rows for _ in range(d)], ny)
+    if np.count_nonzero(mate) == len(rows) * d:
+        assert np.array_equal(d_disjoint_matchings(rows, ny, d), mate.reshape(len(rows), d).T)
+    else:
+        with pytest.raises(MatchingInfeasibleError, match=f"covered {np.count_nonzero(mate)} of {len(rows) * d} copies"):
+            d_disjoint_matchings(rows, ny, d)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_d_disjoint_rejects_a_copy_count_below_one(d):
+    with pytest.raises(ValueError, match=f"d={d} must be positive"):
+        d_disjoint_matchings([[1, 2], [2]], 2, d)
+
+
+@pytest.mark.parametrize("source", [7, "steiner_10_4_3.txt"])
+def test_build_partition_makes_one_replicated_search(source, monkeypatch):
+    # perfbench/tracing.py times the non-central search through this name
+    system = steiner.construct_spherical(source) if isinstance(source, int) else steiner.load(fixtures_dir() / source)
+    calls = []
+    real = partition.d_disjoint_matchings
+
+    def recording(adj, ny, d):
+        calls.append((len(adj), ny, d))
+        return real(adj, ny, d)
+
+    monkeypatch.setattr(partition, "d_disjoint_matchings", recording)
+    part = build_partition(system)
+    assert calls == [(len(part.orbits), part.m * (part.m - 1), len(part.N[0]))]
 
 
 @st.composite
@@ -340,8 +375,8 @@ def test_regular_decompose_colours_every_edge_once(case):
     assert np.array_equal(regular_decompose(adj.copy()), colours)
 
 
-def recorded_searches(monkeypatch, owner=matching) -> list:
-    """The (rows, ny, mate) of every Hopcroft-Karp search owner makes from now on, rows copied as they were passed."""
+def recorded_searches(monkeypatch) -> list:
+    """The (rows, ny, mate) of every Hopcroft-Karp search from now on, rows copied as they were passed."""
     calls = []
     real = matching._hopcroft_karp
 
@@ -351,7 +386,7 @@ def recorded_searches(monkeypatch, owner=matching) -> list:
         calls.append((rows, ny, mate))
         return mate
 
-    monkeypatch.setattr(owner, "_hopcroft_karp", recording)
+    monkeypatch.setattr(matching, "_hopcroft_karp", recording)
     return calls
 
 
@@ -438,11 +473,12 @@ def test_greedy_first_search_on_the_fixture_schedule_graphs(name, monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_greedy_first_search_on_the_replicated_partition_graphs(q, monkeypatch):
-    # one search on the orbit graph: q copies of each of the e·q processor orbits' rows
+    # one search on the orbit graph: q copies of each of the e·q processor orbits' rows,
+    # then the central stage's search
     system = steiner.construct_spherical(q)
-    searches = recorded_searches(monkeypatch, partition)
+    searches = recorded_searches(monkeypatch)
     build_partition(system)
-    (rows, ny, mate), = searches
+    (rows, ny, mate), _ = searches
     e = 2 if q % 2 else 1
     assert len(rows) == e * q * q and ny == system.n * (system.n - 1)
     assert all(rows[c] == rows[c - c % q] for c in range(len(rows)))

@@ -551,16 +551,13 @@ def test_per_processor_volume_formula(part10):
 def test_alltoall_cost_q3():
     part = build_partition(steiner.construct_spherical(3))
     cost = alltoall_cost(part, 120)
-    assert cost.per_vector == 58
-    assert cost.both_vectors == 116
+    assert cost == 58
     # closed form: 2n/(q+1) * (1 - 1/P)
-    assert cost.per_vector == 2 * 120 * (30 - 1) // (4 * 30)
+    assert cost == 2 * 120 * (30 - 1) // (4 * 30)
 
 
 def test_alltoall_cost_q2(part_q2):
-    cost = alltoall_cost(part_q2, 30)
-    assert cost.per_vector == 18
-    assert cost.both_vectors == 36
+    assert alltoall_cost(part_q2, 30) == 18
 
 
 def test_alltoall_vs_p2p_ratio_q3():
@@ -568,7 +565,7 @@ def test_alltoall_vs_p2p_ratio_q3():
     demands = build_demands(part)
     p2p_per_vector = int(demands.shared[demands.src == 1].sum())
     assert p2p_per_vector == 44
-    assert alltoall_cost(part, 120).per_vector == 58
+    assert alltoall_cost(part, 120) == 58
     # the collective moves more words than the matched point-to-point plan
     assert 58 / 44 > 1
 

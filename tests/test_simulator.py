@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tetracomm import simulator, steiner
 from tetracomm.checks import Check, Report
 from tetracomm.cli import fixtures_dir
-from tetracomm.partition import VectorLayout, build_partition, pad_dimension, vector_layout
+from tetracomm.partition import VectorLayout, build_partition, owned_blocks, pad_dimension, vector_layout
 from tetracomm.schedule import CommSchedule, build_demands, build_schedule
 from tetracomm.simulator import compute_report, simulate, verify_run
 from tetracomm.tensor_core import (
@@ -354,6 +354,31 @@ def test_verify_run_exact_for_random_seeds_and_chunk_sizes(setup_q2, setup_appen
     verdict = verify_run(random_symmetric(layout.n, seed), random_vector(layout.n, seed + 1), part, layout, mode)
     assert verdict.passed, verdict.problems
     assert EXACT_CHECKS <= {c.name for c in verdict.checks}
+
+
+@pytest.mark.parametrize("design", ["q2", "appendix"])
+def test_verify_run_catches_a_miscounted_block(setup_q2, setup_appendix, design, monkeypatch):
+    # one more stored element and ternary product on the first block than the kernel counts
+    part, layout = setup_q2 if design == "q2" else setup_appendix
+    tensor, x = random_symmetric(layout.n, 11), random_vector(layout.n, 12)
+    predicted = compute_report(part, layout)
+    real = simulator.block_counts
+
+    def miscounted(n, width, blocks):
+        elems, ternary = real(n, width, blocks)
+        elems[0] += 1
+        ternary[0] += 1
+        return elems, ternary
+
+    monkeypatch.setattr(simulator, "block_counts", miscounted)
+    verdict = verify_run(tensor, x, part, layout)
+    owner = int(owned_blocks(part)[0][0])
+    for name in ("ternary_counts_exact", "tensor_elements_exact"):
+        check = verdict.check(name)
+        assert not check.passed and check.detail == f"mismatched processors: [{owner}]"
+    assert not verdict.check("total_ternary_matches_sequential").passed
+    assert verdict.check("send_volume_exact").passed and verdict.check("output_matches_sequential").passed
+    assert verdict.predicted == predicted == compute_report(part, layout)
 
 
 def test_verify_run_detects_moved_block(setup_q2):

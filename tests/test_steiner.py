@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import construct_spherical_by_field_ops, generators_by_field_ops, mobius_cycle_by_field_ops, verify_by_counter
 
 from tetracomm import steiner
-from tetracomm.cli import fixtures_dir
+from tetracomm.cli import fixtures_dir, main
 from tetracomm.finite_field import field_new, prime_power
 
 FIX_10 = fixtures_dir() / "steiner_10_4_3.txt"
@@ -207,6 +207,46 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "sys.txt"
     steiner.save(system, path)
     assert steiner.load(path) == system
+
+
+@pytest.mark.parametrize("source", [3, "steiner_8_4_3.txt"])
+def test_save_parse_round_trip(tmp_path, source):
+    fixture = fixtures_dir() / str(source)
+    system = steiner.construct_spherical(source) if isinstance(source, int) else steiner.parse(fixture)
+    path = tmp_path / "sys.txt"
+    steiner.save(system, path)
+    assert path.read_text().splitlines()[0] == f"steiner {system.n} {system.r} 3"
+    assert steiner.parse(path) == system
+    if isinstance(source, str):
+        assert path.read_text() == fixture.read_text()
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("steiner 5 x 3\n1 2 3\n", 1, "non-integer header fields in 'steiner 5 x 3'"),
+        ("steiner 5 3 2\n1 2 3\n", 1, "only s=3 systems are supported, got s=2"),
+        ("steiner 5 3 3\n1 2 3\n1 two 3\n", 3, "non-integer block entry in '1 two 3'"),
+        # the blank line is skipped, and still counted
+        ("steiner 5 3 3\n1 2 3\n\n1 2 6\n", 4, "block point out of range 1..5"),
+        ("steiner 5 3 3\n  \n0 2 3\n", 3, "block point out of range 1..5"),
+    ],
+)
+def test_parse_errors_name_their_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(steiner.SteinerParseError) as err:
+        steiner.parse(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+    assert main(["steiner", "verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+def test_parse_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("steiner 5 3 3\n\n1 2 3\n   \n2 4 5\n\n")
+    assert steiner.parse(path) == steiner.SteinerSystem(5, 3, [(1, 2, 3), (2, 4, 5)])
 
 
 def test_load_malformed_header(tmp_path):

@@ -4,7 +4,10 @@ Each side is a separate checkout of the repository (for example
 ``git archive <commit> | tar -x -C <dir>``).  For every workload and seed
 the script runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` in both checkouts, each in a fresh process, where T is the
-``run_seconds`` of BENCHMARK.json.  Odd seeds run the parent first and even
+``run_seconds`` of BENCHMARK.json.  Before the first pair it compiles
+``src`` and ``perfbench`` in both checkouts, so both import from cached
+bytecode: a checkout without ``__pycache__`` reads a higher
+``peak_rss_mb``.  Odd seeds run the parent first and even
 seeds the change first.  It then makes one ``--trace 1`` pair on every trace
 seed, in the same alternating order, and writes the medians, quartiles and
 pair wins of every end-to-end metric of the change checkout's BENCHMARK.json
@@ -141,6 +144,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     sides = {"parent": args.parent, "change": args.change}
+    for checkout in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout, check=True)
 
     def run_pair(workload: str, seed: int, trace: int) -> dict:
         order = ["parent", "change"] if seed % 2 else ["change", "parent"]
