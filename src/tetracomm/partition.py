@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .finite_field import prime_power
+from .keys import key_dtype
 
 from .matching import BipartiteGraph, MatchingInfeasibleError, _cycle_min, d_disjoint_matchings, max_matching
 from .steiner import SteinerSystem, mobius_orbits
@@ -188,6 +189,8 @@ def build_partition(system: SteinerSystem, label: str | None = None) -> TetraPar
     holders = np.nonzero(member)[1].reshape(m, sharing[0]) + 1
 
     total_nc = m * (m - 1)
+    if total_nc == 0:
+        raise DesignUnsuitableError(f"non-central stage: m={m} points make no non-central blocks")
     if total_nc % P != 0:
         raise DesignUnsuitableError(
             f"non-central stage: {total_nc} blocks do not divide evenly over {P} processors"
@@ -327,12 +330,16 @@ def validate_partition(part: TetraPartition) -> list[str]:
 
     Assigned blocks are counted by integer id ((i-1)m + (j-1))m + (k-1); a
     block with a coordinate outside 1..m has no id and is counted on its own.
-    The off-diagonal blocks are TB3(R_p), gathered from R as integer arrays,
-    and the diagonal blocks are N's rows, then D's.  Locality and the Q/R
-    consistency are read from one (P+1, m+1) boolean membership array,
-    member[p, i] = (i in R_p) for i in 1..m, and a problem is formatted only
-    for a processor or block that violates an invariant.  N or D that is not
-    a sequence of per-processor (k, 3) integer rows raises ValueError.
+    When every block is in range and lower, as in any valid partition, one
+    ``bincount`` over the packed lower-tetrahedral index
+    C(i+1, 3) + C(j, 2) + k - 1, whose order is that of the id, counts them
+    with no sort.  The off-diagonal blocks are TB3(R_p), gathered from R as
+    integer arrays, and the diagonal blocks are N's rows, then D's.
+    Locality and the Q/R consistency are read from one (P+1, m+1) boolean
+    membership array, member[p, i] = (i in R_p) for i in 1..m, and a
+    problem is formatted only for a processor or block that violates an
+    invariant.  N or D that is not a sequence of per-processor (k, 3)
+    integer rows raises ValueError.
     """
     m, P = part.m, part.P
     n_lengths, n_blocks = _block_rows(part.N, "N")
@@ -341,27 +348,44 @@ def validate_partition(part: TetraPartition) -> list[str]:
     # entries past processor P are counted, but owned by no one
     holder = np.repeat(np.r_[1 : len(n_lengths) + 1, 1 : len(d_lengths) + 1], np.r_[n_lengths, d_lengths])
     blocks = np.concatenate([_off_triples(part.R)[2], diagonal])
-    inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
-    i, j, k = (blocks[inside] - 1).T
-    ids, counts = np.unique((i * m + j) * m + k, return_counts=True)
-    i, j, k = ids // (m * m), ids // m % m, ids % m
-    lower = (i >= j) & (j >= k)
-    outside, repeats = np.unique(blocks[~inside], axis=0, return_counts=True)
-    outside = [BlockIndex(*blk) for blk in outside.tolist()]
 
-    def first3(selected: np.ndarray, more) -> list[BlockIndex]:
-        """The three least blocks among the ids selected (ascending) and more."""
-        found = [BlockIndex(a // (m * m) + 1, a // m % m + 1, a % m + 1) for a in selected[:3].tolist()]
+    def first3(ids: np.ndarray, more) -> list[BlockIndex]:
+        """The three least blocks among the ascending ids ((i-1)m + (j-1))m + (k-1) and more."""
+        found = [BlockIndex(a // (m * m) + 1, a // m % m + 1, a % m + 1) for a in ids[:3].tolist()]
         return sorted([*found, *more])[:3]
 
+    def lower_ids() -> np.ndarray:
+        """The ids of every lower block, ascending: entry t is the block of packed index t."""
+        return np.concatenate([(a * m + j) * m + k for a in range(m) for j, k in [np.tril_indices(a + 1)]])
+
+    none = np.zeros(0, dtype=np.int64)
+    i, j, k = blocks.T
+    if not len(blocks) or blocks.min() >= 1 and blocks.max() <= m and np.all(i >= j) and np.all(j >= k):
+        # every block is in range and lower: one bincount over the packed
+        # lower-tetrahedral index, ascending as the id is, counts them with no sort
+        c = np.arange(m + 1)
+        tally = np.bincount(((c**3 - c) // 6)[i] + (c * (c - 1) // 2)[j] + k - 1, minlength=comb(m + 2, 3))
+        outside, repeats, upper = [], none, none
+        twice, missing = (lower_ids()[at] if len(at) else at for at in (np.flatnonzero(tally > 1), np.flatnonzero(tally == 0)))
+    else:
+        inside = np.all((blocks >= 1) & (blocks <= m), axis=1)
+        outside, repeats = np.unique(blocks[~inside], axis=0, return_counts=True)
+        outside = [BlockIndex(*blk) for blk in outside.tolist()]
+        i, j, k = (blocks[inside] - 1).T
+        ids, counts = np.unique(((i * m + j) * m + k).astype(key_dtype(m**3 - 1)), return_counts=True)
+        lower = (ids // (m * m) >= ids // m % m) & (ids // m % m >= ids % m)
+        upper, twice, missing = ids[~lower], ids[counts > 1], none
+        if np.count_nonzero(lower) < comb(m + 2, 3):
+            expected = lower_ids()
+            missing = expected[~np.isin(expected, ids)]
+
     problems: list[str] = []
-    if not lower.all() or outside:
-        problems.append(f"blocks outside the lower tetrahedron: {first3(ids[~lower], outside)}")
-    if np.any(counts > 1) or np.any(repeats > 1):
-        problems.append(f"blocks assigned more than once: {first3(ids[counts > 1], [b for b, c in zip(outside, repeats) if c > 1])}")
-    if np.count_nonzero(lower) < comb(m + 2, 3):
-        expected = np.concatenate([(a * m + j) * m + k for a in range(m) for j, k in [np.tril_indices(a + 1)]])
-        problems.append(f"unassigned blocks: {first3(expected[~np.isin(expected, ids)], [])}")
+    if len(upper) or outside:
+        problems.append(f"blocks outside the lower tetrahedron: {first3(upper, outside)}")
+    if len(twice) or np.any(repeats > 1):
+        problems.append(f"blocks assigned more than once: {first3(twice, [b for b, c in zip(outside, repeats) if c > 1])}")
+    if len(missing):
+        problems.append(f"unassigned blocks: {first3(missing, [])}")
 
     member = np.zeros((P + 1, m + 1), dtype=bool)
     lengths = [len(row) for row in part.R[:P]]

@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .checks import Check, Report
+from .keys import key_dtype
 
 # max_matching stays importable here: perfbench/tracing.py wraps schedule.max_matching
 from .matching import max_matching, regular_decompose  # noqa: F401
@@ -41,9 +42,11 @@ __all__ = [
 class Demands:
     """A table of transfer demands, one row per demand, sorted by (src, dst).
 
-    src and dst have shape (E,).  blocks has shape (E, w): row e lists the
-    row blocks src and dst share in ascending order, padded with 0 after
-    its shared count.  Block ids are 1-based, so 0 never names a block.
+    src and dst have shape (E,) and hold processor ids from 1, which the
+    keys of ``messages`` and ``validate`` pack unsigned.  blocks has shape
+    (E, w): row e lists the row blocks src and dst share in ascending
+    order, padded with 0 after its shared count.  Block ids are 1-based, so
+    0 never names a block.
     orbits is the orbit table of the partition the demands come from
     (``TetraPartition.orbits``), on which ``build_schedule`` splits every
     layer; None for a table built by hand, scheduled on the trivial group.
@@ -104,20 +107,27 @@ def messages(steps, demands: Demands) -> tuple[np.ndarray, np.ndarray, np.ndarra
     carries, found by a binary search on the (src, dst) key, or -1 where
     no demand matches, so that such a message carries no blocks.  The
     message keys are searched in sorted order, which keeps the searches'
-    reads close together, and scattered back.
+    reads close together, and scattered back; when the sorted keys are the
+    demand keys, as when every demand is carried once, row e of them is
+    demand e and nothing is searched.
     """
     rows = [np.asarray(step, dtype=np.int64).ravel() for step in steps]
     none = [np.zeros(0, dtype=np.int64)]
     src, dst = np.concatenate(none + [np.arange(1, len(row) + 1) for row in rows]), np.concatenate(none + rows)
-    # ids outside 1..P are clipped into the key range and then fail the row comparison
     P = demands.processors
-    key = np.clip(src, 0, P) * (P + 1) + np.clip(dst, 0, P)
+    kind = key_dtype(P * (P + 1) + P)
+    key = np.clip(src, 0, P).astype(kind) * (P + 1) + np.clip(dst, 0, P).astype(kind)
     order = np.argsort(key)
-    at = np.empty_like(key)
-    at[order] = np.searchsorted(demands.src * (P + 1) + demands.dst, key[order])
+    key = key[order]
+    demand_keys = demands.src.astype(kind) * (P + 1) + demands.dst.astype(kind)
+    # when every demand is carried once, the sorted keys are the demand keys
+    at = np.arange(len(key)) if np.array_equal(key, demand_keys) else np.searchsorted(demand_keys, key)
     hit = at < len(demands)
-    hit[hit] = (demands.src[at[hit]] == src[hit]) & (demands.dst[at[hit]] == dst[hit])
-    return src, dst, np.where(hit, at, -1)
+    hit[hit] = demand_keys[at[hit]] == key[hit]
+    row = np.empty(len(key), dtype=np.int64)
+    row[order] = np.where(hit, at, -1)
+    # an id outside 1..P was clipped into the key range, so its key matches no demand of its own
+    return src, dst, np.where((src <= P) & (dst >= 1) & (dst <= P), row, -1)
 
 
 def build_demands(part: TetraPartition) -> Demands:
@@ -126,27 +136,36 @@ def build_demands(part: TetraPartition) -> Demands:
     Two processors share row block i exactly when both are in Q_i, so the
     ordered pairs of distinct processors in every Q_i, sorted by
     (src, dst, i) as one integer key and grouped by (src, dst), are the
-    demands with their shared blocks in ascending order.  Q is read as one
-    (m, g) array, whose rows ``build_partition`` gives ascending and
-    distinct, and the partition's orbit table is carried along.
+    demands with their shared blocks in ascending order.  The key holds
+    src, dst and i as bit fields, which shifts and masks take apart.  Q is
+    read as one (m, g) array, whose rows ``build_partition`` gives
+    ascending and distinct, and the partition's orbit table is carried
+    along.
     """
     P, m = part.P, part.m
-    Q = np.asarray(part.Q, dtype=np.int64)
+    low, mid = m.bit_length(), P.bit_length()
+    kind = key_dtype(((P << mid | P) << low) | m)
+    Q = np.asarray(part.Q, dtype=kind)
     src, dst = Q[:, :, None], Q[:, None, :]
-    key = np.sort(((src * (P + 1) + dst) * (m + 1) + np.arange(1, m + 1)[:, None, None])[src != dst])
-    pair = key // (m + 1)
-    block = key - pair * (m + 1)
+    key = (src << mid | dst) << low | np.arange(1, m + 1, dtype=kind)[:, None, None]
+    key = key[src != dst]
+    key.sort()
     new = np.empty(len(key), dtype=bool)
     new[:1] = True
-    np.not_equal(pair[1:], pair[:-1], out=new[1:])
+    np.greater_equal(key[1:] ^ key[:-1], 1 << low, out=new[1:])  # the pair bits differ
     first = np.flatnonzero(new)
     shared = np.diff(first, append=len(key))
-    blocks = np.zeros((len(first), int(shared.max(initial=0))), dtype=np.int64)
-    for c in range(blocks.shape[1]):  # column c holds each run's (c+1)-th block, where the run has one
-        runs = shared > c
-        blocks[runs, c] = block[first[runs] + c]
-    src = pair[first] // (P + 1)
-    return Demands(src, pair[first] - src * (P + 1), blocks, part.orbits)
+    blocks = np.empty((len(first), int(shared.max(initial=0))), dtype=np.int64)
+    head = key[first]  # each demand's first key: its pair and its least block
+    np.bitwise_and(head[:, None], (1 << low) - 1, out=blocks[:, :1])
+    for c in range(1, blocks.shape[1]):  # column c holds each run's (c+1)-th block, 0 where the run is shorter
+        column = np.take(key[c:], first, mode="clip")
+        column &= (1 << low) - 1
+        np.multiply(column, shared > c, out=blocks[:, c])
+    pair = (head >> low).astype(np.int64)
+    src = pair >> mid
+    pair &= (1 << mid) - 1
+    return Demands(src, pair, blocks, part.orbits)
 
 
 def build_schedule(demands: Demands) -> CommSchedule:
@@ -188,6 +207,7 @@ def build_schedule(demands: Demands) -> CommSchedule:
     filled for the whole layer by one fancy index.
     """
     P = demands.processors
+    kind = key_dtype(P * (P + 1) + P)
     shared = demands.shared
     layers = []
     for size in np.flatnonzero(np.bincount(shared))[::-1].tolist():
@@ -197,7 +217,8 @@ def build_schedule(demands: Demands) -> CommSchedule:
         if not all(np.array_equal(np.bincount(ends, minlength=P + 1), degrees) for ends in (src, dst)):
             raise ValueError(f"layer of {size} shared blocks is not regular on processors 1..{P}")
         # in a symmetric layer the reverse keys, sorted, are the sorted keys again
-        if not np.array_equal(np.sort(dst * (P + 1) + src), src * (P + 1) + dst):
+        s, t = src.astype(kind), dst.astype(kind)
+        if not np.array_equal(np.sort(t * (P + 1) + s), s * (P + 1) + t):
             raise ValueError(f"layer of {size} shared blocks is not symmetric")
         layers.append((size, src, dst))
 
@@ -224,18 +245,19 @@ def _orbit_steps(members: np.ndarray, dst: np.ndarray, d: int) -> np.ndarray:
     stands for the class (a, b, k), keyed b·L + k and sorted per row.  The
     keys' orbits b + 1 are the rows of the orbit multigraph; each colour of
     regular_decompose's picks one class (b, k) per orbit a, and step t
-    sends members[a, j] to members[b, (j + k) % L].
+    sends members[a, j] to members[b, (j + k) % L], read for every sender
+    in processor order from the table written twice side by side, so that
+    no index wraps.
     """
     E, L = members.shape
-    orbit, pos = np.empty((2, E * L + 1), dtype=np.int64)
+    orbit, pos = np.empty((2, E * L + 1), dtype=key_dtype(E * L - 1))
     orbit[members], pos[members] = np.arange(E)[:, None], np.arange(L)
     to = dst.reshape(-1, d)[members[:, 0] - 1]
     key = np.sort(orbit[to] * L + pos[to], axis=1)
     # step t sends orbit a to orbit b[t, a], shifted by k[t, a]
     b, k = np.divmod(key.ravel()[regular_decompose(key // L + 1)], L)
-    rows = np.empty((d, E * L), dtype=np.int64)
-    rows[np.arange(d)[:, None, None], members - 1] = members[b[:, :, None], (np.arange(L) + k[:, :, None]) % L]
-    return rows
+    twice = np.concatenate([members, members], axis=1)
+    return twice.ravel()[np.take(b * (2 * L) + k, orbit[1:], axis=1) + pos[1:]]
 
 
 @dataclass
@@ -268,7 +290,8 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
     kept = [s for s, row in enumerate(rows) if len(row) == P]
     table = np.array([rows[s] for s in kept], dtype=np.int64).reshape(len(kept), P)
     senders = np.arange(1, P + 1)
-    clipped = np.clip(table, 0, P + 1)
+    kind = key_dtype(P * (P + 2) + P + 1)
+    clipped = np.clip(table, 0, P + 1).astype(kind)
     # count[i, r]: the messages r receives in step kept[i]
     count = np.bincount((np.arange(len(kept))[:, None] * (P + 2) + clipped).ravel(), minlength=table.size + 2 * len(kept))
     count = count.reshape(len(kept), P + 2)
@@ -289,9 +312,9 @@ def validate(sched: CommSchedule, demands: Demands, chunk: int = 1) -> ScheduleR
     volume[active] = np.add.reduceat(demands.blocks != 0, first[active - 1], axis=0, dtype=np.int64).sum(axis=1) * chunk
     coverage: list[str] = []
     off: list[int] = []
-    key = (senders * (P + 2) + clipped).ravel()
+    key = (senders.astype(kind) * (P + 2) + clipped).ravel()
     key.sort()
-    if not np.array_equal(key, demands.src * (P + 2) + demands.dst):
+    if not np.array_equal(key, demands.src.astype(kind) * (P + 2) + demands.dst.astype(kind)):
         src, dst, row = messages(table, demands)
         shared = demands.shared
         matched = row >= 0

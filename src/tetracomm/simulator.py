@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import lower_bound
 from .checks import Check, Report
+from .keys import key_dtype
 from .partition import TetraPartition, VectorLayout, owned_blocks, storage_count, validate_partition, vector_layout
 from .schedule import alltoall_cost, build_demands, build_schedule, messages, validate
 from .tensor_core import PackedSymTensor, block_counts, contract, gather_blocks, sttsv_symmetric, ternary_count
@@ -187,7 +188,9 @@ def simulate(
     # number of messages that carry it, sorted by (block, receiver, sender)
     msg, col = np.nonzero(demands.blocks[carried])
     msg = carried[msg]
-    key = _distinct((demands.blocks[msg, col] * (P + 1) + demands.dst[msg]) * (P + 1) + demands.src[msg])
+    kind = key_dtype((part.m * (P + 1) + P) * (P + 1) + P)
+    blk, rcv, snd = demands.blocks[msg, col].astype(kind), demands.dst[msg].astype(kind), demands.src[msg].astype(kind)
+    key = _distinct((blk * (P + 1) + rcv) * (P + 1) + snd)
     pair, snd = np.divmod(key, P + 1)
     blk, rcv = np.divmod(pair, P + 1)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .checks import Check, Report
 from .finite_field import field_new, prime_power
+from .keys import key_dtype
 from .matching import _cycle_min
 
 __all__ = [
@@ -218,8 +219,10 @@ def mobius_orbits(sets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     h = g if q % 2 == 0 else g[g]
     L = (q * q + 1) // gcd(2, q - 1)
 
-    image = np.sort(h[sets], axis=1)
-    code = (sets[:, 0] * m + sets[:, 1]) * m + sets[:, 2]
+    kind = key_dtype(m**3 - 1)
+    image = np.sort(h[sets], axis=1).astype(kind)
+    points = sets.astype(kind)
+    code = (points[:, 0] * m + points[:, 1]) * m + points[:, 2]
     by_code = np.argsort(code)
     want = (image[:, 0] * m + image[:, 1]) * m + image[:, 2]
     pi = by_code[np.minimum(np.searchsorted(code[by_code], want), P - 1)]  # 0-based
@@ -307,7 +310,7 @@ def verify(system: SteinerSystem) -> Report:
     gap = int(np.argmax(np.append(held_points, 0) != np.arange(len(held_points) + 1)))
     base = min(n, top + 3) + 1
     # codes of up to three digits below base; past int64 they are Python ints
-    dtype = np.int64 if base**3 < 2**63 else object
+    dtype = key_dtype(base**3 - 1) if base**3 < 2**63 else object
 
     def coverage(name: str, noun: str, k: int) -> Check:
         expected = Fraction(comb(n - k, 3 - k), comb(r - k, 3 - k))

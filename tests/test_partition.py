@@ -332,6 +332,12 @@ def test_build_rejects_an_unbalanced_noncentral_stage(system, message):
         build_partition(system)
 
 
+def test_build_rejects_a_design_with_no_noncentral_blocks():
+    system = steiner.SteinerSystem(n=1, r=1, blocks=[(1,)])
+    with pytest.raises(DesignUnsuitableError, match=r"^non-central stage: m=1 points make no non-central blocks$"):
+        build_partition(system)
+
+
 def test_build_rejects_too_few_processors_for_the_central_blocks():
     system = steiner.SteinerSystem(n=4, r=4, blocks=[(1, 2, 3, 4)])
     with pytest.raises(DesignUnsuitableError, match=r"^central stage: only 1 of 4 central blocks could be assigned$"):
@@ -401,6 +407,14 @@ CORRUPTIONS = {
             "locality violated at processor 1: block (4, 2, 2) not within [1, 2, 3, 10]",
             "locality violated at processor 1: block (5, 5, 5) not within [1, 2, 3, 10]",
             "processor 1 holds 2 central blocks",
+        ],
+    ),
+    # in range but not lower: counted by id, not by the lower-tetrahedral index
+    "upper": (
+        lambda part: part.N.__setitem__((0, 0), [1, 2, 1]),
+        [
+            "blocks outside the lower tetrahedron: [BlockIndex(i=1, j=2, k=1)]",
+            "unassigned blocks: [BlockIndex(i=2, j=1, k=1)]",
         ],
     ),
     "outside": (

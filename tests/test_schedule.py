@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import re
 from functools import cache
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from tetracomm import partition, schedule, steiner
 from tetracomm.cli import fixtures_dir
+from tetracomm.keys import key_dtype
 from tetracomm.partition import build_partition, pad_dimension, vector_layout
 from tetracomm.schedule import (
     CommSchedule,
@@ -284,10 +287,105 @@ def test_spherical_schedule_pinned(q):
     assert (len(sched.steps), steps_sha256(sched.steps)) == SPHERICAL_STEPS_SHA256[q]
 
 
+def demands_sha256(demands) -> str:
+    """sha256 over the shapes and little-endian int64 bytes of src, dst and blocks."""
+    digest = hashlib.sha256()
+    for column in (demands.src, demands.dst, demands.blocks):
+        digest.update(repr(column.shape).encode())
+        digest.update(column.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+def report_sha256(report) -> str:
+    obj = {"report": report.to_json_obj(), "send_volume": report.send_volume}
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# (demands, steps, step digest, validate's report) at q = 11 and 13, whose
+# set-up keys are 32-bit; a partition, demand, schedule or check change moves them
+LARGE_SPHERICAL_SHA256 = {
+    11: (
+        "37644d955076cbf2425c1552e3797d404ca97fbbcef8ad93d7e2cb12df6e2816",
+        846,
+        "1ce0b1188573c6fe2ed2b3d73a77428ea8304547fe32e1b1a5f0e8268af5f8af",
+        "3b2bfd0f8182c2c9fa239e73abc9d5b9238f0e41e9ebc488da9de85ad6a488d4",
+    ),
+    13: (
+        "65afd569202d74746198b7c99e4bfb7b8a5ed20bd86d43c27c4fbeb1157b955e",
+        1351,
+        "e7a7a316e151387b1aadfa9756da75e440721f31f53818be7a01a163452134a6",
+        "0c380b73a4661a2db1711c761e798128314653d134da25159916b9769b4c0d8e",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(LARGE_SPHERICAL_SHA256))
+def test_large_spherical_demands_and_report_pinned(q):
+    demands = build_demands(build_partition(steiner.construct_spherical(q)))
+    assert {column.dtype for column in (demands.src, demands.dst, demands.blocks)} == {np.dtype(np.int64)}
+    sched = build_schedule(demands)
+    report = validate(sched, demands)
+    got = (demands_sha256(demands), len(sched.steps), steps_sha256(sched.steps), report_sha256(report))
+    assert got == LARGE_SPHERICAL_SHA256[q]
+
+
+# ---------------------------------------------------------------------------
+# 64-bit keys: processor ids whose keys pass 2**32
+# ---------------------------------------------------------------------------
+
+
+def test_key_dtype_is_32_bit_below_2_to_the_32():
+    assert key_dtype(0) is key_dtype(2**32 - 1) is np.uint32
+    assert key_dtype(2**32) is key_dtype(2**40) is np.int64
+
+
+def test_demands_of_processor_ids_past_32_bit_keys(part_q2):
+    # q=2's processors 1..10 renumbered 65527..65536: the (src, dst, block) key needs 36 bits
+    offset = 2**16 - part_q2.P
+    big = dataclasses.replace(part_q2, P=2**16, Q=[tuple(p + offset for p in row) for row in part_q2.Q], orbits=None)
+    small, demands = build_demands(part_q2), build_demands(big)
+    assert [column.dtype for column in (demands.src, demands.dst, demands.blocks)] == [np.dtype(np.int64)] * 3
+    assert np.array_equal(demands.src, small.src + offset) and np.array_equal(demands.dst, small.dst + offset)
+    assert np.array_equal(demands.blocks, small.blocks)
+
+
+def ring(P, shifts=(-1, 1)):
+    """Demands p -> p + s (mod P) for both shifts s, block 1 each: a layer of degree 2, symmetric for (-1, 1)."""
+    p = np.arange(1, P + 1)
+    ends = np.sort(np.stack([(p - 1 + s) % P + 1 for s in shifts], axis=1), axis=1)
+    return schedule.Demands(np.repeat(p, 2), ends.ravel(), np.ones((2 * P, 1), dtype=np.int64))
+
+
+def test_schedule_checks_of_processor_ids_past_32_bit_keys():
+    # at P = 2**16 the reverse, message and validation keys all pass 2**32
+    assert key_dtype(2**16 * (2**16 + 1)) is np.int64
+    results = []
+    for P in (8, 2**16):
+        demands = ring(P)
+        sched = build_schedule(demands)
+        report = validate(sched, demands, 3)
+        src, dst, row = schedule.messages(sched.steps, demands)
+        assert all(a.dtype == np.int64 for a in (src, dst, row, *sched.steps))
+        assert np.array_equal(demands.src[row], src) and np.array_equal(demands.dst[row], dst)
+        # processor 1 sends to itself instead of to 2
+        broken = [np.r_[1, np.arange(3, P + 1), 1], np.r_[P, np.arange(1, P)]]
+        problems = validate(CommSchedule(broken, demands), demands, 3).problems
+        with pytest.raises(ValueError) as err:
+            build_schedule(ring(P, (1, 2)))
+        results.append((len(sched.steps), report.passed, set(report.send_volume.values()), problems, str(err.value)))
+    assert results[0] == results[1]
+
+
 def test_q4_odd_layer_pinned():
     sched = build_schedule(build_demands(build_partition(steiner.construct_spherical(4))))
     assert sched.meta["layers"][1] == {"shared_blocks": 1, "demands": 1020, "steps": 15}
     assert steps_sha256(sched.steps[40:]) == Q4_ONE_SHARE_LAYER_SHA256
+
+
+def test_steps_are_contiguous_int64_rows():
+    # a strided row makes every later stack of the steps several times slower
+    sched = build_schedule(spherical_demands(4)[1])
+    assert all(step.dtype == np.int64 and step.flags.c_contiguous for step in sched.steps)
 
 
 # ---------------------------------------------------------------------------
