@@ -120,7 +120,6 @@ def messages(steps, demands: Demands) -> tuple[np.ndarray, np.ndarray, np.ndarra
     order = np.argsort(key)
     key = key[order]
     demand_keys = demands.src.astype(kind) * (P + 1) + demands.dst.astype(kind)
-    # when every demand is carried once, the sorted keys are the demand keys
     at = np.arange(len(key)) if np.array_equal(key, demand_keys) else np.searchsorted(demand_keys, key)
     hit = at < len(demands)
     hit[hit] = demand_keys[at[hit]] == key[hit]
