@@ -6,17 +6,17 @@ by all the ids together: the (src, dst, block) key of
 ``schedule.build_demands``, the reverse keys of ``build_schedule``'s
 symmetry check and the class keys of its orbit steps, the message keys of
 ``schedule.messages`` and ``schedule.validate``, the subset codes of
-``steiner.verify``, the block codes of ``steiner.mobius_orbits``, the block
-ids ``partition.validate_partition`` sorts when a block is out of range or
-not lower, and the (block, receiver, sender) table of ``simulator.simulate``.
+``steiner.verify``, the block codes of ``steiner.mobius_orbits`` and the
+block ids ``partition.validate_partition`` sorts when a block is out of
+range or not lower.
 
 The key-width rule: each of these key arrays takes its type from
 ``key_dtype`` of the largest key its site can form, uint32 when that is
 below 2**32 and int64 otherwise, since numpy sorts and searches 32-bit
 integers about twice as fast as 64-bit ones.  For the spherical designs
-only two keys stay int64, both at q = 16 (P = 4112 processors, m = 257 row
-blocks): the demand key and the simulator's table.  Keys never leave the
-function that packs them: every array a caller gets back is int64 as before.
+only the demand key stays int64, at q = 16 (P = 4112 processors, m = 257
+row blocks).  Keys never leave the function that packs them: every array a
+caller gets back is int64 as before.
 """
 
 from __future__ import annotations

@@ -150,17 +150,18 @@ def contract(kind: str, D: np.ndarray, xs, ys) -> None:
         raise ValueError(f"unknown block kind {kind!r}")
 
 
-def _check_blocks(n: int, width, blocks) -> np.ndarray:
-    """The blocks as an int64 (B, 3) array; raise ValueError on a bad width or block.
+def _check_blocks(n: int, width, blocks) -> tuple[int, np.ndarray]:
+    """The width as an int and the blocks as an int64 (B, 3) array; raise ValueError on a bad width or block.
 
     Row block t holds rows t*width up to min(n, (t+1)*width), so there are
-    m = ceil(n / width) of them.  ``width`` must be a positive int and
-    ``blocks`` an integer (B, 3) array-like of ids with m-1 >= i >= j >= k >= 0;
-    a non-integer id raises rather than being truncated.  The error names
-    the first bad block.
+    m = ceil(n / width) of them.  ``width`` must be a positive int, a numpy
+    integer read as one, but not a bool, and ``blocks`` an integer (B, 3)
+    array-like of ids with m-1 >= i >= j >= k >= 0; a non-integer id raises
+    rather than being truncated.  The error names the first bad block.
     """
-    if not isinstance(width, (int, np.integer)) or width < 1:
+    if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
         raise ValueError(f"row-block width must be a positive int, got {width!r}")
+    width = int(width)
     blocks = np.asarray(blocks)
     if blocks.dtype.kind not in "iu" or blocks.ndim != 2 or blocks.shape[1] != 3:
         raise ValueError(f"blocks must be an integer (B, 3) array, got {blocks.dtype} of shape {blocks.shape}")
@@ -173,7 +174,7 @@ def _check_blocks(n: int, width, blocks) -> np.ndarray:
         if unordered[e]:
             raise ValueError(f"block {blk} is not ordered i >= j >= k")
         raise ValueError(f"block {blk} names a row block outside 0..{m - 1}")
-    return blocks.astype(np.int64, copy=False)
+    return width, blocks.astype(np.int64, copy=False)
 
 
 def _canonical_counts(ij: bool, jk: bool, shape) -> tuple[int, int]:
@@ -203,7 +204,7 @@ def block_counts(n: int, width, blocks) -> tuple[np.ndarray, np.ndarray]:
     fall into at most 32 keys, each counted once from its canonical mask.
     The width and blocks are checked as by ``gather_blocks``.
     """
-    blocks = _check_blocks(n, width, blocks)
+    width, blocks = _check_blocks(n, width, blocks)
     i, j, k = blocks.T
     short = (blocks == -(-n // width) - 1) & bool(n % width)  # a row block of n % width rows
     keys = (i == j) * 16 + (j == k) * 8 + short @ np.array([4, 2, 1])
@@ -237,7 +238,7 @@ def gather_blocks(tensor: PackedSymTensor, width, blocks):
     tensor.
     """
     n = tensor.n
-    blocks = _check_blocks(n, width, blocks)
+    width, blocks = _check_blocks(n, width, blocks)
 
     r = np.arange(n, dtype=np.int64)
     tet, tri = r * (r + 1) * (r + 2) // 6, r * (r + 1) // 2
@@ -289,8 +290,8 @@ class BlockStore:
     __slots__ = ("n", "width", "blocks")
 
     def __init__(self, tensor: PackedSymTensor, width, blocks):
-        self.n, self.width = tensor.n, width
         self.blocks: list[tuple[str, np.ndarray, tuple]] = list(gather_blocks(tensor, width, blocks))
+        self.n, self.width = tensor.n, int(width)  # the gather checked the width
 
     def run(self, x, y) -> None:
         """Add every stored block's share of A x x into y; x and y have length n."""

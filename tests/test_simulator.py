@@ -36,6 +36,13 @@ def setup_q3():
 
 
 @pytest.fixture(scope="module")
+def setup_q4():
+    # the configuration of the verify-q4-n340 benchmark workload
+    part = build_partition(steiner.construct_spherical(4))
+    return part, vector_layout(340, part)
+
+
+@pytest.fixture(scope="module")
 def setup_appendix():
     part = build_partition(steiner.load(fixtures_dir() / "steiner_8_4_3.txt"))
     return part, vector_layout(56, part)
@@ -54,22 +61,6 @@ def test_q2_p2p_matches_sequential(setup_q2):
     ref = sttsv_symmetric(tensor, x)
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
     assert all(c.passed for c in report.checks)
-
-
-@pytest.mark.parametrize("mode", ["p2p", "alltoall"])
-@pytest.mark.parametrize("design", ["q2", "q3"])
-def test_key_table_equals_np_unique(setup_q2, setup_q3, design, mode, monkeypatch):
-    # the (block, receiver, sender) table is np.unique of its keys, built without np.unique
-    part, layout = setup_q2 if design == "q2" else setup_q3
-    calls = []
-    real = simulator._distinct
-    monkeypatch.setattr(simulator, "_distinct", lambda keys: calls.append((keys, real(keys))) or calls[-1][1])
-    simulate(random_symmetric(layout.n, 1), random_vector(layout.n, 2), part, layout, mode)
-    (keys, table), = calls
-    assert not np.array_equal(keys, np.sort(keys))
-    assert table.dtype == keys.dtype and np.array_equal(table, np.unique(keys))
-    # a block passed in two messages, as an invalid schedule may send it, is listed once
-    assert np.array_equal(real(np.concatenate([keys, keys[::3]])), table)
 
 
 @pytest.mark.parametrize("design,mode", [("q2", "p2p"), ("q2", "alltoall"), ("appendix", "p2p")])
@@ -472,10 +463,11 @@ def assert_same_run(got, want):
 
 @pytest.mark.parametrize("mode", ["p2p", "alltoall"])
 @pytest.mark.parametrize(
-    "design,n", [pytest.param(d, n, id=f"{d}-{n}") for d, n in [("q2", 30), ("q2", 60), ("q3", 120), ("appendix", 56)]]
+    "design,n",
+    [pytest.param(d, n, id=f"{d}-{n}") for d, n in [("q2", 30), ("q2", 60), ("q3", 120), ("q4", 340), ("appendix", 56)]],
 )
-def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_appendix, design, n, mode):
-    part = {"q2": setup_q2, "q3": setup_q3, "appendix": setup_appendix}[design][0]
+def test_array_replay_equals_message_replay(setup_q2, setup_q3, setup_q4, setup_appendix, design, n, mode):
+    part = {"q2": setup_q2, "q3": setup_q3, "q4": setup_q4, "appendix": setup_appendix}[design][0]
     layout = vector_layout(n, part)
     tensor, x = random_symmetric(n, n + 1), random_vector(n, n + 2)
     assert_same_run(simulate(tensor, x, part, layout, mode), simulate_by_messages(tensor, x, part, layout, mode))
@@ -509,10 +501,17 @@ def repeat_last_step(demands):
     return CommSchedule(sched.steps + sched.steps[-1:], demands, sched.meta)
 
 
-@pytest.mark.parametrize("builder", [drop_first_step, repeat_last_step])
-def test_array_replay_equals_message_replay_on_broken_schedules(setup_q3, monkeypatch, builder):
-    part, layout = setup_q3
-    tensor, x = random_symmetric(120, 5), random_vector(120, 6)
+@pytest.mark.parametrize(
+    "design,builder",
+    [
+        pytest.param(design, builder, id=f"{prefix}{builder.__name__}")
+        for design, prefix in (("q3", ""), ("q4", "q4-340-"))
+        for builder in (drop_first_step, repeat_last_step)
+    ],
+)
+def test_array_replay_equals_message_replay_on_broken_schedules(setup_q3, setup_q4, monkeypatch, design, builder):
+    part, layout = setup_q3 if design == "q3" else setup_q4
+    tensor, x = random_symmetric(layout.n, 5), random_vector(layout.n, 6)
     monkeypatch.setattr(simulator, "build_schedule", builder)
     got = simulate(tensor, x, part, layout, "p2p")
     assert_same_run(got, simulate_by_messages(tensor, x, part, layout, "p2p", schedule_builder=builder))

@@ -353,6 +353,9 @@ def test_block_counts_memory_grows_with_the_square_of_the_width():
         (4, [(2.0, 1.0, 0.0)], r"blocks must be an integer \(B, 3\) array, got float64"),
         (4, [(2, 1)], r"blocks must be an integer \(B, 3\) array, got int64 of shape \(1, 2\)"),
         (4, [2, 1, 0], r"blocks must be an integer \(B, 3\) array, got int64 of shape \(3,\)"),
+        (True, [(0, 0, 0)], "row-block width must be a positive int, got True"),
+        (False, [(0, 0, 0)], "row-block width must be a positive int, got False"),
+        (np.int8(0), [(0, 0, 0)], "row-block width must be a positive int, got np.int8"),
     ],
 )
 def test_block_store_rejects_bad_widths_and_blocks(width, blocks, message):
@@ -368,7 +371,9 @@ ids = st.one_of(st.integers(-3, 4), st.integers(2**63, 2**70), st.floats(allow_n
 
 @settings(max_examples=200, deadline=None)
 @given(
-    width=st.one_of(st.integers(-2, 12), st.integers(2**63, 2**70), st.floats(allow_nan=True), st.none()),
+    width=st.one_of(
+        st.integers(-2, 12), st.integers(2**63, 2**70), st.floats(allow_nan=True), st.none(), st.booleans()
+    ),
     blocks=st.one_of(st.lists(st.tuples(ids, ids, ids), max_size=4), st.lists(st.lists(ids, max_size=4), max_size=4)),
 )
 @example(width=3, blocks=[])
@@ -381,6 +386,21 @@ def test_any_width_and_blocks_either_work_or_raise_value_error(width, blocks):
             call()
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("width", [np.int8(3), np.uint16(3), np.int64(3)])
+def test_a_numpy_integer_width_reads_as_the_int(width):
+    # n = 340 over width 3: offsets past 127 would overflow an int8 width
+    t = random_symmetric(340, 4)
+    blocks = [(113, 113, 113), (113, 60, 0), (80, 80, 2), (100, 7, 7)]
+    for (kind, D, ids), (kind3, D3, ids3) in zip(gather_blocks(t, width, blocks), gather_blocks(t, 3, blocks)):
+        assert (kind, ids) == (kind3, ids3) and D.tobytes() == D3.tobytes()
+    for got, want in zip(block_counts(340, width, blocks), block_counts(340, 3, blocks)):
+        assert np.array_equal(got, want)
+    x, y, y3 = random_vector(340, 5), np.zeros(340), np.zeros(340)
+    BlockStore(t, width, blocks).run(x, y)
+    BlockStore(t, 3, blocks).run(x, y3)
+    assert y.tobytes() == y3.tobytes()
 
 
 def test_to_dense_holds_every_entry_at_every_permutation():

@@ -12,9 +12,13 @@ seeds the change first.  It then makes one ``--trace 1`` pair on every trace
 seed, in the same alternating order, and writes the medians, quartiles and
 pair wins of every end-to-end metric of the change checkout's BENCHMARK.json
 and each side's median of every traced per-layer metric next to every run's
-record and result lines.  A record keeps its ``setup_s`` samples only as
-their count, median, quartiles, min and max, since one record can hold
-thousands of set-ups:
+record and result lines.  Every end-to-end metric is labelled by the
+no-regression rule (``verdict``): ``within_bound`` when the change median is
+no worse than the parent median by more than the metric's bound, ``worse``
+when it is, and ``unresolved`` when the parent's quartile spread over its
+median exceeds the bound, unless every change run beats every parent run.
+A record keeps its ``setup_s`` samples only as their count, median,
+quartiles, min and max, since one record can hold thousands of set-ups:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --parent-rev <sha> --label pr11 --seeds 121-125 --trace-seeds 131-133 \\
@@ -58,6 +62,17 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"record": compact(record["record"]), "result": result}
 
 
+def verdict(parent: np.ndarray, change: np.ndarray, better: str, bound: float) -> str:
+    """within_bound, worse or unresolved: the change's runs against the parent's by the no-regression rule."""
+    sign = 1 if better == "lower" else -1
+    p_med, c_med = float(np.median(parent)), float(np.median(change))
+    q1, q3 = np.percentile(parent, [25, 75])
+    beats_all = bool(np.max(sign * change) < np.min(sign * parent))
+    if (q3 - q1) > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    return "within_bound" if sign * c_med <= sign * p_med * (1 + sign * bound) else "worse"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Median, quartiles and pair wins per end-to-end metric, and operation totals."""
     summary = {}
@@ -76,6 +91,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "pair_losses": int(np.sum(sign * change > sign * parent)),
             "pairs": len(runs),
             "bound": metric["bound"],
+            "verdict": verdict(parent, change, metric["better"], metric["bound"]),
         }
     for key, field in (("failed_ops", "failed"), ("attempted_ops", "attempted")):
         summary[key] = {side: sum(r[side]["result"][field] for r in runs) for side in ("parent", "change")}
@@ -140,6 +156,11 @@ def main(argv=None) -> int:
                 "every metric here); ties count for neither"
             ),
             "quartiles": "numpy.percentile, linear interpolation",
+            "verdict": (
+                "within_bound when the change median is at most the parent median times (1 + bound), worse "
+                "otherwise; unresolved when the parent's quartile spread over its median exceeds the bound, "
+                "unless every change run beats every parent run"
+            ),
         },
         "workloads": {},
     }
